@@ -19,6 +19,9 @@ cargo build --release
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> perf ledger unit tests (a package outside the workspace)"
+cargo test -q --offline --manifest-path crates/bench/src/bin/ledger/Cargo.toml
+
 echo "==> examples smoke"
 cargo build --release --examples
 for ex in examples/*.rs; do

@@ -338,6 +338,12 @@ mod tests {
     }
 
     #[test]
+    fn custom_entries_with_multibyte_first_char() {
+        let d = Dictionary::new("custom", vec!["ä b", "öl"]);
+        assert_eq!(d.count_in(&TextStats::of("Ä b, xä b, ä b; Öl")), 3);
+    }
+
+    #[test]
     fn shrunk_keeps_prefix() {
         let d = vagueness();
         let half = d.shrunk(0.5);

@@ -1,6 +1,8 @@
 //! Requirement documents and basic text statistics.
 
+use std::borrow::Cow;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// One natural-language requirement: an identifier plus its text, the
 /// shape NALABS reads from the "REQ ID" and "Text" columns of a
@@ -43,13 +45,28 @@ impl fmt::Display for RequirementDoc {
 /// Tokenised view of a requirement's text with the counts every metric
 /// needs. Computing it once per document and sharing it across metrics is
 /// what makes corpus analysis linear in corpus size (experiment E2).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Besides the counts it holds two small per-document indexes that make
+/// every dictionary lookup a binary search instead of a scan: the word
+/// tokens sorted by first four bytes and length
+/// ([`count_word`](Self::count_word)), and the offsets where a phrase
+/// may start, sorted by their first four bytes
+/// ([`count_phrase`](Self::count_phrase)).
+#[derive(Debug, Clone)]
 pub struct TextStats {
     lower: String,
-    words: Vec<String>,
+    /// `(prefix_key, len, offset)` of every word token in `lower`, sorted.
+    tokens: Vec<(u32, usize, usize)>,
+    /// `(prefix_key, offset)` for offset 0 and every offset in `lower`
+    /// whose previous char is not alphanumeric, sorted.
+    starts: Vec<(u32, usize)>,
+    word_chars: usize,
     sentences: usize,
     letters: usize,
     chars: usize,
+    /// The tokens as owned strings in text order, built on the first
+    /// [`words`](Self::words) call; no metric needs them.
+    words: OnceLock<Vec<String>>,
 }
 
 impl TextStats {
@@ -58,38 +75,43 @@ impl TextStats {
     #[must_use]
     pub fn of(text: &str) -> Self {
         let lower = text.to_lowercase();
-        let mut words = Vec::new();
-        let mut current = String::new();
-        for c in lower.chars() {
-            if c.is_alphanumeric() || (c == '-' || c == '\'') && !current.is_empty() {
-                current.push(c);
-            } else if !current.is_empty() {
-                words.push(std::mem::take(&mut current));
-            }
-        }
-        if !current.is_empty() {
-            words.push(current);
-        }
-        // Trailing hyphens/apostrophes are punctuation, not word chars.
-        for w in &mut words {
-            while w.ends_with(['-', '\'']) {
-                w.pop();
-            }
-        }
-        words.retain(|w| !w.is_empty());
+        // Room for typical prose (about five bytes a word) without regrowing.
+        let mut tokens = Vec::with_capacity(lower.len() / 4);
+        let mut starts = Vec::with_capacity(lower.len() / 3);
+        let mut word_chars = 0;
+        scan(
+            &lower,
+            |s, e| {
+                word_chars += lower[s..e].chars().count();
+                tokens.push((prefix_key(&lower.as_bytes()[s..e]), e - s, s));
+            },
+            |at| starts.push((prefix_key(&lower.as_bytes()[at..]), at)),
+        );
+        tokens.sort_unstable();
+        starts.sort_unstable();
 
-        let sentences = text
-            .split(['.', '!', '?', ';'])
-            .filter(|s| s.chars().any(char::is_alphanumeric))
-            .count();
-        let letters = text.chars().filter(|c| c.is_alphanumeric()).count();
-        let chars = text.chars().count();
+        let (mut sentences, mut letters, mut chars) = (0, 0, 0);
+        let mut in_sentence = false;
+        for c in text.chars() {
+            chars += 1;
+            if c.is_alphanumeric() {
+                letters += 1;
+                in_sentence = true;
+            } else if matches!(c, '.' | '!' | '?' | ';') {
+                sentences += usize::from(in_sentence);
+                in_sentence = false;
+            }
+        }
+        sentences += usize::from(in_sentence);
         TextStats {
             lower,
-            words,
+            tokens,
+            starts,
+            word_chars,
             sentences,
             letters,
             chars,
+            words: OnceLock::new(),
         }
     }
 
@@ -102,13 +124,21 @@ impl TextStats {
     /// The word tokens, lower-cased, in order.
     #[must_use]
     pub fn words(&self) -> &[String] {
-        &self.words
+        self.words.get_or_init(|| {
+            let mut words = Vec::with_capacity(self.tokens.len());
+            scan(
+                &self.lower,
+                |s, e| words.push(self.lower[s..e].to_string()),
+                |_| {},
+            );
+            words
+        })
     }
 
     /// Word count.
     #[must_use]
     pub fn word_count(&self) -> usize {
-        self.words.len()
+        self.tokens.len()
     }
 
     /// Sentence count (at least 1 for non-empty text is *not*
@@ -137,7 +167,7 @@ impl TextStats {
         if self.sentences == 0 {
             0.0
         } else {
-            self.words.len() as f64 / self.sentences as f64
+            self.tokens.len() as f64 / self.sentences as f64
         }
     }
 
@@ -145,53 +175,132 @@ impl TextStats {
     /// 0 for empty text.
     #[must_use]
     pub fn letters_per_word(&self) -> f64 {
-        if self.words.is_empty() {
+        if self.tokens.is_empty() {
             0.0
         } else {
-            self.words.iter().map(|w| w.chars().count()).sum::<usize>() as f64
-                / self.words.len() as f64
+            self.word_chars as f64 / self.tokens.len() as f64
         }
     }
 
-    /// Number of occurrences of `word` among the tokens.
+    /// Number of occurrences of `word` among the tokens (compared
+    /// lower-cased). The token index is sorted by first four bytes and
+    /// length, so a lookup is a binary search plus a byte comparison per
+    /// token that shares both: O(log words), with no allocation unless
+    /// `word` is not lower-case ASCII.
     #[must_use]
     pub fn count_word(&self, word: &str) -> usize {
-        let w = word.to_lowercase();
-        self.words.iter().filter(|t| **t == w).count()
+        let w = lowered(word);
+        let w = w.as_bytes();
+        let key = (prefix_key(w), w.len());
+        let first = self.tokens.partition_point(|&(k, len, _)| (k, len) < key);
+        self.tokens[first..]
+            .iter()
+            .take_while(|&&(k, len, _)| (k, len) == key)
+            .filter(|&&(_, len, at)| &self.lower.as_bytes()[at..at + len] == w)
+            .count()
     }
 
-    /// Number of (possibly overlapping) occurrences of a lower-case
-    /// phrase in the text, matched on word boundaries.
+    /// Number of (possibly overlapping) occurrences of `phrase`
+    /// (compared lower-cased) in the text, matched on word boundaries:
+    /// an occurrence counts when the char before it (if any) and the
+    /// char after it (if any) are both non-alphanumeric.
+    ///
+    /// Only offsets whose previous char is non-alphanumeric can start an
+    /// occurrence, and the index holds exactly those, sorted by their
+    /// first four bytes. A lookup binary-searches the phrase's first
+    /// four bytes and checks only the offsets that share them: O(log n)
+    /// in the number n of such offsets, plus one comparison per offset
+    /// that shares the phrase's first four bytes. It allocates only when
+    /// `phrase` is not lower-case ASCII.
     #[must_use]
     pub fn count_phrase(&self, phrase: &str) -> usize {
-        let p = phrase.to_lowercase();
+        let p = lowered(phrase);
+        let p = p.as_bytes();
         if p.is_empty() {
             return 0;
         }
-        // Word-boundary check: preceding/following char must not be
-        // alphanumeric.
-        let bytes = self.lower.as_bytes();
-        let mut count = 0;
-        let mut start = 0;
-        while let Some(pos) = self.lower[start..].find(&p) {
-            let at = start + pos;
-            let before_ok = at == 0
-                || !self.lower[..at]
-                    .chars()
-                    .next_back()
-                    .is_some_and(char::is_alphanumeric);
-            let end = at + p.len();
-            let after_ok = end >= bytes.len()
-                || !self.lower[end..]
-                    .chars()
-                    .next()
-                    .is_some_and(char::is_alphanumeric);
-            if before_ok && after_ok {
-                count += 1;
-            }
-            start = at + 1;
+        let lo = prefix_key(p);
+        // A phrase shorter than four bytes is a prefix of a range of keys.
+        let hi = match p.len() {
+            1..=3 => lo | u32::MAX >> (8 * p.len()),
+            _ => lo,
+        };
+        let first = self.starts.partition_point(|&(k, _)| k < lo);
+        self.starts[first..]
+            .iter()
+            .take_while(|&&(k, _)| k <= hi)
+            .filter(|&&(_, at)| {
+                let end = at + p.len();
+                self.lower.as_bytes()[at..].starts_with(p)
+                    && !self.lower[end..]
+                        .chars()
+                        .next()
+                        .is_some_and(char::is_alphanumeric)
+            })
+            .count()
+    }
+}
+
+/// Equal when built from texts with the same lower-cased form and the
+/// same sentence, letter and char counts (everything else derives from
+/// the lower-cased text).
+impl PartialEq for TextStats {
+    fn eq(&self, other: &Self) -> bool {
+        self.lower == other.lower
+            && self.sentences == other.sentences
+            && self.letters == other.letters
+            && self.chars == other.chars
+    }
+}
+
+/// One pass over `lower`. Calls `token` with the byte span of every
+/// word token, in order (trailing `-`/`'` excluded), and `start` with
+/// offset 0 and every offset whose previous char is not alphanumeric.
+fn scan(lower: &str, mut token: impl FnMut(usize, usize), mut start: impl FnMut(usize)) {
+    let mut open = None;
+    let mut end = 0;
+    let mut prev_alnum = false;
+    for (i, c) in lower.char_indices() {
+        if !prev_alnum {
+            start(i);
         }
-        count
+        let alnum = c.is_alphanumeric();
+        if alnum {
+            open.get_or_insert(i);
+            end = i + c.len_utf8();
+        } else if c != '-' && c != '\'' {
+            if let Some(s) = open.take() {
+                token(s, end);
+            }
+        }
+        prev_alnum = alnum;
+    }
+    if let Some(s) = open {
+        token(s, end);
+    }
+}
+
+/// The first four bytes of `bytes`, zero-padded, as a big-endian key:
+/// sorting by key sorts by those bytes.
+fn prefix_key(bytes: &[u8]) -> u32 {
+    if let Some(head) = bytes.first_chunk() {
+        return u32::from_be_bytes(*head);
+    }
+    let mut key = [0; 4];
+    key[..bytes.len()].copy_from_slice(bytes);
+    u32::from_be_bytes(key)
+}
+
+/// `probe` as [`str::to_lowercase`] returns it, borrowed when it is
+/// lower-case ASCII, as every built-in dictionary entry is.
+fn lowered(probe: &str) -> Cow<'_, str> {
+    if probe
+        .bytes()
+        .all(|b| b.is_ascii() && !b.is_ascii_uppercase())
+    {
+        Cow::Borrowed(probe)
+    } else {
+        Cow::Owned(probe.to_lowercase())
     }
 }
 
@@ -237,6 +346,15 @@ mod tests {
             2,
             "'Inappropriate' must not match"
         );
+    }
+
+    #[test]
+    fn phrase_starting_with_multibyte_char() {
+        let s = TextStats::of("é x");
+        assert_eq!(s.count_phrase("é x"), 1);
+        assert_eq!(s.count_phrase("É X"), 1);
+        let s = TextStats::of("Ä b, xä b, ä bc; ä b");
+        assert_eq!(s.count_phrase("ä b"), 2);
     }
 
     #[test]
