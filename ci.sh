@@ -22,6 +22,13 @@ cargo test --workspace -q
 echo "==> perf ledger unit tests (a package outside the workspace)"
 cargo test -q --offline --manifest-path crates/bench/src/bin/ledger/Cargo.toml
 
+echo "==> perf ledger correctness smoke (fleet workloads, traced pass)"
+for w in fleet_ops fleet_forensics; do
+  echo "--> ledger: $w"
+  cargo run --release --offline --quiet --manifest-path crates/bench/src/bin/ledger/Cargo.toml -- \
+    --workload "$w" --seconds 1 --trace 1 > /dev/null
+done
+
 echo "==> examples smoke"
 cargo build --release --examples
 for ex in examples/*.rs; do

@@ -1,8 +1,8 @@
 //! The sharded security-event bus.
 //!
-//! `shards` independent bounded queues (crossbeam MPMC channels), each
-//! with its own sequence counter. Routing is by host ([`shard_of`]), so
-//! all events of one host flow through one shard in a gap-free total
+//! `shards` independent bounded queues, each one mutex over a sequence
+//! counter and a FIFO of envelopes. Routing is by host ([`shard_of`]),
+//! so all events of one host flow through one shard in a gap-free total
 //! order — the serialization unit the work-stealing runtime preserves.
 //!
 //! Publishing never blocks: a full shard queue reports
@@ -10,8 +10,18 @@
 //! publisher apply its own deferral policy (the engine re-publishes
 //! deferred events at the start of the next tick, which is where nonzero
 //! detection latency comes from in an overloaded SOC).
+//!
+//! Besides the per-event [`publish`](ShardedBus::publish) /
+//! [`pop`](ShardedBus::pop) pair, the bus moves whole batches under one
+//! lock each: [`publish_batch`](ShardedBus::publish_batch) hands a
+//! publisher's staged events to a shard, and
+//! [`take_all`](ShardedBus::take_all) gives a consumer everything queued
+//! on a shard. The engine uses these once per shard per tick, which
+//! keeps the locking and cache traffic of its telemetry firehose off the
+//! per-event path.
 
-use crossbeam::channel::{bounded, Receiver, Sender};
+use std::collections::VecDeque;
+
 use parking_lot::Mutex;
 use vdo_trace::TraceContext;
 
@@ -35,17 +45,19 @@ impl std::fmt::Display for PublishError {
     }
 }
 
-struct Shard {
-    tx: Sender<Envelope>,
-    rx: Receiver<Envelope>,
-    /// Next sequence number. Held across assign-and-send so concurrent
-    /// publishers cannot interleave a later seq before an earlier one.
-    seq: Mutex<u64>,
+/// One shard's queue. The counter and the FIFO share a lock, so
+/// concurrent publishers cannot interleave a later seq before an earlier
+/// one.
+#[derive(Default)]
+struct Queue {
+    /// Next sequence number.
+    seq: u64,
+    events: VecDeque<Envelope>,
 }
 
 /// The bus: `shards` bounded, sequenced event queues.
 pub struct ShardedBus {
-    shards: Vec<Shard>,
+    shards: Vec<Mutex<Queue>>,
     capacity: usize,
 }
 
@@ -58,16 +70,7 @@ impl ShardedBus {
     pub fn new(shards: usize, capacity: usize) -> Self {
         assert!(shards > 0, "bus needs at least one shard");
         assert!(capacity > 0, "shard queues must hold at least one event");
-        let shards = (0..shards)
-            .map(|_| {
-                let (tx, rx) = bounded(capacity);
-                Shard {
-                    tx,
-                    rx,
-                    seq: Mutex::new(0),
-                }
-            })
-            .collect();
+        let shards = (0..shards).map(|_| Mutex::default()).collect();
         ShardedBus { shards, capacity }
     }
 
@@ -106,34 +109,85 @@ impl ShardedBus {
         trace: Option<TraceContext>,
     ) -> Result<(usize, u64), PublishError> {
         let shard = self.shard_for(event.host());
-        let s = &self.shards[shard];
-        let mut seq = s.seq.lock();
-        let envelope = Envelope {
+        let mut q = self.shards[shard].lock();
+        if q.events.len() >= self.capacity {
+            return Err(PublishError::Backpressure(event));
+        }
+        let seq = q.seq;
+        q.seq += 1;
+        q.events.push_back(Envelope {
             shard,
-            seq: *seq,
+            seq,
             trace,
             event,
-        };
-        match s.tx.try_send(envelope) {
-            Ok(()) => {
-                let stamped = *seq;
-                *seq += 1;
-                Ok((shard, stamped))
-            }
-            Err(e) => Err(PublishError::Backpressure(e.into_inner().event)),
-        }
+        });
+        Ok((shard, seq))
+    }
+
+    /// Publishes the front of `batch` — events staged for `shard`, each
+    /// with its publisher's causal context — under one lock, stamping
+    /// gap-free seqs in staging order. As many events land as the queue
+    /// has room for; the rest stay in `batch`, in order, for the caller
+    /// to defer. Returns how many landed.
+    ///
+    /// Every staged event must route to `shard` (checked in debug
+    /// builds).
+    pub fn publish_batch(
+        &self,
+        shard: usize,
+        batch: &mut Vec<(SecEvent, Option<TraceContext>)>,
+    ) -> usize {
+        let mut q = self.shards[shard].lock();
+        let landed = batch
+            .len()
+            .min(self.capacity.saturating_sub(q.events.len()));
+        let first = q.seq;
+        q.seq += landed as u64;
+        q.events.extend(
+            batch
+                .drain(..landed)
+                .zip(first..)
+                .map(|((event, trace), seq)| {
+                    debug_assert_eq!(
+                        self.shard_for(event.host()),
+                        shard,
+                        "event routed elsewhere"
+                    );
+                    Envelope {
+                        shard,
+                        seq,
+                        trace,
+                        event,
+                    }
+                }),
+        );
+        landed
     }
 
     /// Pops the next event from `shard`, if any.
     #[must_use]
     pub fn pop(&self, shard: usize) -> Option<Envelope> {
-        self.shards[shard].rx.try_recv().ok()
+        self.shards[shard].lock().events.pop_front()
+    }
+
+    /// Moves every event queued on `shard` to the back of `into`, in
+    /// FIFO order, under one lock. When `into` is empty the two buffers
+    /// are swapped, so the shard keeps `into`'s allocation for its next
+    /// batch and a consumer that drains `into` between calls recycles
+    /// the same two buffers forever.
+    pub fn take_all(&self, shard: usize, into: &mut VecDeque<Envelope>) {
+        let mut q = self.shards[shard].lock();
+        if into.is_empty() {
+            std::mem::swap(&mut q.events, into);
+        } else {
+            into.append(&mut q.events);
+        }
     }
 
     /// Current depth of `shard`'s queue.
     #[must_use]
     pub fn depth(&self, shard: usize) -> usize {
-        self.shards[shard].rx.len()
+        self.shards[shard].lock().events.len()
     }
 
     /// `true` iff every shard queue is empty.
@@ -151,7 +205,7 @@ mod tests {
         SecEvent::SignalTick {
             host,
             tick,
-            signals: vec![("load", 0.1)],
+            signals: [("load", 0.1), ("lockout", 0.0)],
         }
     }
 
@@ -186,6 +240,74 @@ mod tests {
         assert_eq!(bus.pop(0).unwrap().seq, 0);
         let (_, seq) = bus.publish(e).unwrap();
         assert_eq!(seq, 2);
+    }
+
+    #[test]
+    fn batched_and_single_publishes_share_one_gap_free_sequence() {
+        let bus = ShardedBus::new(1, 64);
+        let mut batch = Vec::new();
+        let mut tick = 0;
+        for round in 0..6 {
+            bus.publish(signal(0, tick)).unwrap();
+            tick += 1;
+            for _ in 0..round {
+                batch.push((signal(0, tick), None));
+                tick += 1;
+            }
+            assert_eq!(bus.publish_batch(0, &mut batch), round);
+            assert!(batch.is_empty());
+        }
+        let mut taken = VecDeque::new();
+        bus.take_all(0, &mut taken);
+        assert!(bus.is_empty());
+        let seqs: Vec<u64> = taken.iter().map(|e| e.seq).collect();
+        let ticks: Vec<u64> = taken.iter().map(|e| e.event.tick()).collect();
+        assert_eq!(seqs, (0..tick).collect::<Vec<_>>(), "seqs stay gap-free");
+        assert_eq!(ticks, (0..tick).collect::<Vec<_>>(), "publish order kept");
+    }
+
+    #[test]
+    fn a_full_shard_keeps_the_batch_overflow_without_burning_seqs() {
+        let bus = ShardedBus::new(1, 3);
+        bus.publish(signal(0, 0)).unwrap();
+        let mut batch: Vec<_> = (1..5).map(|t| (signal(0, t), None)).collect();
+        assert_eq!(bus.publish_batch(0, &mut batch), 2, "room for two");
+        let left: Vec<u64> = batch.iter().map(|(e, _)| e.tick()).collect();
+        assert_eq!(left, [3, 4], "the overflow stays staged, in order");
+        assert_eq!(
+            bus.publish_batch(0, &mut batch),
+            0,
+            "a full shard takes none"
+        );
+        assert!(matches!(
+            bus.publish(signal(0, 9)),
+            Err(PublishError::Backpressure(_))
+        ));
+        assert_eq!(bus.pop(0).unwrap().seq, 0);
+        assert_eq!(bus.publish_batch(0, &mut batch), 1);
+        assert_eq!(bus.pop(0).unwrap().seq, 1);
+        let (_, seq) = bus.publish(batch.pop().unwrap().0).unwrap();
+        assert_eq!(seq, 4, "no seq consumed by the rejected publishes");
+    }
+
+    #[test]
+    fn take_all_returns_the_queue_in_fifo_order() {
+        let bus = ShardedBus::new(2, 16);
+        let shard = bus.shard_for(5);
+        for tick in 0..10 {
+            bus.publish(signal(5, tick)).unwrap();
+        }
+        let mut into = VecDeque::new();
+        bus.take_all(shard, &mut into);
+        assert_eq!(bus.depth(shard), 0);
+        assert!(bus.pop(shard).is_none());
+        let ticks: Vec<u64> = into.iter().map(|e| e.event.tick()).collect();
+        assert_eq!(ticks, (0..10).collect::<Vec<_>>());
+        // A non-empty buffer is appended to, not replaced.
+        bus.publish(signal(5, 10)).unwrap();
+        bus.take_all(shard, &mut into);
+        assert_eq!(into.len(), 11);
+        assert_eq!(into.back().unwrap().seq, 10);
     }
 
     #[test]

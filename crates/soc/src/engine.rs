@@ -6,10 +6,13 @@
 //! 1. **publish** (main thread): seeded drift mutates hosts and every
 //!    mutation becomes a bus event; telemetry signals are sampled;
 //!    events deferred by backpressure on a previous tick re-publish
-//!    first so per-host order survives overload;
+//!    first so per-host order survives overload. Events are staged per
+//!    shard and each shard is handed to the bus with one lock at the end
+//!    of the phase;
 //! 2. **process** (worker pool): each non-empty shard becomes one
-//!    [`Batch`]; workers pull batches work-stealing style and drain
-//!    their shard through the monitors, accumulating [`Detection`]s.
+//!    [`Batch`]; workers pull batches work-stealing style, take their
+//!    shard's whole queue with one lock and run it through the
+//!    monitors, accumulating [`Detection`]s.
 //!    Because monitors run *per event*, a violation is detected on the
 //!    tick it happens — the polling baseline pays `(period - 1) / 2`
 //!    ticks of mean latency for the same detection;
@@ -40,7 +43,7 @@ use vdo_temporal::{PatternMonitor, Trace};
 use vdo_trace::{BurnRateRule, Event, Journal, LiveSloEngine, Severity, SloAlert, TraceContext};
 
 use crate::bus::{PublishError, ShardedBus};
-use crate::event::{HostId, SecEvent};
+use crate::event::{Envelope, HostId, SecEvent};
 use crate::metrics::{MetricsSnapshot, SocMetrics};
 use crate::monitors::{Detection, DetectionKind, HostMonitors};
 use crate::remediation::{DeadLetter, Dispatcher, RemediationConfig, RemediationTask, SocIncident};
@@ -292,12 +295,107 @@ impl SocReport {
 type OpenRules = BTreeMap<String, usize>;
 
 /// Per-shard worker-side state: host monitors plus this tick's
-/// detections, and the tracing seed (copied in so any worker derives
-/// detection contexts locally without touching shared tracing state).
+/// detections, the buffer the shard's queue is taken into, and the
+/// tracing seed (copied in so any worker derives detection contexts
+/// locally without touching shared tracing state).
 struct ShardLocal {
+    shard: usize,
     hosts: BTreeMap<HostId, HostMonitors>,
     detections: Vec<Detection>,
+    inbox: VecDeque<Envelope>,
     trace_seed: Option<u64>,
+}
+
+/// Stops the worker pool when the main thread leaves the tick loop,
+/// normally or by a panic: the workers pass their start gate, see the
+/// shutdown flag and exit, so the thread scope can join them instead
+/// of waiting on a barrier they never pass.
+struct StopWorkers<'a> {
+    shutdown: &'a AtomicBool,
+    start_gate: &'a Barrier,
+}
+
+impl Drop for StopWorkers<'_> {
+    fn drop(&mut self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.start_gate.wait();
+    }
+}
+
+/// An event staged for the bus, with its publisher's causal context.
+type Staged = (SecEvent, Option<TraceContext>);
+
+/// The phase-1 publisher. It stages each shard's events in a plain
+/// `Vec` and hands every shard to the bus with one lock at the end of
+/// the phase, stamping seqs in staging order. Backpressure is decided
+/// while staging, as publishing event by event would decide it: at tick
+/// start a shard has room for `capacity − depth` events (an SLO alert
+/// the previous tick left queued counts against it); once the room is
+/// spent the shard is blocked and its later events defer, in order, to
+/// the next tick.
+struct Publisher<'b> {
+    bus: &'b ShardedBus,
+    room: Vec<usize>,
+    staged: Vec<Vec<Staged>>,
+    /// Events that met a blocked shard; re-published first next tick.
+    deferred: VecDeque<Staged>,
+    /// This tick's accepted events.
+    published: u64,
+    /// This tick's deferrals.
+    deferrals: u64,
+}
+
+impl<'b> Publisher<'b> {
+    fn new(bus: &'b ShardedBus) -> Self {
+        let shards = bus.shard_count();
+        Publisher {
+            bus,
+            room: vec![0; shards],
+            staged: (0..shards).map(|_| Vec::new()).collect(),
+            deferred: VecDeque::new(),
+            published: 0,
+            deferrals: 0,
+        }
+    }
+
+    /// Opens a tick: measures each shard's room, then re-publishes the
+    /// previous tick's deferred events first, so per-host order
+    /// survives overload.
+    fn begin_tick(&mut self) {
+        for (shard, room) in self.room.iter_mut().enumerate() {
+            *room = self.bus.capacity().saturating_sub(self.bus.depth(shard));
+        }
+        self.published = 0;
+        self.deferrals = 0;
+        for (event, trace) in std::mem::take(&mut self.deferred) {
+            self.publish(event, trace);
+        }
+    }
+
+    fn publish(&mut self, event: SecEvent, trace: Option<TraceContext>) {
+        let shard = self.bus.shard_for(event.host());
+        if self.room[shard] == 0 {
+            self.deferrals += 1;
+            self.deferred.push_back((event, trace));
+        } else {
+            self.room[shard] -= 1;
+            self.published += 1;
+            self.staged[shard].push((event, trace));
+        }
+    }
+
+    /// Closes the phase: hands each shard's staged events to the bus and
+    /// counts the tick's volumes.
+    fn hand_off(&mut self, metrics: &SocMetrics) {
+        for (shard, batch) in self.staged.iter_mut().enumerate() {
+            if !batch.is_empty() {
+                self.bus.publish_batch(shard, batch);
+                assert!(batch.is_empty(), "staging never exceeds a shard's room");
+            }
+        }
+        metrics.events_published.add(self.published);
+        metrics.events_deferred.add(self.deferrals);
+    }
 }
 
 /// The engine: a catalogue plus a validated configuration.
@@ -410,10 +508,12 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
         let n_hosts = hosts.len();
         let bus = ShardedBus::new(cfg.shards, cfg.queue_capacity);
         let shard_states: Vec<Mutex<ShardLocal>> = (0..cfg.shards)
-            .map(|_| {
+            .map(|shard| {
                 Mutex::new(ShardLocal {
+                    shard,
                     hosts: BTreeMap::new(),
                     detections: Vec::new(),
+                    inbox: VecDeque::new(),
                     trace_seed,
                 })
             })
@@ -447,12 +547,6 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
             .filter(|_| tracing_on)
             .map(|p| LiveSloEngine::new(tracing.trace_seed, p.rules.clone()));
         let mut slo_alerts: Vec<SloAlert> = Vec::new();
-        // Per-tick publish volumes for the streaming SLO feed: counted
-        // in `Cell`s because the publish closure already borrows
-        // `metrics` and `deferred`, then drained into the live engine
-        // at phase 4.
-        let published_now = std::cell::Cell::new(0u64);
-        let deferred_now = std::cell::Cell::new(0u64);
 
         std::thread::scope(|scope| {
             for (me, local) in locals.into_iter().enumerate() {
@@ -484,7 +578,6 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
                                     let fleet_guard = fleet.read();
                                     let mut state = shard_states[batch.shard].lock();
                                     process_batch(
-                                        batch.shard,
                                         now,
                                         bus,
                                         catalog,
@@ -512,6 +605,10 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
                 });
             }
 
+            let _stop = StopWorkers {
+                shutdown: &shutdown,
+                start_gate: &start_gate,
+            };
             let mut rng = StdRng::seed_from_u64(cfg.seed);
             let mut drifter = DriftInjector::new(cfg.seed.wrapping_mul(31).wrapping_add(7));
             // Hoisted out of the drift loop: the per-event context is a
@@ -530,47 +627,18 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
                     .collect(),
                 _ => Vec::new(),
             };
-            let mut deferred: VecDeque<(SecEvent, Option<TraceContext>)> = VecDeque::new();
+            let mut publisher = Publisher::new(&bus);
             // Tick a brute-force burst started on, per host (telemetry).
             let mut attack_since: Vec<Option<u64>> = vec![None; n_hosts];
 
             for tick in 0..cfg.duration {
                 current_tick.store(tick, Ordering::SeqCst);
                 // --- Phase 1 (main): publish ------------------------
-                let mut blocked = vec![false; cfg.shards];
-                let mut publish = |event: SecEvent,
-                                   trace: Option<TraceContext>,
-                                   deferred: &mut VecDeque<(SecEvent, Option<TraceContext>)>| {
-                    let shard = bus.shard_for(event.host());
-                    if blocked[shard] {
-                        metrics.events_deferred.inc();
-                        deferred_now.set(deferred_now.get() + 1);
-                        deferred.push_back((event, trace));
-                        return;
-                    }
-                    match bus.publish_traced(event, trace) {
-                        Ok(_) => {
-                            metrics.events_published.inc();
-                            published_now.set(published_now.get() + 1);
-                        }
-                        Err(PublishError::Backpressure(event)) => {
-                            blocked[shard] = true;
-                            metrics.events_deferred.inc();
-                            deferred_now.set(deferred_now.get() + 1);
-                            deferred.push_back((event, trace));
-                        }
-                    }
-                };
-                // Deferred events from the previous tick go first so
-                // per-host order is preserved under overload.
-                let mut replay = std::mem::take(&mut deferred);
-                for (event, trace) in replay.drain(..) {
-                    publish(event, trace, &mut deferred);
-                }
+                publisher.begin_tick();
                 if tick == 0 {
                     // Baseline audit: surface pre-existing violations.
                     for host in 0..n_hosts {
-                        publish(
+                        publisher.publish(
                             SecEvent::ConfigChanged {
                                 host,
                                 tick,
@@ -579,7 +647,6 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
                             trace_seed.map(|s| {
                                 TraceContext::root(s, "audit").child_u64("host", host as u64)
                             }),
-                            &mut deferred,
                         );
                     }
                 }
@@ -602,7 +669,7 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
                                     }
                                     journal.emit(jev);
                                 }
-                                publish(
+                                publisher.publish(
                                     SecEvent::DriftApplied {
                                         host,
                                         tick,
@@ -610,7 +677,6 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
                                         detail: ev.detail,
                                     },
                                     ctx,
-                                    &mut deferred,
                                 );
                             }
                         }
@@ -649,20 +715,17 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
                                     .field("lockout", lockout),
                             );
                         }
-                        publish(
+                        publisher.publish(
                             SecEvent::SignalTick {
                                 host,
                                 tick,
-                                signals: vec![
-                                    ("failed_logins", failed_logins),
-                                    ("lockout", lockout),
-                                ],
+                                signals: [("failed_logins", failed_logins), ("lockout", lockout)],
                             },
                             None,
-                            &mut deferred,
                         );
                     }
                 }
+                publisher.hand_off(metrics);
 
                 // --- Phase 2 (workers): process to quiescence --------
                 let mut n_batches = 0usize;
@@ -852,8 +915,8 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
                 if let (Some(policy), Some(live)) = (&tracing.slo, live_slo.as_mut()) {
                     // Drain this tick's publish volumes into the
                     // streaming windows, then evaluate on cadence.
-                    live.incr("soc.events_published", tick, published_now.take());
-                    live.incr("soc.events_deferred", tick, deferred_now.take());
+                    live.incr("soc.events_published", tick, publisher.published);
+                    live.incr("soc.events_deferred", tick, publisher.deferrals);
                     if n_hosts > 0 && policy.period > 0 && (tick + 1) % policy.period == 0 {
                         for alert in live.end_tick(tick, journal) {
                             // Alerts close the loop: each one triggers a
@@ -871,7 +934,7 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
                                 }
                                 Err(PublishError::Backpressure(event)) => {
                                     metrics.events_deferred.inc();
-                                    deferred.push_back((event, trace));
+                                    publisher.deferred.push_back((event, trace));
                                 }
                             }
                             slo_alerts.push(alert);
@@ -879,8 +942,6 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
                     }
                 }
             }
-            shutdown.store(true, Ordering::SeqCst);
-            start_gate.wait();
         });
 
         SocReport {
@@ -896,11 +957,10 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
     }
 }
 
-/// Drains `shard` and runs every event through the monitors. Called by
-/// exactly one worker per tick per shard, with the fleet read-locked
-/// (hosts are immutable during the processing phase).
+/// Takes the shard's whole queue and runs every event through the
+/// monitors. Called by exactly one worker per tick per shard, with the
+/// fleet read-locked (hosts are immutable during the processing phase).
 fn process_batch<E: SocHost>(
-    shard: usize,
     now: u64,
     bus: &ShardedBus,
     catalog: &Catalog<E>,
@@ -908,8 +968,12 @@ fn process_batch<E: SocHost>(
     state: &mut ShardLocal,
     metrics: &SocMetrics,
 ) {
-    while let Some(envelope) = bus.pop(shard) {
-        metrics.events_processed.inc();
+    let mut inbox = std::mem::take(&mut state.inbox);
+    bus.take_all(state.shard, &mut inbox);
+    let mut processed = 0u64;
+    let mut checks = 0u64;
+    for envelope in inbox.drain(..) {
+        processed += 1;
         let seq = envelope.seq;
         match envelope.event {
             SecEvent::DriftApplied { host, tick, .. }
@@ -921,38 +985,32 @@ fn process_batch<E: SocHost>(
                 // batch quiesces without re-entering the bounded
                 // queue).
                 let results = catalog.check_all(&fleet[host]);
-                metrics.checks_run.add(catalog.len() as u64);
-                let follow_ups: Vec<SecEvent> = results
-                    .iter()
-                    .map(|(entry, status)| SecEvent::CheckResult {
+                checks += catalog.len() as u64;
+                processed += results.len() as u64;
+                for (entry, status) in results {
+                    let event = SecEvent::CheckResult {
                         host,
                         tick,
                         rule: entry.spec().finding_id().to_string(),
-                        status: *status,
-                    })
-                    .collect();
-                for event in follow_ups {
-                    metrics.events_processed.inc();
-                    handle_check_result(shard, seq, now, event, state);
+                        status,
+                    };
+                    state.check_result(seq, now, event);
                 }
             }
-            event @ SecEvent::CheckResult { .. } => {
-                handle_check_result(shard, seq, now, event, state);
-            }
-            SecEvent::SignalTick {
-                host,
-                tick: _,
-                signals,
-            } => {
-                let trace_seed = state.trace_seed;
+            event @ SecEvent::CheckResult { .. } => state.check_result(seq, now, event),
+            SecEvent::SignalTick { host, signals, .. } => {
                 let ShardLocal {
-                    hosts, detections, ..
+                    shard,
+                    hosts,
+                    detections,
+                    trace_seed,
+                    ..
                 } = state;
                 let monitors = hosts.get_mut(&host).expect("host registered");
                 if let Some(tears) = &mut monitors.tears {
                     for activation in tears.observe(&signals) {
                         detections.push(Detection {
-                            shard,
+                            shard: *shard,
                             seq,
                             host,
                             rule: tears.name().to_string(),
@@ -970,46 +1028,47 @@ fn process_batch<E: SocHost>(
             }
         }
     }
+    state.inbox = inbox;
+    metrics.events_processed.add(processed);
+    metrics.checks_run.add(checks);
 }
 
-/// Feeds one `CheckResult` into the host's temporal compliance monitor
-/// and records a detection when the rule fails. The detection's trace
-/// is minted as a child of the *requirement root* — a pure function of
-/// `(trace_seed, rule, host, tick)` — so any worker derives the same
-/// context and the incident chain resolves to the catalogue rule.
-fn handle_check_result(shard: usize, seq: u64, now: u64, event: SecEvent, state: &mut ShardLocal) {
-    let SecEvent::CheckResult {
-        host,
-        tick,
-        rule,
-        status,
-    } = event
-    else {
-        unreachable!("only CheckResult events reach this handler");
-    };
-    let trace_seed = state.trace_seed;
-    let ShardLocal {
-        hosts, detections, ..
-    } = state;
-    let monitors = hosts.get_mut(&host).expect("host registered");
-    let compliant = !status.is_fail();
-    monitors.compliance.observe(&compliant);
-    if status == CheckStatus::Fail {
-        let trace = trace_seed.map(|s| {
-            TraceContext::root(s, &rule)
-                .child_u64("host", host as u64)
-                .child_u64("detect", now)
-        });
-        detections.push(Detection {
-            shard,
-            seq,
+impl ShardLocal {
+    /// Feeds one `CheckResult` into the host's temporal compliance
+    /// monitor and records a detection when the rule fails. The
+    /// detection's trace is minted as a child of the *requirement root*
+    /// — a pure function of `(trace_seed, rule, host, tick)` — so any
+    /// worker derives the same context and the incident chain resolves
+    /// to the catalogue rule.
+    fn check_result(&mut self, seq: u64, now: u64, event: SecEvent) {
+        let SecEvent::CheckResult {
             host,
+            tick,
             rule,
-            kind: DetectionKind::Stig,
-            introduced_at: tick,
-            detected_at: now,
-            trace,
-        });
+            status,
+        } = event
+        else {
+            unreachable!("only CheckResult events reach this handler");
+        };
+        let monitors = self.hosts.get_mut(&host).expect("host registered");
+        monitors.compliance.observe(&!status.is_fail());
+        if status == CheckStatus::Fail {
+            let trace = self.trace_seed.map(|s| {
+                TraceContext::root(s, &rule)
+                    .child_u64("host", host as u64)
+                    .child_u64("detect", now)
+            });
+            self.detections.push(Detection {
+                shard: self.shard,
+                seq,
+                host,
+                rule,
+                kind: DetectionKind::Stig,
+                introduced_at: tick,
+                detected_at: now,
+                trace,
+            });
+        }
     }
 }
 

@@ -45,8 +45,10 @@ pub enum SecEvent {
         host: HostId,
         /// Sample tick.
         tick: u64,
-        /// Named signal values sampled this tick.
-        signals: Vec<(&'static str, f64)>,
+        /// Named signal values sampled this tick, carried inline: the
+        /// telemetry firehose is the bulk of the bus's traffic, so its
+        /// events own no heap memory.
+        signals: [(&'static str, f64); 2],
     },
     /// An SLO burn-rate alert fired by the tracing layer. Routed to a
     /// representative host (alerts are fleet-level) and handled like a

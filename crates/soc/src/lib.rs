@@ -11,10 +11,12 @@
 //!
 //! Four layers:
 //!
-//! * **bus** ([`ShardedBus`]) — bounded crossbeam queues, one per
+//! * **bus** ([`ShardedBus`]) — one bounded, mutex-guarded FIFO per
 //!   shard; hosts map to shards by a fixed hash; every event carries a
 //!   per-shard sequence number; a full queue pushes back on the
-//!   publisher ([`PublishError::Backpressure`]);
+//!   publisher ([`PublishError::Backpressure`]). The engine stages a
+//!   tick's events per shard and hands each shard over with one lock,
+//!   and a worker takes its shard's whole queue with one lock;
 //! * **runtime** ([`TaskQueues`]) — a work-stealing worker pool
 //!   (injector + per-worker deques + sibling stealing) that dispatches
 //!   shard batches; one shard is processed by exactly one worker per

@@ -11,15 +11,15 @@
 //!   [`vdo_temporal::PatternMonitor`], fed by the `CheckResult` stream
 //!   (the borrowed monitors returned by `TemporalPattern::begin` cannot
 //!   outlive their pattern, which a long-lived monitor registry needs);
-//! * **TEARS guarded assertions** — [`TearsHostMonitor`] accumulates a
-//!   host's `SignalTick` telemetry into a `SignalTrace` and streams it
-//!   through [`vdo_tears::OwnedGaMonitor`].
+//! * **TEARS guarded assertions** — [`TearsHostMonitor`] holds the
+//!   newest value of each signal in a host's `SignalTick` telemetry and
+//!   streams it through [`vdo_tears::OwnedGaMonitor`].
 //!
 //! All three report [`Detection`]s, which the remediation dispatcher
 //! turns into incidents.
 
 use vdo_core::CheckStatus;
-use vdo_tears::{GuardedAssertion, OwnedGaMonitor, SignalTrace};
+use vdo_tears::{GaReport, GuardedAssertion, OwnedGaMonitor};
 use vdo_temporal::PatternMonitor;
 use vdo_trace::TraceContext;
 
@@ -130,30 +130,44 @@ impl PatternMonitor<bool> for ComplianceUniversality {
 
 /// Streams one host's telemetry through a TEARS guarded assertion.
 ///
-/// Holds the growing [`SignalTrace`] (the G/A expression language reads
-/// the newest tick) and an [`OwnedGaMonitor`]; each `SignalTick` event
-/// appends one sample and advances the monitor by one tick.
+/// The G/A expression language reads only the newest tick, so the
+/// monitor keeps one sample-and-hold slot per signal name instead of the
+/// host's whole signal history, and feeds it to an [`OwnedGaMonitor`];
+/// each `SignalTick` event updates the slots it names and advances the
+/// monitor by one tick. Verdicts equal a [`vdo_tears::GaMonitor`] run
+/// over the full [`vdo_tears::SignalTrace`] (property-tested).
 #[derive(Debug, Clone)]
 pub struct TearsHostMonitor {
-    trace: SignalTrace,
+    latest: Vec<(&'static str, f64)>,
+    ticks: u64,
     monitor: OwnedGaMonitor,
 }
 
 impl TearsHostMonitor {
-    /// Starts monitoring `ga` on an empty trace.
+    /// Starts monitoring `ga` with no samples seen.
     #[must_use]
     pub fn new(ga: GuardedAssertion) -> Self {
         TearsHostMonitor {
-            trace: SignalTrace::new(),
+            latest: Vec::new(),
+            ticks: 0,
             monitor: OwnedGaMonitor::new(ga),
         }
     }
 
-    /// Feeds one tick of named signal samples; returns the activation
-    /// ticks of any violations confirmed this tick.
+    /// Feeds one tick of named signal samples (signals not named hold
+    /// their last value); returns the activation ticks of any violations
+    /// confirmed this tick.
     pub fn observe(&mut self, signals: &[(&'static str, f64)]) -> Vec<u64> {
-        self.trace.push_sample(signals.iter().map(|&(n, v)| (n, v)));
-        self.monitor.observe(&self.trace)
+        for &(name, value) in signals {
+            match self.latest.iter_mut().find(|(n, _)| *n == name) {
+                Some(slot) => slot.1 = value,
+                None => self.latest.push((name, value)),
+            }
+        }
+        self.ticks += 1;
+        let latest = &self.latest;
+        self.monitor
+            .observe_values(&|name: &str| latest.iter().find(|(n, _)| *n == name).map(|&(_, v)| v))
     }
 
     /// The monitored assertion's name.
@@ -165,7 +179,13 @@ impl TearsHostMonitor {
     /// Ticks observed so far.
     #[must_use]
     pub fn ticks(&self) -> u64 {
-        self.trace.len()
+        self.ticks
+    }
+
+    /// The assertion's report so far (see [`OwnedGaMonitor::report`]).
+    #[must_use]
+    pub fn report(&self) -> GaReport {
+        self.monitor.report()
     }
 }
 

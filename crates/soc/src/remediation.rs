@@ -4,7 +4,8 @@
 //! Detections become [`RemediationTask`]s. Each attempt may fail (the
 //! engine injects seeded faults to model flaky remediation channels —
 //! an agent that is unreachable, a package mirror that times out); a
-//! failed attempt is rescheduled `backoff_base * 2^attempt` ticks later,
+//! failed attempt is rescheduled `backoff_base * 2^attempt` ticks later
+//! (saturating, so very long retry chains park at the end of time),
 //! and after `max_retries` rescheduled attempts the task is moved to the
 //! dead-letter incident queue for a human.
 //!
@@ -26,7 +27,8 @@ use crate::monitors::DetectionKind;
 pub struct RemediationConfig {
     /// Rescheduled attempts after the first before dead-lettering.
     pub max_retries: u32,
-    /// Backoff for attempt `n` (0-based) is `backoff_base << n` ticks.
+    /// Backoff for attempt `n` (0-based) is `backoff_base * 2^n` ticks,
+    /// saturating at `u64::MAX` instead of overflowing.
     pub backoff_base: u64,
     /// Probability an attempt fails (seeded fault injection).
     pub fault_rate: f64,
@@ -165,7 +167,10 @@ impl Dispatcher {
     /// Removes and returns every task due at or before `tick`, in
     /// `(due, insertion)` order.
     pub fn take_due(&mut self, tick: u64) -> Vec<RemediationTask> {
-        let later = self.schedule.split_off(&(tick + 1));
+        let later = match tick.checked_add(1) {
+            Some(next) => self.schedule.split_off(&next),
+            None => BTreeMap::new(),
+        };
         let due = std::mem::replace(&mut self.schedule, later);
         due.into_values().flatten().collect()
     }
@@ -211,11 +216,21 @@ impl Dispatcher {
             });
             false
         } else {
-            let backoff = self.cfg.backoff_base << task.attempt;
+            let backoff = self.backoff(task.attempt);
             task.attempt += 1;
-            self.schedule(tick + backoff.max(1), task);
+            self.schedule(tick.saturating_add(backoff), task);
             true
         }
+    }
+
+    /// Ticks to wait after failed attempt `attempt` (0-based):
+    /// `backoff_base * 2^attempt`, saturating at `u64::MAX` instead of
+    /// overflowing, and at least one tick.
+    fn backoff(&self, attempt: u32) -> u64 {
+        self.cfg
+            .backoff_base
+            .saturating_mul(2u64.saturating_pow(attempt))
+            .max(1)
     }
 
     /// Tasks abandoned so far.
@@ -293,6 +308,40 @@ mod tests {
         assert_eq!(d.dead_letters()[0].abandoned_at, 19);
         assert_eq!(d.dead_letters()[0].task.attempt, 3, "total failed attempts");
         assert_eq!(d.pending(), 0);
+    }
+
+    #[test]
+    fn backoff_saturates_past_the_sixty_fourth_attempt() {
+        let cfg = RemediationConfig {
+            max_retries: 80,
+            backoff_base: 3,
+            fault_rate: 1.0,
+        };
+        let mut d = Dispatcher::new(cfg, 7);
+        assert_eq!(d.backoff(0), 3);
+        assert_eq!(d.backoff(10), 3 << 10);
+        assert_eq!(d.backoff(63), u64::MAX, "3 * 2^63 saturates");
+        assert_eq!(d.backoff(200), u64::MAX);
+        let mut pending = vec![task(0)];
+        let mut tick = 10;
+        while let Some(t) = pending.pop() {
+            let attempt = t.attempt;
+            if d.on_failure(t, tick) {
+                let due = d.next_due().unwrap();
+                assert_eq!(due, tick.saturating_add(d.backoff(attempt)));
+                tick = due;
+                pending = d.take_due(tick);
+                assert_eq!(pending.len(), 1);
+            }
+        }
+        assert_eq!(tick, u64::MAX, "late retries land at the end of time");
+        assert_eq!(d.pending(), 0);
+        assert_eq!(d.dead_letters().len(), 1);
+        assert_eq!(
+            d.dead_letters()[0].task.attempt,
+            81,
+            "1 initial + 80 retries"
+        );
     }
 
     #[test]

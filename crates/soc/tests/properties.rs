@@ -140,7 +140,7 @@ proptest! {
                         let event = SecEvent::SignalTick {
                             host: (p * 31 + i) % host_spread,
                             tick: i as u64,
-                            signals: vec![("load", 0.5)],
+                            signals: [("load", 0.5), ("lockout", 0.0)],
                         };
                         match bus.publish(event) {
                             Ok(_) | Err(PublishError::Backpressure(_)) => {}
@@ -165,11 +165,12 @@ proptest! {
     /// With permanent faults, every scheduled remediation terminates:
     /// it is retried exactly `max_retries` times with exponential
     /// backoff and then lands in the dead-letter queue. No task loops
-    /// forever, none is lost.
+    /// forever, none is lost — also past 64 retries, where the backoff
+    /// saturates instead of overflowing.
     #[test]
     fn permanent_faults_always_terminate_in_the_dlq(
         tasks in 1usize..20,
-        max_retries in 0u32..6,
+        max_retries in prop_oneof![0u32..6, 60u32..130],
         backoff_base in 1u64..8,
         seed in 0u64..10_000,
     ) {
@@ -187,10 +188,12 @@ proptest! {
         }
         // Worst-case completion: every task retries at every backoff.
         let horizon: u64 = (0..=max_retries)
-            .map(|n| backoff_base << n)
-            .sum::<u64>()
-            + 1;
-        for tick in 0..=horizon {
+            .map(|n| backoff_base.saturating_mul(2u64.saturating_pow(n)))
+            .fold(1, u64::saturating_add);
+        // Jump from one due tick to the next: the horizon can be the
+        // end of time.
+        while let Some(tick) = dispatcher.next_due() {
+            prop_assert!(tick <= horizon, "task due at {} past the horizon {}", tick, horizon);
             for task in dispatcher.take_due(tick) {
                 prop_assert!(dispatcher.fault_injected(&task), "fault rate 1.0 always faults");
                 dispatcher.on_failure(task, tick);

@@ -227,15 +227,20 @@ struct MonitorCore {
 }
 
 impl MonitorCore {
-    fn observe(&mut self, ga: &GuardedAssertion, trace: &SignalTrace) -> Vec<u64> {
+    /// Advances one tick; `value` reads each signal's value at that
+    /// tick.
+    fn observe<F>(&mut self, ga: &GuardedAssertion, value: &F) -> Vec<u64>
+    where
+        F: Fn(&str) -> Option<f64> + ?Sized,
+    {
         let t = self.now;
         self.now += 1;
         let mut new_violations = Vec::new();
-        if ga.guard.eval(trace, t) == Some(true) {
+        if ga.guard.eval_with(value) == Some(true) {
             self.activations += 1;
             self.pending.push_back(t);
         }
-        if ga.assertion.eval(trace, t) == Some(true) {
+        if ga.assertion.eval_with(value) == Some(true) {
             // Satisfies every pending activation whose window reaches t —
             // all of them, since expired ones were already flushed.
             self.pending.clear();
@@ -286,7 +291,8 @@ impl<'a> GaMonitor<'a> {
     /// data up to and including the current tick (the monitor only reads
     /// the newest tick). Returns violations newly confirmed this tick.
     pub fn observe(&mut self, trace: &SignalTrace) -> Vec<u64> {
-        self.core.observe(self.ga, trace)
+        let t = self.core.now;
+        self.core.observe(self.ga, &|name| trace.value(name, t))
     }
 
     /// Current report: confirmed violations so far, pending activations
@@ -327,7 +333,19 @@ impl OwnedGaMonitor {
 
     /// See [`GaMonitor::observe`].
     pub fn observe(&mut self, trace: &SignalTrace) -> Vec<u64> {
-        self.core.observe(&self.ga, trace)
+        let t = self.core.now;
+        self.core.observe(&self.ga, &|name| trace.value(name, t))
+    }
+
+    /// Like [`observe`](Self::observe), for callers that keep only each
+    /// signal's newest value instead of a whole [`SignalTrace`]: `value`
+    /// maps a signal name to its value at the next tick (sample-and-hold,
+    /// `None` before the signal's first sample).
+    pub fn observe_values<F>(&mut self, value: &F) -> Vec<u64>
+    where
+        F: Fn(&str) -> Option<f64> + ?Sized,
+    {
+        self.core.observe(&self.ga, value)
     }
 
     /// See [`GaMonitor::report`].

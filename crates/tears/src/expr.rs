@@ -118,15 +118,31 @@ impl Expr {
     /// signal has no value there (undecidable).
     #[must_use]
     pub fn eval(&self, trace: &SignalTrace, tick: u64) -> Option<bool> {
+        self.eval_with(&move |name| trace.value(name, tick))
+    }
+
+    /// Evaluates the condition against `value`, which maps a signal name
+    /// to its current value (`None` when the signal has none). This is
+    /// the one evaluator: [`eval`](Self::eval) reads a [`SignalTrace`]
+    /// tick through it, and streaming monitors that keep only each
+    /// signal's newest value call it directly. Connectives follow
+    /// Kleene's three-valued logic, so an unknown operand only decides
+    /// the result when the other one cannot.
+    #[must_use]
+    #[inline]
+    pub fn eval_with<F>(&self, value: &F) -> Option<bool>
+    where
+        F: Fn(&str) -> Option<f64> + ?Sized,
+    {
         match self {
-            Expr::Cmp(name, op, k) => trace.value(name, tick).map(|v| op.eval(v, *k)),
-            Expr::Not(e) => e.eval(trace, tick).map(|b| !b),
-            Expr::And(a, b) => match (a.eval(trace, tick), b.eval(trace, tick)) {
+            Expr::Cmp(name, op, k) => value(name).map(|v| op.eval(v, *k)),
+            Expr::Not(e) => e.eval_with(value).map(|b| !b),
+            Expr::And(a, b) => match (a.eval_with(value), b.eval_with(value)) {
                 (Some(false), _) | (_, Some(false)) => Some(false),
                 (Some(true), Some(true)) => Some(true),
                 _ => None,
             },
-            Expr::Or(a, b) => match (a.eval(trace, tick), b.eval(trace, tick)) {
+            Expr::Or(a, b) => match (a.eval_with(value), b.eval_with(value)) {
                 (Some(true), _) | (_, Some(true)) => Some(true),
                 (Some(false), Some(false)) => Some(false),
                 _ => None,
