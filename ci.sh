@@ -22,8 +22,8 @@ cargo test --workspace -q
 echo "==> perf ledger unit tests (a package outside the workspace)"
 cargo test -q --offline --manifest-path crates/bench/src/bin/ledger/Cargo.toml
 
-echo "==> perf ledger correctness smoke (fleet workloads, traced pass)"
-for w in fleet_ops fleet_forensics; do
+echo "==> perf ledger correctness smoke (every workload, traced pass)"
+for w in fleet_ops fleet_forensics service_mixed service_commits; do
   echo "--> ledger: $w"
   cargo run --release --offline --quiet --manifest-path crates/bench/src/bin/ledger/Cargo.toml -- \
     --workload "$w" --seconds 1 --trace 1 > /dev/null

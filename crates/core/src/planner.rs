@@ -6,6 +6,14 @@
 //! iterations. Enforcing one requirement may *break* another (e.g. removing
 //! a package that a second requirement expects), which is why a single
 //! sweep is not enough and why the planner tracks convergence explicitly.
+//!
+//! Both entry points run the same sweep loop.
+//! [`RemediationPlanner::run`] turns it into a [`ComplianceReport`] (initial
+//! and final verdict, attempts and last enforcement per requirement).
+//! [`RemediationPlanner::remediate`] returns only the final verdicts, in
+//! catalogue order; they equal `catalog.check_all(env)` after the run, so
+//! callers that act on verdicts (the SOC's remediation step, a tenant's
+//! ops burst) neither build the report nor check the host a second time.
 
 use crate::{
     Catalog, CheckStatus, ComplianceReport, EnforcementStatus, RequirementResult, WaiverSet,
@@ -151,14 +159,60 @@ impl RemediationPlanner {
         waivers: &WaiverSet,
         now: u64,
     ) -> PlannerRun {
-        let _span = self.obs.span("core/planner");
-        let checks_counter = self.obs.counter("core.checks");
-        let enforcements_counter = self.obs.counter("core.enforcements");
-        let n = catalog.len();
         let waived: Vec<bool> = catalog
             .iter()
             .map(|e| waivers.is_waived(e.spec().finding_id(), now))
             .collect();
+        let sweep = self.sweep(catalog, env, &waived, now);
+        let report: ComplianceReport = catalog
+            .iter()
+            .enumerate()
+            .map(|(i, e)| RequirementResult {
+                finding_id: e.spec().finding_id().to_string(),
+                title: e.spec().title().to_string(),
+                severity: e.spec().severity(),
+                initial: sweep.initial[i],
+                final_status: sweep.current[i],
+                enforce_attempts: sweep.attempts[i],
+                last_enforcement: sweep.last_enforcement[i],
+                waived: waived[i],
+            })
+            .collect();
+
+        PlannerRun {
+            outcome: sweep.outcome,
+            iterations: sweep.iterations,
+            enforcements: sweep.enforcements,
+            report,
+        }
+    }
+
+    /// Remediates `env` exactly as [`run`](Self::run) does — same
+    /// enforcements, counters and journal events — and returns the final
+    /// verdict of every catalogue entry, in catalogue order, instead of
+    /// a [`ComplianceReport`]. These are the verdicts
+    /// `catalog.check_all(env)` would give afterwards (every sweep ends
+    /// on a full re-check), so a caller that only needs them pays neither
+    /// for the report's owned strings nor for a second check.
+    pub fn remediate<E: ?Sized>(&self, catalog: &Catalog<E>, env: &mut E) -> Vec<CheckStatus> {
+        self.sweep(catalog, env, &vec![false; catalog.len()], 0)
+            .current
+    }
+
+    /// The check → enforce → re-check loop behind every entry point.
+    /// `waived[i]` exempts entry `i` from enforcement and compliance;
+    /// `now` stamps the journal events.
+    fn sweep<E: ?Sized>(
+        &self,
+        catalog: &Catalog<E>,
+        env: &mut E,
+        waived: &[bool],
+        now: u64,
+    ) -> Sweep {
+        let _span = self.obs.span("core/planner");
+        let checks_counter = self.obs.counter("core.checks");
+        let enforcements_counter = self.obs.counter("core.enforcements");
+        let n = catalog.len();
         let initial: Vec<CheckStatus> = catalog.iter().map(|e| e.check(env)).collect();
         checks_counter.add(n as u64);
         let mut current = initial.clone();
@@ -166,16 +220,14 @@ impl RemediationPlanner {
         let mut last_enforcement: Vec<Option<EnforcementStatus>> = vec![None; n];
         let mut enforcements = 0u32;
         let mut iterations = 0u32;
-        let all_pass = |cur: &[CheckStatus], waived: &[bool]| {
-            cur.iter().zip(waived).all(|(s, &w)| w || s.is_pass())
-        };
-        let mut outcome = if all_pass(&current, &waived) {
+        let all_pass = |cur: &[CheckStatus]| cur.iter().zip(waived).all(|(s, &w)| w || s.is_pass());
+        let mut outcome = if all_pass(&current) {
             PlannerOutcome::Compliant
         } else {
             PlannerOutcome::IterationBudgetExhausted
         };
 
-        'sweeps: while iterations < self.config.max_iterations && !all_pass(&current, &waived) {
+        'sweeps: while iterations < self.config.max_iterations && !all_pass(&current) {
             iterations += 1;
             let mut any_progress = false;
             for (i, entry) in catalog.iter().enumerate() {
@@ -223,7 +275,7 @@ impl RemediationPlanner {
                 current[j] = new;
             }
             checks_counter.add(n as u64);
-            if all_pass(&current, &waived) {
+            if all_pass(&current) {
                 outcome = PlannerOutcome::Compliant;
                 break;
             }
@@ -232,32 +284,33 @@ impl RemediationPlanner {
                 break;
             }
         }
-        if iterations == 0 && all_pass(&current, &waived) {
+        if iterations == 0 && all_pass(&current) {
             outcome = PlannerOutcome::Compliant;
         }
 
-        let report: ComplianceReport = catalog
-            .iter()
-            .enumerate()
-            .map(|(i, e)| RequirementResult {
-                finding_id: e.spec().finding_id().to_string(),
-                title: e.spec().title().to_string(),
-                severity: e.spec().severity(),
-                initial: initial[i],
-                final_status: current[i],
-                enforce_attempts: attempts[i],
-                last_enforcement: last_enforcement[i],
-                waived: waived[i],
-            })
-            .collect();
-
-        PlannerRun {
+        Sweep {
             outcome,
             iterations,
             enforcements,
-            report,
+            initial,
+            current,
+            attempts,
+            last_enforcement,
         }
     }
+}
+
+/// What one [`RemediationPlanner::sweep`] left behind, per entry in
+/// catalogue order.
+struct Sweep {
+    outcome: PlannerOutcome,
+    iterations: u32,
+    enforcements: u32,
+    initial: Vec<CheckStatus>,
+    /// Verdicts of the last full check.
+    current: Vec<CheckStatus>,
+    attempts: Vec<u32>,
+    last_enforcement: Vec<Option<EnforcementStatus>>,
 }
 
 #[cfg(test)]
@@ -495,6 +548,70 @@ mod tests {
         let mut env = vec![false, false];
         RemediationPlanner::default().run(&cat, &mut env);
         assert_eq!(snap.events.len(), journal.len(), "no stray events");
+    }
+
+    /// `remediate` on a clone leaves the same environment as `run` and
+    /// returns `run`'s final verdicts, which a fresh check confirms.
+    fn assert_remediate_matches_run<E: Clone + PartialEq + std::fmt::Debug>(
+        planner: &RemediationPlanner,
+        cat: &Catalog<E>,
+        env: &E,
+    ) {
+        let mut by_run = env.clone();
+        let run = planner.run(cat, &mut by_run);
+        let mut by_remediate = env.clone();
+        let verdicts = planner.remediate(cat, &mut by_remediate);
+        assert_eq!(by_run, by_remediate);
+        let final_status: Vec<CheckStatus> = run
+            .report
+            .results()
+            .iter()
+            .map(|r| r.final_status)
+            .collect();
+        assert_eq!(verdicts, final_status);
+        let rechecked: Vec<CheckStatus> = cat
+            .check_all(&by_remediate)
+            .into_iter()
+            .map(|(_, s)| s)
+            .collect();
+        assert_eq!(verdicts, rechecked);
+    }
+
+    #[test]
+    fn remediate_returns_the_final_verdicts_of_run() {
+        let default = RemediationPlanner::default();
+        // Interacting requirements: two sweeps to converge.
+        let mut interacting = Catalog::new();
+        interacting.register_enforceable("p", spec("V-2"), CopyFrom { src: 0, dst: 1 });
+        interacting.register_enforceable("p", spec("V-1"), Slot { idx: 0, want: true });
+        for env in [vec![false, false], vec![true, false], vec![true, true]] {
+            assert_remediate_matches_run(&default, &interacting, &env);
+        }
+        // Stuck: an unrepairable entry next to a repairable one, and a
+        // check-only entry.
+        let mut stuck = Catalog::new();
+        stuck.register_enforceable("p", spec("V-1"), Broken);
+        stuck.register_enforceable("p", spec("V-2"), Slot { idx: 0, want: true });
+        stuck.register("p", spec("V-3"), |env: &Vec<bool>| {
+            CheckStatus::from(env[0])
+        });
+        assert_remediate_matches_run(&default, &stuck, &vec![false]);
+        let fail_fast = RemediationPlanner::new(PlannerConfig {
+            fail_fast: true,
+            ..PlannerConfig::default()
+        });
+        assert_remediate_matches_run(&fail_fast, &stuck, &vec![false]);
+        // Budget exhausted mid-chain.
+        let mut chain = Catalog::new();
+        chain.register_enforceable("p", spec("V-3"), CopyFrom { src: 1, dst: 2 });
+        chain.register_enforceable("p", spec("V-2"), CopyFrom { src: 0, dst: 1 });
+        chain.register_enforceable("p", spec("V-1"), Slot { idx: 0, want: true });
+        let one_sweep = RemediationPlanner::new(PlannerConfig {
+            max_iterations: 1,
+            ..PlannerConfig::default()
+        });
+        assert_remediate_matches_run(&one_sweep, &chain, &vec![false, false, false]);
+        assert_remediate_matches_run(&default, &chain, &vec![false, false, false]);
     }
 
     #[test]

@@ -280,11 +280,10 @@ impl UnixHost {
         let key = key.into();
         let value = value.into();
         let file = self.files.entry(path.into()).or_default();
-        let lk = key.to_ascii_lowercase();
         if let Some(slot) = file
             .directives
             .iter_mut()
-            .find(|(k, _)| k.to_ascii_lowercase() == lk)
+            .find(|(k, _)| k.eq_ignore_ascii_case(&key))
         {
             slot.1 = value;
         } else {
@@ -296,22 +295,20 @@ impl UnixHost {
     /// absent). Case-insensitive on the key.
     #[must_use]
     pub fn directive(&self, path: &str, key: &str) -> Option<&str> {
-        let lk = key.to_ascii_lowercase();
         self.files
             .get(path)?
             .directives
             .iter()
             .rev()
-            .find_map(|(k, v)| (k.to_ascii_lowercase() == lk).then_some(v.as_str()))
+            .find_map(|(k, v)| k.eq_ignore_ascii_case(key).then_some(v.as_str()))
     }
 
     /// Removes a directive; returns `true` if it existed.
     pub fn remove_directive(&mut self, path: &str, key: &str) -> bool {
-        let lk = key.to_ascii_lowercase();
         match self.files.get_mut(path) {
             Some(f) => {
                 let before = f.directives.len();
-                f.directives.retain(|(k, _)| k.to_ascii_lowercase() != lk);
+                f.directives.retain(|(k, _)| !k.eq_ignore_ascii_case(key));
                 f.directives.len() != before
             }
             None => false,
@@ -451,6 +448,7 @@ impl UnixHost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn package_lifecycle() {
@@ -507,6 +505,119 @@ mod tests {
         );
         assert!(h.remove_directive("/etc/ssh/sshd_config", "PERMITROOTLOGIN"));
         assert_eq!(h.directive("/etc/ssh/sshd_config", "PermitRootLogin"), None);
+    }
+
+    /// The directive kernels as they were before they compared keys with
+    /// `eq_ignore_ascii_case`: both sides lower-cased into fresh
+    /// `String`s. Kept verbatim as the reference the allocation-free
+    /// kernels must match.
+    mod lowercase_reference {
+        use super::UnixHost;
+
+        pub fn write_directive(h: &mut UnixHost, path: &str, key: &str, value: &str) {
+            let file = h.files.entry(path.to_string()).or_default();
+            let lk = key.to_ascii_lowercase();
+            if let Some(slot) = file
+                .directives
+                .iter_mut()
+                .find(|(k, _)| k.to_ascii_lowercase() == lk)
+            {
+                slot.1 = value.to_string();
+            } else {
+                file.directives.push((key.to_string(), value.to_string()));
+            }
+        }
+
+        pub fn directive<'h>(h: &'h UnixHost, path: &str, key: &str) -> Option<&'h str> {
+            let lk = key.to_ascii_lowercase();
+            h.files
+                .get(path)?
+                .directives
+                .iter()
+                .rev()
+                .find_map(|(k, v)| (k.to_ascii_lowercase() == lk).then_some(v.as_str()))
+        }
+
+        pub fn remove_directive(h: &mut UnixHost, path: &str, key: &str) -> bool {
+            let lk = key.to_ascii_lowercase();
+            match h.files.get_mut(path) {
+                Some(f) => {
+                    let before = f.directives.len();
+                    f.directives.retain(|(k, _)| k.to_ascii_lowercase() != lk);
+                    f.directives.len() != before
+                }
+                None => false,
+            }
+        }
+    }
+
+    /// Key fragments mixing ASCII case with non-ASCII chars whose
+    /// Unicode case mappings differ from ASCII folding: the Kelvin sign
+    /// (lower-cases to `k`), long s (upper-cases to `S`), dotted capital
+    /// I (lower-cases to `i̇`) and sharp s (upper-cases to `SS`).
+    const KEY_FRAGMENTS: [&str; 14] = [
+        "PermitRootLogin",
+        "permitrootlogin",
+        "PERMITROOTLOGIN",
+        "\u{212A}",
+        "k",
+        "K",
+        "\u{17F}",
+        "s",
+        "S",
+        "\u{130}",
+        "i",
+        "\u{DF}",
+        "SS",
+        "ss",
+    ];
+
+    /// One generated directive operation: `(kind, path, key, value)`.
+    fn directive_op() -> impl Strategy<Value = (u8, &'static str, String, u8)> {
+        (
+            0u8..3,
+            prop::sample::select(vec!["/etc/ssh/sshd_config", "/etc/login.defs"]),
+            prop::collection::vec(prop::sample::select(KEY_FRAGMENTS.to_vec()), 1..4)
+                .prop_map(|parts| parts.concat()),
+            0u8..4,
+        )
+    }
+
+    proptest! {
+        /// `write_directive`, `remove_directive` and `directive` leave
+        /// the same host and return the same results as the
+        /// lower-casing reference, over random operation sequences.
+        #[test]
+        fn directive_kernels_match_the_lowercase_reference(
+            ops in prop::collection::vec(directive_op(), 1..40),
+        ) {
+            let mut host = UnixHost::baseline_ubuntu_1804();
+            let mut reference = host.clone();
+            for (kind, path, key, value) in &ops {
+                match kind {
+                    0 => {
+                        let value = format!("v{value}");
+                        host.write_directive(*path, key.as_str(), value.as_str());
+                        lowercase_reference::write_directive(&mut reference, path, key, &value);
+                    }
+                    1 => prop_assert_eq!(
+                        host.remove_directive(path, key),
+                        lowercase_reference::remove_directive(&mut reference, path, key)
+                    ),
+                    _ => prop_assert_eq!(
+                        host.directive(path, key),
+                        lowercase_reference::directive(&reference, path, key)
+                    ),
+                }
+                prop_assert_eq!(&host, &reference);
+            }
+            for (_, path, key, _) in &ops {
+                prop_assert_eq!(
+                    host.directive(path, key),
+                    lowercase_reference::directive(&reference, path, key)
+                );
+            }
+        }
     }
 
     #[test]

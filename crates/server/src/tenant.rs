@@ -321,16 +321,16 @@ impl Tenant {
         }
         let mut remediated = 0usize;
         if self.incidents.iter().any(|i| i.resolved_at.is_none()) {
-            self.planner.run(&self.stig, &mut self.production);
-            let passing: BTreeSet<String> = self
+            let verdicts = self.planner.remediate(&self.stig, &mut self.production);
+            let passing: BTreeSet<&str> = self
                 .stig
-                .check_all(&self.production)
-                .into_iter()
+                .iter()
+                .zip(verdicts)
                 .filter(|(_, status)| status.is_pass())
-                .map(|(entry, _)| entry.spec().finding_id().to_string())
+                .map(|(entry, _)| entry.spec().finding_id())
                 .collect();
             for inc in &mut self.incidents {
-                if inc.resolved_at.is_none() && passing.contains(&inc.rule) {
+                if inc.resolved_at.is_none() && passing.contains(inc.rule.as_str()) {
                     inc.resolved_at = Some(now);
                     remediated += 1;
                 }

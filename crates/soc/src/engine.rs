@@ -12,13 +12,22 @@
 //! 2. **process** (worker pool): each non-empty shard becomes one
 //!    [`Batch`]; workers pull batches work-stealing style, take their
 //!    shard's whole queue with one lock and run it through the
-//!    monitors, accumulating [`Detection`]s.
+//!    monitors, accumulating [`Detection`]s. A shard keeps its hosts'
+//!    monitors in a `Vec`; the run builds a host→slot table once, from
+//!    the bus's host→shard routing, and every worker reads it to find a
+//!    host's monitors by index. Every host's TEARS monitor shares the
+//!    assertion the engine parsed once.
 //!    Because monitors run *per event*, a violation is detected on the
 //!    tick it happens — the polling baseline pays `(period - 1) / 2`
 //!    ticks of mean latency for the same detection;
 //! 3. **remediate** (main thread): detections merge in `(shard, seq)`
 //!    order — making the incident log independent of worker count and
-//!    scheduling — and feed the retry/backoff dispatcher.
+//!    scheduling — and feed the retry/backoff dispatcher. A due task runs
+//!    [`RemediationPlanner::remediate`] and acts on the verdicts it
+//!    returns, which are the catalogue check that closes the
+//!    remediation. If the task's own rule still fails, the attempt
+//!    failed, exactly as if a fault had been injected: the dispatcher
+//!    retries it with backoff or dead-letters it.
 //!
 //! Determinism: with a fixed seed the incident log is byte-identical
 //! across runs *and across worker counts*, because host→shard routing
@@ -28,7 +37,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Barrier;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use crossbeam::deque::Worker;
@@ -43,7 +52,7 @@ use vdo_temporal::{PatternMonitor, Trace};
 use vdo_trace::{BurnRateRule, Event, Journal, LiveSloEngine, Severity, SloAlert, TraceContext};
 
 use crate::bus::{PublishError, ShardedBus};
-use crate::event::{Envelope, HostId, SecEvent};
+use crate::event::{Envelope, SecEvent};
 use crate::metrics::{MetricsSnapshot, SocMetrics};
 use crate::monitors::{Detection, DetectionKind, HostMonitors};
 use crate::remediation::{DeadLetter, Dispatcher, RemediationConfig, RemediationTask, SocIncident};
@@ -298,9 +307,13 @@ type OpenRules = BTreeMap<String, usize>;
 /// detections, the buffer the shard's queue is taken into, and the
 /// tracing seed (copied in so any worker derives detection contexts
 /// locally without touching shared tracing state).
+///
+/// `hosts` holds the monitors of the shard's hosts in ascending host
+/// order; a host's index in it is its *slot*, read from the run's
+/// host→slot table.
 struct ShardLocal {
     shard: usize,
-    hosts: BTreeMap<HostId, HostMonitors>,
+    hosts: Vec<HostMonitors>,
     detections: Vec<Detection>,
     inbox: VecDeque<Envelope>,
     trace_seed: Option<u64>,
@@ -402,7 +415,8 @@ impl<'b> Publisher<'b> {
 pub struct SocEngine<'a, E> {
     catalog: &'a Catalog<E>,
     config: SocConfig,
-    assertion: Option<GuardedAssertion>,
+    /// Parsed once; every host's TEARS monitor shares it.
+    assertion: Option<Arc<GuardedAssertion>>,
 }
 
 impl<E> std::fmt::Debug for SocEngine<'_, E> {
@@ -431,10 +445,11 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
             return Err(SocConfigError::ZeroQueueCapacity);
         }
         let assertion = match &config.tears_assertion {
-            Some(src) => Some(
-                GuardedAssertion::parse(src)
-                    .map_err(|e| SocConfigError::InvalidAssertion(e.to_string()))?,
-            ),
+            Some(src) => {
+                Some(Arc::new(GuardedAssertion::parse(src).map_err(|e| {
+                    SocConfigError::InvalidAssertion(e.to_string())
+                })?))
+            }
             None => None,
         };
         Ok(SocEngine {
@@ -507,23 +522,26 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
         }
         let n_hosts = hosts.len();
         let bus = ShardedBus::new(cfg.shards, cfg.queue_capacity);
-        let shard_states: Vec<Mutex<ShardLocal>> = (0..cfg.shards)
-            .map(|shard| {
-                Mutex::new(ShardLocal {
-                    shard,
-                    hosts: BTreeMap::new(),
-                    detections: Vec::new(),
-                    inbox: VecDeque::new(),
-                    trace_seed,
-                })
+        let mut shard_locals: Vec<ShardLocal> = (0..cfg.shards)
+            .map(|shard| ShardLocal {
+                shard,
+                hosts: Vec::new(),
+                detections: Vec::new(),
+                inbox: VecDeque::new(),
+                trace_seed,
             })
             .collect();
-        for host in 0..n_hosts {
-            shard_states[bus.shard_for(host)]
-                .lock()
-                .hosts
-                .insert(host, HostMonitors::new(self.assertion.clone()));
-        }
+        // Host→slot table, built once per run and read by every worker:
+        // host `h` lives at `hosts[slots[h]]` of shard `shard_for(h)`.
+        let slots: Vec<usize> = (0..n_hosts)
+            .map(|host| {
+                let local = &mut shard_locals[bus.shard_for(host)];
+                local.hosts.push(HostMonitors::new(self.assertion.clone()));
+                local.hosts.len() - 1
+            })
+            .collect();
+        let shard_states: Vec<Mutex<ShardLocal>> =
+            shard_locals.into_iter().map(Mutex::new).collect();
         let fleet = RwLock::new(hosts);
         let locals: Vec<Worker<Batch>> = (0..cfg.workers).map(|_| Worker::new_fifo()).collect();
         let queues = TaskQueues::new(&locals, cfg.shards);
@@ -552,6 +570,7 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
             for (me, local) in locals.into_iter().enumerate() {
                 let bus = &bus;
                 let shard_states = &shard_states;
+                let slots = &slots[..];
                 let queues = &queues;
                 let fleet = &fleet;
                 let outstanding = &outstanding;
@@ -582,6 +601,7 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
                                         bus,
                                         catalog,
                                         &fleet_guard[..],
+                                        slots,
                                         &mut state,
                                         metrics,
                                     );
@@ -843,69 +863,50 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
                         }
                         journal.emit(ev);
                     }
-                    if dispatcher.fault_injected(&task) {
-                        let fields = tracing_on.then(|| (task.host, task.rule.clone()));
-                        if dispatcher.on_failure(task, tick) {
-                            metrics.retries.inc();
-                            if let Some(live) = live_slo.as_mut() {
-                                live.incr("soc.retries", tick, 1);
-                            }
-                            if let Some((host, rule)) = fields {
-                                let mut ev = Event::warn("soc.remediation.retry")
-                                    .at(tick)
-                                    .field("host", host)
-                                    .field("rule", rule);
-                                if let Some(t) = attempt_trace {
-                                    ev = ev.trace(t);
-                                }
-                                journal.emit(ev);
-                            }
-                        } else {
-                            metrics.dead_letters.inc();
-                            if let Some(live) = live_slo.as_mut() {
-                                live.incr("soc.dead_letters", tick, 1);
-                            }
-                            if let Some((host, rule)) = fields {
-                                let mut ev = Event::error("soc.remediation.dead_letter")
-                                    .at(tick)
-                                    .field("host", host)
-                                    .field("rule", rule);
-                                if let Some(t) = attempt_trace {
-                                    ev = ev.trace(t);
-                                }
-                                journal.emit(ev);
-                            }
+                    if !dispatcher.fault_injected(&task) {
+                        let verdicts =
+                            planner.remediate(self.catalog, &mut fleet.write()[task.host]);
+                        metrics.remediations.inc();
+                        // The planner's closing re-check is this
+                        // remediation's check of the whole catalogue.
+                        metrics.checks_run.add(self.catalog.len() as u64);
+                        if let Some(live) = live_slo.as_mut() {
+                            live.incr("soc.remediations", tick, 1);
+                            live.incr("soc.checks_run", tick, self.catalog.len() as u64);
                         }
-                        continue;
-                    }
-                    let mut guard = fleet.write();
-                    planner.run(self.catalog, &mut guard[task.host]);
-                    metrics.remediations.inc();
-                    let results = self.catalog.check_all(&guard[task.host]);
-                    metrics.checks_run.add(self.catalog.len() as u64);
-                    drop(guard);
-                    if let Some(live) = live_slo.as_mut() {
-                        live.incr("soc.remediations", tick, 1);
-                        live.incr("soc.checks_run", tick, self.catalog.len() as u64);
-                    }
-                    let host_open = &mut open[task.host];
-                    for (entry, status) in results {
-                        if status.is_pass() {
-                            if let Some(idx) = host_open.remove(entry.spec().finding_id()) {
-                                incidents[idx].resolved_at = Some(tick);
-                                if tracing_on {
-                                    let mut ev = Event::info("soc.remediation.resolved")
-                                        .at(tick)
-                                        .field("host", incidents[idx].host)
-                                        .field("rule", incidents[idx].rule.as_str());
-                                    if let Some(t) = incidents[idx].trace {
-                                        ev = ev.trace(t.child_u64("resolve", tick));
+                        let host_open = &mut open[task.host];
+                        for (entry, status) in self.catalog.iter().zip(verdicts) {
+                            if status.is_pass() {
+                                if let Some(idx) = host_open.remove(entry.spec().finding_id()) {
+                                    incidents[idx].resolved_at = Some(tick);
+                                    if tracing_on {
+                                        let mut ev = Event::info("soc.remediation.resolved")
+                                            .at(tick)
+                                            .field("host", incidents[idx].host)
+                                            .field("rule", incidents[idx].rule.as_str());
+                                        if let Some(t) = incidents[idx].trace {
+                                            ev = ev.trace(t.child_u64("resolve", tick));
+                                        }
+                                        journal.emit(ev);
                                     }
-                                    journal.emit(ev);
                                 }
                             }
                         }
+                        if !host_open.contains_key(&task.rule) {
+                            continue;
+                        }
                     }
+                    // An injected fault, or a run that left the task's
+                    // own rule failing: either way the attempt failed.
+                    fail_attempt(
+                        &mut dispatcher,
+                        task,
+                        tick,
+                        attempt_trace,
+                        metrics,
+                        live_slo.as_mut(),
+                        journal,
+                    );
                 }
 
                 // --- Phase 4 (main): accounting + SLO evaluation -----
@@ -957,14 +958,55 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
     }
 }
 
+/// Records a failed remediation attempt — an injected fault, or a
+/// planner run that left the task's own rule failing. The dispatcher
+/// reschedules the task with backoff or dead-letters it once its retries
+/// are spent; the counters, the live SLO signals and the journal record
+/// which.
+fn fail_attempt(
+    dispatcher: &mut Dispatcher,
+    task: RemediationTask,
+    tick: u64,
+    attempt_trace: Option<TraceContext>,
+    metrics: &SocMetrics,
+    live_slo: Option<&mut LiveSloEngine>,
+    journal: &Journal,
+) {
+    let fields = journal.is_enabled().then(|| (task.host, task.rule.clone()));
+    let retried = dispatcher.on_failure(task, tick);
+    let (counter, signal) = if retried {
+        (&metrics.retries, "soc.retries")
+    } else {
+        (&metrics.dead_letters, "soc.dead_letters")
+    };
+    counter.inc();
+    if let Some(live) = live_slo {
+        live.incr(signal, tick, 1);
+    }
+    if let Some((host, rule)) = fields {
+        let ev = if retried {
+            Event::warn("soc.remediation.retry")
+        } else {
+            Event::error("soc.remediation.dead_letter")
+        };
+        let mut ev = ev.at(tick).field("host", host).field("rule", rule);
+        if let Some(t) = attempt_trace {
+            ev = ev.trace(t);
+        }
+        journal.emit(ev);
+    }
+}
+
 /// Takes the shard's whole queue and runs every event through the
-/// monitors. Called by exactly one worker per tick per shard, with the
-/// fleet read-locked (hosts are immutable during the processing phase).
+/// monitors, found through the run's host→slot table. Called by exactly
+/// one worker per tick per shard, with the fleet read-locked (hosts are
+/// immutable during the processing phase).
 fn process_batch<E: SocHost>(
     now: u64,
     bus: &ShardedBus,
     catalog: &Catalog<E>,
     fleet: &[E],
+    slots: &[usize],
     state: &mut ShardLocal,
     metrics: &SocMetrics,
 ) {
@@ -994,10 +1036,10 @@ fn process_batch<E: SocHost>(
                         rule: entry.spec().finding_id().to_string(),
                         status,
                     };
-                    state.check_result(seq, now, event);
+                    state.check_result(slots, seq, now, event);
                 }
             }
-            event @ SecEvent::CheckResult { .. } => state.check_result(seq, now, event),
+            event @ SecEvent::CheckResult { .. } => state.check_result(slots, seq, now, event),
             SecEvent::SignalTick { host, signals, .. } => {
                 let ShardLocal {
                     shard,
@@ -1006,8 +1048,7 @@ fn process_batch<E: SocHost>(
                     trace_seed,
                     ..
                 } = state;
-                let monitors = hosts.get_mut(&host).expect("host registered");
-                if let Some(tears) = &mut monitors.tears {
+                if let Some(tears) = &mut hosts[slots[host]].tears {
                     for activation in tears.observe(&signals) {
                         detections.push(Detection {
                             shard: *shard,
@@ -1040,7 +1081,7 @@ impl ShardLocal {
     /// — a pure function of `(trace_seed, rule, host, tick)` — so any
     /// worker derives the same context and the incident chain resolves
     /// to the catalogue rule.
-    fn check_result(&mut self, seq: u64, now: u64, event: SecEvent) {
+    fn check_result(&mut self, slots: &[usize], seq: u64, now: u64, event: SecEvent) {
         let SecEvent::CheckResult {
             host,
             tick,
@@ -1050,8 +1091,9 @@ impl ShardLocal {
         else {
             unreachable!("only CheckResult events reach this handler");
         };
-        let monitors = self.hosts.get_mut(&host).expect("host registered");
-        monitors.compliance.observe(&!status.is_fail());
+        self.hosts[slots[host]]
+            .compliance
+            .observe(&!status.is_fail());
         if status == CheckStatus::Fail {
             let trace = self.trace_seed.map(|s| {
                 TraceContext::root(s, &rule)

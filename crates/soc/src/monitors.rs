@@ -13,10 +13,15 @@
 //!   outlive their pattern, which a long-lived monitor registry needs);
 //! * **TEARS guarded assertions** — [`TearsHostMonitor`] holds the
 //!   newest value of each signal in a host's `SignalTick` telemetry and
-//!   streams it through [`vdo_tears::OwnedGaMonitor`].
+//!   streams it through [`vdo_tears::OwnedGaMonitor`]. The engine parses
+//!   the assertion once and every host's monitor shares it through an
+//!   `Arc`, so a large fleet keeps one copy of its expression trees
+//!   rather than one per host.
 //!
 //! All three report [`Detection`]s, which the remediation dispatcher
 //! turns into incidents.
+
+use std::sync::Arc;
 
 use vdo_core::CheckStatus;
 use vdo_tears::{GaReport, GuardedAssertion, OwnedGaMonitor};
@@ -144,9 +149,10 @@ pub struct TearsHostMonitor {
 }
 
 impl TearsHostMonitor {
-    /// Starts monitoring `ga` with no samples seen.
+    /// Starts monitoring `ga` (owned, or shared with other hosts'
+    /// monitors) with no samples seen.
     #[must_use]
-    pub fn new(ga: GuardedAssertion) -> Self {
+    pub fn new(ga: impl Into<Arc<GuardedAssertion>>) -> Self {
         TearsHostMonitor {
             latest: Vec::new(),
             ticks: 0,
@@ -199,9 +205,10 @@ pub struct HostMonitors {
 }
 
 impl HostMonitors {
-    /// Monitors for a host, with TEARS attached when `ga` is given.
+    /// Monitors for a host, with TEARS attached when `ga` is given; the
+    /// assertion is shared, not copied.
     #[must_use]
-    pub fn new(ga: Option<GuardedAssertion>) -> Self {
+    pub fn new(ga: Option<Arc<GuardedAssertion>>) -> Self {
         HostMonitors {
             compliance: ComplianceUniversality::new(),
             tears: ga.map(TearsHostMonitor::new),

@@ -1,6 +1,7 @@
 //! Guarded assertions and their evaluation.
 
 use std::fmt;
+use std::sync::Arc;
 
 use vdo_core::CheckStatus;
 
@@ -309,18 +310,24 @@ impl<'a> GaMonitor<'a> {
 ///
 /// Semantics are identical to [`GaMonitor`]: both delegate to the same
 /// streaming core.
+///
+/// The assertion is held behind an [`Arc`], so a registry monitoring
+/// one assertion on many streams (one monitor per host) parses it once
+/// and shares it instead of deep-copying its expression trees per
+/// monitor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OwnedGaMonitor {
-    ga: GuardedAssertion,
+    ga: Arc<GuardedAssertion>,
     core: MonitorCore,
 }
 
 impl OwnedGaMonitor {
-    /// Starts monitoring the given assertion, taking ownership of it.
+    /// Starts monitoring the given assertion: an owned
+    /// [`GuardedAssertion`] or a shared `Arc<GuardedAssertion>`.
     #[must_use]
-    pub fn new(ga: GuardedAssertion) -> Self {
+    pub fn new(ga: impl Into<Arc<GuardedAssertion>>) -> Self {
         OwnedGaMonitor {
-            ga,
+            ga: ga.into(),
             core: MonitorCore::default(),
         }
     }
