@@ -59,6 +59,6 @@ pub use drift::{DriftEvent, DriftInjector, DriftKind};
 pub use fleet::{Fleet, FleetConfig, FleetConfigBuilder, FleetConfigError, HostMut, HostRef};
 pub use intern::{Interner, Sym};
 pub use store::{FleetStore, HostView, HostViewMut, MemoryProfile};
-pub use unix::{FileMode, PackageState, ServiceState, UnixHost};
+pub use unix::{FileMode, HostKey, PackageState, SavedKey, ServiceState, UnixHost};
 pub use view::{HostRead, HostWrite, Platform};
 pub use windows::{AuditPolicy, AuditSetting, RegistryValue, WindowsHost};

@@ -108,6 +108,132 @@ pub(crate) struct Account {
     pub password_encrypted: bool,
 }
 
+/// One slot of a [`UnixHost`]'s configuration that a single write
+/// changes: a package record, a service unit, one directive of one
+/// config file, or a file's permission bits.
+///
+/// A key can save its slot's exact state and put it back, which is how
+/// a change is staged on a host in place and undone: save each key just
+/// before writing it, and restore the keys newest first. The host is
+/// then `==` to what it was before the first write.
+///
+/// ```
+/// use vdo_host::{HostKey, UnixHost};
+/// let mut host = UnixHost::baseline_ubuntu_1804();
+/// let before = host.clone();
+/// let key = HostKey::Directive("/etc/app.conf", "Mode");
+/// let saved = key.save(&host);
+/// host.write_directive("/etc/app.conf", "Mode", "strict");
+/// key.restore(&mut host, saved);
+/// assert_eq!(host, before);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HostKey<'a> {
+    /// A package record, as `install_package` and `remove_package`
+    /// write it.
+    Package(&'a str),
+    /// A service unit, as `set_service`, `enable_service` and
+    /// `disable_service` write it.
+    Service(&'a str),
+    /// One directive of one config file, `(path, key)`, as
+    /// `write_directive` writes it. The key matches ASCII
+    /// case-insensitively, like every directive lookup.
+    Directive(&'a str, &'a str),
+    /// A file's permission bits, as `set_file_mode` writes them.
+    FileMode(&'a str),
+}
+
+impl HostKey<'_> {
+    /// The key's exact current state on `host`.
+    #[must_use]
+    pub fn save(&self, host: &UnixHost) -> SavedKey {
+        let saved = match *self {
+            HostKey::Package(name) => Saved::Package(host.packages.get(name).cloned()),
+            HostKey::Service(name) => Saved::Service(host.services.get(name).copied()),
+            HostKey::Directive(path, key) => match host.files.get(path) {
+                None => Saved::NoFile,
+                Some(file) => Saved::Directive {
+                    lines: file.directives.len(),
+                    // `write_directive` overwrites the first matching line.
+                    matched: file
+                        .directives
+                        .iter()
+                        .position(|(k, _)| k.eq_ignore_ascii_case(key))
+                        .map(|i| (i, file.directives[i].1.clone())),
+                },
+            },
+            HostKey::FileMode(path) => match host.files.get(path) {
+                None => Saved::NoFile,
+                Some(file) => Saved::FileMode(file.mode),
+            },
+        };
+        SavedKey(saved)
+    }
+
+    /// Puts the key back to `saved`, a state this key saved. Exact when
+    /// every write to other keys since that save has been undone. Never
+    /// panics (a state that does not fit the key is ignored), so a guard
+    /// may call it while unwinding.
+    pub fn restore(&self, host: &mut UnixHost, saved: SavedKey) {
+        match (*self, saved.0) {
+            (HostKey::Package(name), Saved::Package(state)) => match state {
+                Some(state) => {
+                    host.packages.insert(name.to_string(), state);
+                }
+                None => {
+                    host.packages.remove(name);
+                }
+            },
+            (HostKey::Service(name), Saved::Service(state)) => match state {
+                Some(state) => {
+                    host.services.insert(name.to_string(), state);
+                }
+                None => {
+                    host.services.remove(name);
+                }
+            },
+            (HostKey::Directive(path, _) | HostKey::FileMode(path), Saved::NoFile) => {
+                host.files.remove(path);
+            }
+            (HostKey::Directive(path, _), Saved::Directive { lines, matched }) => {
+                if let Some(file) = host.files.get_mut(path) {
+                    file.directives.truncate(lines);
+                    if let Some((i, value)) = matched {
+                        if let Some(slot) = file.directives.get_mut(i) {
+                            slot.1 = value;
+                        }
+                    }
+                }
+            }
+            (HostKey::FileMode(path), Saved::FileMode(mode)) => {
+                if let Some(file) = host.files.get_mut(path) {
+                    file.mode = mode;
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// The state of one [`HostKey`] as [`HostKey::save`] found it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SavedKey(Saved);
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Saved {
+    Package(Option<PackageState>),
+    Service(Option<ServiceState>),
+    /// The key's file did not exist.
+    NoFile,
+    /// The file's line count, and the first line matching the key with
+    /// its value, if one matched.
+    Directive {
+        lines: usize,
+        matched: Option<(usize, String)>,
+    },
+    FileMode(Option<FileMode>),
+}
+
 /// In-memory simulation of an Ubuntu-like host.
 ///
 /// All lookups are deterministic; no global state, no I/O. See the crate
@@ -618,6 +744,53 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn host_keys_restore_every_slot_exactly() {
+        let mut h = UnixHost::baseline_ubuntu_1804();
+        let before = h.clone();
+        let sshd = "/etc/ssh/sshd_config";
+        let mut undo = Vec::new();
+        let mut write = |h: &mut UnixHost, key: HostKey<'static>, f: &dyn Fn(&mut UnixHost)| {
+            undo.push((key, key.save(h)));
+            f(h);
+        };
+        write(&mut h, HostKey::Package("telnetd"), &|h| {
+            h.remove_package("telnetd");
+        });
+        write(&mut h, HostKey::Package("htop"), &|h| {
+            h.install_package("htop", "2.1")
+        });
+        write(&mut h, HostKey::Service("sshd"), &|h| {
+            h.disable_service("sshd");
+        });
+        write(&mut h, HostKey::Service("auditd"), &|h| {
+            h.enable_service("auditd")
+        });
+        write(&mut h, HostKey::Directive(sshd, "protocol"), &|h| {
+            h.write_directive(sshd, "protocol", "1");
+        });
+        write(&mut h, HostKey::Directive(sshd, "Banner"), &|h| {
+            h.write_directive(sshd, "Banner", "none");
+        });
+        write(&mut h, HostKey::Directive("/etc/new", "A"), &|h| {
+            h.write_directive("/etc/new", "A", "1");
+        });
+        write(&mut h, HostKey::FileMode("/etc/new"), &|h| {
+            h.set_file_mode("/etc/new", FileMode::new(0o600));
+        });
+        write(&mut h, HostKey::Directive("/etc/new", "a"), &|h| {
+            h.write_directive("/etc/new", "a", "2");
+        });
+        write(&mut h, HostKey::FileMode("/etc/shadow"), &|h| {
+            h.set_file_mode("/etc/shadow", FileMode::new(0o600));
+        });
+        assert_ne!(h, before);
+        while let Some((key, saved)) = undo.pop() {
+            key.restore(&mut h, saved);
+        }
+        assert_eq!(h, before);
     }
 
     #[test]

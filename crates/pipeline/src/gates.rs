@@ -11,7 +11,7 @@ use std::sync::Mutex;
 use vdo_analyze::{
     AnalysisConfig, Analyzer as StaticAnalyzer, ArtifactDelta, ArtifactSet, IncrementalAnalyzer,
 };
-use vdo_core::{Catalog, Severity};
+use vdo_core::{Catalog, CatalogEntry, CheckStatus, Severity};
 use vdo_host::UnixHost;
 use vdo_nalabs::{Analyzer, CorpusReport};
 use vdo_trace::{Event, Journal, TraceContext};
@@ -19,15 +19,23 @@ use vdo_trace::{Event, Journal, TraceContext};
 use crate::repo::Commit;
 
 /// Everything a gate may inspect when judging a commit: the commit
-/// itself and the current production host (gates stage changes on a
-/// clone; production is never mutated), plus the causal-tracing
-/// channel — the journal every verdict is recorded in and the commit's
-/// trace context, of which each gate verdict becomes a child span.
+/// itself and the production host, plus the causal-tracing channel —
+/// the journal every verdict is recorded in and the commit's trace
+/// context, of which each gate verdict becomes a child span.
+///
+/// Gates never write to production. On the reference path
+/// (`staged_verdicts` is `None`) the compliance gate stages the commit
+/// on a clone of `production`. A caller that keeps production's
+/// per-rule verdicts instead stages the commit on production in place
+/// with a [`Staged`](crate::Staged) guard, lends the staged host as
+/// `production` and its verdicts as `staged_verdicts`, and the guard
+/// rolls production back if a gate rejects the commit.
 #[derive(Debug, Clone, Copy)]
 pub struct GateContext<'a> {
     /// The commit under evaluation.
     pub commit: &'a Commit,
-    /// The current production host.
+    /// The production host: as deployed, or with the commit already
+    /// staged on it when `staged_verdicts` is set.
     pub production: &'a UnixHost,
     /// Event journal for `gate.verdict` records (disabled = silent).
     pub journal: &'a Journal,
@@ -41,6 +49,11 @@ pub struct GateContext<'a> {
     /// this to re-lint only the changed slice; `None` (or a batch gate)
     /// falls back to whole-commit analysis.
     pub changed: Option<&'a ArtifactDelta>,
+    /// The compliance catalogue's verdicts on `production`, in
+    /// catalogue order, when the caller staged the commit on it in
+    /// place; the compliance gate then decides from them instead of
+    /// staging the commit on a clone.
+    pub staged_verdicts: Option<&'a [CheckStatus]>,
 }
 
 impl<'a> GateContext<'a> {
@@ -56,6 +69,7 @@ impl<'a> GateContext<'a> {
             trace: None,
             at: 0,
             changed: None,
+            staged_verdicts: None,
         }
     }
 
@@ -215,10 +229,16 @@ impl Gate for RequirementsGate {
     }
 }
 
-/// The RQCODE compliance gate: applies a commit's configuration changes
-/// to a **staging clone** of the deployment and rejects the commit if
-/// the STIG catalogue reports any violation at or above the blocking
-/// severity.
+/// The RQCODE compliance gate: rejects a commit if, with its
+/// configuration changes applied to the deployment, the STIG catalogue
+/// reports any violation at or above the blocking severity.
+///
+/// [`ComplianceGate::evaluate`] is the reference path: it applies the
+/// changes to a clone of production and checks the whole catalogue.
+/// Through [`Gate::evaluate`] with [`GateContext::staged_verdicts`] set,
+/// the commit is already staged on production in place and the gate
+/// decides from the caller's verdicts. Both paths apply one verdict
+/// rule.
 pub struct ComplianceGate<'a> {
     catalog: &'a Catalog<UnixHost>,
     block_at: Severity,
@@ -241,9 +261,16 @@ impl<'a> ComplianceGate<'a> {
         for change in &commit.changes {
             change.apply(&mut staging);
         }
-        let violations: Vec<String> = self
-            .catalog
-            .check_all(&staging)
+        self.decide(self.catalog.check_all(&staging))
+    }
+
+    /// The verdict rule: one reason per non-passing rule at or above
+    /// the blocking severity, in catalogue order.
+    fn decide<'c>(
+        &self,
+        verdicts: impl IntoIterator<Item = (&'c CatalogEntry<UnixHost>, CheckStatus)>,
+    ) -> GateDecision {
+        let violations: Vec<String> = verdicts
             .into_iter()
             .filter(|(e, v)| !v.is_pass() && e.spec().severity() >= self.block_at)
             .map(|(e, v)| format!("{} [{}]: {v}", e.spec().finding_id(), e.spec().severity()))
@@ -262,7 +289,14 @@ impl Gate for ComplianceGate<'_> {
     }
 
     fn evaluate(&self, cx: &GateContext<'_>) -> GateDecision {
-        record(self.evaluate(cx.commit, cx.production), cx)
+        let decision = match cx.staged_verdicts {
+            Some(verdicts) => {
+                debug_assert_eq!(verdicts.len(), self.catalog.len());
+                self.decide(self.catalog.iter().zip(verdicts.iter().copied()))
+            }
+            None => self.evaluate(cx.commit, cx.production),
+        };
+        record(decision, cx)
     }
 }
 
@@ -746,6 +780,7 @@ mod tests {
             trace: Some(root),
             at: 7,
             changed: None,
+            staged_verdicts: None,
         };
         for g in &gates {
             let d = g.evaluate(&cx);
@@ -763,29 +798,42 @@ mod tests {
 
     #[test]
     fn compliance_gate_severity_floor() {
-        let catalog = vdo_stigs::ubuntu::catalog();
+        use crate::Staged;
+        let catalog = vdo_stigs::ubuntu::shared_catalog();
         let mut prod = vdo_host::UnixHost::baseline_ubuntu_1804();
-        vdo_core::RemediationPlanner::default().run(&catalog, &mut prod);
-        // V-219155 (dmesg_restrict) is CAT III; with a High floor the
-        // violating commit passes.
-        let commit = Commit::new("low").with_change(ConfigChange::SetDirective(
-            "/etc/x".into(),
-            "noop".into(),
-            "1".into(),
+        let verdicts = vdo_core::RemediationPlanner::default().remediate(catalog, &mut prod);
+        // V-219180 (PASS_MAX_DAYS 60) is CAT III: only a Low floor
+        // blocks a commit that breaks it.
+        let commit = Commit::new("lax-passwords").with_change(ConfigChange::SetDirective(
+            "/etc/login.defs".into(),
+            "PASS_MAX_DAYS".into(),
+            "99999".into(),
         ));
-        let mut staging_breaker = commit.clone();
-        staging_breaker.changes.push(ConfigChange::SetDirective(
-            "/etc/x".into(),
-            "k".into(),
-            "v".into(),
-        ));
-        let strict = ComplianceGate::new(&catalog, Severity::Low);
-        let lax = ComplianceGate::new(&catalog, Severity::High);
-        // Break a CAT III control directly on a clone to compare floors.
-        let mut prod2 = prod.clone();
-        prod2.set_kernel_param("kernel.dmesg_restrict", "0");
-        let noop = Commit::new("noop");
-        assert!(!strict.evaluate(&noop, &prod2).passed);
-        assert!(lax.evaluate(&noop, &prod2).passed);
+        let journal = Journal::disabled();
+        for (block_at, passes) in [
+            (Severity::Low, false),
+            (Severity::Medium, true),
+            (Severity::High, true),
+        ] {
+            let gate = ComplianceGate::new(catalog, block_at);
+            let reference = gate.evaluate(&commit, &prod);
+            assert_eq!(reference.passed, passes, "block at {block_at}: {reference}");
+            if !passes {
+                assert_eq!(reference.reasons.len(), 1, "{reference}");
+                assert!(reference.reasons[0].contains("V-219180"), "{reference}");
+            }
+            // The same commit staged on production in place gets the
+            // same decision, and rolls back when the guard drops.
+            let mut host = prod.clone();
+            let staged = Staged::apply(&mut host, &commit.changes);
+            let after = staged.recheck(catalog, vdo_stigs::sweep::shared_ubuntu(), &verdicts);
+            let cx = GateContext {
+                staged_verdicts: Some(&after),
+                ..GateContext::untraced(&commit, staged.host(), &journal)
+            };
+            assert_eq!(Gate::evaluate(&gate, &cx), reference);
+            drop(staged);
+            assert_eq!(host, prod);
+        }
     }
 }

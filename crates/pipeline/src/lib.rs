@@ -14,6 +14,8 @@
 //!   test-coverage gate, and the vdo-analyze static-analysis gate (each
 //!   can be disabled to obtain the paper's "manual / unassisted"
 //!   baseline);
+//! * [`staging`] — a commit staged on production in place and rolled
+//!   back unless it merges, for callers that keep production's verdicts;
 //! * [`ops`] — the operations phase: deployed host, seeded drift,
 //!   periodic compliance monitoring, automated remediation, and an
 //!   incident log with exact detection latencies;
@@ -37,6 +39,7 @@ pub mod config;
 pub mod gates;
 pub mod ops;
 pub mod repo;
+pub mod staging;
 
 mod scenario;
 
@@ -47,3 +50,4 @@ pub use gates::{
 pub use ops::{DriftTarget, Incident, MonitorEngine, OperationsPhase, OpsConfig, OpsReport};
 pub use repo::{Commit, ConfigChange};
 pub use scenario::{run, run_journaled, run_observed, run_traced, PipelineConfig, PipelineReport};
+pub use staging::Staged;

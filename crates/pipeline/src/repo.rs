@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use vdo_host::{FileMode, UnixHost};
+use vdo_host::{FileMode, HostKey, UnixHost};
 use vdo_nalabs::RequirementDoc;
 
 /// A configuration change a commit wants to apply to the deployment.
@@ -25,6 +25,19 @@ pub enum ConfigChange {
 }
 
 impl ConfigChange {
+    /// The one host slot this change writes.
+    #[must_use]
+    pub fn key(&self) -> HostKey<'_> {
+        match self {
+            ConfigChange::InstallPackage(name, _) | ConfigChange::RemovePackage(name) => {
+                HostKey::Package(name)
+            }
+            ConfigChange::SetDirective(path, key, _) => HostKey::Directive(path, key),
+            ConfigChange::SetFileMode(path, _) => HostKey::FileMode(path),
+            ConfigChange::SetService(name, _) => HostKey::Service(name),
+        }
+    }
+
     /// Applies the change to a host.
     pub fn apply(&self, host: &mut UnixHost) {
         match self {

@@ -316,6 +316,7 @@ pub fn run_traced(
             trace: commit_trace,
             at: i as u64,
             changed: Some(&delta),
+            staged_verdicts: None,
         };
         for (gate, enabled) in gates {
             if !enabled {

@@ -1,10 +1,18 @@
 //! Per-tenant state: catalogue, gates, fleet, and the verdict log.
 //!
-//! Isolation is ownership: a [`Tenant`] owns its requirement
-//! catalogue, its STIG [`Catalog`], its production [`UnixHost`], its
-//! drift RNG, and its incident ledger outright — no state is shared
-//! between tenants, so one tenant's smelly requirements, rejected
-//! commits, or drifting fleet cannot leak into another's verdicts.
+//! Isolation is ownership of everything mutable: a [`Tenant`] owns its
+//! requirement catalogue, its production [`UnixHost`] and that host's
+//! per-rule verdicts, its gates, its drift RNG, and its incident ledger
+//! outright, so one tenant's smelly requirements, rejected commits, or
+//! drifting fleet cannot leak into another's verdicts. The only shared
+//! state is immutable: every tenant reads the one Ubuntu STIG
+//! [`Catalog`] and its read-set table that the process builds once.
+//!
+//! A pushed commit is staged on production in place ([`Staged`]), and
+//! the compliance gate re-checks only the rules whose read-sets meet
+//! the commit's writes, taking every other verdict from the tenant's
+//! cache. A rejected commit rolls production back to `==` its pre-push
+//! state; a merged one keeps the staged state and its verdicts.
 //!
 //! Every handled request appends one line to the tenant's **verdict
 //! log**. Requests for one tenant are always processed in admission
@@ -19,10 +27,14 @@ use std::fmt::Write as _;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use vdo_core::{Catalog, RemediationPlanner, Severity};
+use vdo_core::{Catalog, CheckStatus, RemediationPlanner, Severity};
 use vdo_host::{DriftInjector, Platform, UnixHost};
 use vdo_nalabs::{Analyzer, RequirementDoc};
-use vdo_pipeline::{AnalysisGate, ComplianceGate, Gate, GateContext, RequirementsGate, TestGate};
+use vdo_pipeline::{
+    AnalysisGate, ComplianceGate, Gate, GateContext, GateDecision, RequirementsGate, Staged,
+    TestGate,
+};
+use vdo_stigs::sweep::CompiledCheck;
 use vdo_trace::Journal;
 
 use crate::request::{Envelope, Outcome, Request};
@@ -106,11 +118,16 @@ pub struct Incident {
     pub resolved_at: Option<u64>,
 }
 
-/// One tenant's fully-owned slice of the VeriDevOps loop.
+/// One tenant's slice of the VeriDevOps loop.
 pub struct Tenant {
     name: String,
-    stig: Catalog<UnixHost>,
+    stig: &'static Catalog<UnixHost>,
+    /// `stig` compiled, in catalogue order: each rule's read-set.
+    checks: &'static [CompiledCheck],
     production: UnixHost,
+    /// `stig`'s verdicts on `production`, in catalogue order, refreshed
+    /// wherever production is written.
+    verdicts: Vec<CheckStatus>,
     requirements: Vec<RequirementDoc>,
     analyzer: Analyzer,
     req_gate: RequirementsGate,
@@ -142,19 +159,21 @@ impl std::fmt::Debug for Tenant {
 }
 
 impl Tenant {
-    /// Provisions the tenant: Ubuntu STIG catalogue, a baseline host
-    /// hardened to full compliance, fresh gates, and a seeded drift
-    /// source.
+    /// Provisions the tenant: the shared Ubuntu STIG catalogue, a
+    /// baseline host hardened to full compliance, fresh gates, and a
+    /// seeded drift source.
     #[must_use]
     pub fn new(config: &TenantConfig) -> Self {
-        let stig = vdo_stigs::ubuntu::catalog();
+        let stig = vdo_stigs::ubuntu::shared_catalog();
         let mut production = UnixHost::baseline_ubuntu_1804();
         let planner = RemediationPlanner::default();
-        planner.run(&stig, &mut production);
+        let verdicts = planner.remediate(stig, &mut production);
         Tenant {
             name: config.name.clone(),
             stig,
+            checks: vdo_stigs::sweep::shared_ubuntu(),
             production,
+            verdicts,
             requirements: Vec::new(),
             analyzer: Analyzer::with_default_metrics(),
             req_gate: RequirementsGate::new().with_tolerance(config.requirement_tolerance),
@@ -220,7 +239,26 @@ impl Tenant {
             env.seq,
             env.request.kind()
         );
+        if cfg!(debug_assertions) {
+            assert_eq!(
+                self.verdicts,
+                self.checked_verdicts(),
+                "tenant {}: verdict cache is stale after seq {}",
+                self.name,
+                env.seq
+            );
+        }
         outcome
+    }
+
+    /// A full check of production, in catalogue order: what the verdict
+    /// cache must hold between requests.
+    fn checked_verdicts(&self) -> Vec<CheckStatus> {
+        self.stig
+            .check_all(&self.production)
+            .into_iter()
+            .map(|(_, status)| status)
+            .collect()
     }
 
     fn submit_requirement(&mut self, doc: &RequirementDoc) -> Outcome {
@@ -234,38 +272,46 @@ impl Tenant {
     }
 
     fn push_commit(&mut self, env: &Envelope, commit: &vdo_pipeline::Commit) -> Outcome {
-        let failed = {
-            let compliance = ComplianceGate::new(&self.stig, self.block_at);
-            let delta = commit.artifact_delta();
-            let cx = GateContext {
-                commit,
-                production: &self.production,
-                journal: &self.silent,
-                trace: env.trace,
-                at: env.submitted_at,
-                changed: Some(&delta),
-            };
-            let gates: [&dyn Gate; 4] = [
-                &self.req_gate,
-                &compliance,
-                &self.test_gate,
-                &self.analysis_gate,
-            ];
-            gates
-                .iter()
-                .map(|g| g.evaluate(&cx))
-                .find(|d| !d.passed)
-                .map(|d| d.gate)
-        };
-        match failed {
-            Some(gate) => Outcome::CommitRejected(gate),
-            None => {
-                for change in &commit.changes {
-                    change.apply(&mut self.production);
-                }
-                Outcome::CommitMerged(commit.changes.len())
-            }
+        match self.first_rejection(env, commit) {
+            Some(decision) => Outcome::CommitRejected(decision.gate),
+            None => Outcome::CommitMerged(commit.changes.len()),
         }
+    }
+
+    /// Stages `commit` on production in place and runs the four gates
+    /// over it in order. Returns the first rejection, with production
+    /// rolled back; on merge production and the verdict cache keep the
+    /// staged state.
+    fn first_rejection(
+        &mut self,
+        env: &Envelope,
+        commit: &vdo_pipeline::Commit,
+    ) -> Option<GateDecision> {
+        let staged = Staged::apply(&mut self.production, &commit.changes);
+        let verdicts = staged.recheck(self.stig, self.checks, &self.verdicts);
+        let compliance = ComplianceGate::new(self.stig, self.block_at);
+        let delta = commit.artifact_delta();
+        let cx = GateContext {
+            commit,
+            production: staged.host(),
+            journal: &self.silent,
+            trace: env.trace,
+            at: env.submitted_at,
+            changed: Some(&delta),
+            staged_verdicts: Some(&verdicts),
+        };
+        let gates: [&dyn Gate; 4] = [
+            &self.req_gate,
+            &compliance,
+            &self.test_gate,
+            &self.analysis_gate,
+        ];
+        let rejection = gates.iter().map(|g| g.evaluate(&cx)).find(|d| !d.passed);
+        if rejection.is_none() {
+            staged.keep();
+            self.verdicts = verdicts;
+        }
+        rejection
     }
 
     fn query_incidents(&self, rule: Option<&str>) -> Outcome {
@@ -304,7 +350,9 @@ impl Tenant {
                 .map(|i| i.rule.as_str())
                 .collect();
             let mut fresh: Vec<String> = Vec::new();
-            for (entry, status) in self.stig.check_all(&self.production) {
+            let checked = self.stig.check_all(&self.production);
+            for ((entry, status), cached) in checked.into_iter().zip(&mut self.verdicts) {
+                *cached = status;
                 let rule = entry.spec().finding_id();
                 if !status.is_pass() && !open_rules.contains(rule) {
                     fresh.push(rule.to_string());
@@ -321,11 +369,11 @@ impl Tenant {
         }
         let mut remediated = 0usize;
         if self.incidents.iter().any(|i| i.resolved_at.is_none()) {
-            let verdicts = self.planner.remediate(&self.stig, &mut self.production);
+            self.verdicts = self.planner.remediate(self.stig, &mut self.production);
             let passing: BTreeSet<&str> = self
                 .stig
                 .iter()
-                .zip(verdicts)
+                .zip(&self.verdicts)
                 .filter(|(_, status)| status.is_pass())
                 .map(|(entry, _)| entry.spec().finding_id())
                 .collect();
@@ -413,6 +461,168 @@ mod tests {
             !t.production().is_package_installed("telnetd"),
             "rejected commits never deploy"
         );
+    }
+
+    #[test]
+    fn compliance_severity_floor() {
+        // V-219180 (PASS_MAX_DAYS 60) is CAT III: only a Low floor
+        // blocks a commit that breaks it.
+        let commit = Commit::new("lax-passwords").with_change(ConfigChange::SetDirective(
+            "/etc/login.defs".into(),
+            "PASS_MAX_DAYS".into(),
+            "99999".into(),
+        ));
+        for (block_at, expected) in [
+            (Severity::Low, Outcome::CommitRejected("compliance")),
+            (Severity::Medium, Outcome::CommitMerged(1)),
+            (Severity::High, Outcome::CommitMerged(1)),
+        ] {
+            let mut t = Tenant::new(&TenantConfig {
+                block_at,
+                ..TenantConfig::new("acme")
+            });
+            let before = t.production().clone();
+            let outcome = t.handle(&env(0, Request::PushCommit(commit.clone())), 0);
+            assert_eq!(outcome, expected, "block at {block_at}");
+            let max_days = t.production().directive("/etc/login.defs", "PASS_MAX_DAYS");
+            if outcome == Outcome::CommitMerged(1) {
+                assert_eq!(max_days, Some("99999"));
+            } else {
+                assert_eq!(t.production(), &before);
+            }
+        }
+    }
+
+    #[test]
+    fn commits_rejected_at_any_gate_leave_production_as_it_was() {
+        use vdo_temporal::Formula;
+        let config_changes = || {
+            Commit::new("c")
+                .with_change(ConfigChange::SetDirective(
+                    "/etc/ssh/sshd_config".into(),
+                    "PermitRootLogin".into(),
+                    "no".into(),
+                ))
+                .with_change(ConfigChange::InstallPackage("htop".into(), "2.1".into()))
+                .with_change(ConfigChange::SetFileMode("/var/log".into(), 0o750))
+        };
+        let mut unreachable = vdo_gwt::GraphModel::new("broken");
+        let a = unreachable.add_vertex("a");
+        let b = unreachable.add_vertex("b");
+        let x = unreachable.add_vertex("island1");
+        let y = unreachable.add_vertex("island2");
+        unreachable.add_edge(a, b, "go");
+        unreachable.add_edge(x, y, "island_hop");
+        unreachable.set_start(a);
+        let contradiction = Formula::and(
+            Formula::globally(Formula::atom("locked")),
+            Formula::finally(Formula::not(Formula::atom("locked"))),
+        );
+        let new_file = Commit::new("new-file")
+            .with_change(ConfigChange::SetDirective(
+                "/etc/app.conf".into(),
+                "Mode".into(),
+                "strict".into(),
+            ))
+            .with_change(ConfigChange::SetFileMode("/etc/app.conf".into(), 0o600))
+            .with_change(ConfigChange::InstallPackage(
+                "telnetd".into(),
+                "0.17".into(),
+            ));
+        let cases = [
+            (config_changes().with_model(unreachable), "tests"),
+            (
+                config_changes().with_formula("lock-monitor", contradiction),
+                "analysis",
+            ),
+            (new_file, "compliance"),
+        ];
+        let mut t = Tenant::new(&TenantConfig::new("acme").with_seed(5));
+        for (seq, (commit, gate)) in (0..).zip(cases) {
+            let before = t.production().clone();
+            assert_eq!(
+                t.handle(&env(seq, Request::PushCommit(commit)), seq),
+                Outcome::CommitRejected(gate)
+            );
+            assert_eq!(t.production(), &before, "rejected at {gate}");
+            assert_eq!(t.verdicts, t.checked_verdicts());
+        }
+        assert!(!t.production().file_exists("/etc/app.conf"));
+        // The same changes without the defects merge.
+        assert_eq!(
+            t.handle(&env(3, Request::PushCommit(config_changes())), 3),
+            Outcome::CommitMerged(3)
+        );
+        assert!(t.production().is_package_installed("htop"));
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn change() -> impl Strategy<Value = ConfigChange> {
+            prop_oneof![
+                prop::sample::select(vec!["telnetd", "htop", "nis", "auditd"])
+                    .prop_map(|p| ConfigChange::InstallPackage(p.into(), "1.0".into())),
+                prop::sample::select(vec!["telnetd", "sudo", "vlock"])
+                    .prop_map(|p| ConfigChange::RemovePackage(p.into())),
+                (
+                    prop::sample::select(vec!["/etc/ssh/sshd_config", "/etc/login.defs", "/etc/x"]),
+                    prop::sample::select(vec![
+                        "PermitRootLogin",
+                        "encrypt_method",
+                        "PASS_MAX_DAYS"
+                    ]),
+                    prop::sample::select(vec!["no", "yes", "SHA512", "60", "99999"]),
+                )
+                    .prop_map(|(p, k, v)| ConfigChange::SetDirective(
+                        p.into(),
+                        k.into(),
+                        v.into()
+                    )),
+                (
+                    prop::sample::select(vec!["/etc/shadow", "/etc/x"]),
+                    prop::sample::select(vec![0o640u16, 0o644]),
+                )
+                    .prop_map(|(p, m)| ConfigChange::SetFileMode(p.into(), m)),
+                (
+                    prop::sample::select(vec!["rsyslog", "sshd"]),
+                    prop::bool::ANY
+                )
+                    .prop_map(|(s, on)| ConfigChange::SetService(s.into(), on)),
+            ]
+        }
+
+        proptest! {
+            /// On a drifted production host, the tenant's compliance
+            /// decision (staged in place, verdicts from the cache) is
+            /// the reference gate's decision on a clone; a rejection
+            /// leaves production as it was and a merge equals
+            /// clone-then-apply.
+            #[test]
+            fn tenant_compliance_decision_equals_the_clone_path(
+                seed in 0u64..1_000_000,
+                events in 0usize..10,
+                changes in prop::collection::vec(change(), 0..6),
+                block_at in prop::sample::select(vec![Severity::Low, Severity::Medium, Severity::High]),
+            ) {
+                let mut t = Tenant::new(&TenantConfig { block_at, ..TenantConfig::new("acme") });
+                DriftInjector::new(seed).drift(&mut t.production, Platform::Unix, events);
+                t.verdicts = t.checked_verdicts();
+                let before = t.production.clone();
+                let commit = Commit { changes, ..Commit::new("c") };
+                let reference = ComplianceGate::new(t.stig, block_at).evaluate(&commit, &before);
+                let rejection = t.first_rejection(&env(0, Request::PushCommit(commit.clone())), &commit);
+                prop_assert_eq!(rejection, (!reference.passed).then_some(reference));
+                let mut merged = before.clone();
+                for change in &commit.changes {
+                    change.apply(&mut merged);
+                }
+                let expected = if rejection.is_none() { &merged } else { &before };
+                prop_assert_eq!(&t.production, expected);
+                prop_assert_eq!(t.verdicts.clone(), t.checked_verdicts());
+            }
+        }
     }
 
     #[test]

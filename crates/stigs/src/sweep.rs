@@ -18,9 +18,10 @@
 //! byte-identical at any worker count.
 
 use std::collections::BTreeSet;
+use std::sync::OnceLock;
 
 use vdo_core::{CheckStatus, Checkable, Enforceable, EnforcementStatus};
-use vdo_host::{FleetStore, HostRead, HostWrite, Platform};
+use vdo_host::{FleetStore, HostKey, HostRead, HostWrite, Platform};
 
 use crate::ubuntu::{
     DirectivePattern, EncryptedPasswordsPattern, FileModePattern, KernelParamPattern,
@@ -100,11 +101,10 @@ impl CheckOp {
             CheckOp::EncryptedPasswords(_) => {
                 // The check reads both account hygiene and the hashing
                 // directive; union the two overlay host sets.
+                let (path, key) = EncryptedPasswordsPattern::HASH_DIRECTIVE;
                 let mut hosts: BTreeSet<u32> =
                     store.hosts_with_account_overrides().into_iter().collect();
-                hosts.extend(
-                    store.hosts_with_directive_override("/etc/login.defs", "ENCRYPT_METHOD"),
-                );
+                hosts.extend(store.hosts_with_directive_override(path, key));
                 hosts.into_iter().collect()
             }
             CheckOp::Service(p) => store.hosts_with_service_override(p.service_name()),
@@ -112,6 +112,28 @@ impl CheckOp {
             CheckOp::Audit(p) => store.hosts_with_audit_override(p.category(), p.subcategory()),
             CheckOp::RegistryDword(p) => store.hosts_with_registry_override(p.key(), p.name()),
             CheckOp::Lockout(_) => store.hosts_with_lockout_override(),
+        }
+    }
+
+    /// `true` iff a write to `key` can change this check's verdict: the
+    /// key names a slot the check reads, matched the way the host
+    /// matches it (directive keys ASCII case-insensitively). A check
+    /// whose reads miss every key a change writes keeps its verdict.
+    /// The Windows checks read no [`HostKey`].
+    #[must_use]
+    pub fn reads(&self, key: &HostKey<'_>) -> bool {
+        match (self, *key) {
+            (CheckOp::Package(p), HostKey::Package(name)) => p.package_name() == name,
+            (CheckOp::Directive(p), HostKey::Directive(path, k)) => {
+                p.path() == path && p.key().eq_ignore_ascii_case(k)
+            }
+            (CheckOp::EncryptedPasswords(_), HostKey::Directive(path, k)) => {
+                let (hash_path, hash_key) = EncryptedPasswordsPattern::HASH_DIRECTIVE;
+                path == hash_path && hash_key.eq_ignore_ascii_case(k)
+            }
+            (CheckOp::FileMode(p), HostKey::FileMode(path)) => p.path() == path,
+            (CheckOp::Service(p), HostKey::Service(name)) => p.service_name() == name,
+            _ => false,
         }
     }
 }
@@ -256,6 +278,15 @@ pub fn compiled_ubuntu() -> Vec<CompiledCheck> {
             Op::Package(UbuntuPackagePattern::new("sudo", true)),
         ),
     ]
+}
+
+/// [`compiled_ubuntu`] built once per process and shared, like
+/// [`crate::ubuntu::shared_catalog`]: the read-set table a service
+/// consults to find the rules a commit can change.
+#[must_use]
+pub fn shared_ubuntu() -> &'static [CompiledCheck] {
+    static CHECKS: OnceLock<Vec<CompiledCheck>> = OnceLock::new();
+    CHECKS.get_or_init(compiled_ubuntu)
 }
 
 /// The Windows 10 catalogue compiled for sweeping, in the exact order
@@ -615,22 +646,85 @@ mod tests {
             .expect("valid config")
     }
 
-    #[test]
-    fn compiled_ubuntu_matches_catalog_order_and_verdicts() {
-        let compiled = compiled_ubuntu();
-        let cat = crate::ubuntu::catalog();
-        assert_eq!(compiled.len(), cat.len());
-        let mut host = vdo_host::UnixHost::baseline_ubuntu_1804();
-        DriftInjector::new(99).drift(&mut host, Platform::Unix, 6);
-        for (c, entry) in compiled.iter().zip(cat.iter()) {
-            assert_eq!(c.finding_id(), entry.spec().finding_id());
-            assert_eq!(
-                c.op().check(&host),
-                entry.check(&host),
-                "verdict parity for {}",
-                c.finding_id()
-            );
+    proptest::proptest! {
+        /// The compiled table is the catalogue, op for op: same order,
+        /// same verdicts, on baseline and hardened hosts under random
+        /// drift. A service trusts its read-sets because of this.
+        #[test]
+        fn compiled_ubuntu_matches_catalog_order_and_verdicts(
+            seed in 0u64..1_000_000,
+            events in 0usize..16,
+            hardened in proptest::prop::bool::ANY,
+        ) {
+            let compiled = compiled_ubuntu();
+            let cat = crate::ubuntu::catalog();
+            proptest::prop_assert_eq!(compiled.len(), cat.len());
+            let mut host = vdo_host::UnixHost::baseline_ubuntu_1804();
+            if hardened {
+                vdo_core::RemediationPlanner::default().remediate(&cat, &mut host);
+            }
+            DriftInjector::new(seed).drift(&mut host, Platform::Unix, events);
+            for (c, entry) in compiled.iter().zip(cat.iter()) {
+                proptest::prop_assert_eq!(c.finding_id(), entry.spec().finding_id());
+                proptest::prop_assert_eq!(
+                    c.op().check(&host),
+                    entry.check(&host),
+                    "verdict parity for {}",
+                    c.finding_id()
+                );
+            }
         }
+    }
+
+    #[test]
+    fn shared_tables_are_built_once_and_match_the_builders() {
+        assert!(std::ptr::eq(shared_ubuntu(), shared_ubuntu()));
+        assert_eq!(shared_ubuntu(), compiled_ubuntu().as_slice());
+        let cat = crate::ubuntu::shared_catalog();
+        assert!(std::ptr::eq(cat, crate::ubuntu::shared_catalog()));
+        assert!(cat
+            .iter()
+            .map(|e| e.spec().finding_id())
+            .eq(crate::ubuntu::catalog()
+                .iter()
+                .map(|e| e.spec().finding_id())));
+    }
+
+    #[test]
+    fn read_sets_name_the_slots_each_check_reads() {
+        let op = |id: &str| {
+            compiled_ubuntu()
+                .into_iter()
+                .find(|c| c.finding_id() == id)
+                .expect("finding compiled")
+                .op()
+                .clone()
+        };
+        let sshd = "/etc/ssh/sshd_config";
+        assert!(op("V-219167").reads(&HostKey::Directive(sshd, "permitrootlogin")));
+        assert!(!op("V-219167").reads(&HostKey::Directive("/etc/other", "PermitRootLogin")));
+        assert!(!op("V-219167").reads(&HostKey::FileMode(sshd)));
+        assert!(op("V-219161").reads(&HostKey::Package("telnetd")));
+        assert!(!op("V-219161").reads(&HostKey::Package("htop")));
+        assert!(op("V-219177").reads(&HostKey::Directive("/etc/login.defs", "encrypt_method")));
+        assert!(!op("V-219177").reads(&HostKey::Directive("/etc/login.defs", "PASS_MAX_DAYS")));
+        assert!(op("V-219201").reads(&HostKey::FileMode("/etc/shadow")));
+        assert!(op("V-219149").reads(&HostKey::Service("rsyslog")));
+        assert!(!op("V-219155").reads(&HostKey::Service("rsyslog")));
+        for c in compiled_win10() {
+            assert!(!c.op().reads(&HostKey::Package("telnetd")));
+        }
+        // An htop install meets no read-set; telnetd and PermitRootLogin
+        // meet exactly one each.
+        let hits = |key: HostKey<'_>| {
+            compiled_ubuntu()
+                .iter()
+                .filter(|c| c.op().reads(&key))
+                .count()
+        };
+        assert_eq!(hits(HostKey::Package("htop")), 0);
+        assert_eq!(hits(HostKey::Package("telnetd")), 1);
+        assert_eq!(hits(HostKey::Directive(sshd, "PermitRootLogin")), 1);
     }
 
     #[test]

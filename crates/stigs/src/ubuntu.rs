@@ -7,6 +7,8 @@
 //! `V-219343`) plus an extended hardening set exercised by the
 //! experiments.
 
+use std::sync::OnceLock;
+
 use vdo_core::{
     Catalog, CheckStatus, Checkable, Enforceable, EnforcementStatus, RequirementSpec, Severity,
 };
@@ -188,10 +190,17 @@ impl<H: HostWrite> Enforceable<H> for FileModePattern {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EncryptedPasswordsPattern;
 
+impl EncryptedPasswordsPattern {
+    /// The `(path, key)` of the directive that selects the hashing
+    /// method; the pattern reads it besides the account table.
+    pub const HASH_DIRECTIVE: (&'static str, &'static str) = ("/etc/login.defs", "ENCRYPT_METHOD");
+}
+
 impl<H: HostRead> Checkable<H> for EncryptedPasswordsPattern {
     fn check(&self, host: &H) -> CheckStatus {
+        let (path, key) = Self::HASH_DIRECTIVE;
         let hashing_ok = host
-            .directive("/etc/login.defs", "ENCRYPT_METHOD")
+            .directive(path, key)
             .is_some_and(|v| v.eq_ignore_ascii_case("SHA512"));
         CheckStatus::from(host.all_passwords_encrypted() && hashing_ok)
     }
@@ -199,8 +208,9 @@ impl<H: HostRead> Checkable<H> for EncryptedPasswordsPattern {
 
 impl<H: HostWrite> Enforceable<H> for EncryptedPasswordsPattern {
     fn enforce(&self, host: &mut H) -> EnforcementStatus {
+        let (path, key) = Self::HASH_DIRECTIVE;
         host.encrypt_all_passwords();
-        host.write_directive("/etc/login.defs", "ENCRYPT_METHOD", "SHA512");
+        host.write_directive(path, key, "SHA512");
         EnforcementStatus::Success
     }
 }
@@ -275,6 +285,15 @@ fn spec(
         .check_text(check)
         .fix_text(fix)
         .build()
+}
+
+/// The Ubuntu catalogue of [`catalog`], built once per process. A
+/// catalogue is immutable once built, so every holder of this reference
+/// (say, each tenant of a service) shares one copy.
+#[must_use]
+pub fn shared_catalog() -> &'static Catalog<UnixHost> {
+    static CATALOG: OnceLock<Catalog<UnixHost>> = OnceLock::new();
+    CATALOG.get_or_init(catalog)
 }
 
 /// Builds the Ubuntu 18.04 STIG catalogue (D2.7 findings + extended
