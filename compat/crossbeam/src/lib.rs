@@ -1,20 +1,15 @@
 //! Offline stand-in for the subset of `crossbeam` this workspace uses.
 //!
-//! Two modules are provided:
+//! One module is provided: [`deque`], the `Worker`/`Stealer`/`Injector`
+//! work-stealing API.
 //!
-//! * [`channel`] — multi-producer multi-consumer channels with bounded
-//!   (backpressure-exerting) and unbounded variants, including
-//!   disconnect semantics;
-//! * [`deque`] — the `Worker`/`Stealer`/`Injector` work-stealing API.
-//!
-//! Implementations favour *correctness and determinism* over the
-//! lock-free performance of the real crate: queues are `Mutex` +
-//! `Condvar` protected. On this workspace's simulated workloads the
-//! per-operation cost is dwarfed by monitor evaluation, and the
-//! semantics (FIFO per channel, steal-from-front) match upstream.
+//! The implementation favours *correctness and determinism* over the
+//! lock-free performance of the real crate: queues are `Mutex`
+//! protected. On this workspace's simulated workloads the per-operation
+//! cost is dwarfed by monitor evaluation, and the semantics
+//! (steal-from-front) match upstream.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod channel;
 pub mod deque;

@@ -20,6 +20,7 @@
 //! hazard of XOR folding.
 
 use vdo_gwt::GraphModel;
+use vdo_obs::hash::{fnv1a, FNV_OFFSET};
 use vdo_tears::GuardedAssertion;
 use vdo_temporal::Formula;
 
@@ -63,9 +64,6 @@ pub struct Hasher {
     state: u64,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 impl Default for Hasher {
     fn default() -> Self {
         Hasher::new()
@@ -80,10 +78,7 @@ impl Hasher {
     }
 
     fn write_raw(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= u64::from(b);
-            self.state = self.state.wrapping_mul(FNV_PRIME);
-        }
+        self.state = fnv1a(self.state, bytes);
     }
 
     /// One tag byte (enum variant / field separator).

@@ -12,12 +12,17 @@
 //! With `--journal <path>` the run also replays the E14 traced fleet
 //! workload and writes its event journal as JSON Lines — the artifact
 //! CI uploads next to the JSON report.
+//!
+//! After every selected section has run, the pinned E15–E19 budgets
+//! are printed as one table, and the process exits 1 naming every
+//! budget that failed — that exit status is the CI budget gate.
 
 use std::time::Instant;
 
 use serde::json::Value;
 use serde::Serialize;
 use vdo_analyze::{AnalysisConfig, Analyzer as StaticAnalyzer};
+use vdo_bench::budget::{self, Budget};
 use vdo_bench::say;
 use vdo_bench::workloads;
 use vdo_core::{CheckStatus, PlannerConfig, PlannerOutcome, RemediationPlanner};
@@ -84,22 +89,21 @@ fn main() {
     let json_to_stdout = json_path.as_deref() == Some("-");
     vdo_bench::out::route_to_stderr(json_to_stdout);
 
-    type Section = (&'static str, Box<dyn FnOnce() -> Value>);
-    let all: Vec<Section> = vec![
-        ("e1_nalabs_quality", Box::new(e1_nalabs_quality)),
-        ("e2_nalabs_throughput", Box::new(e2_nalabs_throughput)),
-        ("e3_fleet_convergence", Box::new(e3_fleet_convergence)),
-        ("e4_monitor_latency", Box::new(e4_monitor_latency)),
-        ("e5_matrix_coverage", Box::new(e5_matrix_coverage)),
-        ("e6_observer_throughput", Box::new(e6_observer_throughput)),
-        ("e7_ctl_scaling", Box::new(e7_ctl_scaling)),
-        ("e8_gwt_coverage", Box::new(e8_gwt_coverage)),
-        ("e9_tears_throughput", Box::new(e9_tears_throughput)),
-        ("e10_pipeline_comparison", Box::new(e10_pipeline_comparison)),
-        ("e11_soc_engine", Box::new(e11_soc_engine)),
-        ("e12_obs_overhead", Box::new(e12_obs_overhead)),
-        ("e13_analyze", Box::new(e13_analyze)),
-        ("e14_trace", Box::new(e14_trace)),
+    let all: Vec<(&'static str, Section)> = vec![
+        ("e1_nalabs_quality", plain(e1_nalabs_quality)),
+        ("e2_nalabs_throughput", plain(e2_nalabs_throughput)),
+        ("e3_fleet_convergence", plain(e3_fleet_convergence)),
+        ("e4_monitor_latency", plain(e4_monitor_latency)),
+        ("e5_matrix_coverage", plain(e5_matrix_coverage)),
+        ("e6_observer_throughput", plain(e6_observer_throughput)),
+        ("e7_ctl_scaling", plain(e7_ctl_scaling)),
+        ("e8_gwt_coverage", plain(e8_gwt_coverage)),
+        ("e9_tears_throughput", plain(e9_tears_throughput)),
+        ("e10_pipeline_comparison", plain(e10_pipeline_comparison)),
+        ("e11_soc_engine", plain(e11_soc_engine)),
+        ("e12_obs_overhead", plain(e12_obs_overhead)),
+        ("e13_analyze", plain(e13_analyze)),
+        ("e14_trace", plain(e14_trace)),
         ("e15_server", Box::new(e15_server)),
         (
             "e16_fleet_scale",
@@ -117,8 +121,8 @@ fn main() {
             "e19_telemetry_plane",
             Box::new(move || e19_telemetry_plane(e19_full)),
         ),
-        ("f1_closed_loop", Box::new(f1_closed_loop)),
-        ("a1_dictionary_ablation", Box::new(a1_dictionary_ablation)),
+        ("f1_closed_loop", plain(f1_closed_loop)),
+        ("a1_dictionary_ablation", plain(a1_dictionary_ablation)),
     ];
     if let Some(name) = &only {
         if !all.iter().any(|(k, _)| k == name) {
@@ -130,10 +134,15 @@ fn main() {
             std::process::exit(2);
         }
     }
+    let mut budgets: Vec<Budget> = Vec::new();
     let sections: Vec<(&'static str, Value)> = all
         .into_iter()
         .filter(|(k, _)| only.as_deref().is_none_or(|o| *k == o))
-        .map(|(k, f)| (k, f()))
+        .map(|(k, f)| {
+            let (json, rows) = f();
+            budgets.extend(rows);
+            (k, json)
+        })
         .collect();
 
     if let Some(path) = json_path {
@@ -170,6 +179,22 @@ fn main() {
             snapshot.events.len()
         );
     }
+
+    if !budgets.is_empty() {
+        budget::print_table(&budgets);
+    }
+    if let Err(failed) = budget::verdict(&budgets) {
+        eprintln!("budget check failed: {}", failed.join(", "));
+        std::process::exit(1);
+    }
+}
+
+/// One runnable section: its JSON and the budget rows it pins.
+type Section = Box<dyn FnOnce() -> (Value, Vec<Budget>)>;
+
+/// Adapts a section that pins no budgets.
+fn plain(section: fn() -> Value) -> Section {
+    Box::new(move || (section(), Vec::new()))
 }
 
 /// The E14 traced workload: the E12 fleet (64 hardened hosts, 200
@@ -986,7 +1011,7 @@ fn e14_trace() -> Value {
 /// requests across eight tenants, latency/throughput/rejection tables,
 /// scaling sweeps, the worker-count determinism check, and the smoke
 /// configuration CI holds to its latency budget.
-fn e15_server() -> Value {
+fn e15_server() -> (Value, Vec<Budget>) {
     vdo_bench::e15::section(&vdo_bench::e15::E15Scale::full())
 }
 
@@ -996,7 +1021,7 @@ fn e15_server() -> Value {
 /// verdict logs, and the smoke configuration CI holds to its pinned
 /// memory and round-latency budgets. The default runs the CI shape
 /// (100k-host closed loop); `--e16-full` runs the million-host curve.
-fn e16_fleet_scale(full: bool) -> Value {
+fn e16_fleet_scale(full: bool) -> (Value, Vec<Budget>) {
     let scale = if full {
         vdo_bench::e16::E16Scale::full()
     } else {
@@ -1012,7 +1037,7 @@ fn e16_fleet_scale(full: bool) -> Value {
 /// commit against ten thousand requirements must re-gate in at most
 /// 10% of the full-run latency). The default runs the CI shape;
 /// `--e17-full` runs the four-point curve to 10k entries.
-fn e17_incremental_analysis(full: bool) -> Value {
+fn e17_incremental_analysis(full: bool) -> (Value, Vec<Budget>) {
     let scale = if full {
         vdo_bench::e17::E17Scale::full()
     } else {
@@ -1028,22 +1053,26 @@ fn e17_incremental_analysis(full: bool) -> Value {
 /// worker count. The compacted segments land in `target/e18_compact`
 /// (the CI artifact). The default runs the CI shape (64 hosts, 200
 /// ticks); `--e18-full` records the 128-host, 500-tick run.
-fn e19_telemetry_plane(full: bool) -> Value {
-    let scale = if full {
-        vdo_bench::e19::E19Scale::full()
-    } else {
-        vdo_bench::e19::E19Scale::ci()
-    };
-    vdo_bench::e19::section(&scale)
-}
-
-fn e18_journal_replay(full: bool) -> Value {
+fn e18_journal_replay(full: bool) -> (Value, Vec<Budget>) {
     let scale = if full {
         vdo_bench::e18::E18Scale::full()
     } else {
         vdo_bench::e18::E18Scale::ci()
     };
     vdo_bench::e18::section(&scale)
+}
+
+/// E19: the live telemetry plane — always-on plane overhead, the
+/// tail-sampled journal's size ratio at 100% root resolution, and SLO
+/// alert latency on the SOC bus. The default runs the CI shape (200
+/// ticks); `--e19-full` runs 300 ticks and twice the requests.
+fn e19_telemetry_plane(full: bool) -> (Value, Vec<Budget>) {
+    let scale = if full {
+        vdo_bench::e19::E19Scale::full()
+    } else {
+        vdo_bench::e19::E19Scale::ci()
+    };
+    vdo_bench::e19::section(&scale)
 }
 
 /// E13: the static analyzer against the planted-defect corpus —

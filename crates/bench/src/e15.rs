@@ -17,7 +17,7 @@
 //!
 //! The `smoke` subsection is the CI latency gate: a small stable-load
 //! configuration whose deterministic p99 must stay within
-//! [`SMOKE_BUDGET_TICKS`] dispatch rounds.
+//! [`SMOKE_BUDGET_TICKS`] dispatch rounds (one [`Budget`] row).
 
 use std::time::Instant;
 
@@ -27,6 +27,8 @@ use vdo_server::{
     LoadConfig, LoadGen, MixWeights, Server, ServerConfig, ServerMetrics, ServerTracing,
     ServiceReport, TenantConfig,
 };
+
+use crate::budget::{verdict, Budget};
 
 /// The documented latency budget for the smoke configuration: p99
 /// end-to-end latency, in dispatch rounds, that CI asserts against.
@@ -168,10 +170,11 @@ fn quantile_ticks(m: &Measured, q: f64) -> f64 {
 }
 
 /// Runs the full E15 experiment at `scale`, printing the human tables
-/// and returning the JSON section `exp_report --json` embeds.
+/// and returning the JSON section `exp_report --json` embeds with the
+/// smoke run's budget row.
 #[must_use]
 #[allow(clippy::too_many_lines)]
-pub fn section(scale: &E15Scale) -> Value {
+pub fn section(scale: &E15Scale) -> (Value, Vec<Budget>) {
     // -- Headline run: 8 tenants, open-loop with bursts, traced. --------
     crate::say!(
         "\n== E15: multi-tenant service front end ({} requests, 8 tenants) ==",
@@ -385,7 +388,12 @@ pub fn section(scale: &E15Scale) -> Value {
         false,
     );
     let p99 = quantile_ticks(&smoke, 0.99);
-    let within = p99 <= SMOKE_BUDGET_TICKS as f64;
+    let budgets = vec![Budget::at_most(
+        "e15_server.smoke.p99_ticks",
+        p99,
+        SMOKE_BUDGET_TICKS as f64,
+    )];
+    let within = verdict(&budgets).is_ok();
     crate::say!(
         "\n   smoke: p99 {:.1} rounds vs budget {} -> {}",
         p99,
@@ -396,10 +404,6 @@ pub fn section(scale: &E15Scale) -> Value {
             "OVER BUDGET"
         }
     );
-    assert!(
-        within,
-        "E15 regression: smoke p99 {p99:.1} exceeds the {SMOKE_BUDGET_TICKS}-round budget"
-    );
     let smoke_json = serde::json::object([
         ("tenants", Value::UInt(8)),
         ("total_requests", Value::UInt(scale.smoke_total)),
@@ -408,11 +412,12 @@ pub fn section(scale: &E15Scale) -> Value {
         ("within_budget", Value::Bool(within)),
     ]);
 
-    serde::json::object([
+    let json = serde::json::object([
         ("main", main_json),
         ("tenant_sweep", Value::Array(tenant_rows)),
         ("queue_depth_sweep", Value::Array(depth_rows)),
         ("determinism", Value::Array(determinism_rows)),
         ("smoke", smoke_json),
-    ])
+    ]);
+    (json, budgets)
 }

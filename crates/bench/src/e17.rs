@@ -27,6 +27,8 @@ use vdo_analyze::{
 };
 use vdo_temporal::Formula;
 
+use crate::budget::{verdict, Budget};
+
 /// The pinned smoke budget: the mean incremental re-gate after a
 /// 1%-touch commit must cost at most this fraction of one full batch
 /// analysis over the same catalogue. The dirty slice is two orders of
@@ -230,15 +232,14 @@ fn measure(entries: usize, commits: usize) -> SizeRun {
 }
 
 /// Runs the E17 incremental-analysis experiment and returns the
-/// section JSON.
+/// section JSON with the smoke run's budget row: a re-gate within
+/// [`SMOKE_LATENCY_FRACTION_BUDGET`] of the full batch latency.
 ///
 /// Prints the latency table along the way and asserts the headline
-/// claims in-function: the incremental report is bit-identical to the
-/// batch report after every commit at every size, and the smoke run
-/// re-gates within [`SMOKE_LATENCY_FRACTION_BUDGET`] of the full
-/// batch latency.
+/// claim in-function: the incremental report is bit-identical to the
+/// batch report after every commit, at every size and in the smoke run.
 #[must_use]
-pub fn section(scale: &E17Scale) -> Value {
+pub fn section(scale: &E17Scale) -> (Value, Vec<Budget>) {
     crate::say!("== E17: incremental cross-artifact analysis at catalogue scale ==\n");
     crate::say!(
         "{:>8} {:>10} {:>6} {:>10} {:>11} {:>10} {:>8} {:>12} {:>7} {:>7}",
@@ -279,7 +280,16 @@ pub fn section(scale: &E17Scale) -> Value {
     // ---- Smoke: the CI budget gate ----
     let smoke = measure(scale.smoke_entries, scale.smoke_commits);
     let fraction = smoke.incr_mean_millis / smoke.full_millis.max(f64::EPSILON);
-    let within_budget = fraction <= SMOKE_LATENCY_FRACTION_BUDGET && smoke.reports_identical;
+    assert!(
+        smoke.reports_identical,
+        "incremental and batch reports diverged in the smoke run"
+    );
+    let budgets = vec![Budget::at_most(
+        "e17_incremental_analysis.smoke.latency_fraction",
+        fraction,
+        SMOKE_LATENCY_FRACTION_BUDGET,
+    )];
+    let within_budget = verdict(&budgets).is_ok();
     crate::say!(
         "\nsmoke: {} entries, {} commits touching {} each | full {:.3} ms, incremental \
          {:.3} ms mean ({:.1}% of full, budget {:.0}%) | reports identical: {} -> \
@@ -293,16 +303,6 @@ pub fn section(scale: &E17Scale) -> Value {
         100.0 * SMOKE_LATENCY_FRACTION_BUDGET,
         smoke.reports_identical,
         within_budget
-    );
-    assert!(
-        within_budget,
-        "smoke run must re-gate within the pinned budget: incremental mean \
-         {:.3} ms vs full {:.3} ms ({:.1}% > {:.0}%), reports identical: {}",
-        smoke.incr_mean_millis,
-        smoke.full_millis,
-        100.0 * fraction,
-        100.0 * SMOKE_LATENCY_FRACTION_BUDGET,
-        smoke.reports_identical
     );
     crate::say!();
 
@@ -323,7 +323,7 @@ pub fn section(scale: &E17Scale) -> Value {
             ("reports_identical", Value::Bool(r.reports_identical)),
         ])
     };
-    serde::json::object([
+    let json = serde::json::object([
         ("curve", Value::Array(curve.iter().map(row_value).collect())),
         (
             "smoke",
@@ -343,5 +343,6 @@ pub fn section(scale: &E17Scale) -> Value {
                 ("within_budget", Value::Bool(within_budget)),
             ]),
         ),
-    ])
+    ]);
+    (json, budgets)
 }

@@ -24,7 +24,8 @@
 //!   evaluator must land its first alert on the SOC bus within
 //!   [`ALERT_LATENCY_BUDGET_TICKS`] of it. Every fired alert is
 //!   appended to the scale's `alert_log` (the CI artifact);
-//! * the `smoke` subsection ANDs all three gates into `within_budget`.
+//! * the `smoke` subsection ANDs the three [`Budget`] rows into
+//!   `within_budget`.
 //!
 //! [`DirWriter`]: vdo_trace::DirWriter
 //! [`SamplingSink`]: vdo_trace::SamplingSink
@@ -50,6 +51,8 @@ use vdo_trace::{
     BurnRateRule, DirWriter, Journal, JournalConfig, JournalDir, SamplingPolicy, SamplingSink,
     Severity, SloSignal,
 };
+
+use crate::budget::{verdict, Budget};
 
 /// The pinned smoke budget for the always-on plane: enabled vs the
 /// E12 metrics-only baseline, minimum paired per-round ratio, in
@@ -209,13 +212,14 @@ fn fleet_of(catalog: &vdo_core::Catalog<UnixHost>, hosts: usize) -> Vec<UnixHost
 }
 
 /// Runs the E19 telemetry-plane experiment and returns the section
-/// JSON. Structural invariants (identical incident logs across arms,
-/// 100% root resolution, every alert reaching the bus) are asserted
-/// in-function; the wall-clock and size budgets land in
-/// `smoke.within_budget` for the CI gate.
+/// JSON with its three budget rows (plane overhead, sampled size
+/// ratio, alert latency), which also land in `smoke.within_budget`.
+/// Structural invariants (identical incident logs across arms, 100%
+/// root resolution, every alert reaching the bus) are asserted
+/// in-function.
 #[must_use]
 #[allow(clippy::too_many_lines)]
-pub fn section(scale: &E19Scale) -> Value {
+pub fn section(scale: &E19Scale) -> (Value, Vec<Budget>) {
     crate::say!("\n== E19: live telemetry plane (overhead / sampling / alert latency) ==");
     let catalog = ubuntu::catalog();
     let config = scale.soc_config();
@@ -288,7 +292,11 @@ pub fn section(scale: &E19Scale) -> Value {
          forensic Debug floor: {forensic_overhead_pct:+.2}% (ungated; min paired ratio over {} rounds)",
         scale.rounds
     );
-    let overhead_ok = plane_overhead_pct <= PLANE_OVERHEAD_BUDGET_PCT;
+    let overhead = Budget::at_most(
+        "e19_telemetry_plane.overhead.plane_overhead_pct",
+        plane_overhead_pct,
+        PLANE_OVERHEAD_BUDGET_PCT,
+    );
 
     // -- Sampling: bare DirWriter vs SamplingSink on the same run. -----
     let base = std::env::temp_dir().join(format!("vdo-e19-{}", std::process::id()));
@@ -373,7 +381,11 @@ pub fn section(scale: &E19Scale) -> Value {
         "tail sampling must keep every incident chain: {resolved}/{}",
         traced.len()
     );
-    let sampling_ok = ratio >= scale.size_ratio_floor;
+    let sampling = Budget::at_least(
+        "e19_telemetry_plane.sampling.size_ratio",
+        ratio,
+        scale.size_ratio_floor,
+    );
     let _ = std::fs::remove_dir_all(&base);
 
     // -- Alerting: burst-overloaded tenant, bus latency. ---------------
@@ -468,9 +480,15 @@ pub fn section(scale: &E19Scale) -> Value {
          {exemplar_buckets} exemplar bucket(s)",
         on_bus
     );
-    let alerting_ok = alert_latency <= ALERT_LATENCY_BUDGET_TICKS;
+    let alerting = Budget::at_most(
+        "e19_telemetry_plane.alerting.alert_latency_ticks",
+        alert_latency as f64,
+        ALERT_LATENCY_BUDGET_TICKS as f64,
+    );
 
-    let within_budget = overhead_ok && sampling_ok && alerting_ok;
+    let (overhead_ok, sampling_ok, alerting_ok) = (overhead.ok, sampling.ok, alerting.ok);
+    let budgets = vec![overhead, sampling, alerting];
+    let within_budget = verdict(&budgets).is_ok();
     crate::say!(
         "   smoke: plane {} | sampling {} | alerting {} -> within_budget={within_budget}",
         if overhead_ok { "ok" } else { "OVER" },
@@ -478,7 +496,7 @@ pub fn section(scale: &E19Scale) -> Value {
         if alerting_ok { "ok" } else { "LATE" },
     );
 
-    serde::json::object([
+    let json = serde::json::object([
         (
             "overhead",
             serde::json::object([
@@ -531,5 +549,6 @@ pub fn section(scale: &E19Scale) -> Value {
                 ("within_budget", Value::Bool(within_budget)),
             ]),
         ),
-    ])
+    ]);
+    (json, budgets)
 }

@@ -5,6 +5,7 @@
 //! between them and the `exp_report` binary that prints the experiment
 //! tables without Criterion's statistical machinery.
 
+pub mod budget;
 pub mod e15;
 pub mod e16;
 pub mod e17;

@@ -1,8 +1,7 @@
 //! Validates the JSON shape of the E19 section that
-//! `exp_report --json` embeds: the CI telemetry-plane gate reads
-//! `e19_telemetry_plane.smoke.within_budget`, the sampling ratio, and
-//! the alert latency out of the report, so every consumer-visible key
-//! must be present with the right type.
+//! `exp_report --json` embeds: every consumer-visible key, including
+//! `e19_telemetry_plane.smoke.within_budget` (the AND of the section's budget
+//! rows), must be present with the right type.
 
 use serde::json::Value;
 use vdo_bench::e19::{section, E19Scale, ALERT_LATENCY_BUDGET_TICKS, PLANE_OVERHEAD_BUDGET_PCT};
@@ -42,7 +41,7 @@ fn as_bool(v: &Value) -> bool {
 #[test]
 fn e19_section_has_the_documented_shape() {
     let scale = E19Scale::tiny();
-    let doc = section(&scale);
+    let (doc, _) = section(&scale);
 
     // -- overhead: three timed arms and the pinned budget. --------------
     let overhead = field(&doc, "overhead");
@@ -108,7 +107,7 @@ fn e19_section_has_the_documented_shape() {
         "within_budget ANDs the three gates (sampling and alerting hold here)"
     );
 
-    // The section must survive JSON rendering (CI reads it from disk).
+    // The section must survive JSON rendering (CI uploads the report).
     let rendered = serde::json::to_string(&doc);
     assert!(rendered.contains("\"within_budget\""), "{rendered}");
     assert!(rendered.contains("\"size_ratio\""));

@@ -505,54 +505,6 @@ impl Fleet {
             .chain(self.windows.iter_mut().map(HostMut::Windows))
     }
 
-    /// Generates a fleet of Ubuntu 18.04 baseline hosts per `config`
-    /// (ignores `config.platform`).
-    #[deprecated(note = "use `Fleet::generate` with `platform: Platform::Unix`")]
-    #[must_use]
-    pub fn unix_fleet(config: &FleetConfig) -> Fleet {
-        Fleet::generate(&FleetConfig {
-            platform: Platform::Unix,
-            ..*config
-        })
-    }
-
-    /// Generates a fleet of Windows 10 baseline hosts per `config`
-    /// (ignores `config.platform`).
-    #[deprecated(note = "use `Fleet::generate` with `platform: Platform::Windows`")]
-    #[must_use]
-    pub fn windows_fleet(config: &FleetConfig) -> Fleet {
-        Fleet::generate(&FleetConfig {
-            platform: Platform::Windows,
-            ..*config
-        })
-    }
-
-    /// The Unix hosts (empty for a Windows fleet).
-    #[deprecated(note = "use `hosts()` and `HostRef::as_unix`")]
-    #[must_use]
-    pub fn unix_hosts(&self) -> &[UnixHost] {
-        &self.unix
-    }
-
-    /// Mutable access to the Unix hosts.
-    #[deprecated(note = "use `hosts_mut()` and `HostMut::into_unix_mut`")]
-    pub fn unix_hosts_mut(&mut self) -> &mut [UnixHost] {
-        &mut self.unix
-    }
-
-    /// The Windows hosts (empty for a Unix fleet).
-    #[deprecated(note = "use `hosts()` and `HostRef::as_windows`")]
-    #[must_use]
-    pub fn windows_hosts(&self) -> &[WindowsHost] {
-        &self.windows
-    }
-
-    /// Mutable access to the Windows hosts.
-    #[deprecated(note = "use `hosts_mut()` and `HostMut::into_windows_mut`")]
-    pub fn windows_hosts_mut(&mut self) -> &mut [WindowsHost] {
-        &mut self.windows
-    }
-
     /// The Unix hosts as a slice (crate-internal; external callers use
     /// [`hosts`](Fleet::hosts)).
     #[cfg(test)]
@@ -669,18 +621,6 @@ mod tests {
         assert_eq!(ok.size, 3);
         assert_eq!(ok.drift_events_per_host, 2);
         assert_eq!(ok.seed, 5);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_work() {
-        let cfg = FleetConfig::builder().size(7).seed(3).build().unwrap();
-        let old = Fleet::unix_fleet(&cfg);
-        let new = Fleet::generate(&cfg);
-        assert_eq!(old.unix_hosts(), new.unix_slice());
-        let win = Fleet::windows_fleet(&cfg);
-        assert_eq!(win.windows_hosts().len(), 7);
-        assert!(win.unix_hosts().is_empty());
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //!   [`Clock`] that is either wall time or a simulation-advanced
 //!   counter;
 //! * [`Registry`] — the thread-safe namespace that owns them all and
-//!   freezes into a serde-serialisable [`Snapshot`].
+//!   freezes into a serde-serialisable [`Snapshot`];
+//! * [`hash`] — the FNV-1a and SplitMix64 primitives every
+//!   deterministic id, shard route and digest in the workspace uses.
 //!
 //! Two properties the rest of the workspace depends on:
 //!
@@ -45,6 +47,7 @@
 //! ```
 
 pub mod clock;
+pub mod hash;
 pub mod metrics;
 pub mod registry;
 pub mod span;

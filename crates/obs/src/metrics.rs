@@ -376,34 +376,6 @@ impl HistogramSnapshot {
             Some(self.max as f64)
         }
     }
-
-    /// The observations recorded since `earlier` was taken, assuming
-    /// `earlier` is a previous snapshot of the same histogram (same
-    /// bounds, monotonically grown counts): bucket counts, total count,
-    /// and sum subtract saturating. `max` keeps the lifetime maximum —
-    /// a high-water mark cannot be windowed — so window quantiles that
-    /// reach the overflow bucket stay conservative.
-    #[must_use]
-    pub fn delta(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        if self.bounds != earlier.bounds {
-            return self.clone();
-        }
-        HistogramSnapshot {
-            bounds: self.bounds.clone(),
-            counts: self
-                .counts
-                .iter()
-                .zip(&earlier.counts)
-                .map(|(now, then)| now.saturating_sub(*then))
-                .collect(),
-            count: self.count.saturating_sub(earlier.count),
-            sum: self.sum.saturating_sub(earlier.sum),
-            max: self.max,
-            // Like `max`, exemplars are lifetime representatives — a
-            // window cannot un-see the best-linked observation.
-            exemplars: self.exemplars.clone(),
-        }
-    }
 }
 
 impl Serialize for HistogramSnapshot {
@@ -563,27 +535,6 @@ mod tests {
             h.record(0);
         }
         assert_eq!(h.snapshot().quantile(0.99), Some(0.0), "all-zero mass");
-    }
-
-    #[test]
-    fn histogram_delta_isolates_the_window() {
-        let h = Histogram::ticks();
-        h.record(2);
-        h.record(300);
-        let earlier = h.snapshot();
-        h.record(2);
-        h.record(7);
-        let d = h.snapshot().delta(&earlier);
-        assert_eq!(d.count, 2);
-        assert_eq!(d.sum, 9);
-        assert_eq!(d.counts[2], 1, "one new observation <=2");
-        assert_eq!(
-            *d.counts.last().unwrap(),
-            0,
-            "overflow was before the window"
-        );
-        assert_eq!(d.max, 300, "max stays the lifetime high-water mark");
-        assert_eq!(d.bounds, earlier.bounds);
     }
 
     #[test]

@@ -246,53 +246,6 @@ impl Snapshot {
         self.spans.get(path).map(|s| s.count)
     }
 
-    /// The activity between `earlier` and `self`, assuming `earlier`
-    /// was taken from the same registry at an earlier moment: counters,
-    /// histogram contents, and span count/total subtract saturating;
-    /// gauges keep this snapshot's (instantaneous) value, and span
-    /// `max_nanos` keeps the lifetime maximum. Instruments that only
-    /// exist in `earlier` are dropped (a registry only grows, so that
-    /// case means the snapshots are unrelated); instruments new since
-    /// `earlier` carry their full value. This is what windowed SLO
-    /// evaluation runs on: `now.delta(&then)` is "the last N ticks".
-    #[must_use]
-    pub fn delta(&self, earlier: &Snapshot) -> Snapshot {
-        Snapshot {
-            counters: self
-                .counters
-                .iter()
-                .map(|(k, v)| (k.clone(), v.saturating_sub(earlier.counter(k).unwrap_or(0))))
-                .collect(),
-            gauges: self.gauges.clone(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|(k, h)| {
-                    let d = match earlier.histograms.get(k) {
-                        Some(prev) => h.delta(prev),
-                        None => h.clone(),
-                    };
-                    (k.clone(), d)
-                })
-                .collect(),
-            spans: self
-                .spans
-                .iter()
-                .map(|(k, s)| {
-                    let prev = earlier.spans.get(k);
-                    let d = SpanSnapshot {
-                        count: s.count.saturating_sub(prev.map_or(0, |p| p.count)),
-                        total_nanos: s
-                            .total_nanos
-                            .saturating_sub(prev.map_or(0, |p| p.total_nanos)),
-                        max_nanos: s.max_nanos,
-                    };
-                    (k.clone(), d)
-                })
-                .collect(),
-        }
-    }
-
     /// A canonical rendering of everything that must be reproducible
     /// for seeded workloads: counter values, gauge values, histogram
     /// observation counts, and span entry counts — but no durations,
@@ -395,40 +348,6 @@ mod tests {
         let v = obs.time("work", || 41 + 1);
         assert_eq!(v, 42);
         assert_eq!(obs.snapshot().span_count("work"), Some(1));
-    }
-
-    #[test]
-    fn delta_isolates_the_window_between_snapshots() {
-        let clock = Clock::simulated();
-        let obs = Registry::with_clock(clock.clone());
-        obs.counter("c").add(5);
-        obs.gauge("g").set(3);
-        obs.histogram("h", &TICK_BOUNDS).record(100);
-        obs.time("s", || clock.advance(10));
-        let earlier = obs.snapshot();
-
-        obs.counter("c").add(2);
-        obs.counter("new").inc();
-        obs.gauge("g").set(9);
-        obs.histogram("h", &TICK_BOUNDS).record(1);
-        obs.time("s", || clock.advance(4));
-        let d = obs.snapshot().delta(&earlier);
-
-        assert_eq!(d.counter("c"), Some(2));
-        assert_eq!(
-            d.counter("new"),
-            Some(1),
-            "new instruments carry full value"
-        );
-        assert_eq!(d.gauge("g"), Some(9), "gauges are instantaneous");
-        assert_eq!(d.histograms["h"].count, 1);
-        assert_eq!(d.histograms["h"].sum, 1);
-        assert_eq!(d.span_count("s"), Some(1));
-        assert_eq!(d.spans["s"].total_nanos, 4);
-
-        let empty = obs.snapshot().delta(&obs.snapshot());
-        assert_eq!(empty.counter("c"), Some(0));
-        assert_eq!(empty.histograms["h"].count, 0);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Incremental windowed aggregation under the simulated clock.
 //!
-//! The snapshot-diffing path ([`Snapshot::delta`](crate::Snapshot))
-//! re-walks the whole registry to isolate a window — fine for a
-//! post-hoc report, wrong for a resident evaluator that runs every
-//! tick. The aggregators here are fed *per event* instead: each keeps
+//! Diffing whole-registry snapshots to isolate a window re-walks every
+//! instrument — fine for a post-hoc report, wrong for a resident
+//! evaluator that runs every tick. The aggregators here are fed *per
+//! event* instead: each keeps
 //! a ring of per-tick cells sized to its horizon, so feeding an
 //! observation is O(1), a trailing-window query is O(window), and the
 //! result depends only on the observation stream — deterministic at
@@ -179,8 +179,8 @@ impl WindowHistogram {
     }
 
     /// The trailing window `(now - window, now]` frozen as a snapshot.
-    /// Unlike the cumulative [`HistogramSnapshot::delta`], `max` here
-    /// is the true window maximum (the ring keeps per-tick maxima).
+    /// `max` is the true window maximum (the ring keeps per-tick
+    /// maxima).
     /// `window` is clamped to the horizon.
     #[must_use]
     pub fn window_snapshot(&self, now: u64, window: u64) -> HistogramSnapshot {

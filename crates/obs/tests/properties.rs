@@ -1,7 +1,6 @@
-//! Property tests for the snapshot algebra: `delta` recovers exactly
-//! the window between two snapshots, and the deterministic fingerprint
-//! ignores wall-clock durations (the worker-count-invariance contract
-//! windowed SLO evaluation builds on).
+//! Property tests for the snapshot fingerprint: it ignores wall-clock
+//! durations (the worker-count-invariance contract deterministic runs
+//! build on).
 
 use proptest::prelude::*;
 
@@ -17,69 +16,6 @@ fn splitmix(state: &mut u64) -> u64 {
 }
 
 proptest! {
-    /// `now.delta(&then)` recovers exactly the observations recorded
-    /// between the two snapshots: counter increments, histogram count,
-    /// sum, and per-bucket totals.
-    #[test]
-    fn delta_recovers_exactly_the_window(
-        seed in 0u64..5_000,
-        early_n in 0usize..60,
-        late_n in 0usize..60,
-    ) {
-        let obs = Registry::new();
-        let counter = obs.counter("win.ops");
-        let histogram = obs.histogram("win.latency", &TICK_BOUNDS);
-        let mut state = seed;
-
-        for _ in 0..early_n {
-            counter.add(1);
-            histogram.record(splitmix(&mut state) % 600);
-        }
-        let earlier = obs.snapshot();
-
-        let mut late_sum = 0u64;
-        for _ in 0..late_n {
-            counter.add(1);
-            let v = splitmix(&mut state) % 600;
-            late_sum += v;
-            histogram.record(v);
-        }
-
-        let delta = obs.snapshot().delta(&earlier);
-        prop_assert_eq!(delta.counter("win.ops"), Some(late_n as u64));
-        let h = delta.histograms.get("win.latency").expect("registered");
-        prop_assert_eq!(h.count, late_n as u64);
-        prop_assert_eq!(h.sum, late_sum);
-        prop_assert_eq!(h.counts.iter().sum::<u64>(), late_n as u64);
-    }
-
-    /// The histogram-level delta composes with quantiles: the window
-    /// quantile of `now.delta(&then)` only sees window observations.
-    #[test]
-    fn histogram_delta_quantile_sees_only_the_window(
-        early_v in 0u64..4,
-        late_v in 500u64..900,
-        n in 1usize..40,
-    ) {
-        let obs = Registry::new();
-        let histogram = obs.histogram("q.latency", &TICK_BOUNDS);
-        for _ in 0..n {
-            histogram.record(early_v);
-        }
-        let earlier = obs.snapshot();
-        for _ in 0..n {
-            histogram.record(late_v);
-        }
-        let now = obs.snapshot();
-        let whole = now.histograms["q.latency"].clone();
-        let window = whole.delta(&earlier.histograms["q.latency"]);
-        prop_assert_eq!(window.count, n as u64);
-        // All window mass sits in high buckets, so even the median
-        // clears the early values.
-        let p50 = window.quantile(0.5).expect("non-empty");
-        prop_assert!(p50 > f64::from(4u32), "window p50 {p50} leaked early data");
-    }
-
     /// Two runs of the same logical workload fingerprint identically
     /// even when their span durations differ wildly — durations are
     /// wall-clock and must not affect the deterministic digest.

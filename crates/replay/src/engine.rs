@@ -26,6 +26,7 @@ use std::path::{Path, PathBuf};
 
 use vdo_core::RemediationPlanner;
 use vdo_host::UnixHost;
+use vdo_obs::hash::{fnv1a, FNV_OFFSET};
 use vdo_soc::{SocEngine, SocMetrics, SocReport, SocTracing};
 use vdo_stigs::ubuntu;
 use vdo_trace::colfmt::{DirWriter, JournalDir};
@@ -39,23 +40,12 @@ use crate::spec::RunSpec;
 /// Version line leading `checkpoints.txt`.
 pub const CHECKPOINTS_VERSION: &str = "vdo-replay-checkpoints v1";
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-fn fnv_fold(mut state: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        state ^= u64::from(b);
-        state = state.wrapping_mul(FNV_PRIME);
-    }
-    state
-}
-
 fn digest_sorted_lines(mut lines: Vec<String>) -> u64 {
     lines.sort_unstable();
     let mut h = FNV_OFFSET;
     for line in &lines {
-        h = fnv_fold(h, line.as_bytes());
-        h = fnv_fold(h, b"\n");
+        h = fnv1a(h, line.as_bytes());
+        h = fnv1a(h, b"\n");
     }
     h
 }
@@ -93,7 +83,7 @@ pub fn verdict_log_of(events: &[(u64, Event)], upto_tick: u64) -> String {
 /// byte-identical verdict logs.
 #[must_use]
 pub fn verdict_digest_of(events: &[(u64, Event)], upto_tick: u64) -> u64 {
-    fnv_fold(FNV_OFFSET, verdict_log_of(events, upto_tick).as_bytes())
+    fnv1a(FNV_OFFSET, verdict_log_of(events, upto_tick).as_bytes())
 }
 
 /// Ring sizing for recording/replay journals: the sink (disk or
@@ -314,8 +304,8 @@ impl ReplayOutcome {
     pub fn fleet_fingerprint(&self) -> u64 {
         let mut h = FNV_OFFSET;
         for host in &self.fleet {
-            h = fnv_fold(h, format!("{host:?}").as_bytes());
-            h = fnv_fold(h, b"\n");
+            h = fnv1a(h, format!("{host:?}").as_bytes());
+            h = fnv1a(h, b"\n");
         }
         h
     }

@@ -123,11 +123,7 @@ pub struct Envelope {
 /// same shard.
 #[must_use]
 pub fn shard_of(host: HostId, shards: usize) -> usize {
-    let mut z = (host as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z = z ^ (z >> 31);
-    (z % shards as u64) as usize
+    (vdo_obs::hash::mix64(host as u64) % shards as u64) as usize
 }
 
 #[cfg(test)]

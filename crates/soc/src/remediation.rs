@@ -17,6 +17,7 @@
 use std::collections::BTreeMap;
 
 use serde::Serialize;
+use vdo_obs::hash::{fnv1a, mix64, FNV_OFFSET};
 use vdo_trace::TraceContext;
 
 use crate::event::HostId;
@@ -182,25 +183,11 @@ impl Dispatcher {
         if self.cfg.fault_rate <= 0.0 {
             return false;
         }
-        let mut h = 0xcbf2_9ce4_8422_2325u64 ^ self.seed;
-        let mut mix = |byte: u8| {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        };
-        for b in task.host.to_le_bytes() {
-            mix(b);
-        }
-        for b in task.rule.as_bytes() {
-            mix(*b);
-        }
-        for b in task.attempt.to_le_bytes() {
-            mix(b);
-        }
+        let mut h = fnv1a(FNV_OFFSET ^ self.seed, &task.host.to_le_bytes());
+        h = fnv1a(h, task.rule.as_bytes());
+        h = fnv1a(h, &task.attempt.to_le_bytes());
         // Finalize and map the top 53 bits to [0, 1).
-        let mut z = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        let z = mix64(h);
         ((z >> 11) as f64 / (1u64 << 53) as f64) < self.cfg.fault_rate
     }
 

@@ -14,24 +14,7 @@
 use std::fmt;
 
 use serde::Serialize;
-
-/// SplitMix64 finalizer — the workspace's standard bit mixer (same
-/// constants as the SOC shard router and fault roller).
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// FNV-1a over `bytes`, folded into `state`.
-fn fold_bytes(mut state: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        state ^= u64::from(b);
-        state = state.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    state
-}
+use vdo_obs::hash::{fnv1a, mix64, FNV_OFFSET};
 
 /// Identity of one causal trace (one requirement, commit, or alert
 /// lineage). Displayed as 16 hex digits.
@@ -78,13 +61,10 @@ impl TraceContext {
     /// development.
     #[must_use]
     pub fn root(seed: u64, artifact_id: &str) -> Self {
-        let trace = mix(fold_bytes(
-            0xcbf2_9ce4_8422_2325 ^ seed,
-            artifact_id.as_bytes(),
-        ));
+        let trace = mix64(fnv1a(FNV_OFFSET ^ seed, artifact_id.as_bytes()));
         TraceContext {
             trace_id: TraceId(trace),
-            span_id: SpanId(mix(trace ^ 0x5EED_0F0F)),
+            span_id: SpanId(mix64(trace ^ 0x5EED_0F0F)),
             parent: None,
         }
     }
@@ -93,13 +73,13 @@ impl TraceContext {
     /// (e.g. `"compliance"`, `"deploy"`, `"detect"`).
     #[must_use]
     pub fn child(&self, label: &str) -> Self {
-        let h = fold_bytes(
+        let h = fnv1a(
             self.trace_id.0 ^ self.span_id.0.rotate_left(17),
             label.as_bytes(),
         );
         TraceContext {
             trace_id: self.trace_id,
-            span_id: SpanId(mix(h)),
+            span_id: SpanId(mix64(h)),
             parent: Some(self.span_id),
         }
     }
@@ -109,13 +89,13 @@ impl TraceContext {
     /// steps that each need a distinct span.
     #[must_use]
     pub fn child_u64(&self, label: &str, n: u64) -> Self {
-        let h = fold_bytes(
+        let h = fnv1a(
             self.trace_id.0 ^ self.span_id.0.rotate_left(17),
             label.as_bytes(),
         );
         TraceContext {
             trace_id: self.trace_id,
-            span_id: SpanId(mix(fold_bytes(h, &n.to_le_bytes()))),
+            span_id: SpanId(mix64(fnv1a(h, &n.to_le_bytes()))),
             parent: Some(self.span_id),
         }
     }

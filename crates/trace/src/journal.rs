@@ -41,6 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use serde::Serialize;
+use vdo_obs::hash::{fnv1a, mix64, FNV_OFFSET};
 
 use crate::context::{TraceContext, TraceId};
 
@@ -509,20 +510,9 @@ impl Journal {
     fn shard_for(inner: &JournalInner, event: &Event) -> usize {
         let key = match &event.trace {
             Some(t) => t.trace_id.0,
-            None => {
-                let mut h = 0xcbf2_9ce4_8422_2325u64;
-                for &b in event.name.as_bytes() {
-                    h ^= u64::from(b);
-                    h = h.wrapping_mul(0x0000_0100_0000_01B3);
-                }
-                h
-            }
+            None => fnv1a(FNV_OFFSET, event.name.as_bytes()),
         };
-        let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        (z % inner.config.shards as u64) as usize
+        (mix64(key) % inner.config.shards as u64) as usize
     }
 
     /// Records `event`, unless the journal is disabled, the event is

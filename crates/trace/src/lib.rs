@@ -20,13 +20,11 @@
 //!   and a streaming compactor that preserves incident causal chains;
 //! * [`export`] — JSONL, Chrome `trace_event`, and Prometheus text
 //!   exposition renderers;
-//! * [`SloEngine`] — multi-window burn-rate evaluation of SLO rules
-//!   (detection latency, gate pass rate, remediation failures) over
-//!   successive metric snapshots, feeding alerts back into the
-//!   journal and — via the caller — the SOC event bus;
-//! * [`LiveSloEngine`] — the resident streaming variant of the same
-//!   rules, fed per event into `vdo-obs` window rings and evaluated
-//!   every tick;
+//! * [`LiveSloEngine`] — multi-window burn-rate evaluation of SLO
+//!   rules (detection latency, gate pass rate, remediation failures),
+//!   fed per event into `vdo-obs` window rings and evaluated every
+//!   tick, feeding alerts back into the journal and — via the caller —
+//!   the SOC event bus;
 //! * [`SamplingSink`] — adaptive tail-based sampling over any
 //!   [`JournalSink`]: head-samples quiet traces, keeps anomalous
 //!   causal chains whole, and stays deterministic enough that sampled
@@ -38,13 +36,11 @@ pub mod export;
 pub mod journal;
 pub mod live;
 pub mod sampling;
-pub mod slo;
 
 pub use colfmt::{compact, CompactionStats, DirWriter, JournalDir, SegmentReader, SegmentWriter};
 pub use context::{SpanId, TraceContext, TraceId};
 pub use journal::{
     Event, FieldValue, Journal, JournalConfig, JournalSink, JournalSnapshot, MemorySink, Severity,
 };
-pub use live::LiveSloEngine;
+pub use live::{BurnRateRule, LiveSloEngine, SloAlert, SloSignal};
 pub use sampling::{SamplingPolicy, SamplingSink, SamplingStats};
-pub use slo::{BurnRateRule, SloAlert, SloEngine, SloSignal};

@@ -1,16 +1,24 @@
 //! Resident streaming SLO evaluation — the live half of the
 //! telemetry plane.
 //!
-//! [`SloEngine`](crate::SloEngine) evaluates burn-rate rules over
-//! whole-registry snapshot history: correct, but each evaluation
-//! clones and diffs every instrument, which is a post-hoc report's
-//! cost model, not a per-tick resident's. [`LiveSloEngine`] keeps the
-//! *same* rule semantics (multi-window burn rates, fire on the breach
-//! transition, identical `slo.alert` / `slo.resolved` journal events
-//! and deterministic alert traces) but is fed per event into
-//! [`vdo_obs::WindowCounter`] / [`vdo_obs::WindowHistogram`] rings —
-//! O(1) per observation, O(window) per rule per evaluation, no
-//! snapshots anywhere.
+//! A [`BurnRateRule`] states an objective as an allowed bad-event
+//! fraction (the error budget). [`LiveSloEngine`] evaluates each rule
+//! over two trailing windows and fires when **both** burn budget faster
+//! than `factor` (the Google SRE multi-window discipline: the long
+//! window proves the problem is real, the short window proves it is
+//! still happening). Alerts fire on the breach transition, are emitted
+//! into the [`Journal`] with a deterministic [`TraceContext`], and are
+//! returned to the caller, which can publish them onto the SOC bus to
+//! close observability back into reaction.
+//!
+//! The engine is fed per event into [`vdo_obs::WindowCounter`] /
+//! [`vdo_obs::WindowHistogram`] rings — O(1) per observation,
+//! O(window) per rule per evaluation, no snapshots anywhere.
+//!
+//! A latency SLO ("p95 detection latency under N ticks") is a burn
+//! rate too: [`SloSignal::HistogramAbove`] treats every observation
+//! above the threshold as a bad event, so `objective = 0.05` *is* the
+//! p95 target.
 //!
 //! Feed pattern, once per engine tick on the main thread:
 //!
@@ -42,11 +50,96 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use vdo_obs::{Ewma, WindowCounter, WindowHistogram, TICK_BOUNDS};
+use vdo_obs::{Ewma, HistogramSnapshot, WindowCounter, WindowHistogram, TICK_BOUNDS};
 
 use crate::context::TraceContext;
 use crate::journal::{Event, Journal};
-use crate::slo::{fraction_above, BurnRateRule, SloAlert, SloSignal};
+
+/// What a rule counts as bad events within a window.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SloSignal {
+    /// Bad fraction = `bad / total` over two counters (e.g. rejected
+    /// vs processed commits, dead letters vs remediations).
+    CounterRatio {
+        /// Counter of bad events.
+        bad: String,
+        /// Counter of all events.
+        total: String,
+    },
+    /// Bad fraction = share of histogram observations above
+    /// `threshold` (bucket-interpolated) — the latency-SLO shape.
+    HistogramAbove {
+        /// Histogram name.
+        histogram: String,
+        /// Inclusive good/bad boundary.
+        threshold: u64,
+    },
+}
+
+/// One multi-window burn-rate rule.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BurnRateRule {
+    /// Stable rule name (alert identity).
+    pub name: String,
+    /// The bad-event signal.
+    pub signal: SloSignal,
+    /// Allowed bad fraction (the error budget), clamped to a positive
+    /// floor at evaluation.
+    pub objective: f64,
+    /// Long trailing window, in the caller's logical time units.
+    pub long_window: u64,
+    /// Short trailing window (recency check).
+    pub short_window: u64,
+    /// Burn-rate threshold: fire when both windows consume budget at
+    /// `>= factor ×` the sustainable rate.
+    pub factor: f64,
+}
+
+/// One fired alert.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SloAlert {
+    /// The rule that fired.
+    pub rule: String,
+    /// Logical time of the firing observation.
+    pub at: u64,
+    /// Burn rate over the long window.
+    pub long_burn: f64,
+    /// Burn rate over the short window.
+    pub short_burn: f64,
+    /// Causal context of the alert (root derived from the engine seed
+    /// and rule name).
+    pub trace: TraceContext,
+}
+
+/// Bad-event fraction in `h` above `threshold`, with linear
+/// interpolation inside the boundary bucket (the CDF complement of
+/// [`HistogramSnapshot::quantile`]).
+fn fraction_above(h: &HistogramSnapshot, threshold: u64) -> f64 {
+    if h.count == 0 {
+        return 0.0;
+    }
+    let mut good = 0.0_f64;
+    let mut lower = 0u64;
+    for (i, &bound) in h.bounds.iter().enumerate() {
+        let n = h.counts[i] as f64;
+        if threshold >= bound {
+            good += n;
+        } else {
+            if threshold > lower {
+                let width = (bound - lower) as f64;
+                good += n * (threshold - lower) as f64 / width;
+            }
+            return (1.0 - good / h.count as f64).clamp(0.0, 1.0);
+        }
+        lower = bound;
+    }
+    // Overflow bucket: everything above the last bound counts bad
+    // unless the threshold clears the observed maximum.
+    if threshold >= h.max {
+        good = h.count as f64;
+    }
+    (1.0 - good / h.count as f64).clamp(0.0, 1.0)
+}
 
 /// Smoothing factor of the per-rule burn-trend EWMA.
 const BURN_EWMA_ALPHA: f64 = 0.3;
@@ -64,8 +157,7 @@ pub struct LiveSloEngine {
     /// dashboards, not part of the alert decision.
     burn_trend: BTreeMap<String, Ewma>,
     /// `Some(first_tick)` once [`end_tick`](LiveSloEngine::end_tick)
-    /// has run — the first call only seeds the windows, mirroring the
-    /// snapshot engine's need for a delta base.
+    /// has run — the first call only seeds the windows.
     started: Option<u64>,
 }
 
@@ -169,8 +261,7 @@ impl LiveSloEngine {
         }
     }
 
-    /// Evaluates every rule at the end of `tick`. Semantics match
-    /// [`SloEngine::observe`](crate::SloEngine::observe): a rule whose
+    /// Evaluates every rule at the end of `tick`. A rule whose
     /// long **and** short windows burn at `>= factor` transitions into
     /// breach, producing one [`SloAlert`] mirrored into `journal` as an
     /// `slo.alert` error event; leaving breach emits `slo.resolved`.
@@ -259,6 +350,31 @@ mod tests {
     }
 
     #[test]
+    fn latency_slo_is_a_histogram_above_rule() {
+        let h = HistogramSnapshot {
+            bounds: vec![1, 2, 4, 8],
+            counts: vec![50, 30, 10, 8, 2],
+            count: 100,
+            sum: 300,
+            max: 20,
+            exemplars: Vec::new(),
+        };
+        // 10% of observations are above 4 ticks.
+        assert!((fraction_above(&h, 4) - 0.10).abs() < 1e-9);
+        // Threshold at or above the max: nothing is bad, even in the
+        // overflow bucket.
+        assert_eq!(fraction_above(&h, 20), 0.0);
+        // Threshold past the last bound but under the max: the
+        // overflow bucket counts bad.
+        assert!((fraction_above(&h, 10) - 0.02).abs() < 1e-9);
+        // Threshold 0: only bucket-0 interpolation, everything bad.
+        assert!(fraction_above(&h, 0) > 0.9);
+        // Interpolation inside the (2, 4] bucket: half the bucket.
+        let f3 = fraction_above(&h, 3);
+        assert!(f3 > 0.10 && f3 < 0.25, "{f3}");
+    }
+
+    #[test]
     fn healthy_stream_never_alerts() {
         let journal = Journal::new();
         let mut live = LiveSloEngine::new(0, vec![gate_rule()]);
@@ -335,8 +451,7 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(fa, fb);
         assert!(!a.is_empty(), "50% rejection must breach");
-        // The alert trace matches the snapshot engine's minting rule,
-        // so downstream consumers cannot tell the evaluators apart.
+        // Alert traces are minted from the seed and rule name alone.
         let expected = TraceContext::root(3, "slo:gate-pass-rate").child_u64("alert", a[0].at);
         assert_eq!(a[0].trace, expected);
     }

@@ -42,16 +42,9 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::journal::{Event, FieldValue, JournalSink, Severity};
+use vdo_obs::hash::mix64;
 
-/// SplitMix64 finalizer — the same mixer trace ids are minted with,
-/// reused for the head-sampling hash.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+use crate::journal::{Event, FieldValue, JournalSink, Severity};
 
 /// When and how [`SamplingSink`] keeps or drops trace data.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -99,7 +92,7 @@ impl SamplingPolicy {
     #[must_use]
     pub fn head_keeps(&self, trace_id: u64) -> bool {
         let rate = self.keep_1_in.max(1);
-        mix(self.seed ^ trace_id).is_multiple_of(rate)
+        mix64(self.seed ^ trace_id).is_multiple_of(rate)
     }
 }
 
