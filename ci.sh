@@ -4,6 +4,12 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# A golden test that sees BLESS_GOLDEN (even empty) rewrites its file and passes.
+if [ -n "${BLESS_GOLDEN+set}" ]; then
+  echo "BLESS_GOLDEN is set: golden tests would re-bless instead of checking; unset it and rerun." >&2
+  exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

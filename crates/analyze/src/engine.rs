@@ -3,7 +3,6 @@
 //! [`AnalysisReport`].
 
 use serde::Serialize;
-use vdo_obs::Registry;
 
 use crate::artifact::ArtifactSet;
 use crate::config::AnalysisConfig;
@@ -66,21 +65,6 @@ impl Analyzer {
     /// so the report is byte-identical whatever `threads` is.
     #[must_use]
     pub fn analyze_all(&self, artifacts: &ArtifactSet, threads: usize) -> AnalysisReport {
-        self.analyze_all_observed(artifacts, threads, &Registry::disabled())
-    }
-
-    /// The single execution path behind every entry point: runs the
-    /// enabled lints across `threads` workers, recording a span and
-    /// counters in `obs` (pass [`Registry::disabled`] for a silent
-    /// run). The report is identical whatever `threads` and `obs` are.
-    #[must_use]
-    pub fn analyze_all_observed(
-        &self,
-        artifacts: &ArtifactSet,
-        threads: usize,
-        obs: &Registry,
-    ) -> AnalysisReport {
-        let span = obs.span("analyze");
         // Lints whose every code is allowed never run at all.
         let jobs: Vec<&dyn crate::lints::Lint> = self
             .registry
@@ -95,18 +79,7 @@ impl Analyzer {
         let slots = run_striped(jobs.len(), threads, |i| {
             jobs[i].run(artifacts, &self.config)
         });
-        let report = finish_report(&self.config, slots.into_iter().flatten().collect());
-
-        obs.counter("analyze.runs").inc();
-        obs.counter("analyze.artifacts").add(artifacts.len() as u64);
-        obs.counter("analyze.diagnostics")
-            .add(report.diagnostics.len() as u64);
-        obs.counter("analyze.errors")
-            .add(report.error_count() as u64);
-        obs.counter("analyze.warnings")
-            .add(report.warning_count() as u64);
-        drop(span);
-        report
+        finish_report(&self.config, slots.into_iter().flatten().collect())
     }
 }
 
@@ -371,23 +344,6 @@ mod tests {
             report.listing()
         );
         assert_eq!(report.to_string(), "analysis clean: no findings\n");
-    }
-
-    #[test]
-    fn observed_run_matches_and_counts() {
-        let obs = Registry::new();
-        let analyzer = Analyzer::new(AnalysisConfig::default());
-        let set = dirty_set();
-        let plain = analyzer.analyze(&set);
-        let observed = analyzer.analyze_all_observed(&set, 2, &obs);
-        assert_eq!(plain, observed);
-        let snap = obs.snapshot();
-        assert_eq!(snap.counter("analyze.runs"), Some(1));
-        assert_eq!(
-            snap.counter("analyze.diagnostics"),
-            Some(observed.diagnostics.len() as u64)
-        );
-        assert_eq!(snap.span_count("analyze"), Some(1));
     }
 
     #[test]

@@ -56,7 +56,6 @@ use std::sync::Arc;
 
 use vdo_core::Waiver;
 use vdo_gwt::GraphModel;
-use vdo_obs::Registry;
 use vdo_tears::GuardedAssertion;
 use vdo_temporal::Formula;
 
@@ -396,12 +395,6 @@ impl IncrementalAnalyzer {
         set
     }
 
-    /// Applies one delta and returns the post-change report, re-running
-    /// only dirty units across `threads` workers.
-    pub fn apply(&mut self, delta: &ArtifactDelta, threads: usize) -> AnalysisReport {
-        self.apply_observed(delta, threads, &Registry::disabled())
-    }
-
     /// [`apply`](IncrementalAnalyzer::apply), also returning a delta
     /// that undoes this one (for rejected-commit rollback). Reverting
     /// is cheap: every un-done unit closure is already memoised.
@@ -524,33 +517,9 @@ impl IncrementalAnalyzer {
         undo
     }
 
-    /// [`apply`](IncrementalAnalyzer::apply) with a span and
-    /// `analyze.incr.*` counters recorded in `obs`.
-    pub fn apply_observed(
-        &mut self,
-        delta: &ArtifactDelta,
-        threads: usize,
-        obs: &Registry,
-    ) -> AnalysisReport {
-        let span = obs.span("analyze.incr");
-        let before = self.stats;
-        let report = self.apply_inner(delta, threads);
-        let d = self.stats;
-        obs.counter("analyze.incr.applies").inc();
-        obs.counter("analyze.incr.changed_artifacts")
-            .add(d.changed_artifacts - before.changed_artifacts);
-        obs.counter("analyze.incr.dirty_units")
-            .add(d.dirty_units - before.dirty_units);
-        obs.counter("analyze.incr.hits").add(d.hits - before.hits);
-        obs.counter("analyze.incr.misses")
-            .add(d.misses - before.misses);
-        obs.counter("analyze.incr.invalidations")
-            .add(d.invalidations - before.invalidations);
-        drop(span);
-        report
-    }
-
-    fn apply_inner(&mut self, delta: &ArtifactDelta, threads: usize) -> AnalysisReport {
+    /// Applies one delta and returns the post-change report, re-running
+    /// only dirty units across `threads` workers.
+    pub fn apply(&mut self, delta: &ArtifactDelta, threads: usize) -> AnalysisReport {
         self.stats.applies += 1;
         self.stats.changed_artifacts += delta.len() as u64;
 

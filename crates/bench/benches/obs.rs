@@ -13,7 +13,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use vdo_core::RemediationPlanner;
 use vdo_host::UnixHost;
-use vdo_soc::{SocConfig, SocEngine, SocMetrics};
+use vdo_soc::{SocConfig, SocEngine, SocMetrics, SocTracing};
 use vdo_stigs::ubuntu;
 
 fn compliant_fleet(n: usize) -> Vec<UnixHost> {
@@ -56,7 +56,7 @@ fn bench_obs(c: &mut Criterion) {
                         _ => SocMetrics::in_registry(&registry, "soc"),
                     };
                     let engine = SocEngine::new(&catalog, soc_config()).expect("valid config");
-                    engine.run_with_metrics(&mut fleet, &metrics)
+                    engine.run_traced(&mut fleet, &metrics, &SocTracing::disabled())
                 },
                 criterion::BatchSize::SmallInput,
             )

@@ -8,6 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use vdo_pipeline::{run, PipelineConfig};
+use vdo_trace::Telemetry;
 
 fn configs(seed: u64) -> Vec<(&'static str, PipelineConfig)> {
     let base = PipelineConfig {
@@ -68,7 +69,7 @@ fn print_comparison_table() {
                 .find(|(n, _)| *n == name)
                 .expect("config exists")
                 .1;
-            let r = run(&cfg);
+            let r = run(&cfg, &Telemetry::off());
             rejected += r.rejected_total() as f64;
             shipped += r.vulnerabilities_deployed as f64;
             incidents += r.ops.incidents.len() as f64;
@@ -95,7 +96,7 @@ fn bench_pipeline(c: &mut Criterion) {
     group.sample_size(10);
     for (name, cfg) in configs(7) {
         group.bench_with_input(BenchmarkId::from_parameter(name), &cfg, |b, cfg| {
-            b.iter(|| run(cfg))
+            b.iter(|| run(cfg, &Telemetry::off()))
         });
     }
     group.finish();

@@ -17,6 +17,7 @@ use vdo_host::UnixHost;
 use vdo_pipeline::{MonitorEngine, OperationsPhase, OpsConfig};
 use vdo_soc::{SocConfig, SocEngine};
 use vdo_stigs::ubuntu;
+use vdo_trace::Telemetry;
 
 fn compliant_fleet(n: usize) -> Vec<UnixHost> {
     let catalog = ubuntu::catalog();
@@ -92,6 +93,7 @@ fn print_fleet_table() {
                     audit_period: 0,
                     seed: 11u64.wrapping_add(i as u64),
                 },
+                &Telemetry::off(),
             );
             incidents += r.incidents.len();
             latency_sum += r.mean_detection_latency() * r.incidents.len() as f64;

@@ -1,11 +1,11 @@
 //! E14 — cost of the `vdo-trace` event journal on the SOC fleet
 //! workload.
 //!
-//! Regenerates: the traced-vs-disabled-vs-untraced comparison behind
-//! the "<5% journal overhead" claim. The journal handle is an
-//! `Option<Arc<_>>`, so the disabled arm pays one branch per would-be
-//! event; the traced arm adds shard routing plus a mutex push per
-//! event. A fourth arm measures raw `Journal::emit` throughput in
+//! Regenerates: the traced-vs-disabled comparison behind the "<5%
+//! journal overhead" claim. The journal handle is an `Option<Arc<_>>`,
+//! so the disabled arm pays one branch per would-be event; the traced
+//! arm adds shard routing plus a mutex push per event. A third arm
+//! measures raw `Journal::emit` throughput in
 //! isolation (traced events with fields, the shape the loop emits).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -44,27 +44,24 @@ fn bench_trace(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("E14_trace_overhead");
     group.sample_size(10);
-    for mode in ["untraced", "disabled", "traced"] {
+    for mode in ["disabled", "traced"] {
         group.bench_with_input(BenchmarkId::from_parameter(mode), &mode, |b, &mode| {
             // Journal construction/teardown happen in the setup and the
             // dropped output — outside the timed routine — because the
             // journal outlives the run (it is exported afterwards).
             b.iter_batched(
                 || {
-                    let tracing = match mode {
-                        "traced" => Some(SocTracing::new(Journal::new(), 11)),
-                        "disabled" => Some(SocTracing::disabled()),
-                        _ => None,
+                    let tracing = if mode == "traced" {
+                        SocTracing::new(Journal::new(), 11)
+                    } else {
+                        SocTracing::disabled()
                     };
                     (compliant_fleet(64), tracing)
                 },
                 |(mut fleet, tracing)| {
                     let metrics = SocMetrics::new();
                     let engine = SocEngine::new(&catalog, soc_config()).expect("valid config");
-                    let report = match &tracing {
-                        Some(t) => engine.run_traced(&mut fleet, &metrics, t),
-                        None => engine.run_with_metrics(&mut fleet, &metrics),
-                    };
+                    let report = engine.run_traced(&mut fleet, &metrics, &tracing);
                     (report, tracing)
                 },
                 criterion::BatchSize::SmallInput,

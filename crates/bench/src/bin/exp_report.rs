@@ -32,13 +32,14 @@ use vdo_corpus::traces::ViolationTrace;
 use vdo_gwt::generate::{AllEdges, Generator, RandomWalk};
 use vdo_host::{Fleet, FleetConfig};
 use vdo_nalabs::Analyzer;
-use vdo_pipeline::{run, run_observed, MonitorEngine, OperationsPhase, OpsConfig, PipelineConfig};
+use vdo_pipeline::{run, MonitorEngine, OperationsPhase, OpsConfig, PipelineConfig};
 use vdo_soc::{RemediationConfig, SocConfig, SocEngine, SocMetrics, SocTracing};
 use vdo_specpat::pattern::full_matrix;
 use vdo_specpat::{CtlFormula, ModelChecker, ObserverAutomaton};
 use vdo_stigs::ubuntu;
 use vdo_tears::Session;
 use vdo_temporal::{GlobalUniversality, MonitorOutcome, MonitoringLoop};
+use vdo_trace::Telemetry;
 
 fn main() {
     let mut json_path: Option<String> = None;
@@ -609,7 +610,7 @@ fn e10_pipeline_comparison() -> Value {
             (0.0, 0.0, 0.0, 0.0, 0.0);
         let seeds = [1u64, 2, 3, 4, 5];
         for &seed in &seeds {
-            let r = run(&make(seed));
+            let r = run(&make(seed), &Telemetry::off());
             rejected += r.rejected_total() as f64;
             shipped += r.vulnerabilities_deployed as f64;
             incidents += r.ops.incidents.len() as f64;
@@ -710,6 +711,7 @@ fn e11_soc_engine() -> Value {
                     audit_period: 0,
                     seed: 11u64.wrapping_add(i as u64),
                 },
+                &Telemetry::off(),
             );
             incidents += r.incidents.len();
             weighted_latency += r.mean_detection_latency() * r.incidents.len() as f64;
@@ -838,7 +840,7 @@ fn e12_obs_overhead() -> Value {
             let mut fleet = fleet_of();
             let engine = SocEngine::new(&catalog, config.clone()).expect("valid config");
             let t0 = Instant::now();
-            let report = engine.run_with_metrics(&mut fleet, &metrics);
+            let report = engine.run_traced(&mut fleet, &metrics, &SocTracing::disabled());
             let dt = t0.elapsed().as_secs_f64();
             assert_eq!(
                 report.metrics.events_processed > 0,
@@ -889,6 +891,8 @@ fn e14_trace() -> Value {
     };
 
     // -- Overhead: traced vs disabled-journal vs plain untraced run. ----
+    // The engine has one traced entry point, so "disabled" and
+    // "untraced" run the same path: their spread is the noise floor.
     // The E11 fleet shape (500 ticks) keeps each run long enough that
     // best-of-N converges below scheduler jitter.
     let overhead_config = SocConfig {
@@ -907,16 +911,13 @@ fn e14_trace() -> Value {
             // is snapshotted/exported afterwards), so its construction
             // and teardown stay outside the timed region — only the
             // per-event cost paid during the run is the overhead.
-            let tracing = match *mode {
-                "traced" => Some(SocTracing::new(vdo_trace::Journal::new(), 11)),
-                "disabled" => Some(SocTracing::disabled()),
-                _ => None,
+            let tracing = if *mode == "traced" {
+                SocTracing::new(vdo_trace::Journal::new(), 11)
+            } else {
+                SocTracing::disabled()
             };
             let t0 = Instant::now();
-            let report = match &tracing {
-                Some(t) => engine.run_traced(&mut fleet, &metrics, t),
-                None => engine.run_with_metrics(&mut fleet, &metrics),
-            };
+            let report = engine.run_traced(&mut fleet, &metrics, &tracing);
             let dt = t0.elapsed().as_secs_f64();
             assert!(
                 !report.incidents.is_empty(),
@@ -1197,6 +1198,14 @@ fn e13_analyze() -> Value {
     ])
 }
 
+/// Telemetry that records into `registry` and journals nothing.
+fn with_registry(registry: &vdo_obs::Registry) -> Telemetry {
+    Telemetry {
+        registry: registry.clone(),
+        ..Telemetry::off()
+    }
+}
+
 /// F1: one observed closed-loop run — the unified registry collects the
 /// `pipeline.*` / `core.*` / `ops.*` counters and the per-phase span
 /// timings, and equal-seed runs (including an event-driven worker
@@ -1210,7 +1219,7 @@ fn f1_closed_loop() -> Value {
         ..PipelineConfig::default()
     };
     let registry = vdo_obs::Registry::new();
-    let report = run_observed(&cfg, &registry);
+    let report = run(&cfg, &with_registry(&registry));
     let snapshot = registry.snapshot();
 
     say!(
@@ -1236,7 +1245,7 @@ fn f1_closed_loop() -> Value {
     // Equal-seed determinism: a second full run must fingerprint
     // identically (durations excluded by construction).
     let rerun = vdo_obs::Registry::new();
-    let _ = run_observed(&cfg, &rerun);
+    let _ = run(&cfg, &with_registry(&rerun));
     let equal_seed =
         snapshot.deterministic_fingerprint() == rerun.snapshot().deterministic_fingerprint();
 
@@ -1248,7 +1257,7 @@ fn f1_closed_loop() -> Value {
         let mut host = vdo_host::UnixHost::baseline_ubuntu_1804();
         RemediationPlanner::default().run(&catalog, &mut host);
         let reg = vdo_obs::Registry::new();
-        let _ = OperationsPhase::new(&catalog).run_observed(
+        let _ = OperationsPhase::new(&catalog).run(
             &mut host,
             &OpsConfig {
                 engine: MonitorEngine::EventDriven { workers },
@@ -1257,7 +1266,7 @@ fn f1_closed_loop() -> Value {
                 seed: 7,
                 ..OpsConfig::default()
             },
-            &reg,
+            &with_registry(&reg),
         );
         fingerprints.push(reg.snapshot().deterministic_fingerprint());
     }

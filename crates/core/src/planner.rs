@@ -83,9 +83,7 @@ pub enum PlannerOutcome {
 #[derive(Debug, Clone, Default)]
 pub struct RemediationPlanner {
     config: PlannerConfig,
-    obs: vdo_obs::Registry,
-    journal: vdo_trace::Journal,
-    trace_seed: u64,
+    telemetry: vdo_trace::Telemetry,
 }
 
 /// Everything a planner run produced.
@@ -107,33 +105,22 @@ impl RemediationPlanner {
     pub fn new(config: PlannerConfig) -> Self {
         RemediationPlanner {
             config,
-            obs: vdo_obs::Registry::disabled(),
-            journal: vdo_trace::Journal::default(),
-            trace_seed: 0,
+            telemetry: vdo_trace::Telemetry::off(),
         }
     }
 
-    /// Attaches an observability registry: every run records the
-    /// `core.checks` / `core.enforcements` counters and times itself
-    /// under the `core/planner` span. The default planner carries a
-    /// disabled registry, so instrumentation costs one branch per
-    /// event when unused.
+    /// Attaches telemetry: every run records the `core.checks` /
+    /// `core.enforcements` counters and times itself under the
+    /// `core/planner` span in `telemetry.registry`, and journals every
+    /// enforcement attempt as a `core.enforce` event whose trace is a
+    /// child of the finding's requirement root
+    /// (`TraceContext::root(telemetry.trace_seed, finding_id)`), so
+    /// remediations resolve to the requirement they serve. The default
+    /// planner carries [`Telemetry::off`](vdo_trace::Telemetry::off):
+    /// the unused cost is one branch per event.
     #[must_use]
-    pub fn observed(mut self, obs: vdo_obs::Registry) -> Self {
-        self.obs = obs;
-        self
-    }
-
-    /// Attaches a trace journal: every enforcement attempt is recorded
-    /// as a `core.enforce` event whose trace is a child of the finding's
-    /// requirement root (`TraceContext::root(trace_seed, finding_id)`),
-    /// so remediations resolve to the requirement they serve. The
-    /// default planner carries a disabled journal — the untraced cost is
-    /// one branch per enforcement.
-    #[must_use]
-    pub fn traced(mut self, journal: vdo_trace::Journal, trace_seed: u64) -> Self {
-        self.journal = journal;
-        self.trace_seed = trace_seed;
+    pub fn with_telemetry(mut self, telemetry: vdo_trace::Telemetry) -> Self {
+        self.telemetry = telemetry;
         self
     }
 
@@ -209,9 +196,11 @@ impl RemediationPlanner {
         waived: &[bool],
         now: u64,
     ) -> Sweep {
-        let _span = self.obs.span("core/planner");
-        let checks_counter = self.obs.counter("core.checks");
-        let enforcements_counter = self.obs.counter("core.enforcements");
+        let obs = &self.telemetry.registry;
+        let journal = &self.telemetry.journal;
+        let _span = obs.span("core/planner");
+        let checks_counter = obs.counter("core.checks");
+        let enforcements_counter = obs.counter("core.enforcements");
         let n = catalog.len();
         let initial: Vec<CheckStatus> = catalog.iter().map(|e| e.check(env)).collect();
         checks_counter.add(n as u64);
@@ -244,11 +233,11 @@ impl RemediationPlanner {
                 enforcements += 1;
                 enforcements_counter.inc();
                 last_enforcement[i] = Some(status);
-                if self.journal.is_enabled() {
+                if journal.is_enabled() {
                     let rule = entry.spec().finding_id();
-                    let ctx = vdo_trace::TraceContext::root(self.trace_seed, rule)
+                    let ctx = vdo_trace::TraceContext::root(self.telemetry.trace_seed, rule)
                         .child_u64("enforce", u64::from(attempts[i]));
-                    self.journal.emit(
+                    journal.emit(
                         vdo_trace::Event::info("core.enforce")
                             .at(now)
                             .trace(ctx)
@@ -518,7 +507,10 @@ mod tests {
         let registry = vdo_obs::Registry::new();
         let mut cat = Catalog::new();
         cat.register_enforceable("p", spec("V-1"), Slot { idx: 0, want: true });
-        let planner = RemediationPlanner::default().observed(registry.clone());
+        let planner = RemediationPlanner::default().with_telemetry(vdo_trace::Telemetry {
+            registry: registry.clone(),
+            ..vdo_trace::Telemetry::off()
+        });
         let mut env = vec![false];
         let run = planner.run(&cat, &mut env);
         assert_eq!(run.outcome, PlannerOutcome::Compliant);
@@ -530,12 +522,16 @@ mod tests {
 
     #[test]
     fn traced_planner_roots_enforcements_at_their_requirements() {
-        use vdo_trace::{Journal, TraceContext};
+        use vdo_trace::{Journal, Telemetry, TraceContext};
         let journal = Journal::new();
         let mut cat = Catalog::new();
         cat.register_enforceable("p", spec("V-1"), Slot { idx: 0, want: true });
         cat.register_enforceable("p", spec("V-2"), Slot { idx: 1, want: true });
-        let planner = RemediationPlanner::default().traced(journal.clone(), 5);
+        let planner = RemediationPlanner::default().with_telemetry(Telemetry {
+            journal: journal.clone(),
+            trace_seed: 5,
+            ..Telemetry::off()
+        });
         let mut env = vec![false, true];
         let run = planner.run(&cat, &mut env);
         assert_eq!(run.outcome, PlannerOutcome::Compliant);

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use vdo_core::{Catalog, CheckStatus, RemediationPlanner};
 use vdo_host::{DriftInjector, HostWrite, Platform, UnixHost, WindowsHost};
 use vdo_stigs::{ubuntu, win10};
-use vdo_trace::Journal;
+use vdo_trace::{Journal, Telemetry};
 
 /// Runs both entry points on clones of `host` and compares everything
 /// they leave behind.
@@ -16,17 +16,20 @@ fn assert_equivalent<H>(catalog: &Catalog<H>, host: &H) -> Result<(), TestCaseEr
 where
     H: Clone + PartialEq + std::fmt::Debug,
 {
-    let planner = |registry: &vdo_obs::Registry, journal: &Journal| {
-        RemediationPlanner::default()
-            .observed(registry.clone())
-            .traced(journal.clone(), 7)
+    let telemetry = || Telemetry {
+        registry: vdo_obs::Registry::new(),
+        journal: Journal::new(),
+        trace_seed: 7,
     };
-    let (run_obs, run_journal) = (vdo_obs::Registry::new(), Journal::new());
-    let (rem_obs, rem_journal) = (vdo_obs::Registry::new(), Journal::new());
+    let (on_run, on_remediate) = (telemetry(), telemetry());
     let mut by_run = host.clone();
-    let run = planner(&run_obs, &run_journal).run(catalog, &mut by_run);
+    let run = RemediationPlanner::default()
+        .with_telemetry(on_run.clone())
+        .run(catalog, &mut by_run);
     let mut by_remediate = host.clone();
-    let verdicts = planner(&rem_obs, &rem_journal).remediate(catalog, &mut by_remediate);
+    let verdicts = RemediationPlanner::default()
+        .with_telemetry(on_remediate.clone())
+        .remediate(catalog, &mut by_remediate);
 
     prop_assert_eq!(&by_run, &by_remediate);
     let final_status: Vec<CheckStatus> = run
@@ -42,13 +45,13 @@ where
         .map(|(_, status)| status)
         .collect();
     prop_assert_eq!(&verdicts, &rechecked);
-    let (a, b) = (run_obs.snapshot(), rem_obs.snapshot());
+    let (a, b) = (on_run.registry.snapshot(), on_remediate.registry.snapshot());
     for counter in ["core.checks", "core.enforcements"] {
         prop_assert_eq!(a.counter(counter), b.counter(counter), "{}", counter);
     }
     prop_assert_eq!(
-        run_journal.snapshot().fingerprint(),
-        rem_journal.snapshot().fingerprint()
+        on_run.journal.snapshot().fingerprint(),
+        on_remediate.journal.snapshot().fingerprint()
     );
     Ok(())
 }

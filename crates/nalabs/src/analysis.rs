@@ -331,40 +331,6 @@ impl Analyzer {
         }
     }
 
-    /// Like [`analyze_corpus`](Self::analyze_corpus), but records one
-    /// `nalabs.verdict` event per document in `journal` — Info for a
-    /// clean document, Warn for a smelly one. When `parent` is given
-    /// (the commit's trace context in the pipeline), each verdict is a
-    /// child span labelled with the document id, so a rejected
-    /// requirement resolves back to the commit that shipped it. With a
-    /// disabled journal this is exactly `analyze_corpus`.
-    #[must_use]
-    pub fn analyze_corpus_traced(
-        &self,
-        docs: &[RequirementDoc],
-        parent: Option<vdo_trace::TraceContext>,
-        journal: &vdo_trace::Journal,
-    ) -> CorpusReport {
-        let report = self.analyze_corpus(docs);
-        if journal.is_enabled() {
-            for d in report.documents() {
-                let mut ev = if d.is_smelly() {
-                    vdo_trace::Event::warn("nalabs.verdict")
-                } else {
-                    vdo_trace::Event::info("nalabs.verdict")
-                }
-                .field("doc", d.id())
-                .field("smelly", d.is_smelly())
-                .field("smells", d.smell_count());
-                if let Some(p) = parent {
-                    ev = ev.trace(p.child(d.id()));
-                }
-                journal.emit(ev);
-            }
-        }
-        report
-    }
-
     /// Analyses a corpus on `threads` worker threads (documents are
     /// independent, so the corpus is chunked and results reassembled in
     /// input order). Produces exactly the same report as
@@ -493,36 +459,6 @@ mod tests {
         assert_eq!(bad.precision(), 0.0);
         assert_eq!(bad.recall(), 0.0);
         assert_eq!(bad.f1(), 0.0);
-    }
-
-    #[test]
-    fn traced_analysis_journals_per_document_verdicts() {
-        use vdo_trace::{Journal, TraceContext};
-        let a = Analyzer::with_default_metrics();
-        let docs = vec![
-            doc("clean-1", "The system shall log every failed logon."),
-            doc("smelly-1", "The system may be fast and easy, TBD."),
-        ];
-        let journal = Journal::new();
-        let parent = TraceContext::root(9, "commit-7");
-        let traced = a.analyze_corpus_traced(&docs, Some(parent), &journal);
-        assert_eq!(
-            traced,
-            a.analyze_corpus(&docs),
-            "tracing never changes verdicts"
-        );
-        let snap = journal.snapshot();
-        let verdicts = snap.events_named("nalabs.verdict");
-        assert_eq!(verdicts.len(), 2);
-        for (ev, d) in verdicts.iter().zip(&docs) {
-            let t = ev.trace.expect("parent given, child minted");
-            assert_eq!(t, parent.child(d.id()));
-        }
-        // Disabled journal: silent, identical report.
-        let silent = Journal::default();
-        let r = a.analyze_corpus_traced(&docs, None, &silent);
-        assert_eq!(r, traced);
-        assert!(silent.snapshot().events.is_empty());
     }
 
     #[test]

@@ -413,7 +413,7 @@ mod tests {
             .seed(3)
             .build()
             .unwrap();
-        let report = crate::run(&cfg);
+        let report = crate::run(&cfg, &vdo_trace::Telemetry::off());
         assert_eq!(report.commits, 10);
     }
 }

@@ -221,10 +221,29 @@ impl Gate for RequirementsGate {
         "requirements"
     }
 
+    /// Besides the `gate.verdict` record, journals one `nalabs.verdict`
+    /// event per document — Info for a clean document, Warn for a
+    /// smelly one — as a child span of the commit labelled with the
+    /// document id, so a rejected requirement resolves back to the
+    /// commit that shipped it.
     fn evaluate(&self, cx: &GateContext<'_>) -> GateDecision {
-        let report =
-            self.analyzer
-                .analyze_corpus_traced(&cx.commit.requirements, cx.trace, cx.journal);
+        let report = self.analyzer.analyze_corpus(&cx.commit.requirements);
+        if cx.journal.is_enabled() {
+            for d in report.documents() {
+                let mut ev = if d.is_smelly() {
+                    Event::warn("nalabs.verdict")
+                } else {
+                    Event::info("nalabs.verdict")
+                }
+                .field("doc", d.id())
+                .field("smelly", d.is_smelly())
+                .field("smells", d.smell_count());
+                if let Some(p) = cx.trace {
+                    ev = ev.trace(p.child(d.id()));
+                }
+                cx.journal.emit(ev);
+            }
+        }
         record(self.decide(&report), cx)
     }
 }
@@ -792,8 +811,14 @@ mod tests {
         let verdicts = snap.events_named("gate.verdict");
         assert_eq!(verdicts.len(), 4, "one verdict event per gate");
         assert!(verdicts.iter().all(|e| e.at == 7));
-        // The smelly requirement also produced a NALABS verdict record.
-        assert!(!snap.events_named("nalabs.verdict").is_empty());
+        // Each requirement document also produced a NALABS verdict
+        // record, a child of the commit labelled with the document id.
+        let docs = snap.events_named("nalabs.verdict");
+        assert_eq!(docs.len(), commit.requirements.len());
+        for (ev, doc) in docs.iter().zip(&commit.requirements) {
+            assert_eq!(ev.trace, Some(root.child(doc.id())));
+            assert_eq!(ev.severity, vdo_trace::Severity::Warn, "smelly is Warn");
+        }
     }
 
     #[test]

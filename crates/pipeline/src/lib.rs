@@ -23,15 +23,20 @@
 //!
 //! ```
 //! use vdo_pipeline::{PipelineConfig, run};
+//! use vdo_trace::Telemetry;
 //!
-//! let automated = run(&PipelineConfig { seed: 1, ..PipelineConfig::default() });
-//! let manual = run(&PipelineConfig {
-//!     seed: 1,
-//!     requirements_gate: false,
-//!     compliance_gate: false,
-//!     monitor_period: None,
-//!     ..PipelineConfig::default()
-//! });
+//! let off = Telemetry::off();
+//! let automated = run(&PipelineConfig { seed: 1, ..PipelineConfig::default() }, &off);
+//! let manual = run(
+//!     &PipelineConfig {
+//!         seed: 1,
+//!         requirements_gate: false,
+//!         compliance_gate: false,
+//!         monitor_period: None,
+//!         ..PipelineConfig::default()
+//!     },
+//!     &off,
+//! );
 //! assert!(automated.ops.mean_detection_latency() <= manual.ops.mean_detection_latency());
 //! ```
 
@@ -49,5 +54,5 @@ pub use gates::{
 };
 pub use ops::{DriftTarget, Incident, MonitorEngine, OperationsPhase, OpsConfig, OpsReport};
 pub use repo::{Commit, ConfigChange};
-pub use scenario::{run, run_journaled, run_observed, run_traced, PipelineConfig, PipelineReport};
+pub use scenario::{run, PipelineConfig, PipelineReport};
 pub use staging::Staged;

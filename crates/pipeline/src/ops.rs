@@ -17,7 +17,7 @@ use vdo_core::{Catalog, RemediationPlanner};
 use vdo_host::{DriftInjector, HostWrite};
 use vdo_soc::{DetectionKind, SocConfig, SocEngine, SocHost, SocMetrics, SocTracing};
 use vdo_temporal::Trace;
-use vdo_trace::{Event, Journal, TraceContext};
+use vdo_trace::{Event, Telemetry, TraceContext};
 
 /// A host class the drift injector knows how to degrade.
 /// Blanket-implemented for every [`HostWrite`] type, so one
@@ -190,58 +190,36 @@ impl Serialize for OpsReport {
 /// [`DriftTarget`] class.
 pub struct OperationsPhase<'a, E> {
     catalog: &'a Catalog<E>,
-    planner: RemediationPlanner,
 }
 
 impl<'a, E: DriftTarget + SocHost> OperationsPhase<'a, E> {
     /// Creates the phase runner over a compliance catalogue.
     #[must_use]
     pub fn new(catalog: &'a Catalog<E>) -> Self {
-        OperationsPhase {
-            catalog,
-            planner: RemediationPlanner::default(),
-        }
+        OperationsPhase { catalog }
     }
 
     /// Runs the phase, mutating the deployed host in place.
-    pub fn run(&self, host: &mut E, config: &OpsConfig) -> OpsReport {
-        self.run_observed(host, config, &vdo_obs::Registry::disabled())
-    }
-
-    /// Like [`run`](Self::run), but times the phase under the
-    /// `pipeline/ops` span and records the `ops.*` counters
-    /// (`drift_events`, `checks`, `incidents`, `noncompliant_ticks`) in
-    /// `obs`. On the event-driven path the deterministic SOC engine
-    /// counters additionally surface as `ops.soc.*`; on the polling path
-    /// the remediation planner's `core.*` counters accumulate.
-    pub fn run_observed(
-        &self,
-        host: &mut E,
-        config: &OpsConfig,
-        obs: &vdo_obs::Registry,
-    ) -> OpsReport {
-        self.run_traced(host, config, obs, &Journal::default(), 0)
-    }
-
-    /// Like [`run_observed`](Self::run_observed), but additionally
-    /// journals the phase's causal chain: every incident carries a
-    /// [`TraceContext`] rooted at `TraceContext::root(trace_seed,
-    /// finding_id)` — the same roots the scenario mints at requirement
-    /// ingestion — and detections/remediations are recorded as journal
-    /// events. A disabled journal makes this exactly `run_observed`.
-    pub fn run_traced(
-        &self,
-        host: &mut E,
-        config: &OpsConfig,
-        obs: &vdo_obs::Registry,
-        journal: &Journal,
-        trace_seed: u64,
-    ) -> OpsReport {
+    ///
+    /// The phase is timed under the `pipeline/ops` span and records the
+    /// `ops.*` counters (`drift_events`, `checks`, `incidents`,
+    /// `noncompliant_ticks`) in `telemetry.registry`. On the
+    /// event-driven path the deterministic SOC engine counters also
+    /// surface as `ops.soc.*`; on the polling path the remediation
+    /// planner's `core.*` counters accumulate. An enabled
+    /// `telemetry.journal` also records the phase's causal chain: every
+    /// incident carries a [`TraceContext`] rooted at
+    /// `TraceContext::root(telemetry.trace_seed, finding_id)` — the same
+    /// roots the scenario mints at requirement ingestion — and
+    /// detections and remediations become journal events.
+    /// [`Telemetry::off`] records nothing and stamps no traces.
+    pub fn run(&self, host: &mut E, config: &OpsConfig, telemetry: &Telemetry) -> OpsReport {
+        let obs = &telemetry.registry;
         let _span = obs.span("pipeline/ops");
         let report = match config.engine {
-            MonitorEngine::Polling => self.run_polling(host, config, obs, journal, trace_seed),
+            MonitorEngine::Polling => self.run_polling(host, config, telemetry),
             MonitorEngine::EventDriven { workers } => {
-                self.run_event_driven(host, config, workers, obs, journal, trace_seed)
+                self.run_event_driven(host, config, workers, telemetry)
             }
         };
         obs.counter("ops.drift_events").add(report.drift_events);
@@ -263,9 +241,7 @@ impl<'a, E: DriftTarget + SocHost> OperationsPhase<'a, E> {
         host: &mut E,
         config: &OpsConfig,
         workers: usize,
-        obs: &vdo_obs::Registry,
-        journal: &Journal,
-        trace_seed: u64,
+        telemetry: &Telemetry,
     ) -> OpsReport {
         let soc_config = SocConfig {
             duration: config.duration,
@@ -276,14 +252,14 @@ impl<'a, E: DriftTarget + SocHost> OperationsPhase<'a, E> {
             ..SocConfig::default()
         };
         let engine = SocEngine::new(self.catalog, soc_config)
-            .expect("nonzero workers/shards/capacity by construction");
-        let metrics = if obs.is_enabled() {
-            SocMetrics::in_registry(obs, "ops.soc")
+            .expect("workers >= 1, 4 shards and an OpsConfig drift_rate in [0, 1]");
+        let metrics = if telemetry.registry.is_enabled() {
+            SocMetrics::in_registry(&telemetry.registry, "ops.soc")
         } else {
             SocMetrics::new()
         };
-        let tracing = if journal.is_enabled() {
-            SocTracing::new(journal.clone(), trace_seed)
+        let tracing = if telemetry.journal.is_enabled() {
+            SocTracing::new(telemetry.journal.clone(), telemetry.trace_seed)
         } else {
             SocTracing::disabled()
         };
@@ -309,14 +285,9 @@ impl<'a, E: DriftTarget + SocHost> OperationsPhase<'a, E> {
     }
 
     /// The paper's polling baseline.
-    fn run_polling(
-        &self,
-        host: &mut E,
-        config: &OpsConfig,
-        obs: &vdo_obs::Registry,
-        journal: &Journal,
-        trace_seed: u64,
-    ) -> OpsReport {
+    fn run_polling(&self, host: &mut E, config: &OpsConfig, telemetry: &Telemetry) -> OpsReport {
+        let journal = &telemetry.journal;
+        let trace_seed = telemetry.trace_seed;
         let tracing_on = journal.is_enabled();
         if tracing_on {
             // Declare the requirements this phase watches: one root per
@@ -331,14 +302,7 @@ impl<'a, E: DriftTarget + SocHost> OperationsPhase<'a, E> {
                 );
             }
         }
-        let planner = if tracing_on {
-            self.planner
-                .clone()
-                .observed(obs.clone())
-                .traced(journal.clone(), trace_seed)
-        } else {
-            self.planner.clone().observed(obs.clone())
-        };
+        let planner = RemediationPlanner::default().with_telemetry(telemetry.clone());
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut drifter = DriftInjector::new(config.seed.wrapping_mul(31).wrapping_add(7));
         let mut incidents = Vec::new();
@@ -443,6 +407,7 @@ mod tests {
     use super::*;
     use vdo_host::UnixHost;
     use vdo_stigs::ubuntu;
+    use vdo_trace::Journal;
 
     fn compliant_host(catalog: &Catalog<UnixHost>) -> UnixHost {
         let mut h = UnixHost::baseline_ubuntu_1804();
@@ -461,6 +426,7 @@ mod tests {
                 drift_rate: 0.0,
                 ..OpsConfig::default()
             },
+            &Telemetry::off(),
         );
         assert!(report.incidents.is_empty());
         assert_eq!(report.drift_events, 0);
@@ -481,6 +447,7 @@ mod tests {
                 seed: 3,
                 ..OpsConfig::default()
             },
+            &Telemetry::off(),
         );
         assert!(report.drift_events > 0);
         assert!(
@@ -513,7 +480,7 @@ mod tests {
             seed: 3,
             ..OpsConfig::default()
         };
-        let report = OperationsPhase::new(&catalog).run(&mut host, &cfg);
+        let report = OperationsPhase::new(&catalog).run(&mut host, &cfg, &Telemetry::off());
         assert!(!report.incidents.is_empty());
         assert!(report.incidents.iter().all(|i| !i.found_by_monitor));
         assert!(report.incidents.iter().all(|i| i.detected_at % 400 == 0));
@@ -531,7 +498,7 @@ mod tests {
             ..OpsConfig::default()
         };
         let mut h1 = compliant_host(&catalog);
-        let monitored = OperationsPhase::new(&catalog).run(&mut h1, &base);
+        let monitored = OperationsPhase::new(&catalog).run(&mut h1, &base, &Telemetry::off());
         let mut h2 = compliant_host(&catalog);
         let audited = OperationsPhase::new(&catalog).run(
             &mut h2,
@@ -539,6 +506,7 @@ mod tests {
                 monitor_period: None,
                 ..base
             },
+            &Telemetry::off(),
         );
         assert!(
             monitored.mean_detection_latency() < audited.mean_detection_latency(),
@@ -566,6 +534,7 @@ mod tests {
                 seed: 3,
                 ..OpsConfig::default()
             },
+            &Telemetry::off(),
         );
         assert_eq!(report.compliance_trace.len(), 1_000);
         // "Globally compliant" over the operations history fails exactly
@@ -594,8 +563,8 @@ mod tests {
         };
         let mut a = compliant_host(&catalog);
         let mut b = compliant_host(&catalog);
-        let ra = OperationsPhase::new(&catalog).run(&mut a, &cfg);
-        let rb = OperationsPhase::new(&catalog).run(&mut b, &cfg);
+        let ra = OperationsPhase::new(&catalog).run(&mut a, &cfg, &Telemetry::off());
+        let rb = OperationsPhase::new(&catalog).run(&mut b, &cfg, &Telemetry::off());
         assert_eq!(ra, rb);
         assert_eq!(a, b);
     }
@@ -615,6 +584,7 @@ mod tests {
                 seed: 4,
                 ..OpsConfig::default()
             },
+            &Telemetry::off(),
         );
         assert!(report.drift_events > 0);
         assert!(
@@ -637,6 +607,7 @@ mod tests {
                 seed: 3,
                 ..OpsConfig::default()
             },
+            &Telemetry::off(),
         );
         assert!(report.drift_events > 0);
         assert!(!report.incidents.is_empty());
@@ -652,7 +623,7 @@ mod tests {
         let catalog = ubuntu::catalog();
         let mut host = compliant_host(&catalog);
         let registry = vdo_obs::Registry::new();
-        let report = OperationsPhase::new(&catalog).run_observed(
+        let report = OperationsPhase::new(&catalog).run(
             &mut host,
             &OpsConfig {
                 engine: MonitorEngine::EventDriven { workers: 2 },
@@ -661,7 +632,10 @@ mod tests {
                 seed: 3,
                 ..OpsConfig::default()
             },
-            &registry,
+            &Telemetry {
+                registry: registry.clone(),
+                ..Telemetry::off()
+            },
         );
         let snap = registry.snapshot();
         assert_eq!(snap.counter("ops.drift_events"), Some(report.drift_events));
@@ -688,13 +662,16 @@ mod tests {
         for workers in [1, 2, 4] {
             let mut host = compliant_host(&catalog);
             let registry = vdo_obs::Registry::new();
-            OperationsPhase::new(&catalog).run_observed(
+            OperationsPhase::new(&catalog).run(
                 &mut host,
                 &OpsConfig {
                     engine: MonitorEngine::EventDriven { workers },
                     ..base
                 },
-                &registry,
+                &Telemetry {
+                    registry: registry.clone(),
+                    ..Telemetry::off()
+                },
             );
             fingerprints.push(registry.snapshot().deterministic_fingerprint());
         }
@@ -707,7 +684,7 @@ mod tests {
         let catalog = ubuntu::catalog();
         let mut host = compliant_host(&catalog);
         let journal = Journal::new();
-        let report = OperationsPhase::new(&catalog).run_traced(
+        let report = OperationsPhase::new(&catalog).run(
             &mut host,
             &OpsConfig {
                 engine: MonitorEngine::EventDriven { workers: 2 },
@@ -716,9 +693,11 @@ mod tests {
                 seed: 3,
                 ..OpsConfig::default()
             },
-            &vdo_obs::Registry::disabled(),
-            &journal,
-            21,
+            &Telemetry {
+                journal: journal.clone(),
+                trace_seed: 21,
+                ..Telemetry::off()
+            },
         );
         assert!(!report.incidents.is_empty());
         let snap = journal.snapshot();
@@ -735,7 +714,7 @@ mod tests {
         let catalog = ubuntu::catalog();
         let mut host = compliant_host(&catalog);
         let journal = Journal::new();
-        let report = OperationsPhase::new(&catalog).run_traced(
+        let report = OperationsPhase::new(&catalog).run(
             &mut host,
             &OpsConfig {
                 duration: 1_500,
@@ -744,9 +723,11 @@ mod tests {
                 seed: 3,
                 ..OpsConfig::default()
             },
-            &vdo_obs::Registry::disabled(),
-            &journal,
-            21,
+            &Telemetry {
+                journal: journal.clone(),
+                trace_seed: 21,
+                ..Telemetry::off()
+            },
         );
         assert!(!report.incidents.is_empty());
         let snap = journal.snapshot();
@@ -783,7 +764,7 @@ mod tests {
             ..OpsConfig::default()
         };
         let mut polled_host = compliant_host(&catalog);
-        let polled = OperationsPhase::new(&catalog).run(&mut polled_host, &base);
+        let polled = OperationsPhase::new(&catalog).run(&mut polled_host, &base, &Telemetry::off());
         let mut event_host = compliant_host(&catalog);
         let eventful = OperationsPhase::new(&catalog).run(
             &mut event_host,
@@ -791,6 +772,7 @@ mod tests {
                 engine: MonitorEngine::EventDriven { workers: 1 },
                 ..base
             },
+            &Telemetry::off(),
         );
         // Equal seed ⇒ identical drift streams, so the comparison is
         // apples to apples: same violations, different detection engines.

@@ -19,7 +19,7 @@ use vdo_host::UnixHost;
 use vdo_nalabs::RequirementDoc;
 use vdo_tears::{Expr, GuardedAssertion};
 use vdo_temporal::Formula;
-use vdo_trace::{Event, Journal, TraceContext};
+use vdo_trace::{Event, Telemetry, TraceContext};
 
 use crate::gates::{AnalysisGate, ComplianceGate, Gate, GateContext, RequirementsGate, TestGate};
 use crate::ops::{MonitorEngine, OperationsPhase, OpsConfig, OpsReport};
@@ -183,58 +183,37 @@ impl Serialize for PipelineReport {
 }
 
 /// Runs the full scenario.
-#[must_use]
-pub fn run(config: &PipelineConfig) -> PipelineReport {
-    run_observed(config, &vdo_obs::Registry::disabled())
-}
-
-/// Runs the full scenario with observability: the development phase is
-/// timed under `pipeline/dev` (initial hardening, gates, merges), the
+///
+/// With an enabled `telemetry.registry`, the development phase is timed
+/// under `pipeline/dev` (initial hardening, gates, merges), the
 /// operations phase under `pipeline/ops`, the whole run under
 /// `pipeline`, and the `pipeline.*` counters record gate decisions. The
 /// planner and operations instrumentation (`core.*`, `ops.*`)
 /// accumulate in the same registry, so one [`vdo_obs::Snapshot`] covers
 /// the closed loop end to end.
+///
+/// With an enabled `telemetry.journal`, every commit gets a root
+/// [`TraceContext`] derived from `(config.seed, commit id)` at
+/// ingestion, each requirement document gets its own root, gate
+/// verdicts become child spans (`gate.verdict` events), merges emit
+/// `pipeline.deploy`, and the planner and the operations phase mint
+/// their roots from `config.seed` too, so every incident's trace id
+/// resolves back to the catalogue requirement it violated
+/// (`telemetry.trace_seed` is not used). Equal seeds yield
+/// byte-identical journal fingerprints. A journal built with a durable
+/// sink streams the whole closed loop to disk; call
+/// [`Journal::sync`](vdo_trace::Journal::sync) before reopening it.
+/// [`Telemetry::off`] records nothing and changes no verdict.
 #[must_use]
-pub fn run_observed(config: &PipelineConfig, obs: &vdo_obs::Registry) -> PipelineReport {
-    run_traced(config, obs, &Journal::default())
-}
-
-/// Like [`run_traced`], but with a durable columnar sink: every
-/// accepted journal event streams into segment files under `dir` (the
-/// [`vdo_trace::colfmt`] format) before entering the in-memory ring,
-/// so the whole closed loop — commit roots, gate verdicts, deploys,
-/// and the operations phase — leaves a compact on-disk record with no
-/// lossy tail. The returned journal is already synced (segments
-/// sealed); reopen the directory with
-/// [`vdo_trace::JournalDir`] for forensics.
-pub fn run_journaled(
-    config: &PipelineConfig,
-    obs: &vdo_obs::Registry,
-    dir: &std::path::Path,
-) -> std::io::Result<(PipelineReport, Journal)> {
-    let sink = vdo_trace::DirWriter::create(dir, "vdo-journal v1\nsource=pipeline\n")?;
-    let journal = Journal::with_sink(vdo_trace::JournalConfig::default(), Box::new(sink));
-    let report = run_traced(config, obs, &journal);
-    journal.sync();
-    Ok((report, journal))
-}
-
-/// Like [`run_observed`], but threads a [`vdo_trace::Journal`] through
-/// the whole closed loop: every commit gets a root [`TraceContext`]
-/// derived from `(seed, commit id)` at ingestion, each requirement
-/// document gets its own root, gate verdicts become child spans
-/// (`gate.verdict` events), merges emit `pipeline.deploy`, and the
-/// operations phase inherits `config.seed` as its trace namespace so
-/// every incident's trace id resolves back to the catalogue requirement
-/// it violated. Equal seeds yield byte-identical journal fingerprints.
-/// A disabled journal makes this exactly [`run_observed`].
-#[must_use]
-pub fn run_traced(
-    config: &PipelineConfig,
-    obs: &vdo_obs::Registry,
-    journal: &Journal,
-) -> PipelineReport {
+pub fn run(config: &PipelineConfig, telemetry: &Telemetry) -> PipelineReport {
+    let obs = &telemetry.registry;
+    let journal = &telemetry.journal;
+    // The scenario mints every root from `config.seed`; the planner and
+    // the operations phase join that namespace.
+    let lent = Telemetry {
+        trace_seed: config.seed,
+        ..telemetry.clone()
+    };
     let run_span = obs.span("pipeline");
     let catalog = vdo_stigs::ubuntu::catalog();
     let mut rng = StdRng::seed_from_u64(config.seed);
@@ -243,14 +222,9 @@ pub fn run_traced(
     let dev_span = run_span.child("dev");
     // Deploy target starts compliant (initial hardening).
     let mut production = UnixHost::baseline_ubuntu_1804();
-    let hardening_planner = if tracing_on {
-        RemediationPlanner::default()
-            .observed(obs.clone())
-            .traced(journal.clone(), config.seed)
-    } else {
-        RemediationPlanner::default().observed(obs.clone())
-    };
-    hardening_planner.run(&catalog, &mut production);
+    RemediationPlanner::default()
+        .with_telemetry(lent.clone())
+        .run(&catalog, &mut production);
 
     let req_gate = RequirementsGate::new();
     let compliance_gate = ComplianceGate::new(&catalog, Severity::Medium);
@@ -361,7 +335,7 @@ pub fn run_traced(
     // The operations phase inherits `config.seed` as its trace
     // namespace (its drift RNG still uses the offset seed below), so
     // incident roots coincide with the requirement roots minted above.
-    let ops = OperationsPhase::new(&catalog).run_traced(
+    let ops = OperationsPhase::new(&catalog).run(
         &mut production,
         &OpsConfig {
             engine: MonitorEngine::Polling,
@@ -371,9 +345,7 @@ pub fn run_traced(
             audit_period: config.audit_period,
             seed: config.seed.wrapping_add(1),
         },
-        obs,
-        journal,
-        config.seed,
+        &lent,
     );
 
     PipelineReport {
@@ -483,14 +455,32 @@ fn synth_commit(index: usize, config: &PipelineConfig, rng: &mut StdRng) -> Comm
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vdo_trace::Journal;
+
+    fn with_registry(registry: &vdo_obs::Registry) -> Telemetry {
+        Telemetry {
+            registry: registry.clone(),
+            ..Telemetry::off()
+        }
+    }
+
+    fn with_journal(journal: &Journal) -> Telemetry {
+        Telemetry {
+            journal: journal.clone(),
+            ..Telemetry::off()
+        }
+    }
 
     #[test]
     fn gated_pipeline_blocks_everything_risky() {
-        let report = run(&PipelineConfig {
-            commits: 60,
-            seed: 5,
-            ..PipelineConfig::default()
-        });
+        let report = run(
+            &PipelineConfig {
+                commits: 60,
+                seed: 5,
+                ..PipelineConfig::default()
+            },
+            &Telemetry::off(),
+        );
         assert_eq!(report.smelly_requirements_merged, 0);
         assert_eq!(report.vulnerabilities_deployed, 0);
         assert!(report.rejected_requirements > 0);
@@ -508,15 +498,18 @@ mod tests {
 
     #[test]
     fn ungated_pipeline_ships_problems() {
-        let report = run(&PipelineConfig {
-            commits: 60,
-            requirements_gate: false,
-            compliance_gate: false,
-            test_gate: false,
-            analysis_gate: false,
-            seed: 5,
-            ..PipelineConfig::default()
-        });
+        let report = run(
+            &PipelineConfig {
+                commits: 60,
+                requirements_gate: false,
+                compliance_gate: false,
+                test_gate: false,
+                analysis_gate: false,
+                seed: 5,
+                ..PipelineConfig::default()
+            },
+            &Telemetry::off(),
+        );
         assert!(report.smelly_requirements_merged > 0);
         assert!(report.vulnerabilities_deployed > 0);
         assert_eq!(report.rejected_requirements, 0);
@@ -525,14 +518,17 @@ mod tests {
 
     #[test]
     fn requirements_gate_alone_still_lets_vulnerabilities_pass() {
-        let report = run(&PipelineConfig {
-            commits: 60,
-            requirements_gate: true,
-            compliance_gate: false,
-            analysis_gate: false,
-            seed: 7,
-            ..PipelineConfig::default()
-        });
+        let report = run(
+            &PipelineConfig {
+                commits: 60,
+                requirements_gate: true,
+                compliance_gate: false,
+                analysis_gate: false,
+                seed: 7,
+                ..PipelineConfig::default()
+            },
+            &Telemetry::off(),
+        );
         assert_eq!(report.smelly_requirements_merged, 0);
         assert!(report.vulnerabilities_deployed > 0);
     }
@@ -540,19 +536,25 @@ mod tests {
     #[test]
     fn automated_beats_manual_on_exposure() {
         let seed = 21;
-        let automated = run(&PipelineConfig {
-            seed,
-            ..PipelineConfig::default()
-        });
-        let manual = run(&PipelineConfig {
-            seed,
-            requirements_gate: false,
-            compliance_gate: false,
-            test_gate: false,
-            analysis_gate: false,
-            monitor_period: None,
-            ..PipelineConfig::default()
-        });
+        let automated = run(
+            &PipelineConfig {
+                seed,
+                ..PipelineConfig::default()
+            },
+            &Telemetry::off(),
+        );
+        let manual = run(
+            &PipelineConfig {
+                seed,
+                requirements_gate: false,
+                compliance_gate: false,
+                test_gate: false,
+                analysis_gate: false,
+                monitor_period: None,
+                ..PipelineConfig::default()
+            },
+            &Telemetry::off(),
+        );
         assert!(
             automated.ops.exposure() <= manual.ops.exposure(),
             "automated {} vs manual {}",
@@ -571,14 +573,20 @@ mod tests {
                 seed,
                 ..PipelineConfig::default()
             };
-            let incremental = run(&PipelineConfig {
-                incremental_analysis: true,
-                ..base
-            });
-            let batch = run(&PipelineConfig {
-                incremental_analysis: false,
-                ..base
-            });
+            let incremental = run(
+                &PipelineConfig {
+                    incremental_analysis: true,
+                    ..base
+                },
+                &Telemetry::off(),
+            );
+            let batch = run(
+                &PipelineConfig {
+                    incremental_analysis: false,
+                    ..base
+                },
+                &Telemetry::off(),
+            );
             assert_eq!(
                 incremental, batch,
                 "seed {seed}: incremental gating must not change any verdict"
@@ -589,14 +597,14 @@ mod tests {
     #[test]
     fn incremental_runs_export_cache_counters() {
         let registry = vdo_obs::Registry::new();
-        let report = run_observed(
+        let report = run(
             &PipelineConfig {
                 commits: 40,
                 bad_artifact_rate: 0.3,
                 seed: 5,
                 ..PipelineConfig::default()
             },
-            &registry,
+            &with_registry(&registry),
         );
         let snap = registry.snapshot();
         let applies = snap
@@ -618,7 +626,7 @@ mod tests {
             commits: 30,
             ..PipelineConfig::default()
         };
-        assert_eq!(run(&cfg), run(&cfg));
+        assert_eq!(run(&cfg, &Telemetry::off()), run(&cfg, &Telemetry::off()));
     }
 
     #[test]
@@ -629,7 +637,7 @@ mod tests {
             seed: 5,
             ..PipelineConfig::default()
         };
-        let report = run_observed(&cfg, &registry);
+        let report = run(&cfg, &with_registry(&registry));
         let snap = registry.snapshot();
         assert_eq!(snap.counter("pipeline.commits"), Some(40));
         assert_eq!(
@@ -664,8 +672,8 @@ mod tests {
             seed: 9,
             ..PipelineConfig::default()
         };
-        let plain = run(&cfg);
-        let observed = run_observed(&cfg, &vdo_obs::Registry::new());
+        let plain = run(&cfg, &Telemetry::off());
+        let observed = run(&cfg, &with_registry(&vdo_obs::Registry::new()));
         assert_eq!(plain, observed, "instrumentation must not change behaviour");
     }
 
@@ -677,9 +685,9 @@ mod tests {
             ..PipelineConfig::default()
         };
         let a = vdo_obs::Registry::new();
-        let _ = run_observed(&cfg, &a);
+        let _ = run(&cfg, &with_registry(&a));
         let b = vdo_obs::Registry::new();
-        let _ = run_observed(&cfg, &b);
+        let _ = run(&cfg, &with_registry(&b));
         assert_eq!(
             a.snapshot().deterministic_fingerprint(),
             b.snapshot().deterministic_fingerprint()
@@ -696,7 +704,7 @@ mod tests {
             ..PipelineConfig::default()
         };
         let journal = Journal::new();
-        let report = run_traced(&cfg, &vdo_obs::Registry::disabled(), &journal);
+        let report = run(&cfg, &with_journal(&journal));
         assert!(!report.ops.incidents.is_empty(), "drift must bite");
         let snap = journal.snapshot();
         for incident in &report.ops.incidents {
@@ -731,7 +739,10 @@ mod tests {
             seed: 5,
             ..PipelineConfig::default()
         };
-        let (report, journal) = run_journaled(&cfg, &vdo_obs::Registry::disabled(), &dir).unwrap();
+        let sink = vdo_trace::DirWriter::create(&dir, "vdo-journal v1\nsource=pipeline\n").unwrap();
+        let journal = Journal::with_sink(vdo_trace::JournalConfig::default(), Box::new(sink));
+        let report = run(&cfg, &with_journal(&journal));
+        journal.sync();
         let disk = vdo_trace::JournalDir::open(&dir).unwrap();
         assert_eq!(disk.header().unwrap(), "vdo-journal v1\nsource=pipeline\n");
         assert_eq!(
@@ -752,7 +763,10 @@ mod tests {
         assert!(names.iter().any(|n| n == "gate.verdict"));
         assert!(names.iter().any(|n| n == "pipeline.deploy"));
         // Behaviour is untouched by the sink.
-        assert_eq!(report.to_summary(), run(&cfg).to_summary());
+        assert_eq!(
+            report.to_summary(),
+            run(&cfg, &Telemetry::off()).to_summary()
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -764,8 +778,8 @@ mod tests {
             seed: 9,
             ..PipelineConfig::default()
         };
-        let plain = run(&cfg);
-        let traced = run_traced(&cfg, &vdo_obs::Registry::disabled(), &Journal::new());
+        let plain = run(&cfg, &Telemetry::off());
+        let traced = run(&cfg, &with_journal(&Journal::new()));
         assert_eq!(plain.to_summary(), traced.to_summary());
         assert_eq!(plain.rejected_total(), traced.rejected_total());
         assert_eq!(
@@ -796,16 +810,12 @@ mod tests {
             ..PipelineConfig::default()
         };
         let a = Journal::new();
-        let _ = run_traced(&cfg, &vdo_obs::Registry::disabled(), &a);
+        let _ = run(&cfg, &with_journal(&a));
         let b = Journal::new();
-        let _ = run_traced(&cfg, &vdo_obs::Registry::disabled(), &b);
+        let _ = run(&cfg, &with_journal(&b));
         assert_eq!(a.snapshot().fingerprint(), b.snapshot().fingerprint());
         let c = Journal::new();
-        let _ = run_traced(
-            &PipelineConfig { seed: 18, ..cfg },
-            &vdo_obs::Registry::disabled(),
-            &c,
-        );
+        let _ = run(&PipelineConfig { seed: 18, ..cfg }, &with_journal(&c));
         assert_ne!(
             a.snapshot().fingerprint(),
             c.snapshot().fingerprint(),
@@ -815,11 +825,14 @@ mod tests {
 
     #[test]
     fn report_serialises_to_json() {
-        let report = run(&PipelineConfig {
-            commits: 20,
-            seed: 3,
-            ..PipelineConfig::default()
-        });
+        let report = run(
+            &PipelineConfig {
+                commits: 20,
+                seed: 3,
+                ..PipelineConfig::default()
+            },
+            &Telemetry::off(),
+        );
         let json = serde::json::to_string(&report);
         assert!(json.contains("\"commits\":20"));
         assert!(json.contains("\"ops\""));
@@ -830,11 +843,14 @@ mod tests {
 
     #[test]
     fn summary_renders_consistent_numbers() {
-        let report = run(&PipelineConfig {
-            commits: 30,
-            seed: 2,
-            ..PipelineConfig::default()
-        });
+        let report = run(
+            &PipelineConfig {
+                commits: 30,
+                seed: 2,
+                ..PipelineConfig::default()
+            },
+            &Telemetry::off(),
+        );
         let s = report.to_summary();
         assert!(s.contains("30 commits"));
         assert!(s.contains(&format!("{} rejected", report.rejected_total())));

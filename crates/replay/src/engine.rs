@@ -156,6 +156,7 @@ pub struct Recording {
 /// so the directory is self-describing: [`Replayer::open`] needs
 /// nothing else.
 pub fn record(spec: &RunSpec, dir: &Path) -> io::Result<Recording> {
+    spec.validate()?;
     let sink = DirWriter::create(dir, &spec.to_header())?;
     let journal = Journal::with_sink(capture_config(spec), Box::new(sink));
     let (report, _fleet) = run_soc(spec, None, None, &journal);
@@ -209,6 +210,7 @@ pub fn record_sampled(
     dir: &Path,
     policy: SamplingPolicy,
 ) -> io::Result<(Recording, SamplingStats)> {
+    spec.validate()?;
     let sink = SamplingSink::new(DirWriter::create(dir, &spec.to_header())?, policy);
     let stats = sink.stats();
     let journal = Journal::with_sink(capture_config(spec), Box::new(sink));
@@ -245,6 +247,7 @@ fn parse_checkpoints(text: &str) -> io::Result<Vec<Checkpoint>> {
             journal_digest: 0,
             verdict_digest: 0,
         };
+        let mut seen: Vec<&str> = Vec::with_capacity(4);
         for token in line.split_whitespace() {
             let (key, value) = token
                 .split_once('=')
@@ -257,6 +260,13 @@ fn parse_checkpoints(text: &str) -> io::Result<Vec<Checkpoint>> {
                 "verdict" => cp.verdict_digest = u64::from_str_radix(value, 16).map_err(err)?,
                 _ => continue,
             }
+            if seen.contains(&key) {
+                return Err(bad(format!("checkpoint key {key} repeated in {line:?}")));
+            }
+            seen.push(key);
+        }
+        if seen.len() < 4 {
+            return Err(bad(format!("checkpoint line {line:?} lacks a key")));
         }
         out.push(cp);
     }
@@ -483,6 +493,36 @@ mod tests {
             fault_rate: 0.3,
             checkpoint_period: 20,
         }
+    }
+
+    #[test]
+    fn checkpoint_lines_need_every_key_exactly_once() {
+        let head = format!("{CHECKPOINTS_VERSION}\n");
+        let good = "tick=20 events=5 journal=00000000000000aa verdict=00000000000000bb";
+        let parsed = parse_checkpoints(&format!("{head}{good} future=1\n")).unwrap();
+        assert_eq!(parsed[0].tick, 20);
+        assert_eq!(parsed[0].verdict_digest, 0xbb);
+        for line in [
+            "events=5 journal=00000000000000aa verdict=00000000000000bb",
+            "tick=20 events=5 journal=00000000000000aa",
+            "tick=20 tick=40 events=5 journal=00000000000000aa verdict=00000000000000bb",
+            "tick=20 events=5 journal=aa verdict=bb journal=cc",
+        ] {
+            let err = parse_checkpoints(&format!("{head}{line}\n")).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{line}");
+        }
+    }
+
+    #[test]
+    fn invalid_specs_are_refused_before_recording() {
+        let dir = tmp("invalid");
+        let spec = RunSpec {
+            workers: 0,
+            ..small_spec()
+        };
+        let err = record(&spec, &dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(!dir.exists(), "nothing is written for a refused spec");
     }
 
     #[test]

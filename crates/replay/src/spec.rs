@@ -88,29 +88,25 @@ impl RunSpec {
     }
 
     /// Parses a header produced by [`to_header`](RunSpec::to_header).
-    /// Unknown keys are ignored (forward compatibility); missing keys
-    /// and malformed values are errors.
+    /// Unknown keys are ignored (forward compatibility); a missing or
+    /// repeated key, a malformed value, and a spec that
+    /// [`validate`](RunSpec::validate) rejects are errors.
     pub fn from_header(header: &str) -> io::Result<RunSpec> {
+        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
         let mut lines = header.lines();
         let version = lines.next().unwrap_or("");
         if version != SPEC_VERSION {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unsupported spec version {version:?}"),
-            ));
+            return Err(invalid(format!("unsupported spec version {version:?}")));
         }
         let mut spec = RunSpec::default();
-        let mut seen = 0u32;
+        let mut seen: Vec<&str> = Vec::with_capacity(9);
         for line in lines {
             let line = line.trim();
             if line.is_empty() {
                 continue;
             }
             let Some((key, value)) = line.split_once('=') else {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("malformed spec line {line:?}"),
-                ));
+                return Err(invalid(format!("malformed spec line {line:?}")));
             };
             fn parse<T: std::str::FromStr>(key: &str, value: &str) -> io::Result<T> {
                 value.parse().map_err(|_| {
@@ -132,15 +128,31 @@ impl RunSpec {
                 "checkpoint_period" => spec.checkpoint_period = parse(key, value)?,
                 _ => continue, // forward compatibility
             }
-            seen += 1;
+            if seen.contains(&key) {
+                return Err(invalid(format!("spec key {key} repeated")));
+            }
+            seen.push(key);
         }
-        if seen < 9 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("spec header incomplete ({seen}/9 keys)"),
-            ));
+        if seen.len() < 9 {
+            return Err(invalid(format!(
+                "spec header incomplete ({}/9 keys)",
+                seen.len()
+            )));
         }
+        spec.validate()?;
         Ok(spec)
+    }
+
+    /// Checks that the spec describes a runnable simulation: its
+    /// [`soc_config`](RunSpec::soc_config) passes
+    /// [`SocConfig::validate`].
+    ///
+    /// # Errors
+    /// `InvalidData`, naming the rejected value.
+    pub fn validate(&self) -> io::Result<()> {
+        self.soc_config(None, None)
+            .validate()
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("invalid spec: {e}")))
     }
 
     /// The SOC configuration this spec describes, optionally truncated
@@ -202,6 +214,60 @@ mod tests {
         assert!(RunSpec::from_header("vdo-replay-spec v1\nseed=1\n").is_err());
         assert!(RunSpec::from_header("something else\n").is_err());
         assert!(RunSpec::from_header("vdo-replay-spec v1\nseed;1\n").is_err());
+    }
+
+    #[test]
+    fn malformed_headers_are_errors() {
+        let good = RunSpec::default().to_header();
+        let body: Vec<&str> = good.lines().skip(1).collect();
+        let header = |lines: &[&str]| format!("{SPEC_VERSION}\n{}\n", lines.join("\n"));
+        let mut bad = Vec::new();
+        for (i, line) in body.iter().enumerate() {
+            let mut dropped = body.clone();
+            dropped.remove(i);
+            bad.push(header(&dropped));
+            let mut repeated = body.clone();
+            repeated.push(line);
+            bad.push(header(&repeated));
+        }
+        // A repeated key must not stand in for a missing one.
+        let swapped: Vec<&str> = body
+            .iter()
+            .map(|&l| if l.starts_with("hosts=") { body[0] } else { l })
+            .collect();
+        bad.push(header(&swapped));
+        for (key, value) in [
+            ("workers", "0"),
+            ("shards", "0"),
+            ("drift_rate", "-0.1"),
+            ("drift_rate", "1.5"),
+            ("drift_rate", "NaN"),
+            ("fault_rate", "-0.1"),
+            ("fault_rate", "1.5"),
+            ("fault_rate", "NaN"),
+        ] {
+            let prefix = format!("{key}=");
+            let line = format!("{key}={value}");
+            let edited: Vec<&str> = body
+                .iter()
+                .map(|&l| {
+                    if l.starts_with(&prefix) {
+                        line.as_str()
+                    } else {
+                        l
+                    }
+                })
+                .collect();
+            bad.push(header(&edited));
+        }
+        for text in &bad {
+            let err = RunSpec::from_header(text).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{text}");
+        }
+        assert_eq!(
+            RunSpec::from_header(&header(&body)).unwrap(),
+            RunSpec::default()
+        );
     }
 
     #[test]

@@ -105,6 +105,39 @@ pub struct SocConfig {
     pub remediation: RemediationConfig,
 }
 
+impl SocConfig {
+    /// Checks the values the engine relies on: nonzero worker, shard
+    /// and queue sizes, and `drift_rate`, `attack_rate` and
+    /// `remediation.fault_rate` probabilities in `[0, 1]` (NaN
+    /// rejected). [`SocEngine::new`] calls this, and so should code
+    /// that reads a configuration from outside the program before it
+    /// runs anything (the replay spec parser does).
+    ///
+    /// # Errors
+    /// The first rejected value.
+    pub fn validate(&self) -> Result<(), SocConfigError> {
+        if self.workers == 0 {
+            return Err(SocConfigError::ZeroWorkers);
+        }
+        if self.shards == 0 {
+            return Err(SocConfigError::ZeroShards);
+        }
+        if self.queue_capacity == 0 {
+            return Err(SocConfigError::ZeroQueueCapacity);
+        }
+        for (field, value) in [
+            ("drift_rate", self.drift_rate),
+            ("attack_rate", self.attack_rate),
+            ("remediation.fault_rate", self.remediation.fault_rate),
+        ] {
+            if !(0.0..=1.0).contains(&value) {
+                return Err(SocConfigError::InvalidRate { field, value });
+            }
+        }
+        Ok(())
+    }
+}
+
 impl Default for SocConfig {
     fn default() -> Self {
         SocConfig {
@@ -213,7 +246,7 @@ impl Default for SloPolicy {
 }
 
 /// Rejected [`SocConfig`] values.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SocConfigError {
     /// `workers` was zero.
     ZeroWorkers,
@@ -221,6 +254,13 @@ pub enum SocConfigError {
     ZeroShards,
     /// `queue_capacity` was zero.
     ZeroQueueCapacity,
+    /// A probability was outside `[0, 1]` or NaN.
+    InvalidRate {
+        /// The configuration field.
+        field: &'static str,
+        /// The rejected value.
+        value: f64,
+    },
     /// `tears_assertion` failed to parse; the payload is the parser's
     /// message.
     InvalidAssertion(String),
@@ -233,6 +273,9 @@ impl std::fmt::Display for SocConfigError {
             SocConfigError::ZeroShards => f.write_str("event bus needs at least one shard"),
             SocConfigError::ZeroQueueCapacity => {
                 f.write_str("shard queues must hold at least one event")
+            }
+            SocConfigError::InvalidRate { field, value } => {
+                write!(f, "{field} must be a probability in [0, 1], got {value}")
             }
             SocConfigError::InvalidAssertion(e) => write!(f, "invalid TEARS assertion: {e}"),
         }
@@ -433,17 +476,10 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
     /// Validates `config` and builds the engine.
     ///
     /// # Errors
-    /// On zero worker/shard/queue sizes or an unparseable assertion.
+    /// When [`SocConfig::validate`] rejects `config`, or on an
+    /// unparseable assertion.
     pub fn new(catalog: &'a Catalog<E>, config: SocConfig) -> Result<Self, SocConfigError> {
-        if config.workers == 0 {
-            return Err(SocConfigError::ZeroWorkers);
-        }
-        if config.shards == 0 {
-            return Err(SocConfigError::ZeroShards);
-        }
-        if config.queue_capacity == 0 {
-            return Err(SocConfigError::ZeroQueueCapacity);
-        }
+        config.validate()?;
         let assertion = match &config.tears_assertion {
             Some(src) => {
                 Some(Arc::new(GuardedAssertion::parse(src).map_err(|e| {
@@ -468,27 +504,21 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
     /// Runs the engine over `hosts`, mutating them in place (drift and
     /// remediation), and reports incidents plus metrics.
     pub fn run(&self, hosts: &mut [E]) -> SocReport {
-        self.run_with_metrics(hosts, &SocMetrics::new())
+        self.run_traced(hosts, &SocMetrics::new(), &SocTracing::disabled())
     }
 
     /// Like [`run`](Self::run), but records into caller-owned
-    /// instruments: pass [`SocMetrics::in_registry`] to surface the run
-    /// in a unified [`vdo_obs`] snapshot, or [`SocMetrics::disabled`]
-    /// to run with the no-op recorder (experiment E12 measures that
-    /// overhead at under 5%). The returned report snapshots whatever
-    /// the instruments captured.
-    pub fn run_with_metrics(&self, hosts: &mut [E], metrics: &SocMetrics) -> SocReport {
-        self.run_traced(hosts, metrics, &SocTracing::disabled())
-    }
-
-    /// Like [`run_with_metrics`](Self::run_with_metrics), plus causal
-    /// tracing: requirement roots are journalled at tick 0, every
+    /// instruments and adds causal tracing. `metrics` may be
+    /// [`SocMetrics::in_registry`], to surface the run in a unified
+    /// [`vdo_obs`] snapshot, or [`SocMetrics::disabled`], the no-op
+    /// recorder (experiment E12 measures that overhead at under 5%);
+    /// the returned report snapshots whatever the instruments captured.
+    /// Under tracing, requirement roots are journalled at tick 0, every
     /// detection/remediation step emits a journal event chained to the
     /// requirement's [`TraceContext`], bus envelopes carry their
     /// publisher's context, and an optional [`SloPolicy`] evaluates
-    /// burn-rate rules in-run. With [`SocTracing::disabled`] this is
-    /// byte-identical to an untraced run — experiment E14 measures the
-    /// enabled overhead. Journal events are emitted from the main
+    /// burn-rate rules in-run. [`SocTracing::disabled`] journals
+    /// nothing; experiment E14 measures the enabled overhead. Journal events are emitted from the main
     /// thread with purely derived contents, so equal-seed runs produce
     /// identical journal fingerprints at any worker count.
     pub fn run_traced(
@@ -1183,6 +1213,46 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_rates_are_recoverable_errors() {
+        let catalog = ubuntu::catalog();
+        for rate in [-0.1, 1.5, f64::NAN] {
+            let faulty = RemediationConfig {
+                fault_rate: rate,
+                ..RemediationConfig::default()
+            };
+            for (cfg, field) in [
+                (
+                    SocConfig {
+                        drift_rate: rate,
+                        ..SocConfig::default()
+                    },
+                    "drift_rate",
+                ),
+                (
+                    SocConfig {
+                        attack_rate: rate,
+                        ..SocConfig::default()
+                    },
+                    "attack_rate",
+                ),
+                (
+                    SocConfig {
+                        remediation: faulty,
+                        ..SocConfig::default()
+                    },
+                    "remediation.fault_rate",
+                ),
+            ] {
+                let err = SocEngine::new(&catalog, cfg).unwrap_err();
+                assert!(
+                    matches!(err, SocConfigError::InvalidRate { field: f, .. } if f == field),
+                    "{field}={rate}: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn drift_is_detected_with_zero_tick_latency() {
         let catalog = ubuntu::catalog();
         let engine = SocEngine::new(&catalog, base_config()).unwrap();
@@ -1365,7 +1435,7 @@ mod tests {
         let engine = SocEngine::new(&catalog, base_config()).unwrap();
         let mut a = compliant_fleet(6);
         let mut b = compliant_fleet(6);
-        let untraced = engine.run_with_metrics(&mut a, &SocMetrics::new());
+        let untraced = engine.run(&mut a);
         let disabled = engine.run_traced(&mut b, &SocMetrics::new(), &SocTracing::disabled());
         assert_eq!(untraced.incident_log(), disabled.incident_log());
         assert!(disabled.incidents.iter().all(|i| i.trace.is_none()));

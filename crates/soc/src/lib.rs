@@ -35,7 +35,7 @@
 //! log ([`SocReport::incident_log`]) for *any* worker count.
 //!
 //! ```
-//! use vdo_soc::{SocConfig, SocEngine};
+//! use vdo_soc::{SocConfig, SocEngine, SocMetrics, SocTracing};
 //! use vdo_core::RemediationPlanner;
 //! use vdo_host::UnixHost;
 //!
@@ -52,6 +52,12 @@
 //! let report = engine.run(&mut fleet);
 //! // Every detection lands on the tick its drift happened.
 //! assert!(report.incidents.iter().all(|i| i.latency() == 0));
+//!
+//! // `run_traced` is the instrumented entry point: caller-owned metrics,
+//! // and a journal whose requirement roots every incident resolves to.
+//! let tracing = SocTracing::new(vdo_trace::Journal::new(), 7);
+//! let traced = engine.run_traced(&mut fleet, &SocMetrics::new(), &tracing);
+//! assert!(traced.incidents.iter().all(|i| i.trace.is_some()));
 //! ```
 
 pub mod bus;

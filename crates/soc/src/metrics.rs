@@ -67,8 +67,8 @@ impl SocMetrics {
 
     /// The no-op recorder: every instrument is inert, the snapshot is
     /// all zeros. Pass to
-    /// [`SocEngine::run_with_metrics`](crate::SocEngine::run_with_metrics)
-    /// to measure the engine with observability off (experiment E12).
+    /// [`SocEngine::run_traced`](crate::SocEngine::run_traced) to
+    /// measure the engine with observability off (experiment E12).
     #[must_use]
     pub fn disabled() -> Self {
         SocMetrics {

@@ -37,7 +37,7 @@ proptest! {
 
         let mut polled_host = UnixHost::baseline_ubuntu_1804();
         planner.run(&catalog, &mut polled_host);
-        let polled = OperationsPhase::new(&catalog).run(&mut polled_host, &base);
+        let polled = OperationsPhase::new(&catalog).run(&mut polled_host, &base, &vdo_trace::Telemetry::off());
 
         let mut event_host = UnixHost::baseline_ubuntu_1804();
         planner.run(&catalog, &mut event_host);
@@ -46,7 +46,7 @@ proptest! {
             &OpsConfig {
                 engine: MonitorEngine::EventDriven { workers: 1 },
                 ..base
-            },
+            }, &vdo_trace::Telemetry::off()
         );
 
         prop_assert_eq!(polled.drift_events, eventful.drift_events,

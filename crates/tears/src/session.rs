@@ -70,67 +70,14 @@ impl Session {
     /// Evaluates every assertion over the trace.
     #[must_use]
     pub fn evaluate(&self, trace: &SignalTrace) -> SessionOverview {
-        self.evaluate_observed(trace, &vdo_obs::Registry::disabled())
-    }
-
-    /// Like [`evaluate`](Self::evaluate), but records the
-    /// `tears.assertions_evaluated` / `tears.violations` counters and
-    /// times the evaluation under the `tears/session` span in `obs`.
-    #[must_use]
-    pub fn evaluate_observed(
-        &self,
-        trace: &SignalTrace,
-        obs: &vdo_obs::Registry,
-    ) -> SessionOverview {
-        let _span = obs.span("tears/session");
-        let overview = SessionOverview {
+        SessionOverview {
             reports: self
                 .assertions
                 .iter()
                 .map(|ga| ga.evaluate(trace))
                 .collect(),
             trace_ticks: trace.len(),
-        };
-        obs.counter("tears.assertions_evaluated")
-            .add(overview.reports.len() as u64);
-        obs.counter("tears.violations")
-            .add(overview.total_violations() as u64);
-        overview
-    }
-
-    /// Like [`evaluate_observed`](Self::evaluate_observed), but also
-    /// records one `tears.verdict` event per assertion in `journal` —
-    /// Info on pass/incomplete, Warn on fail — rooted at the
-    /// assertion's requirement trace (`TraceContext::root(trace_seed,
-    /// name)`), so a session verdict resolves to the same trace id as
-    /// any runtime incident raised for that assertion. With a disabled
-    /// journal this is exactly `evaluate_observed`.
-    #[must_use]
-    pub fn evaluate_traced(
-        &self,
-        trace: &SignalTrace,
-        obs: &vdo_obs::Registry,
-        journal: &vdo_trace::Journal,
-        trace_seed: u64,
-    ) -> SessionOverview {
-        let overview = self.evaluate_observed(trace, obs);
-        if journal.is_enabled() {
-            for r in overview.reports() {
-                let ctx = vdo_trace::TraceContext::root(trace_seed, &r.name).child("verdict");
-                let ev = if r.verdict == CheckStatus::Fail {
-                    vdo_trace::Event::warn("tears.verdict")
-                } else {
-                    vdo_trace::Event::info("tears.verdict")
-                };
-                journal.emit(
-                    ev.trace(ctx)
-                        .field("assertion", r.name.as_str())
-                        .field("violations", r.violations.len())
-                        .field("verdict", r.verdict.to_string()),
-                );
-            }
         }
-        overview
     }
 }
 
@@ -261,51 +208,6 @@ ga "no pressure when idle": when pedal < 0.1 then pressure < 1 within 0
         let table = overview.to_table();
         assert!(table.contains("impossible"));
         assert!(table.contains("FAIL"));
-    }
-
-    #[test]
-    fn observed_evaluation_records_counts() {
-        let registry = vdo_obs::Registry::new();
-        let s = Session::parse(r#"ga "impossible": when pedal >= 0 then pressure > 99 within 0"#)
-            .unwrap();
-        let overview = s.evaluate_observed(&trace(), &registry);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("tears.assertions_evaluated"), Some(1));
-        assert_eq!(
-            snap.counter("tears.violations"),
-            Some(overview.total_violations() as u64)
-        );
-        assert_eq!(snap.span_count("tears/session"), Some(1));
-    }
-
-    #[test]
-    fn traced_evaluation_roots_verdicts_at_assertion_requirements() {
-        use vdo_trace::{Journal, TraceContext};
-        let s = Session::parse(REQS).unwrap();
-        let journal = Journal::new();
-        let overview = s.evaluate_traced(&trace(), &vdo_obs::Registry::disabled(), &journal, 11);
-        assert_eq!(
-            overview,
-            s.evaluate(&trace()),
-            "tracing never changes verdicts"
-        );
-        let snap = journal.snapshot();
-        let verdicts = snap.events_named("tears.verdict");
-        assert_eq!(verdicts.len(), 2);
-        for ga in s.assertions() {
-            let root = TraceContext::root(11, ga.name());
-            assert!(
-                verdicts
-                    .iter()
-                    .any(|ev| ev.trace.is_some_and(|t| t.trace_id == root.trace_id)),
-                "verdict for {:?} resolves to its requirement root",
-                ga.name()
-            );
-        }
-        // Disabled journal stays silent.
-        let silent = Journal::default();
-        let _ = s.evaluate_traced(&trace(), &vdo_obs::Registry::disabled(), &silent, 11);
-        assert!(silent.snapshot().events.is_empty());
     }
 
     #[test]

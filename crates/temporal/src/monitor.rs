@@ -121,28 +121,6 @@ impl MonitoringLoop {
     /// ticks `0, period, 2·period, …`, stopping early on a decided
     /// verdict.
     pub fn run<S, P: TemporalPattern<S>>(&self, pattern: &P, trace: &Trace<S>) -> MonitorReport {
-        self.run_observed(pattern, trace, &vdo_obs::Registry::disabled())
-    }
-
-    /// Like [`run`](Self::run), but records the `temporal.polls` /
-    /// `temporal.violations` counters and times the evaluation under
-    /// the `temporal/monitor` span in `obs`.
-    pub fn run_observed<S, P: TemporalPattern<S>>(
-        &self,
-        pattern: &P,
-        trace: &Trace<S>,
-        obs: &vdo_obs::Registry,
-    ) -> MonitorReport {
-        let _span = obs.span("temporal/monitor");
-        let report = self.run_inner(pattern, trace);
-        obs.counter("temporal.polls").add(report.polls);
-        if matches!(report.outcome, MonitorOutcome::ViolationDetected(_)) {
-            obs.counter("temporal.violations").inc();
-        }
-        report
-    }
-
-    fn run_inner<S, P: TemporalPattern<S>>(&self, pattern: &P, trace: &Trace<S>) -> MonitorReport {
         let mut monitor = pattern.begin();
         let mut polls = 0;
         let mut tick = 0;
@@ -279,20 +257,6 @@ mod tests {
             .run(&pattern, &states);
         assert_eq!(report.outcome, MonitorOutcome::EndOfTrace);
         assert_eq!(report.final_verdict, CheckStatus::Incomplete);
-    }
-
-    #[test]
-    fn observed_run_records_polls_and_violations() {
-        let registry = vdo_obs::Registry::new();
-        let pattern = GlobalUniversality::new(|b: &bool| CheckStatus::from(*b));
-        let report = MonitoringLoop::new(1)
-            .expect("nonzero period")
-            .run_observed(&pattern, &up(7), &registry);
-        assert_eq!(report.outcome, MonitorOutcome::ViolationDetected(7));
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("temporal.polls"), Some(8));
-        assert_eq!(snap.counter("temporal.violations"), Some(1));
-        assert_eq!(snap.span_count("temporal/monitor"), Some(1));
     }
 
     #[test]

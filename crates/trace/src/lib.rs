@@ -8,6 +8,8 @@
 //! * [`TraceContext`] — deterministic trace/span identities minted as
 //!   pure hashes of `(seed, artifact id)`, so equal-seed runs emit
 //!   bit-identical causal trees at any worker count;
+//! * [`Telemetry`] — the registry, journal and trace seed every layer
+//!   of the closed loop takes as one handle;
 //! * [`Journal`] — a sharded, bounded, lossy-tail event journal with
 //!   severity levels, typed fields, exact drop accounting, global
 //!   sequence numbers, a no-op disabled mode that costs one branch
@@ -36,6 +38,7 @@ pub mod export;
 pub mod journal;
 pub mod live;
 pub mod sampling;
+pub mod telemetry;
 
 pub use colfmt::{compact, CompactionStats, DirWriter, JournalDir, SegmentReader, SegmentWriter};
 pub use context::{SpanId, TraceContext, TraceId};
@@ -44,3 +47,4 @@ pub use journal::{
 };
 pub use live::{BurnRateRule, LiveSloEngine, SloAlert, SloSignal};
 pub use sampling::{SamplingPolicy, SamplingSink, SamplingStats};
+pub use telemetry::Telemetry;

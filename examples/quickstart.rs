@@ -13,6 +13,7 @@ use veridevops::nalabs::{Analyzer, RequirementDoc};
 use veridevops::pipeline::{Commit, ComplianceGate, ConfigChange, RequirementsGate};
 use veridevops::pipeline::{MonitorEngine, OperationsPhase, OpsConfig};
 use veridevops::stigs::ubuntu;
+use veridevops::trace::Telemetry;
 
 fn main() {
     println!("== VeriDevOps quickstart ==\n");
@@ -84,6 +85,7 @@ fn main() {
             audit_period: 500,
             seed: 42,
         },
+        &Telemetry::off(),
     );
     println!(
         "\noperations: {} drift events, {} incidents detected \

@@ -13,9 +13,16 @@
 //!
 //! Run with: `cargo run --example trace_audit`
 
-use veridevops::obs::Registry;
-use veridevops::pipeline::{run_traced, PipelineConfig};
-use veridevops::trace::{export, Journal};
+use veridevops::pipeline::{run, PipelineConfig};
+use veridevops::trace::{export, Journal, Telemetry};
+
+/// Telemetry that journals into `journal` and records no metrics.
+fn with_journal(journal: &Journal) -> Telemetry {
+    Telemetry {
+        journal: journal.clone(),
+        ..Telemetry::off()
+    }
+}
 
 fn main() {
     // -- The gated loop, with the journal recording. --------------------
@@ -27,7 +34,7 @@ fn main() {
         ..PipelineConfig::default()
     };
     let journal = Journal::new();
-    let report = run_traced(&config, &Registry::disabled(), &journal);
+    let report = run(&config, &with_journal(&journal));
     let snapshot = journal.snapshot();
     println!(
         "seed {}: {} commits gated, {} incidents at operations, {} journal events ({} dropped)\n",
@@ -72,7 +79,7 @@ fn main() {
         incident_lines,
     );
     let again = Journal::new();
-    let _ = run_traced(&config, &Registry::disabled(), &again);
+    let _ = run(&config, &with_journal(&again));
     println!(
         "  fingerprints equal: {}",
         snapshot.fingerprint() == again.snapshot().fingerprint()

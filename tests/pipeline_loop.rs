@@ -3,6 +3,7 @@
 //! the paper's headline claim that automation reduces exposure.
 
 use veridevops::pipeline::{run, PipelineConfig};
+use veridevops::trace::Telemetry;
 
 fn base(seed: u64) -> PipelineConfig {
     PipelineConfig {
@@ -19,7 +20,7 @@ fn base(seed: u64) -> PipelineConfig {
 
 #[test]
 fn full_loop_blocks_everything_risky() {
-    let report = run(&base(1));
+    let report = run(&base(1), &Telemetry::off());
     assert_eq!(report.smelly_requirements_merged, 0);
     assert_eq!(report.vulnerabilities_deployed, 0);
     assert!(report.rejected_requirements + report.rejected_compliance > 0);
@@ -30,14 +31,17 @@ fn automated_configuration_dominates_manual_baseline() {
     // Compare across several seeds: gates+monitoring never lose on
     // exposure or detection latency against the unassisted baseline.
     for seed in [2, 3, 5, 8, 13] {
-        let automated = run(&base(seed));
-        let manual = run(&PipelineConfig {
-            requirements_gate: false,
-            compliance_gate: false,
-            test_gate: false,
-            monitor_period: None,
-            ..base(seed)
-        });
+        let automated = run(&base(seed), &Telemetry::off());
+        let manual = run(
+            &PipelineConfig {
+                requirements_gate: false,
+                compliance_gate: false,
+                test_gate: false,
+                monitor_period: None,
+                ..base(seed)
+            },
+            &Telemetry::off(),
+        );
         assert!(
             automated.ops.exposure() <= manual.ops.exposure(),
             "seed {seed}: automated exposure {} > manual {}",
@@ -54,13 +58,16 @@ fn automated_configuration_dominates_manual_baseline() {
 
 #[test]
 fn monitoring_alone_still_catches_operations_drift() {
-    let monitored_only = run(&PipelineConfig {
-        requirements_gate: false,
-        compliance_gate: false,
-        test_gate: false,
-        monitor_period: Some(10),
-        ..base(4)
-    });
+    let monitored_only = run(
+        &PipelineConfig {
+            requirements_gate: false,
+            compliance_gate: false,
+            test_gate: false,
+            monitor_period: Some(10),
+            ..base(4)
+        },
+        &Telemetry::off(),
+    );
     // Vulnerable commits deploy, but the ops monitor finds violations.
     assert!(monitored_only.vulnerabilities_deployed > 0);
     assert!(!monitored_only.ops.incidents.is_empty());
@@ -73,5 +80,8 @@ fn monitoring_alone_still_catches_operations_drift() {
 
 #[test]
 fn reports_are_deterministic() {
-    assert_eq!(run(&base(9)), run(&base(9)));
+    assert_eq!(
+        run(&base(9), &Telemetry::off()),
+        run(&base(9), &Telemetry::off())
+    );
 }

@@ -6,9 +6,9 @@
 
 use veridevops::core::RemediationPlanner;
 use veridevops::host::UnixHost;
-use veridevops::pipeline::{run_traced, MonitorEngine, OperationsPhase, OpsConfig, PipelineConfig};
+use veridevops::pipeline::{run, MonitorEngine, OperationsPhase, OpsConfig, PipelineConfig};
 use veridevops::stigs::ubuntu;
-use veridevops::trace::{Journal, TraceContext};
+use veridevops::trace::{Journal, Telemetry, TraceContext};
 
 fn scenario(seed: u64) -> PipelineConfig {
     PipelineConfig {
@@ -20,6 +20,16 @@ fn scenario(seed: u64) -> PipelineConfig {
     }
 }
 
+/// Telemetry that journals into `journal` with requirement roots minted
+/// from `seed`, and records no metrics.
+fn with_journal(journal: &Journal, seed: u64) -> Telemetry {
+    Telemetry {
+        journal: journal.clone(),
+        trace_seed: seed,
+        ..Telemetry::off()
+    }
+}
+
 /// E10, gated, polling monitor: each incident's trace root is a
 /// catalogue requirement's `requirement.ingested` event, and the
 /// root's trace id equals `TraceContext::root(seed, finding_id)` for
@@ -28,11 +38,7 @@ fn scenario(seed: u64) -> PipelineConfig {
 fn gated_polling_incidents_resolve_to_requirement_roots() {
     let seed = 7;
     let journal = Journal::new();
-    let report = run_traced(
-        &scenario(seed),
-        &veridevops::obs::Registry::disabled(),
-        &journal,
-    );
+    let report = run(&scenario(seed), &with_journal(&journal, seed));
     assert!(
         !report.ops.incidents.is_empty(),
         "workload must raise incidents for the test to mean anything"
@@ -80,7 +86,7 @@ fn event_driven_incidents_resolve_and_fingerprints_ignore_worker_count() {
         let mut host = UnixHost::baseline_ubuntu_1804();
         RemediationPlanner::default().run(&catalog, &mut host);
         let journal = Journal::new();
-        let report = OperationsPhase::new(&catalog).run_traced(
+        let report = OperationsPhase::new(&catalog).run(
             &mut host,
             &OpsConfig {
                 engine: MonitorEngine::EventDriven { workers },
@@ -89,9 +95,7 @@ fn event_driven_incidents_resolve_and_fingerprints_ignore_worker_count() {
                 seed,
                 ..OpsConfig::default()
             },
-            &veridevops::obs::Registry::disabled(),
-            &journal,
-            seed,
+            &with_journal(&journal, seed),
         );
         assert!(!report.incidents.is_empty());
         let snap = journal.snapshot();
@@ -115,11 +119,7 @@ fn event_driven_incidents_resolve_and_fingerprints_ignore_worker_count() {
 fn tracing_is_deterministic_and_free_of_side_effects() {
     let fingerprint = |seed: u64| {
         let journal = Journal::new();
-        let report = run_traced(
-            &scenario(seed),
-            &veridevops::obs::Registry::disabled(),
-            &journal,
-        );
+        let report = run(&scenario(seed), &with_journal(&journal, seed));
         (report.to_summary(), journal.snapshot().fingerprint())
     };
     let (summary_a, fp_a) = fingerprint(21);
