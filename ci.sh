@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Local CI gate — the same steps .github/workflows/ci.yml runs.
+# The CI gate: .github/workflows/ci.yml runs this script after toolchain setup.
 # Usage: ./ci.sh
 set -euo pipefail
 cd "$(dirname "$0")"

@@ -251,7 +251,9 @@ pub fn section(scale: &E18Scale) -> (Value, Vec<Budget>) {
     let mut max_replay_millis = 0.0_f64;
     for &workers in &scale.replay_workers {
         let t0 = Instant::now();
-        let cp = replayer.replay_to_checkpoint(last, Some(workers));
+        let cp = replayer
+            .replay_to_checkpoint(last, Some(workers))
+            .expect("recorded checkpoint replays");
         let millis = t0.elapsed().as_secs_f64() * 1e3;
         max_replay_millis = max_replay_millis.max(millis);
         crate::say!(

@@ -14,7 +14,7 @@
 //! production's per-rule verdicts re-checks only the rules whose
 //! read-sets meet those writes ([`Staged::recheck`]).
 
-use vdo_core::{Catalog, CheckStatus};
+use vdo_core::CheckStatus;
 use vdo_host::{HostKey, SavedKey, UnixHost};
 use vdo_stigs::sweep::CompiledCheck;
 
@@ -58,24 +58,17 @@ impl<'h, 'c> Staged<'h, 'c> {
         self.changes.iter().map(ConfigChange::key)
     }
 
-    /// The catalogue's verdicts on the staged host, given `before`, its
+    /// The rule table's verdicts on the staged host, given `before`, its
     /// verdicts on the host before staging. Only the rules whose
     /// read-set (`checks[i].op().reads`) meets a written key are
     /// re-checked; every other verdict is copied from `before`.
-    /// `checks` must be `catalog` compiled, in catalogue order.
     #[must_use]
-    pub fn recheck(
-        &self,
-        catalog: &Catalog<UnixHost>,
-        checks: &[CompiledCheck],
-        before: &[CheckStatus],
-    ) -> Vec<CheckStatus> {
-        debug_assert_eq!(catalog.len(), checks.len());
-        debug_assert_eq!(catalog.len(), before.len());
+    pub fn recheck(&self, checks: &[CompiledCheck], before: &[CheckStatus]) -> Vec<CheckStatus> {
+        debug_assert_eq!(checks.len(), before.len());
         let mut verdicts = before.to_vec();
-        for ((entry, check), verdict) in catalog.iter().zip(checks).zip(&mut verdicts) {
+        for (check, verdict) in checks.iter().zip(&mut verdicts) {
             if self.writes().any(|key| check.op().reads(&key)) {
-                *verdict = entry.check(self.host);
+                *verdict = check.op().check(self.host);
             }
         }
         verdicts
@@ -216,7 +209,7 @@ mod tests {
                     prop_assert_eq!(before[i], after[i], "{} changed", check.finding_id());
                 }
             }
-            prop_assert_eq!(staged.recheck(shared_catalog(), shared_ubuntu(), &before), after);
+            prop_assert_eq!(staged.recheck(shared_ubuntu(), &before), after);
         }
     }
 
@@ -239,7 +232,7 @@ mod tests {
             let before = verdicts(&host);
             let mut staged_host = host;
             let staged = Staged::apply(&mut staged_host, &commit.changes);
-            let after = staged.recheck(shared_catalog(), shared_ubuntu(), &before);
+            let after = staged.recheck(shared_ubuntu(), &before);
             let journal = Journal::disabled();
             let cx = GateContext {
                 staged_verdicts: Some(&after),

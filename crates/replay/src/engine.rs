@@ -99,26 +99,35 @@ fn capture_config(spec: &RunSpec) -> JournalConfig {
 
 /// Builds the spec's fleet and runs the SOC engine against `journal`,
 /// optionally with a worker override and/or truncated duration.
+///
+/// # Errors
+/// `InvalidInput` when the spec, override or duration maps to a SOC
+/// configuration that [`SocConfig::validate`](vdo_soc::SocConfig::validate)
+/// rejects.
 fn run_soc(
     spec: &RunSpec,
     workers: Option<usize>,
     duration: Option<u64>,
     journal: &Journal,
-) -> (SocReport, Vec<UnixHost>) {
-    let catalog = ubuntu::catalog();
+) -> io::Result<(SocReport, Vec<UnixHost>)> {
+    let catalog = ubuntu::shared_catalog();
+    let engine = SocEngine::new(catalog, spec.soc_config(workers, duration)).map_err(|e| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("invalid replay config: {e}"),
+        )
+    })?;
     let planner = RemediationPlanner::default();
     let mut fleet: Vec<UnixHost> = (0..spec.hosts)
         .map(|_| {
             let mut h = UnixHost::baseline_ubuntu_1804();
-            planner.run(&catalog, &mut h);
+            planner.run(catalog, &mut h);
             h
         })
         .collect();
-    let engine = SocEngine::new(&catalog, spec.soc_config(workers, duration))
-        .expect("replay spec maps to a valid SOC config");
     let tracing = SocTracing::new(journal.clone(), spec.trace_seed);
     let report = engine.run_traced(&mut fleet, &SocMetrics::new(), &tracing);
-    (report, fleet)
+    Ok((report, fleet))
 }
 
 /// One verified cut of the recorded run: the causal cut at `tick` is
@@ -159,7 +168,7 @@ pub fn record(spec: &RunSpec, dir: &Path) -> io::Result<Recording> {
     spec.validate()?;
     let sink = DirWriter::create(dir, &spec.to_header())?;
     let journal = Journal::with_sink(capture_config(spec), Box::new(sink));
-    let (report, _fleet) = run_soc(spec, None, None, &journal);
+    let (report, _fleet) = run_soc(spec, None, None, &journal)?;
     journal.sync();
     let checkpoints = derive_and_store_checkpoints(spec, dir)?;
     Ok(Recording {
@@ -214,7 +223,7 @@ pub fn record_sampled(
     let sink = SamplingSink::new(DirWriter::create(dir, &spec.to_header())?, policy);
     let stats = sink.stats();
     let journal = Journal::with_sink(capture_config(spec), Box::new(sink));
-    let (report, _fleet) = run_soc(spec, None, None, &journal);
+    let (report, _fleet) = run_soc(spec, None, None, &journal)?;
     journal.sync();
     let checkpoints = derive_and_store_checkpoints(spec, dir)?;
     Ok((
@@ -404,37 +413,51 @@ impl Replayer {
     /// Reconstructs fleet + SOC state at the causal cut `tick`
     /// (state after ticks `0..tick`), optionally on a different
     /// worker count than the live run.
-    #[must_use]
-    pub fn replay_to_tick(&self, tick: u64, workers: Option<usize>) -> ReplayOutcome {
+    ///
+    /// # Errors
+    /// `InvalidInput` when `workers` is `Some(0)`.
+    pub fn replay_to_tick(&self, tick: u64, workers: Option<usize>) -> io::Result<ReplayOutcome> {
         let sink = MemorySink::new();
         let entries = sink.entries();
         let journal = Journal::with_sink(capture_config(&self.spec), Box::new(sink));
-        let (report, fleet) = run_soc(&self.spec, workers, Some(tick), &journal);
+        let (report, fleet) = run_soc(&self.spec, workers, Some(tick), &journal)?;
         let mut events = std::mem::take(&mut *entries.lock().expect("capture sink poisoned"));
         events.retain(|(_, e)| e.at < tick);
-        ReplayOutcome {
+        Ok(ReplayOutcome {
             tick,
             report,
             fleet,
             events,
-        }
+        })
     }
 
     /// Replays to checkpoint `index` and verifies the replayed cut
     /// against the recorded digests.
     ///
-    /// # Panics
-    /// When `index` is outside [`checkpoints`](Replayer::checkpoints).
-    #[must_use]
-    pub fn replay_to_checkpoint(&self, index: usize, workers: Option<usize>) -> CheckpointReplay {
-        let checkpoint = self.checkpoints[index];
-        let outcome = self.replay_to_tick(checkpoint.tick, workers);
-        CheckpointReplay {
+    /// # Errors
+    /// `InvalidInput` when `index` is outside
+    /// [`checkpoints`](Replayer::checkpoints) or `workers` is `Some(0)`.
+    pub fn replay_to_checkpoint(
+        &self,
+        index: usize,
+        workers: Option<usize>,
+    ) -> io::Result<CheckpointReplay> {
+        let checkpoint = *self.checkpoints.get(index).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "checkpoint {index} out of range ({} recorded)",
+                    self.checkpoints.len()
+                ),
+            )
+        })?;
+        let outcome = self.replay_to_tick(checkpoint.tick, workers)?;
+        Ok(CheckpointReplay {
             checkpoint,
             journal_match: outcome.journal_digest() == checkpoint.journal_digest,
             verdict_match: outcome.verdict_digest() == checkpoint.verdict_digest,
             outcome,
-        }
+        })
     }
 
     /// Reconstructs state at journal sequence number `seq`: the
@@ -450,24 +473,27 @@ impl Replayer {
                     format!("seq {seq} is not in the journal"),
                 )
             })?;
-        Ok(self.replay_to_tick(tick + 1, workers))
+        self.replay_to_tick(tick + 1, workers)
     }
 
     /// Counterfactual: replays the recorded scenario once as-is and
     /// once under `mutate`-d spec (e.g. halved drift, injected
     /// remediation faults, another fleet size), returning both reports
     /// for comparison.
-    #[must_use]
-    pub fn what_if(&self, mutate: impl FnOnce(&mut RunSpec)) -> WhatIf {
+    ///
+    /// # Errors
+    /// `InvalidInput` when the mutated spec is not runnable (say, zero
+    /// workers or a drift rate above 1).
+    pub fn what_if(&self, mutate: impl FnOnce(&mut RunSpec)) -> io::Result<WhatIf> {
         let mut variant_spec = self.spec;
         mutate(&mut variant_spec);
-        let baseline = self.replay_to_tick(self.spec.duration, None).report;
-        let (variant, _fleet) = run_soc(&variant_spec, None, None, &Journal::disabled());
-        WhatIf {
+        let (variant, _fleet) = run_soc(&variant_spec, None, None, &Journal::disabled())?;
+        let baseline = self.replay_to_tick(self.spec.duration, None)?.report;
+        Ok(WhatIf {
             variant_spec,
             baseline,
             variant,
-        }
+        })
     }
 }
 
@@ -548,7 +574,7 @@ mod tests {
             "workload must raise incidents for the test to mean anything"
         );
         let rp = Replayer::open(&dir).unwrap();
-        let outcome = rp.replay_to_tick(spec.duration, None);
+        let outcome = rp.replay_to_tick(spec.duration, None).unwrap();
         assert_eq!(
             outcome.report.incident_log(),
             rec.report.incident_log(),
@@ -587,11 +613,29 @@ mod tests {
         let spec = small_spec();
         record(&spec, &dir).unwrap();
         let rp = Replayer::open(&dir).unwrap();
-        let wi = rp.what_if(|s| s.drift_rate = 0.0);
+        let wi = rp.what_if(|s| s.drift_rate = 0.0).unwrap();
         assert!(wi.baseline.drift_events > 0, "baseline scenario drifts");
         assert_eq!(wi.variant.drift_events, 0, "counterfactual removed drift");
         assert!(incidents_in_window(&wi.variant, 0, spec.duration) == 0);
         assert!(incidents_in_window(&wi.baseline, 0, spec.duration) >= wi.baseline.incidents.len());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unrunnable_replays_are_invalid_input_not_panics() {
+        let dir = tmp("unrunnable");
+        record(&small_spec(), &dir).unwrap();
+        let rp = Replayer::open(&dir).unwrap();
+        let errors = [
+            rp.what_if(|s| s.workers = 0).err(),
+            rp.what_if(|s| s.drift_rate = 2.0).err(),
+            rp.replay_to_tick(10, Some(0)).err(),
+            rp.replay_to_checkpoint(rp.checkpoints().len(), None).err(),
+        ];
+        for (i, err) in errors.into_iter().enumerate() {
+            let err = err.unwrap_or_else(|| panic!("input {i} must be refused"));
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "input {i}: {err}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -606,7 +650,7 @@ mod tests {
         let rp = Replayer::open(&out).unwrap();
         assert_eq!(rp.spec(), &spec, "spec survives compaction in the header");
         assert!(rp.checkpoints().is_empty(), "checkpoint file is not copied");
-        let outcome = rp.replay_to_tick(spec.duration, None);
+        let outcome = rp.replay_to_tick(spec.duration, None).unwrap();
         assert_eq!(
             outcome.verdict_digest(),
             rec.checkpoints.last().unwrap().verdict_digest,
@@ -614,5 +658,54 @@ mod tests {
         );
         let _ = fs::remove_dir_all(&dir);
         let _ = fs::remove_dir_all(&out);
+    }
+
+    /// The `checkpoints.txt` of one small recording, recorded once.
+    fn recorded_checkpoints() -> &'static [u8] {
+        static TEXT: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+        TEXT.get_or_init(|| {
+            let dir = tmp("fuzz");
+            record(&small_spec(), &dir).unwrap();
+            let text = fs::read(dir.join("checkpoints.txt")).unwrap();
+            let _ = fs::remove_dir_all(&dir);
+            text
+        })
+    }
+
+    /// Feeds every prefix of `bytes` to both parsers: neither may
+    /// panic, and a spec the header parser accepts is runnable.
+    fn parse_every_prefix(bytes: &[u8]) {
+        for end in 0..=bytes.len() {
+            let text = String::from_utf8_lossy(&bytes[..end]);
+            if let Ok(spec) = RunSpec::from_header(&text) {
+                assert!(
+                    spec.validate().is_ok(),
+                    "accepted an unrunnable spec: {text:?}"
+                );
+            }
+            let _ = parse_checkpoints(&text);
+        }
+    }
+
+    proptest::proptest! {
+        /// A spec header or a recorded checkpoint file, with one bit
+        /// flipped and then cut at every byte, parses to a value or an
+        /// error, never a panic.
+        #[test]
+        fn parsers_survive_truncation_and_bit_flips(
+            header in proptest::prop::bool::ANY,
+            at in 0usize..4096,
+            bit in 0u32..8,
+        ) {
+            let mut bytes = if header {
+                small_spec().to_header().into_bytes()
+            } else {
+                recorded_checkpoints().to_vec()
+            };
+            parse_every_prefix(&bytes);
+            let at = at % bytes.len();
+            bytes[at] ^= 1 << bit;
+            parse_every_prefix(&bytes);
+        }
     }
 }

@@ -50,7 +50,9 @@ proptest! {
         for index in 0..replayer.checkpoints().len() {
             let mut fingerprints = Vec::new();
             for workers in [1usize, 2, 4] {
-                let cp = replayer.replay_to_checkpoint(index, Some(workers));
+                let cp = replayer
+                    .replay_to_checkpoint(index, Some(workers))
+                    .expect("recorded checkpoint replays");
                 prop_assert!(cp.journal_match,
                     "journal digest diverged at checkpoint {} with {} workers", index, workers);
                 prop_assert!(cp.verdict_match,
@@ -64,7 +66,9 @@ proptest! {
         }
 
         // Full-duration replay reproduces the live artifacts byte-for-byte.
-        let full = replayer.replay_to_tick(spec.duration, Some(1));
+        let full = replayer
+            .replay_to_tick(spec.duration, Some(1))
+            .expect("full-duration replay runs");
         prop_assert_eq!(full.report.incident_log(), rec.report.incident_log(),
             "replayed incident log must be byte-identical to the live run");
         let disk = JournalDir::open(&dir).expect("reopen").events().expect("decode");

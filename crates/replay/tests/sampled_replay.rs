@@ -94,7 +94,9 @@ proptest! {
         prop_assert_eq!(replayer.spec(), &spec, "spec rides in the sampled header");
         let last = replayer.checkpoints().len() - 1;
         for workers in [1usize, 2, 4] {
-            let cp = replayer.replay_to_checkpoint(last, Some(workers));
+            let cp = replayer
+                .replay_to_checkpoint(last, Some(workers))
+                .expect("recorded checkpoint replays");
             prop_assert!(cp.verdict_match,
                 "verdict digest diverged on {workers} worker(s)");
         }

@@ -122,7 +122,8 @@ pub struct Incident {
 pub struct Tenant {
     name: String,
     stig: &'static Catalog<UnixHost>,
-    /// `stig` compiled, in catalogue order: each rule's read-set.
+    /// The rule table `stig` is built from, in catalogue order: each
+    /// rule's read-set and check.
     checks: &'static [CompiledCheck],
     production: UnixHost,
     /// `stig`'s verdicts on `production`, in catalogue order, refreshed
@@ -288,7 +289,7 @@ impl Tenant {
         commit: &vdo_pipeline::Commit,
     ) -> Option<GateDecision> {
         let staged = Staged::apply(&mut self.production, &commit.changes);
-        let verdicts = staged.recheck(self.stig, self.checks, &self.verdicts);
+        let verdicts = staged.recheck(self.checks, &self.verdicts);
         let compliance = ComplianceGate::new(self.stig, self.block_at);
         let delta = commit.artifact_delta();
         let cx = GateContext {

@@ -14,8 +14,15 @@
 //!   [`win10::AuditPolicyPattern`], the Rust counterpart of the Java
 //!   `AuditPolicyRequirement` hierarchy that forks `auditpol.exe`.
 //!
-//! Every finding registers into a [`vdo_core::Catalog`], so the
-//! remediation planner can sweep a whole guide:
+//! Each platform writes every finding once, as one row of its rule
+//! table ([`ubuntu::rules`], [`win10::rules`]): the finding's
+//! [`vdo_core::RequirementSpec`] and the [`sweep::CheckOp`] that checks
+//! and enforces it. Everything else is built from those rows: the
+//! [`vdo_core::Catalog`] registers each row's op, the vectorized
+//! [`sweep::FleetAuditor`] evaluates them over a columnar fleet, a
+//! service reads each op's read-set to re-check only what a commit can
+//! change, and [`win10::full_guide`] folds the Windows rows into one
+//! composite. The remediation planner can sweep a whole guide:
 //!
 //! ```
 //! use vdo_core::{PlannerConfig, PlannerOutcome, RemediationPlanner};

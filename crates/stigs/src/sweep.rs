@@ -2,9 +2,10 @@
 //!
 //! A naive fleet audit is `hosts × findings` pattern evaluations — at a
 //! million hosts that dwarfs the real work, because almost every host
-//! answers every check exactly like the shared baseline. This module
-//! compiles a STIG catalogue into [`CompiledCheck`]s whose
-//! [`CheckOp::affected_hosts`] maps each finding onto the columnar
+//! answers every check exactly like the shared baseline. Each platform's
+//! rule table ([`crate::ubuntu::rules`], [`crate::win10::rules`]) pairs
+//! every finding's spec with a [`CheckOp`], whose
+//! [`CheckOp::affected_hosts`] maps the finding onto the columnar
 //! overlay table it reads, so a full-fleet sweep costs:
 //!
 //! * one pattern evaluation against the **baseline** host, plus
@@ -20,7 +21,7 @@
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
-use vdo_core::{CheckStatus, Checkable, Enforceable, EnforcementStatus};
+use vdo_core::{Catalog, CheckStatus, Checkable, Enforceable, EnforcementStatus, RequirementSpec};
 use vdo_host::{FleetStore, HostKey, HostRead, HostWrite, Platform};
 
 use crate::ubuntu::{
@@ -138,230 +139,72 @@ impl CheckOp {
     }
 }
 
-/// One catalogue finding compiled for the vectorized sweep.
+impl<H: HostRead> Checkable<H> for CheckOp {
+    fn check(&self, host: &H) -> CheckStatus {
+        CheckOp::check(self, host)
+    }
+}
+
+impl<H: HostWrite> Enforceable<H> for CheckOp {
+    fn enforce(&self, host: &mut H) -> EnforcementStatus {
+        CheckOp::enforce(self, host)
+    }
+}
+
+/// One row of a platform's rule table: a STIG finding's spec and the
+/// op that checks and enforces it. The catalogue, the fleet sweep, the
+/// read-sets and the Windows 10 guide are all built from these rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledCheck {
-    finding_id: String,
+    spec: RequirementSpec,
     op: CheckOp,
 }
 
 impl CompiledCheck {
-    /// Pairs a finding id with its compiled op.
+    /// Pairs a finding's spec with its op.
     #[must_use]
-    pub fn new(finding_id: impl Into<String>, op: CheckOp) -> Self {
-        CompiledCheck {
-            finding_id: finding_id.into(),
-            op,
-        }
+    pub fn new(spec: RequirementSpec, op: CheckOp) -> Self {
+        CompiledCheck { spec, op }
     }
 
     /// The STIG finding id (e.g. `V-219157`).
     #[must_use]
     pub fn finding_id(&self) -> &str {
-        &self.finding_id
+        self.spec.finding_id()
     }
 
-    /// The compiled evaluation op.
+    /// The evaluation op.
     #[must_use]
     pub fn op(&self) -> &CheckOp {
         &self.op
     }
 }
 
-/// The Ubuntu 18.04 catalogue compiled for sweeping, in the exact order
-/// of [`crate::ubuntu::catalog`] (a unit test enforces the parity).
-#[must_use]
-pub fn compiled_ubuntu() -> Vec<CompiledCheck> {
-    use CheckOp as Op;
-    vec![
-        CompiledCheck::new(
-            "V-219157",
-            Op::Package(UbuntuPackagePattern::new("nis", false)),
-        ),
-        CompiledCheck::new(
-            "V-219158",
-            Op::Package(UbuntuPackagePattern::new("rsh-server", false)),
-        ),
-        CompiledCheck::new(
-            "V-219161",
-            Op::Package(UbuntuPackagePattern::new("telnetd", false)),
-        ),
-        CompiledCheck::new(
-            "V-219177",
-            Op::EncryptedPasswords(EncryptedPasswordsPattern),
-        ),
-        CompiledCheck::new(
-            "V-219304",
-            Op::Package(UbuntuPackagePattern::new("vlock", true)),
-        ),
-        CompiledCheck::new(
-            "V-219318",
-            Op::Package(UbuntuPackagePattern::new("libpam-pkcs11", true)),
-        ),
-        CompiledCheck::new(
-            "V-219319",
-            Op::Package(UbuntuPackagePattern::new("opensc-pkcs11", true)),
-        ),
-        CompiledCheck::new(
-            "V-219343",
-            Op::Package(UbuntuPackagePattern::new("aide", true)),
-        ),
-        CompiledCheck::new(
-            "V-219166",
-            Op::Directive(DirectivePattern::new(
-                "/etc/ssh/sshd_config",
-                "PermitEmptyPasswords",
-                "no",
-            )),
-        ),
-        CompiledCheck::new(
-            "V-219167",
-            Op::Directive(DirectivePattern::new(
-                "/etc/ssh/sshd_config",
-                "PermitRootLogin",
-                "no",
-            )),
-        ),
-        CompiledCheck::new(
-            "V-219165",
-            Op::Directive(DirectivePattern::new(
-                "/etc/ssh/sshd_config",
-                "Protocol",
-                "2",
-            )),
-        ),
-        CompiledCheck::new(
-            "V-219188",
-            Op::Directive(DirectivePattern::new(
-                "/etc/ssh/sshd_config",
-                "ClientAliveInterval",
-                "600",
-            )),
-        ),
-        CompiledCheck::new(
-            "V-219201",
-            Op::FileMode(FileModePattern::new(
-                "/etc/shadow",
-                vdo_host::FileMode::new(0o640),
-            )),
-        ),
-        CompiledCheck::new(
-            "V-219149",
-            Op::Service(ServicePattern::new("rsyslog", true)),
-        ),
-        CompiledCheck::new(
-            "V-219155",
-            Op::KernelParam(KernelParamPattern::new("kernel.dmesg_restrict", "1")),
-        ),
-        CompiledCheck::new(
-            "V-219156",
-            Op::KernelParam(KernelParamPattern::new("fs.suid_dumpable", "0")),
-        ),
-        CompiledCheck::new(
-            "V-219159",
-            Op::Package(UbuntuPackagePattern::new("rsh-client", false)),
-        ),
-        CompiledCheck::new(
-            "V-219147",
-            Op::Package(UbuntuPackagePattern::new("auditd", true)),
-        ),
-        CompiledCheck::new(
-            "V-219180",
-            Op::Directive(DirectivePattern::new(
-                "/etc/login.defs",
-                "PASS_MAX_DAYS",
-                "60",
-            )),
-        ),
-        CompiledCheck::new(
-            "V-219151",
-            Op::Package(UbuntuPackagePattern::new("sudo", true)),
-        ),
-    ]
+/// Registers every row of a rule table, in order, as an enforceable
+/// entry under `package`.
+pub(crate) fn catalog_of<H: HostWrite>(package: &str, rules: Vec<CompiledCheck>) -> Catalog<H> {
+    let mut cat = Catalog::new();
+    for CompiledCheck { spec, op } in rules {
+        cat.register_enforceable(package, spec, op);
+    }
+    cat
 }
 
-/// [`compiled_ubuntu`] built once per process and shared, like
+/// [`crate::ubuntu::rules`] built once per process and shared, like
 /// [`crate::ubuntu::shared_catalog`]: the read-set table a service
 /// consults to find the rules a commit can change.
 #[must_use]
 pub fn shared_ubuntu() -> &'static [CompiledCheck] {
     static CHECKS: OnceLock<Vec<CompiledCheck>> = OnceLock::new();
-    CHECKS.get_or_init(compiled_ubuntu)
+    CHECKS.get_or_init(crate::ubuntu::rules)
 }
 
-/// The Windows 10 catalogue compiled for sweeping, in the exact order
-/// of [`crate::win10::catalog`] (a unit test enforces the parity).
-#[must_use]
-pub fn compiled_win10() -> Vec<CompiledCheck> {
-    use vdo_host::AuditSetting;
-    use CheckOp as Op;
-    vec![
-        CompiledCheck::new(
-            "V-63447",
-            Op::Audit(AuditPolicyPattern::user_account_management(
-                AuditSetting::SUCCESS,
-            )),
-        ),
-        CompiledCheck::new(
-            "V-63449",
-            Op::Audit(AuditPolicyPattern::user_account_management(
-                AuditSetting::FAILURE,
-            )),
-        ),
-        CompiledCheck::new(
-            "V-63463",
-            Op::Audit(AuditPolicyPattern::logon(AuditSetting::FAILURE)),
-        ),
-        CompiledCheck::new(
-            "V-63467",
-            Op::Audit(AuditPolicyPattern::logon(AuditSetting::SUCCESS)),
-        ),
-        CompiledCheck::new(
-            "V-63483",
-            Op::Audit(AuditPolicyPattern::sensitive_privilege_use(
-                AuditSetting::FAILURE,
-            )),
-        ),
-        CompiledCheck::new(
-            "V-63487",
-            Op::Audit(AuditPolicyPattern::sensitive_privilege_use(
-                AuditSetting::SUCCESS,
-            )),
-        ),
-        CompiledCheck::new(
-            "V-63431",
-            Op::Audit(AuditPolicyPattern::new(
-                "Account Logon",
-                "Credential Validation",
-                AuditSetting::FAILURE,
-            )),
-        ),
-        CompiledCheck::new(
-            "V-63443",
-            Op::Audit(AuditPolicyPattern::new(
-                "Logon/Logoff",
-                "Account Lockout",
-                AuditSetting::BOTH,
-            )),
-        ),
-        CompiledCheck::new("V-63405", Op::Lockout(LockoutPolicyPattern::new(3, 15))),
-        CompiledCheck::new(
-            "V-63321",
-            Op::RegistryDword(RegistryDwordPattern::new(
-                r"HKLM\SOFTWARE\Microsoft\Windows\CurrentVersion\Policies\System",
-                "EnableLUA",
-                1,
-            )),
-        ),
-    ]
-}
-
-/// The compiled catalogue for a platform.
+/// The rule table for a platform.
 #[must_use]
 pub fn compiled_for(platform: Platform) -> Vec<CompiledCheck> {
     match platform {
-        Platform::Unix => compiled_ubuntu(),
-        Platform::Windows => compiled_win10(),
+        Platform::Unix => crate::ubuntu::rules(),
+        Platform::Windows => crate::win10::rules(),
     }
 }
 
@@ -397,12 +240,12 @@ pub struct FleetAuditor {
 }
 
 impl FleetAuditor {
-    /// Compiles the store's platform catalogue and runs the initial
+    /// Takes the store's platform rule table and runs the initial
     /// vectorized sweep: one baseline evaluation plus one evaluation per
     /// overriding host per finding.
     ///
     /// # Panics
-    /// If the compiled catalogue exceeds 64 findings (the bitmask width).
+    /// If the rule table exceeds 64 findings (the bitmask width).
     #[must_use]
     pub fn new(store: &FleetStore) -> FleetAuditor {
         let checks = compiled_for(store.platform());
@@ -440,7 +283,7 @@ impl FleetAuditor {
         auditor
     }
 
-    /// The compiled checks, in catalogue order.
+    /// The platform's rule table, in catalogue order.
     #[must_use]
     pub fn checks(&self) -> &[CompiledCheck] {
         &self.checks
@@ -646,59 +489,14 @@ mod tests {
             .expect("valid config")
     }
 
-    proptest::proptest! {
-        /// The compiled table is the catalogue, op for op: same order,
-        /// same verdicts, on baseline and hardened hosts under random
-        /// drift. A service trusts its read-sets because of this.
-        #[test]
-        fn compiled_ubuntu_matches_catalog_order_and_verdicts(
-            seed in 0u64..1_000_000,
-            events in 0usize..16,
-            hardened in proptest::prop::bool::ANY,
-        ) {
-            let compiled = compiled_ubuntu();
-            let cat = crate::ubuntu::catalog();
-            proptest::prop_assert_eq!(compiled.len(), cat.len());
-            let mut host = vdo_host::UnixHost::baseline_ubuntu_1804();
-            if hardened {
-                vdo_core::RemediationPlanner::default().remediate(&cat, &mut host);
-            }
-            DriftInjector::new(seed).drift(&mut host, Platform::Unix, events);
-            for (c, entry) in compiled.iter().zip(cat.iter()) {
-                proptest::prop_assert_eq!(c.finding_id(), entry.spec().finding_id());
-                proptest::prop_assert_eq!(
-                    c.op().check(&host),
-                    entry.check(&host),
-                    "verdict parity for {}",
-                    c.finding_id()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn shared_tables_are_built_once_and_match_the_builders() {
-        assert!(std::ptr::eq(shared_ubuntu(), shared_ubuntu()));
-        assert_eq!(shared_ubuntu(), compiled_ubuntu().as_slice());
-        let cat = crate::ubuntu::shared_catalog();
-        assert!(std::ptr::eq(cat, crate::ubuntu::shared_catalog()));
-        assert!(cat
-            .iter()
-            .map(|e| e.spec().finding_id())
-            .eq(crate::ubuntu::catalog()
-                .iter()
-                .map(|e| e.spec().finding_id())));
-    }
-
     #[test]
     fn read_sets_name_the_slots_each_check_reads() {
         let op = |id: &str| {
-            compiled_ubuntu()
-                .into_iter()
+            shared_ubuntu()
+                .iter()
                 .find(|c| c.finding_id() == id)
-                .expect("finding compiled")
+                .expect("finding in the rule table")
                 .op()
-                .clone()
         };
         let sshd = "/etc/ssh/sshd_config";
         assert!(op("V-219167").reads(&HostKey::Directive(sshd, "permitrootlogin")));
@@ -711,13 +509,13 @@ mod tests {
         assert!(op("V-219201").reads(&HostKey::FileMode("/etc/shadow")));
         assert!(op("V-219149").reads(&HostKey::Service("rsyslog")));
         assert!(!op("V-219155").reads(&HostKey::Service("rsyslog")));
-        for c in compiled_win10() {
+        for c in crate::win10::rules() {
             assert!(!c.op().reads(&HostKey::Package("telnetd")));
         }
         // An htop install meets no read-set; telnetd and PermitRootLogin
         // meet exactly one each.
         let hits = |key: HostKey<'_>| {
-            compiled_ubuntu()
+            shared_ubuntu()
                 .iter()
                 .filter(|c| c.op().reads(&key))
                 .count()
@@ -725,19 +523,6 @@ mod tests {
         assert_eq!(hits(HostKey::Package("htop")), 0);
         assert_eq!(hits(HostKey::Package("telnetd")), 1);
         assert_eq!(hits(HostKey::Directive(sshd, "PermitRootLogin")), 1);
-    }
-
-    #[test]
-    fn compiled_win10_matches_catalog_order_and_verdicts() {
-        let compiled = compiled_win10();
-        let cat = crate::win10::catalog();
-        assert_eq!(compiled.len(), cat.len());
-        let mut host = vdo_host::WindowsHost::baseline_win10();
-        DriftInjector::new(5).drift(&mut host, Platform::Windows, 4);
-        for (c, entry) in compiled.iter().zip(cat.iter()) {
-            assert_eq!(c.finding_id(), entry.spec().finding_id());
-            assert_eq!(c.op().check(&host), entry.check(&host));
-        }
     }
 
     #[test]

@@ -14,6 +14,8 @@ use vdo_core::{
 };
 use vdo_host::{FileMode, HostRead, HostWrite, UnixHost};
 
+use crate::sweep::{catalog_of, CheckOp, CompiledCheck};
+
 /// Package presence/absence pattern — the literal counterpart of
 /// `rqcode.stigs.ubuntu.UbuntuPackagePattern(name, mustBeInstalled)`.
 ///
@@ -296,280 +298,267 @@ pub fn shared_catalog() -> &'static Catalog<UnixHost> {
     CATALOG.get_or_init(catalog)
 }
 
-/// Builds the Ubuntu 18.04 STIG catalogue (D2.7 findings + extended
-/// hardening set), all enforceable.
+/// The Ubuntu 18.04 STIG rule table (D2.7 findings + extended hardening
+/// set): every finding's spec and op, written once. [`catalog`], the
+/// fleet sweep and the services' read-sets all read these rows.
+#[must_use]
+pub fn rules() -> Vec<CompiledCheck> {
+    use CheckOp as Op;
+    vec![
+        // ---- The eight findings documented in the D2.7 annex ----
+        CompiledCheck::new(
+            spec(
+                "V-219157",
+                "The Ubuntu operating system must not have the NIS package installed",
+                Severity::Medium,
+                "Removing the Network Information Service (NIS) package decreases the risk of \
+                 the accidental (or intentional) activation of NIS or NIS+ services.",
+                "Run: dpkg -l | grep nis — no output expected.",
+                "Run: sudo apt-get remove nis",
+            ),
+            Op::Package(UbuntuPackagePattern::new("nis", false)),
+        ),
+        CompiledCheck::new(
+            spec(
+                "V-219158",
+                "The Ubuntu operating system must not have the rsh-server package installed",
+                Severity::High,
+                "The rsh-server service provides an unencrypted remote access service that does \
+                 not provide for the confidentiality and integrity of user passwords or the \
+                 remote session.",
+                "Run: dpkg -l | grep rsh-server — no output expected.",
+                "Run: sudo apt-get remove rsh-server",
+            ),
+            Op::Package(UbuntuPackagePattern::new("rsh-server", false)),
+        ),
+        CompiledCheck::new(
+            spec(
+                "V-219161",
+                "The Ubuntu operating system must not have the telnet daemon installed",
+                Severity::High,
+                "Remote access services that lack automated control capabilities increase risk. \
+                 Unencrypted telnet sessions expose credentials to interception.",
+                "Run: dpkg -l | grep telnetd — no output expected.",
+                "Run: sudo apt-get remove telnetd",
+            ),
+            Op::Package(UbuntuPackagePattern::new("telnetd", false)),
+        ),
+        CompiledCheck::new(
+            spec(
+                "V-219177",
+                "The Ubuntu operating system must store only encrypted representations of passwords",
+                Severity::Medium,
+                "Passwords need to be protected at all times, and encryption is the standard \
+                 method for protecting passwords. Unencrypted passwords are easily compromised.",
+                "Verify ENCRYPT_METHOD SHA512 in /etc/login.defs and no clear-text entries in \
+                 /etc/shadow.",
+                "Set ENCRYPT_METHOD SHA512 in /etc/login.defs and re-hash stored credentials.",
+            ),
+            Op::EncryptedPasswords(EncryptedPasswordsPattern),
+        ),
+        CompiledCheck::new(
+            spec(
+                "V-219304",
+                "The Ubuntu operating system must have the vlock package installed for session locking",
+                Severity::Medium,
+                "A session lock lets users secure their console session when stepping away without \
+                 logging out; vlock provides the manual lock capability.",
+                "Run: dpkg -l | grep vlock — package must be listed as installed.",
+                "Run: sudo apt-get install vlock",
+            ),
+            Op::Package(UbuntuPackagePattern::new("vlock", true)),
+        ),
+        CompiledCheck::new(
+            spec(
+                "V-219318",
+                "The Ubuntu operating system must have the smart-card PAM module installed for \
+                 multifactor remote authentication",
+                Severity::Medium,
+                "Using an authentication device separate from the information system ensures that \
+                 a system compromise does not affect credentials stored on the device (e.g. DoD \
+                 Common Access Card).",
+                "Run: dpkg -l | grep libpam-pkcs11 — package must be installed.",
+                "Run: sudo apt-get install libpam-pkcs11",
+            ),
+            Op::Package(UbuntuPackagePattern::new("libpam-pkcs11", true)),
+        ),
+        CompiledCheck::new(
+            spec(
+                "V-219319",
+                "The Ubuntu operating system must accept Personal Identity Verification (PIV) \
+                 credentials",
+                Severity::Medium,
+                "PIV credentials facilitate standardization and reduce the risk of unauthorized \
+                 access; opensc-pkcs11 supplies the PIV driver stack.",
+                "Run: dpkg -l | grep opensc-pkcs11 — package must be installed.",
+                "Run: sudo apt-get install opensc-pkcs11",
+            ),
+            Op::Package(UbuntuPackagePattern::new("opensc-pkcs11", true)),
+        ),
+        CompiledCheck::new(
+            spec(
+                "V-219343",
+                "The Ubuntu operating system must notify designated personnel if baseline \
+                 configurations are changed in an unauthorized manner (security function \
+                 verification)",
+                Severity::Medium,
+                "Without verification of the security functions, security functions may not \
+                 operate correctly and the failure may go unnoticed; AIDE provides the \
+                 integrity-verification capability.",
+                "Run: dpkg -l | grep aide — package must be installed.",
+                "Run: sudo apt-get install aide",
+            ),
+            Op::Package(UbuntuPackagePattern::new("aide", true)),
+        ),
+
+        // ---- Extended hardening set (exercised by the experiments) ----
+        CompiledCheck::new(
+            spec(
+                "V-219166",
+                "The Ubuntu operating system must not allow unattended or automatic login via SSH \
+                 with empty passwords",
+                Severity::High,
+                "Empty-password SSH logins defeat authentication entirely.",
+                "Verify PermitEmptyPasswords no in /etc/ssh/sshd_config.",
+                "Set PermitEmptyPasswords no and restart sshd.",
+            ),
+            Op::Directive(DirectivePattern::new("/etc/ssh/sshd_config", "PermitEmptyPasswords", "no")),
+        ),
+        CompiledCheck::new(
+            spec(
+                "V-219167",
+                "The Ubuntu operating system must not permit direct root logins over SSH",
+                Severity::Medium,
+                "Direct root logins remove individual accountability for privileged actions.",
+                "Verify PermitRootLogin no in /etc/ssh/sshd_config.",
+                "Set PermitRootLogin no and restart sshd.",
+            ),
+            Op::Directive(DirectivePattern::new("/etc/ssh/sshd_config", "PermitRootLogin", "no")),
+        ),
+        CompiledCheck::new(
+            spec(
+                "V-219165",
+                "The Ubuntu operating system must use SSH protocol 2",
+                Severity::High,
+                "SSH protocol 1 has known cryptographic weaknesses.",
+                "Verify Protocol 2 in /etc/ssh/sshd_config.",
+                "Set Protocol 2 and restart sshd.",
+            ),
+            Op::Directive(DirectivePattern::new("/etc/ssh/sshd_config", "Protocol", "2")),
+        ),
+        CompiledCheck::new(
+            spec(
+                "V-219188",
+                "The Ubuntu operating system must terminate idle SSH sessions within 10 minutes",
+                Severity::Medium,
+                "Idle sessions left unlocked are an opportunity for session hijacking.",
+                "Verify ClientAliveInterval 600 in /etc/ssh/sshd_config.",
+                "Set ClientAliveInterval 600 and restart sshd.",
+            ),
+            Op::Directive(DirectivePattern::new("/etc/ssh/sshd_config", "ClientAliveInterval", "600")),
+        ),
+        CompiledCheck::new(
+            spec(
+                "V-219201",
+                "The /etc/shadow file must be mode 0640 or less permissive",
+                Severity::Medium,
+                "The shadow file contains password hashes; lax permissions expose them to \
+                 offline cracking.",
+                "Run: stat -c %a /etc/shadow — must be 640 or stricter.",
+                "Run: sudo chmod 0640 /etc/shadow",
+            ),
+            Op::FileMode(FileModePattern::new("/etc/shadow", FileMode::new(0o640))),
+        ),
+        CompiledCheck::new(
+            spec(
+                "V-219149",
+                "The Ubuntu operating system must have the rsyslog service enabled",
+                Severity::Medium,
+                "Without centralized logging, audit trails required for incident analysis are \
+                 incomplete.",
+                "Run: systemctl is-enabled rsyslog — must report enabled.",
+                "Run: sudo systemctl enable --now rsyslog",
+            ),
+            Op::Service(ServicePattern::new("rsyslog", true)),
+        ),
+        CompiledCheck::new(
+            spec(
+                "V-219155",
+                "The Ubuntu operating system must restrict kernel message buffer access",
+                Severity::Low,
+                "dmesg output can leak kernel addresses used to defeat ASLR.",
+                "Run: sysctl kernel.dmesg_restrict — must be 1.",
+                "Set kernel.dmesg_restrict = 1 in /etc/sysctl.d and reload.",
+            ),
+            Op::KernelParam(KernelParamPattern::new("kernel.dmesg_restrict", "1")),
+        ),
+        CompiledCheck::new(
+            spec(
+                "V-219156",
+                "The Ubuntu operating system must disable core dumps of setuid programs",
+                Severity::Low,
+                "Core dumps of privileged processes can contain credential material.",
+                "Run: sysctl fs.suid_dumpable — must be 0.",
+                "Set fs.suid_dumpable = 0 in /etc/sysctl.d and reload.",
+            ),
+            Op::KernelParam(KernelParamPattern::new("fs.suid_dumpable", "0")),
+        ),
+        CompiledCheck::new(
+            spec(
+                "V-219159",
+                "The Ubuntu operating system must not have the rsh-client package installed",
+                Severity::Medium,
+                "rsh-client transmits credentials in clear text.",
+                "Run: dpkg -l | grep rsh-client — no output expected.",
+                "Run: sudo apt-get remove rsh-client",
+            ),
+            Op::Package(UbuntuPackagePattern::new("rsh-client", false)),
+        ),
+        CompiledCheck::new(
+            spec(
+                "V-219147",
+                "The Ubuntu operating system must have the auditd package installed",
+                Severity::Medium,
+                "Without audit record generation, security-relevant events on the system \
+                 cannot be attributed or reconstructed.",
+                "Run: dpkg -l | grep auditd — package must be installed.",
+                "Run: sudo apt-get install auditd",
+            ),
+            Op::Package(UbuntuPackagePattern::new("auditd", true)),
+        ),
+        CompiledCheck::new(
+            spec(
+                "V-219180",
+                "The Ubuntu operating system must enforce a 60-day maximum password lifetime",
+                Severity::Low,
+                "Passwords used beyond their lifetime give adversaries an extended window to \
+                 crack and reuse them.",
+                "Verify PASS_MAX_DAYS 60 in /etc/login.defs.",
+                "Set PASS_MAX_DAYS 60 in /etc/login.defs.",
+            ),
+            Op::Directive(DirectivePattern::new("/etc/login.defs", "PASS_MAX_DAYS", "60")),
+        ),
+        CompiledCheck::new(
+            spec(
+                "V-219151",
+                "The Ubuntu operating system must have the sudo package installed for \
+                 privilege delegation",
+                Severity::Medium,
+                "Direct root usage removes individual accountability; sudo provides audited \
+                 privilege delegation.",
+                "Run: dpkg -l | grep sudo — package must be installed.",
+                "Run: apt-get install sudo",
+            ),
+            Op::Package(UbuntuPackagePattern::new("sudo", true)),
+        ),
+    ]
+}
+
+/// Builds the Ubuntu 18.04 STIG catalogue from [`rules`], all
+/// enforceable.
 #[must_use]
 pub fn catalog() -> Catalog<UnixHost> {
-    let mut cat = Catalog::new();
-
-    // ---- The eight findings documented in the D2.7 annex ----
-    cat.register_enforceable(
-        PACKAGE,
-        spec(
-            "V-219157",
-            "The Ubuntu operating system must not have the NIS package installed",
-            Severity::Medium,
-            "Removing the Network Information Service (NIS) package decreases the risk of \
-             the accidental (or intentional) activation of NIS or NIS+ services.",
-            "Run: dpkg -l | grep nis — no output expected.",
-            "Run: sudo apt-get remove nis",
-        ),
-        UbuntuPackagePattern::new("nis", false),
-    );
-    cat.register_enforceable(
-        PACKAGE,
-        spec(
-            "V-219158",
-            "The Ubuntu operating system must not have the rsh-server package installed",
-            Severity::High,
-            "The rsh-server service provides an unencrypted remote access service that does \
-             not provide for the confidentiality and integrity of user passwords or the \
-             remote session.",
-            "Run: dpkg -l | grep rsh-server — no output expected.",
-            "Run: sudo apt-get remove rsh-server",
-        ),
-        UbuntuPackagePattern::new("rsh-server", false),
-    );
-    cat.register_enforceable(
-        PACKAGE,
-        spec(
-            "V-219161",
-            "The Ubuntu operating system must not have the telnet daemon installed",
-            Severity::High,
-            "Remote access services that lack automated control capabilities increase risk. \
-             Unencrypted telnet sessions expose credentials to interception.",
-            "Run: dpkg -l | grep telnetd — no output expected.",
-            "Run: sudo apt-get remove telnetd",
-        ),
-        UbuntuPackagePattern::new("telnetd", false),
-    );
-    cat.register_enforceable(
-        PACKAGE,
-        spec(
-            "V-219177",
-            "The Ubuntu operating system must store only encrypted representations of passwords",
-            Severity::Medium,
-            "Passwords need to be protected at all times, and encryption is the standard \
-             method for protecting passwords. Unencrypted passwords are easily compromised.",
-            "Verify ENCRYPT_METHOD SHA512 in /etc/login.defs and no clear-text entries in \
-             /etc/shadow.",
-            "Set ENCRYPT_METHOD SHA512 in /etc/login.defs and re-hash stored credentials.",
-        ),
-        EncryptedPasswordsPattern,
-    );
-    cat.register_enforceable(
-        PACKAGE,
-        spec(
-            "V-219304",
-            "The Ubuntu operating system must have the vlock package installed for session locking",
-            Severity::Medium,
-            "A session lock lets users secure their console session when stepping away without \
-             logging out; vlock provides the manual lock capability.",
-            "Run: dpkg -l | grep vlock — package must be listed as installed.",
-            "Run: sudo apt-get install vlock",
-        ),
-        UbuntuPackagePattern::new("vlock", true),
-    );
-    cat.register_enforceable(
-        PACKAGE,
-        spec(
-            "V-219318",
-            "The Ubuntu operating system must have the smart-card PAM module installed for \
-             multifactor remote authentication",
-            Severity::Medium,
-            "Using an authentication device separate from the information system ensures that \
-             a system compromise does not affect credentials stored on the device (e.g. DoD \
-             Common Access Card).",
-            "Run: dpkg -l | grep libpam-pkcs11 — package must be installed.",
-            "Run: sudo apt-get install libpam-pkcs11",
-        ),
-        UbuntuPackagePattern::new("libpam-pkcs11", true),
-    );
-    cat.register_enforceable(
-        PACKAGE,
-        spec(
-            "V-219319",
-            "The Ubuntu operating system must accept Personal Identity Verification (PIV) \
-             credentials",
-            Severity::Medium,
-            "PIV credentials facilitate standardization and reduce the risk of unauthorized \
-             access; opensc-pkcs11 supplies the PIV driver stack.",
-            "Run: dpkg -l | grep opensc-pkcs11 — package must be installed.",
-            "Run: sudo apt-get install opensc-pkcs11",
-        ),
-        UbuntuPackagePattern::new("opensc-pkcs11", true),
-    );
-    cat.register_enforceable(
-        PACKAGE,
-        spec(
-            "V-219343",
-            "The Ubuntu operating system must notify designated personnel if baseline \
-             configurations are changed in an unauthorized manner (security function \
-             verification)",
-            Severity::Medium,
-            "Without verification of the security functions, security functions may not \
-             operate correctly and the failure may go unnoticed; AIDE provides the \
-             integrity-verification capability.",
-            "Run: dpkg -l | grep aide — package must be installed.",
-            "Run: sudo apt-get install aide",
-        ),
-        UbuntuPackagePattern::new("aide", true),
-    );
-
-    // ---- Extended hardening set (exercised by the experiments) ----
-    cat.register_enforceable(
-        PACKAGE,
-        spec(
-            "V-219166",
-            "The Ubuntu operating system must not allow unattended or automatic login via SSH \
-             with empty passwords",
-            Severity::High,
-            "Empty-password SSH logins defeat authentication entirely.",
-            "Verify PermitEmptyPasswords no in /etc/ssh/sshd_config.",
-            "Set PermitEmptyPasswords no and restart sshd.",
-        ),
-        DirectivePattern::new("/etc/ssh/sshd_config", "PermitEmptyPasswords", "no"),
-    );
-    cat.register_enforceable(
-        PACKAGE,
-        spec(
-            "V-219167",
-            "The Ubuntu operating system must not permit direct root logins over SSH",
-            Severity::Medium,
-            "Direct root logins remove individual accountability for privileged actions.",
-            "Verify PermitRootLogin no in /etc/ssh/sshd_config.",
-            "Set PermitRootLogin no and restart sshd.",
-        ),
-        DirectivePattern::new("/etc/ssh/sshd_config", "PermitRootLogin", "no"),
-    );
-    cat.register_enforceable(
-        PACKAGE,
-        spec(
-            "V-219165",
-            "The Ubuntu operating system must use SSH protocol 2",
-            Severity::High,
-            "SSH protocol 1 has known cryptographic weaknesses.",
-            "Verify Protocol 2 in /etc/ssh/sshd_config.",
-            "Set Protocol 2 and restart sshd.",
-        ),
-        DirectivePattern::new("/etc/ssh/sshd_config", "Protocol", "2"),
-    );
-    cat.register_enforceable(
-        PACKAGE,
-        spec(
-            "V-219188",
-            "The Ubuntu operating system must terminate idle SSH sessions within 10 minutes",
-            Severity::Medium,
-            "Idle sessions left unlocked are an opportunity for session hijacking.",
-            "Verify ClientAliveInterval 600 in /etc/ssh/sshd_config.",
-            "Set ClientAliveInterval 600 and restart sshd.",
-        ),
-        DirectivePattern::new("/etc/ssh/sshd_config", "ClientAliveInterval", "600"),
-    );
-    cat.register_enforceable(
-        PACKAGE,
-        spec(
-            "V-219201",
-            "The /etc/shadow file must be mode 0640 or less permissive",
-            Severity::Medium,
-            "The shadow file contains password hashes; lax permissions expose them to \
-             offline cracking.",
-            "Run: stat -c %a /etc/shadow — must be 640 or stricter.",
-            "Run: sudo chmod 0640 /etc/shadow",
-        ),
-        FileModePattern::new("/etc/shadow", FileMode::new(0o640)),
-    );
-    cat.register_enforceable(
-        PACKAGE,
-        spec(
-            "V-219149",
-            "The Ubuntu operating system must have the rsyslog service enabled",
-            Severity::Medium,
-            "Without centralized logging, audit trails required for incident analysis are \
-             incomplete.",
-            "Run: systemctl is-enabled rsyslog — must report enabled.",
-            "Run: sudo systemctl enable --now rsyslog",
-        ),
-        ServicePattern::new("rsyslog", true),
-    );
-    cat.register_enforceable(
-        PACKAGE,
-        spec(
-            "V-219155",
-            "The Ubuntu operating system must restrict kernel message buffer access",
-            Severity::Low,
-            "dmesg output can leak kernel addresses used to defeat ASLR.",
-            "Run: sysctl kernel.dmesg_restrict — must be 1.",
-            "Set kernel.dmesg_restrict = 1 in /etc/sysctl.d and reload.",
-        ),
-        KernelParamPattern::new("kernel.dmesg_restrict", "1"),
-    );
-    cat.register_enforceable(
-        PACKAGE,
-        spec(
-            "V-219156",
-            "The Ubuntu operating system must disable core dumps of setuid programs",
-            Severity::Low,
-            "Core dumps of privileged processes can contain credential material.",
-            "Run: sysctl fs.suid_dumpable — must be 0.",
-            "Set fs.suid_dumpable = 0 in /etc/sysctl.d and reload.",
-        ),
-        KernelParamPattern::new("fs.suid_dumpable", "0"),
-    );
-    cat.register_enforceable(
-        PACKAGE,
-        spec(
-            "V-219159",
-            "The Ubuntu operating system must not have the rsh-client package installed",
-            Severity::Medium,
-            "rsh-client transmits credentials in clear text.",
-            "Run: dpkg -l | grep rsh-client — no output expected.",
-            "Run: sudo apt-get remove rsh-client",
-        ),
-        UbuntuPackagePattern::new("rsh-client", false),
-    );
-    cat.register_enforceable(
-        PACKAGE,
-        spec(
-            "V-219147",
-            "The Ubuntu operating system must have the auditd package installed",
-            Severity::Medium,
-            "Without audit record generation, security-relevant events on the system \
-             cannot be attributed or reconstructed.",
-            "Run: dpkg -l | grep auditd — package must be installed.",
-            "Run: sudo apt-get install auditd",
-        ),
-        UbuntuPackagePattern::new("auditd", true),
-    );
-    cat.register_enforceable(
-        PACKAGE,
-        spec(
-            "V-219180",
-            "The Ubuntu operating system must enforce a 60-day maximum password lifetime",
-            Severity::Low,
-            "Passwords used beyond their lifetime give adversaries an extended window to \
-             crack and reuse them.",
-            "Verify PASS_MAX_DAYS 60 in /etc/login.defs.",
-            "Set PASS_MAX_DAYS 60 in /etc/login.defs.",
-        ),
-        DirectivePattern::new("/etc/login.defs", "PASS_MAX_DAYS", "60"),
-    );
-    cat.register_enforceable(
-        PACKAGE,
-        spec(
-            "V-219151",
-            "The Ubuntu operating system must have the sudo package installed for \
-             privilege delegation",
-            Severity::Medium,
-            "Direct root usage removes individual accountability; sudo provides audited \
-             privilege delegation.",
-            "Run: dpkg -l | grep sudo — package must be installed.",
-            "Run: apt-get install sudo",
-        ),
-        UbuntuPackagePattern::new("sudo", true),
-    );
-
-    cat
+    catalog_of(PACKAGE, rules())
 }
 
 /// Kernel-parameter pattern: a sysctl key must hold an exact value.

@@ -15,6 +15,8 @@ use vdo_core::{
 };
 use vdo_host::{AuditSetting, HostRead, HostWrite, RegistryValue, WindowsHost};
 
+use crate::sweep::{catalog_of, CheckOp, CompiledCheck};
+
 /// Audit-policy requirement: the subcategory must audit at least the
 /// required success/failure events.
 ///
@@ -238,145 +240,158 @@ fn audit_spec(id: &str, title: &str, subcat_doc: &str) -> RequirementSpec {
         .build()
 }
 
-/// Builds the Windows 10 STIG catalogue: the six audit-policy findings of
-/// the D2.7 annex plus lockout and registry hardening entries.
+/// The Windows 10 STIG rule table: the six audit-policy findings of the
+/// D2.7 annex plus lockout and registry hardening entries, each spec and
+/// op written once. [`catalog`], the fleet sweep and [`full_guide`] all
+/// read these rows.
+#[must_use]
+pub fn rules() -> Vec<CompiledCheck> {
+    use CheckOp as Op;
+    vec![
+        CompiledCheck::new(
+            audit_spec(
+                "V-63447",
+                "The system must be configured to audit Account Management - User Account \
+                 Management successes",
+                "User Account Management records events such as creating, changing, deleting, \
+                 renaming, disabling, or enabling user accounts.",
+            ),
+            Op::Audit(AuditPolicyPattern::user_account_management(
+                AuditSetting::SUCCESS,
+            )),
+        ),
+        CompiledCheck::new(
+            audit_spec(
+                "V-63449",
+                "The system must be configured to audit Account Management - User Account \
+                 Management failures",
+                "User Account Management records events such as creating, changing, deleting, \
+                 renaming, disabling, or enabling user accounts.",
+            ),
+            Op::Audit(AuditPolicyPattern::user_account_management(
+                AuditSetting::FAILURE,
+            )),
+        ),
+        CompiledCheck::new(
+            audit_spec(
+                "V-63463",
+                "The system must be configured to audit Logon/Logoff - Logon failures",
+                "Logon records user logons; failed interactive logons indicate credential attacks.",
+            ),
+            Op::Audit(AuditPolicyPattern::logon(AuditSetting::FAILURE)),
+        ),
+        CompiledCheck::new(
+            audit_spec(
+                "V-63467",
+                "The system must be configured to audit Logon/Logoff - Logon successes",
+                "Logon records user logons; successful logons establish the audit trail baseline.",
+            ),
+            Op::Audit(AuditPolicyPattern::logon(AuditSetting::SUCCESS)),
+        ),
+        CompiledCheck::new(
+            audit_spec(
+                "V-63483",
+                "The system must be configured to audit Privilege Use - Sensitive Privilege Use \
+                 failures",
+                "Sensitive Privilege Use records events related to use of sensitive privileges, \
+                 such as \"Act as part of the operating system\" or \"Debug programs\".",
+            ),
+            Op::Audit(AuditPolicyPattern::sensitive_privilege_use(
+                AuditSetting::FAILURE,
+            )),
+        ),
+        CompiledCheck::new(
+            audit_spec(
+                "V-63487",
+                "The system must be configured to audit Privilege Use - Sensitive Privilege Use \
+                 successes",
+                "Sensitive Privilege Use records events related to use of sensitive privileges, \
+                 such as \"Act as part of the operating system\" or \"Debug programs\".",
+            ),
+            Op::Audit(AuditPolicyPattern::sensitive_privilege_use(
+                AuditSetting::SUCCESS,
+            )),
+        ),
+        CompiledCheck::new(
+            audit_spec(
+                "V-63431",
+                "The system must be configured to audit Account Logon - Credential Validation \
+                 failures",
+                "Credential Validation records results of validation tests on credentials \
+                 submitted for user account logon requests.",
+            ),
+            Op::Audit(AuditPolicyPattern::new(
+                "Account Logon",
+                "Credential Validation",
+                AuditSetting::FAILURE,
+            )),
+        ),
+        CompiledCheck::new(
+            audit_spec(
+                "V-63443",
+                "The system must be configured to audit Logon/Logoff - Account Lockout events",
+                "Account Lockout records events when an account fails to log on and is locked \
+                 out — the direct signal of password-guessing attacks.",
+            ),
+            Op::Audit(AuditPolicyPattern::new(
+                "Logon/Logoff",
+                "Account Lockout",
+                AuditSetting::BOTH,
+            )),
+        ),
+        CompiledCheck::new(
+            RequirementSpec::builder("V-63405")
+                .title(
+                    "Windows 10 account lockout threshold must be configured to 3 or fewer \
+                    invalid logon attempts",
+                )
+                .severity(Severity::Medium)
+                .stig(STIG_NAME)
+                .date(STIG_DATE)
+                .description(
+                    "The account lockout feature, when enabled, prevents brute-force password \
+                     attacks on the system.",
+                )
+                .check_text(
+                    "Verify Account lockout threshold is 1-3 attempts and duration ≥ 15 min.",
+                )
+                .fix_text("Configure the lockout policy under Account Policies.")
+                .build(),
+            Op::Lockout(LockoutPolicyPattern::new(3, 15)),
+        ),
+        CompiledCheck::new(
+            RequirementSpec::builder("V-63321")
+                .title("User Account Control must be enabled (EnableLUA)")
+                .severity(Severity::High)
+                .stig(STIG_NAME)
+                .date(STIG_DATE)
+                .description(
+                    "UAC mediates privilege elevation; disabling it removes the consent \
+                     boundary between standard and administrative operations.",
+                )
+                .check_text(r"Verify EnableLUA = 1 under HKLM\...\Policies\System.")
+                .fix_text("Set the EnableLUA registry value to 1.")
+                .build(),
+            Op::RegistryDword(RegistryDwordPattern::new(
+                r"HKLM\SOFTWARE\Microsoft\Windows\CurrentVersion\Policies\System",
+                "EnableLUA",
+                1,
+            )),
+        ),
+    ]
+}
+
+/// Builds the Windows 10 STIG catalogue from [`rules`], all enforceable.
 #[must_use]
 pub fn catalog() -> Catalog<WindowsHost> {
-    let mut cat = Catalog::new();
-    cat.register_enforceable(
-        PACKAGE,
-        audit_spec(
-            "V-63447",
-            "The system must be configured to audit Account Management - User Account \
-             Management successes",
-            "User Account Management records events such as creating, changing, deleting, \
-             renaming, disabling, or enabling user accounts.",
-        ),
-        AuditPolicyPattern::user_account_management(AuditSetting::SUCCESS),
-    );
-    cat.register_enforceable(
-        PACKAGE,
-        audit_spec(
-            "V-63449",
-            "The system must be configured to audit Account Management - User Account \
-             Management failures",
-            "User Account Management records events such as creating, changing, deleting, \
-             renaming, disabling, or enabling user accounts.",
-        ),
-        AuditPolicyPattern::user_account_management(AuditSetting::FAILURE),
-    );
-    cat.register_enforceable(
-        PACKAGE,
-        audit_spec(
-            "V-63463",
-            "The system must be configured to audit Logon/Logoff - Logon failures",
-            "Logon records user logons; failed interactive logons indicate credential attacks.",
-        ),
-        AuditPolicyPattern::logon(AuditSetting::FAILURE),
-    );
-    cat.register_enforceable(
-        PACKAGE,
-        audit_spec(
-            "V-63467",
-            "The system must be configured to audit Logon/Logoff - Logon successes",
-            "Logon records user logons; successful logons establish the audit trail baseline.",
-        ),
-        AuditPolicyPattern::logon(AuditSetting::SUCCESS),
-    );
-    cat.register_enforceable(
-        PACKAGE,
-        audit_spec(
-            "V-63483",
-            "The system must be configured to audit Privilege Use - Sensitive Privilege Use \
-             failures",
-            "Sensitive Privilege Use records events related to use of sensitive privileges, \
-             such as \"Act as part of the operating system\" or \"Debug programs\".",
-        ),
-        AuditPolicyPattern::sensitive_privilege_use(AuditSetting::FAILURE),
-    );
-    cat.register_enforceable(
-        PACKAGE,
-        audit_spec(
-            "V-63487",
-            "The system must be configured to audit Privilege Use - Sensitive Privilege Use \
-             successes",
-            "Sensitive Privilege Use records events related to use of sensitive privileges, \
-             such as \"Act as part of the operating system\" or \"Debug programs\".",
-        ),
-        AuditPolicyPattern::sensitive_privilege_use(AuditSetting::SUCCESS),
-    );
-    cat.register_enforceable(
-        PACKAGE,
-        audit_spec(
-            "V-63431",
-            "The system must be configured to audit Account Logon - Credential Validation \
-             failures",
-            "Credential Validation records results of validation tests on credentials \
-             submitted for user account logon requests.",
-        ),
-        AuditPolicyPattern::new(
-            "Account Logon",
-            "Credential Validation",
-            AuditSetting::FAILURE,
-        ),
-    );
-    cat.register_enforceable(
-        PACKAGE,
-        audit_spec(
-            "V-63443",
-            "The system must be configured to audit Logon/Logoff - Account Lockout events",
-            "Account Lockout records events when an account fails to log on and is locked \
-             out — the direct signal of password-guessing attacks.",
-        ),
-        AuditPolicyPattern::new("Logon/Logoff", "Account Lockout", AuditSetting::BOTH),
-    );
-    cat.register_enforceable(
-        PACKAGE,
-        RequirementSpec::builder("V-63405")
-            .title(
-                "Windows 10 account lockout threshold must be configured to 3 or fewer \
-                    invalid logon attempts",
-            )
-            .severity(Severity::Medium)
-            .stig(STIG_NAME)
-            .date(STIG_DATE)
-            .description(
-                "The account lockout feature, when enabled, prevents brute-force password \
-                 attacks on the system.",
-            )
-            .check_text("Verify Account lockout threshold is 1-3 attempts and duration ≥ 15 min.")
-            .fix_text("Configure the lockout policy under Account Policies.")
-            .build(),
-        LockoutPolicyPattern::new(3, 15),
-    );
-    cat.register_enforceable(
-        PACKAGE,
-        RequirementSpec::builder("V-63321")
-            .title("User Account Control must be enabled (EnableLUA)")
-            .severity(Severity::High)
-            .stig(STIG_NAME)
-            .date(STIG_DATE)
-            .description(
-                "UAC mediates privilege elevation; disabling it removes the consent \
-                          boundary between standard and administrative operations.",
-            )
-            .check_text(r"Verify EnableLUA = 1 under HKLM\...\Policies\System.")
-            .fix_text("Set the EnableLUA registry value to 1.")
-            .build(),
-        RegistryDwordPattern::new(
-            r"HKLM\SOFTWARE\Microsoft\Windows\CurrentVersion\Policies\System",
-            "EnableLUA",
-            1,
-        ),
-    );
-    cat
+    catalog_of(PACKAGE, rules())
 }
 
 /// The whole Windows 10 guide as a single composite requirement — the
 /// counterpart of the Java
 /// `Windows10SecurityTechnicalImplementationGuide.allSTIGs()` aggregate:
-/// checking it checks every finding, enforcing it hardens the host in one
-/// call.
+/// checking it checks every finding of [`rules`], enforcing it hardens
+/// the host in one call.
 ///
 /// ```
 /// use vdo_core::{Checkable, CheckStatus, Enforceable};
@@ -390,57 +405,17 @@ pub fn catalog() -> Catalog<WindowsHost> {
 /// ```
 #[must_use]
 pub fn full_guide() -> vdo_core::composite::EnforceAll<WindowsHost> {
-    vdo_core::composite::EnforceAll::new()
-        .with(AuditPolicyPattern::user_account_management(
-            AuditSetting::SUCCESS,
-        ))
-        .with(AuditPolicyPattern::user_account_management(
-            AuditSetting::FAILURE,
-        ))
-        .with(AuditPolicyPattern::logon(AuditSetting::FAILURE))
-        .with(AuditPolicyPattern::logon(AuditSetting::SUCCESS))
-        .with(AuditPolicyPattern::sensitive_privilege_use(
-            AuditSetting::FAILURE,
-        ))
-        .with(AuditPolicyPattern::sensitive_privilege_use(
-            AuditSetting::SUCCESS,
-        ))
-        .with(AuditPolicyPattern::new(
-            "Account Logon",
-            "Credential Validation",
-            AuditSetting::FAILURE,
-        ))
-        .with(AuditPolicyPattern::new(
-            "Logon/Logoff",
-            "Account Lockout",
-            AuditSetting::BOTH,
-        ))
-        .with(LockoutPolicyPattern::new(3, 15))
-        .with(RegistryDwordPattern::new(
-            r"HKLM\SOFTWARE\Microsoft\Windows\CurrentVersion\Policies\System",
-            "EnableLUA",
-            1,
-        ))
+    rules()
+        .iter()
+        .fold(vdo_core::composite::EnforceAll::new(), |guide, rule| {
+            guide.with(rule.op().clone())
+        })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use vdo_core::{PlannerConfig, PlannerOutcome, RemediationPlanner};
-
-    #[test]
-    fn full_guide_matches_catalog_verdicts() {
-        let guide = full_guide();
-        let cat = catalog();
-        let mut host = WindowsHost::baseline_win10();
-        // Aggregate fails exactly when some catalogue entry fails.
-        assert_eq!(guide.check(&host), CheckStatus::Fail);
-        assert!(cat.check_all(&host).iter().any(|(_, v)| v.is_fail()));
-        guide.enforce(&mut host);
-        assert_eq!(guide.check(&host), CheckStatus::Pass);
-        assert!(cat.check_all(&host).iter().all(|(_, v)| v.is_pass()));
-        assert_eq!(guide.len(), cat.len());
-    }
 
     #[test]
     fn audit_pattern_check_covers_semantics() {
