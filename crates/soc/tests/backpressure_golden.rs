@@ -1,15 +1,17 @@
 //! Golden-file test for the engine's overload path: a fleet larger than
 //! the bus can hold in one tick, so shard queues fill, events defer to
 //! the next tick and SLO alerts published from the accounting phase
-//! meet full queues too. The incident log and the bus counters must
-//! match `tests/golden/backpressure_seed3.txt` byte for byte at 1, 2
-//! and 4 workers. Regenerate after an intentional change with
+//! meet full queues too. The incident log, the bus counters and the
+//! order of the Debug-floor journal's events must match
+//! `tests/golden/backpressure_seed3.txt` byte for byte at 1, 2 and 4
+//! workers. Regenerate after an intentional change with
 //! `BLESS_GOLDEN=1 cargo test -p vdo-soc --test backpressure_golden`.
 
 use std::fmt::Write as _;
 
 use vdo_core::RemediationPlanner;
 use vdo_host::UnixHost;
+use vdo_obs::hash::{fnv1a, FNV_OFFSET};
 use vdo_soc::{RemediationConfig, SloPolicy, SocConfig, SocEngine, SocMetrics, SocTracing};
 use vdo_stigs::ubuntu;
 use vdo_trace::{BurnRateRule, Journal, SloSignal};
@@ -87,8 +89,19 @@ fn overloaded_run(workers: usize) -> String {
         writeln!(out, "slo_alert {} at {}", alert.rule, alert.at).unwrap();
     }
     writeln!(out, "journal_accepted {}", tracing.journal.accepted()).unwrap();
+    writeln!(out, "journal_order {}", journal_order(&tracing.journal)).unwrap();
     writeln!(out, "{}", report.incident_log()).unwrap();
     out
+}
+
+/// FNV-1a over the journal's canonical lines in seq order: unlike the
+/// order-free [`vdo_trace::JournalSnapshot::fingerprint`], it changes
+/// when the engine emits the same events in another order.
+fn journal_order(journal: &Journal) -> String {
+    let digest = journal.snapshot().events.iter().fold(FNV_OFFSET, |h, e| {
+        fnv1a(fnv1a(h, e.canonical_line().as_bytes()), b"\n")
+    });
+    format!("{digest:016x}")
 }
 
 #[test]
