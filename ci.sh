@@ -25,6 +25,13 @@ cargo build --release
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> SOC goldens pinned to one CPU (the engine's barrier passes with no parallelism)"
+if command -v taskset > /dev/null; then
+  taskset -c 0 cargo test -q -p vdo-soc --test steady_state_golden --test backpressure_golden
+else
+  echo "   (taskset unavailable — skipping the one-CPU golden run)"
+fi
+
 echo "==> perf ledger unit tests (a package outside the workspace)"
 cargo test -q --offline --manifest-path crates/bench/src/bin/ledger/Cargo.toml
 

@@ -111,14 +111,15 @@ impl DriftInjector {
     /// Applies `n` random drift events for `platform` to any writable
     /// host. Returns the events in application order. The RNG draw
     /// sequence depends only on the seed and `platform`, never on the
-    /// host representation.
+    /// host representation: each event is [`plan`](Self::plan) then
+    /// [`DriftPlan::apply`].
     pub fn drift<H: HostWrite>(
         &mut self,
         host: &mut H,
         platform: Platform,
         n: usize,
     ) -> Vec<DriftEvent> {
-        (0..n).map(|_| self.one_event(host, platform)).collect()
+        (0..n).map(|_| self.plan(platform).apply(host)).collect()
     }
 
     /// Applies `n` random drift events to a Unix host.
@@ -131,31 +132,68 @@ impl DriftInjector {
         self.drift(host, Platform::Windows, n)
     }
 
-    fn one_event<H: HostWrite>(&mut self, host: &mut H, platform: Platform) -> DriftEvent {
+    /// Makes every draw of one drift event for `platform` and writes
+    /// nothing. A caller that plans a whole fleet in host order can
+    /// apply the plans later, in any grouping, and leave every host as
+    /// serial [`drift`](Self::drift) calls would.
+    pub fn plan(&mut self, platform: Platform) -> DriftPlan {
         let kind = match platform {
             Platform::Unix => UNIX_DRIFT_KINDS[self.rng.gen_range(0..UNIX_DRIFT_KINDS.len())],
             Platform::Windows => {
                 WINDOWS_DRIFT_KINDS[self.rng.gen_range(0..WINDOWS_DRIFT_KINDS.len())]
             }
         };
-        let detail = match kind {
+        let table = match kind {
+            DriftKind::InstallForbiddenPackage => FORBIDDEN_PACKAGES.len(),
+            DriftKind::RemoveRequiredPackage => REQUIRED_PACKAGES.len(),
+            DriftKind::WeakenSshConfig => SSH_WEAKENINGS.len(),
+            DriftKind::LoosenFileMode => SENSITIVE_FILES.len(),
+            DriftKind::DisableAuditSubcategory => AUDIT_TARGETS.len(),
+            DriftKind::CorruptPasswordStorage
+            | DriftKind::WeakenPasswordHashing
+            | DriftKind::ResetLockoutPolicy => 0,
+        };
+        let pick = if table > 0 {
+            self.rng.gen_range(0..table)
+        } else {
+            0
+        };
+        DriftPlan { kind, pick }
+    }
+}
+
+/// One drift event with every random choice made: what
+/// [`DriftInjector::plan`] drew, for [`apply`](Self::apply) to write.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DriftPlan {
+    kind: DriftKind,
+    /// Index into the kind's target table (0 for kinds without one,
+    /// which draw no pick).
+    pick: usize,
+}
+
+impl DriftPlan {
+    /// Writes the planned drift into `host` and reports it.
+    pub fn apply<H: HostWrite>(&self, host: &mut H) -> DriftEvent {
+        let pick = self.pick;
+        let detail = match self.kind {
             DriftKind::InstallForbiddenPackage => {
-                let pkg = FORBIDDEN_PACKAGES[self.rng.gen_range(0..FORBIDDEN_PACKAGES.len())];
+                let pkg = FORBIDDEN_PACKAGES[pick];
                 host.install_package(pkg, "0.0-drift");
                 pkg.to_string()
             }
             DriftKind::RemoveRequiredPackage => {
-                let pkg = REQUIRED_PACKAGES[self.rng.gen_range(0..REQUIRED_PACKAGES.len())];
+                let pkg = REQUIRED_PACKAGES[pick];
                 host.remove_package(pkg);
                 pkg.to_string()
             }
             DriftKind::WeakenSshConfig => {
-                let (k, v) = SSH_WEAKENINGS[self.rng.gen_range(0..SSH_WEAKENINGS.len())];
+                let (k, v) = SSH_WEAKENINGS[pick];
                 host.write_directive("/etc/ssh/sshd_config", k, v);
                 format!("{k}={v}")
             }
             DriftKind::LoosenFileMode => {
-                let path = SENSITIVE_FILES[self.rng.gen_range(0..SENSITIVE_FILES.len())];
+                let path = SENSITIVE_FILES[pick];
                 host.set_file_mode(path, FileMode::new(0o666));
                 path.to_string()
             }
@@ -168,7 +206,7 @@ impl DriftInjector {
                 "ENCRYPT_METHOD=MD5".to_string()
             }
             DriftKind::DisableAuditSubcategory => {
-                let (c, s) = AUDIT_TARGETS[self.rng.gen_range(0..AUDIT_TARGETS.len())];
+                let (c, s) = AUDIT_TARGETS[pick];
                 host.set_audit(c, s, AuditSetting::NONE);
                 format!("{c}/{s}")
             }
@@ -177,13 +215,17 @@ impl DriftInjector {
                 "lockout_threshold=0".to_string()
             }
         };
-        DriftEvent { kind, detail }
+        DriftEvent {
+            kind: self.kind,
+            detail,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prop_assert_eq;
 
     #[test]
     fn unix_drift_is_deterministic_per_seed() {
@@ -231,6 +273,81 @@ mod tests {
     fn drift_kinds_are_disjoint_per_platform() {
         for k in UNIX_DRIFT_KINDS {
             assert!(!WINDOWS_DRIFT_KINDS.contains(&k));
+        }
+    }
+
+    /// Checks both halves of the plan/apply split on one platform:
+    /// `drift(h, p, n)` equals `n` plans applied in order, and a fleet
+    /// planned in host order then applied shard by shard ends where
+    /// serial `drift` calls leave it.
+    fn plan_then_apply_matches_drift<H>(
+        base: &H,
+        platform: Platform,
+        seed: u64,
+        per_host: &[usize],
+        shards: usize,
+    ) -> Result<(), proptest::test_runner::TestCaseError>
+    where
+        H: HostWrite + Clone + PartialEq + std::fmt::Debug,
+    {
+        let n = per_host.iter().sum();
+        let mut serial = base.clone();
+        let events = DriftInjector::new(seed).drift(&mut serial, platform, n);
+        let mut planned = base.clone();
+        let mut injector = DriftInjector::new(seed);
+        let replayed: Vec<DriftEvent> = (0..n)
+            .map(|_| injector.plan(platform).apply(&mut planned))
+            .collect();
+        prop_assert_eq!(&events, &replayed);
+        prop_assert_eq!(&serial, &planned);
+
+        let mut serial_fleet = vec![base.clone(); per_host.len()];
+        let mut injector = DriftInjector::new(seed);
+        let serial_events: Vec<Vec<DriftEvent>> = serial_fleet
+            .iter_mut()
+            .zip(per_host)
+            .map(|(host, &k)| injector.drift(host, platform, k))
+            .collect();
+        let mut injector = DriftInjector::new(seed);
+        let plans: Vec<Vec<DriftPlan>> = per_host
+            .iter()
+            .map(|&k| (0..k).map(|_| injector.plan(platform)).collect())
+            .collect();
+        let mut sharded_fleet = vec![base.clone(); per_host.len()];
+        let mut sharded_events = vec![Vec::new(); per_host.len()];
+        for shard in 0..shards {
+            for (id, host) in sharded_fleet.iter_mut().enumerate() {
+                if id % shards == shard {
+                    sharded_events[id] = plans[id].iter().map(|p| p.apply(host)).collect();
+                }
+            }
+        }
+        prop_assert_eq!(&serial_events, &sharded_events);
+        prop_assert_eq!(&serial_fleet, &sharded_fleet);
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn planning_then_applying_matches_serial_drift(
+            seed in 0u64..1_000,
+            per_host in proptest::prop::collection::vec(0usize..4, 1..24),
+            shards in 1usize..6,
+        ) {
+            plan_then_apply_matches_drift(
+                &UnixHost::baseline_ubuntu_1804(),
+                Platform::Unix,
+                seed,
+                &per_host,
+                shards,
+            )?;
+            plan_then_apply_matches_drift(
+                &WindowsHost::baseline_win10(),
+                Platform::Windows,
+                seed,
+                &per_host,
+                shards,
+            )?;
         }
     }
 }

@@ -55,7 +55,7 @@ pub mod view;
 pub mod windows;
 
 pub use diff::{diff_hosts, diff_unix, HostDelta};
-pub use drift::{DriftEvent, DriftInjector, DriftKind};
+pub use drift::{DriftEvent, DriftInjector, DriftKind, DriftPlan};
 pub use fleet::{Fleet, FleetConfig, FleetConfigBuilder, FleetConfigError, HostMut, HostRef};
 pub use intern::{Interner, Sym};
 pub use store::{FleetStore, HostView, HostViewMut, MemoryProfile};

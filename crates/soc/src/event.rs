@@ -7,7 +7,6 @@
 //! everything downstream: monitors consume a shard's events in sequence
 //! order and the incident log is sorted by `(shard, seq)`.
 
-use vdo_core::CheckStatus;
 use vdo_host::DriftKind;
 use vdo_trace::TraceContext;
 
@@ -62,19 +61,6 @@ pub enum SecEvent {
         /// Name of the breached burn-rate rule.
         rule: String,
     },
-    /// Outcome of re-checking one catalogue rule against a host.
-    /// Published by the STIG monitor as a follow-up event so other
-    /// monitors (e.g. the temporal compliance monitor) can consume it.
-    CheckResult {
-        /// Checked host.
-        host: HostId,
-        /// Tick of the check.
-        tick: u64,
-        /// Catalogue finding id of the rule.
-        rule: String,
-        /// Three-valued verdict.
-        status: CheckStatus,
-    },
 }
 
 impl SecEvent {
@@ -85,8 +71,7 @@ impl SecEvent {
             SecEvent::DriftApplied { host, .. }
             | SecEvent::ConfigChanged { host, .. }
             | SecEvent::SignalTick { host, .. }
-            | SecEvent::SloAlert { host, .. }
-            | SecEvent::CheckResult { host, .. } => *host,
+            | SecEvent::SloAlert { host, .. } => *host,
         }
     }
 
@@ -97,8 +82,7 @@ impl SecEvent {
             SecEvent::DriftApplied { tick, .. }
             | SecEvent::ConfigChanged { tick, .. }
             | SecEvent::SignalTick { tick, .. }
-            | SecEvent::SloAlert { tick, .. }
-            | SecEvent::CheckResult { tick, .. } => *tick,
+            | SecEvent::SloAlert { tick, .. } => *tick,
         }
     }
 }
@@ -154,11 +138,10 @@ mod tests {
 
     #[test]
     fn event_accessors() {
-        let e = SecEvent::CheckResult {
+        let e = SecEvent::SloAlert {
             host: 4,
             tick: 9,
             rule: "V-1".into(),
-            status: CheckStatus::Fail,
         };
         assert_eq!(e.host(), 4);
         assert_eq!(e.tick(), 9);

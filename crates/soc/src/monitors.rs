@@ -3,12 +3,13 @@
 //! Three detector families subscribe to the bus, mirroring the three
 //! verification layers of the reproduced stack:
 //!
-//! * **STIG re-checks** — on `DriftApplied`/`ConfigChanged` the worker
-//!   re-runs the compliance catalogue against the host and publishes a
-//!   `CheckResult` follow-up per rule (see the runtime module);
+//! * **STIG re-checks** — on `DriftApplied`/`ConfigChanged`/`SloAlert`
+//!   the worker that owns the host's shard re-runs the compliance
+//!   catalogue against the host; every verdict is one follow-up event
+//!   for the monitors below (see the engine module);
 //! * **temporal patterns** — [`ComplianceUniversality`] is an *owned*
 //!   streaming `A[] compliant` monitor implementing
-//!   [`vdo_temporal::PatternMonitor`], fed by the `CheckResult` stream
+//!   [`vdo_temporal::PatternMonitor`], fed by the host's check verdicts
 //!   (the borrowed monitors returned by `TemporalPattern::begin` cannot
 //!   outlive their pattern, which a long-lived monitor registry needs);
 //! * **TEARS guarded assertions** — [`TearsHostMonitor`] holds the
