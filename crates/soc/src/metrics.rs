@@ -25,7 +25,8 @@ pub struct SocMetrics {
     pub events_deferred: Counter,
     /// Events consumed by workers (including follow-ups).
     pub events_processed: Counter,
-    /// Shard batches executed.
+    /// Shard batches executed: one per shard per tick whose queue held
+    /// events.
     pub batches: Counter,
     /// Batches a worker obtained by stealing (injector or sibling).
     pub steals: Counter,
@@ -41,7 +42,8 @@ pub struct SocMetrics {
     pub remediations: Counter,
     /// Detection latency in ticks (drift tick to detection tick).
     pub detection_latency: vdo_obs::Histogram,
-    /// Wall-clock batch processing time in microseconds.
+    /// Wall-clock processing time in microseconds of each shard batch
+    /// and of each shard's remediation pass.
     pub batch_micros: vdo_obs::Histogram,
 }
 
