@@ -25,9 +25,10 @@ cargo build --release
 echo "==> cargo test"
 cargo test --workspace -q
 
-echo "==> SOC goldens pinned to one CPU (the engine's barrier passes with no parallelism)"
+echo "==> pool goldens pinned to one CPU (the worker pool's barrier passes with no parallelism)"
 if command -v taskset > /dev/null; then
   taskset -c 0 cargo test -q -p vdo-soc --test steady_state_golden --test backpressure_golden
+  taskset -c 0 cargo test -q -p vdo-server --test verdict_log_golden
 else
   echo "   (taskset unavailable — skipping the one-CPU golden run)"
 fi

@@ -116,8 +116,8 @@ fn print_fleet_table() {
 fn print_worker_table() {
     println!("\n[E11] worker-pool scaling (1,000 hosts, 100 ticks, 200us simulated I/O per batch)");
     println!(
-        "{:>8} {:>10} {:>10} {:>8} {:>12}",
-        "WORKERS", "WALL MS", "INCIDENTS", "STEALS", "EVENTS/SEC"
+        "{:>8} {:>10} {:>10} {:>12}",
+        "WORKERS", "WALL MS", "INCIDENTS", "EVENTS/SEC"
     );
     let catalog = ubuntu::catalog();
     let mut reference: Option<String> = None;
@@ -146,11 +146,10 @@ fn print_worker_table() {
             Some(expected) => assert_eq!(*expected, log, "incident log varies with workers"),
         }
         println!(
-            "{:>8} {:>10.1} {:>10} {:>8} {:>12.0}",
+            "{:>8} {:>10.1} {:>10} {:>12.0}",
             workers,
             wall.as_secs_f64() * 1e3,
             report.incidents.len(),
-            report.metrics.steals,
             report.metrics.events_per_sec,
         );
     }

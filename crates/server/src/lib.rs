@@ -20,10 +20,10 @@
 //!   tenants receive service proportional to their weights, and any
 //!   non-empty queue is served within at most *N* dispatch rounds
 //!   (starvation freedom, property-tested);
-//! * the **worker pool** — per-tenant batches dispatched over the
-//!   work-stealing [`vdo_soc::TaskQueues`] runtime; one tenant is
-//!   served by exactly one worker per round, preserving per-tenant
-//!   request order under any steal schedule;
+//! * the **worker pool** — each round's per-tenant batches run as one
+//!   pass of the SOC engine's pool ([`vdo_soc::with_pool`]); one tenant
+//!   is served by exactly one thread per round, preserving per-tenant
+//!   request order under any schedule;
 //! * [`LoadGen`] — a deterministic open-loop traffic generator
 //!   (seeded arrival schedule, weighted tenant and request mixes,
 //!   burst patterns) capable of millions of requests per run;

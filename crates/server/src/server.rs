@@ -1,19 +1,21 @@
 //! The service itself: admission, fair dispatch, and the worker pool.
 //!
 //! One [`Server::run_load`] call drives the open-loop schedule to
-//! completion. Each dispatch round advances through fixed phases,
-//! coordinated by two barriers (the same shape as the vdo-soc engine):
+//! completion. Each dispatch round advances through fixed phases; the
+//! serve phase is one pass of the vdo-soc engine's worker pool
+//! ([`vdo_soc::with_pool`]):
 //!
 //! 1. **admit** (main thread): the round's arrivals either enter their
 //!    tenant's bounded queue or bounce with a typed [`Rejection`];
 //! 2. **plan** (main thread): the weighted deficit-round-robin
 //!    scheduler drains up to `capacity_per_round` requests into
 //!    per-tenant batches;
-//! 3. **serve** (worker pool): each batch becomes one work-stealing
-//!    task; because a tenant appears in at most one batch per round and
-//!    a batch is processed by exactly one worker, per-tenant request
-//!    order — and therefore the tenant's verdict log — is independent
-//!    of worker count and steal timing;
+//! 3. **serve** (worker pool): each tenant's batch is one item of the
+//!    round's pass; because a tenant appears in at most one batch per
+//!    round and a batch is processed by exactly one thread, per-tenant
+//!    request order — and therefore the tenant's verdict log — is
+//!    independent of worker count and scheduling. A panic while serving
+//!    fails the run;
 //! 4. **respond** (main thread): responses merge in tenant-index
 //!    order, latency histograms and journal events are recorded.
 //!
@@ -22,14 +24,11 @@
 //! Wall-clock instruments (`service_nanos`) are the only
 //! machine-dependent output and never feed a deterministic surface.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Barrier;
 use std::time::Instant;
 
-use crossbeam::deque::Worker;
 use parking_lot::Mutex;
 
-use vdo_soc::{Batch, SecEvent, ShardedBus, TaskQueues};
+use vdo_soc::{with_pool, SecEvent, ShardedBus};
 use vdo_trace::{BurnRateRule, Event, Journal, LiveSloEngine, SloAlert, TraceContext};
 
 use crate::load::LoadGen;
@@ -48,7 +47,8 @@ pub struct ServerConfig {
     pub capacity_per_round: usize,
     /// DRR quantum: credit units a tenant of weight 1 earns per visit.
     pub quantum: u64,
-    /// Worker threads serving batches (clamped to >= 1).
+    /// Threads serving batches, the calling thread included (clamped to
+    /// >= 1).
     pub workers: usize,
     /// Retain every [`Response`] and [`Rejection`] in the report.
     /// Off by default — a million-request run only needs the
@@ -428,13 +428,6 @@ impl Server {
         let mut sched = DrrScheduler::new(&self.weights, cfg.quantum);
         let slots: Vec<Mutex<RoundSlot>> =
             (0..n).map(|_| Mutex::new(RoundSlot::default())).collect();
-        let locals: Vec<Worker<Batch>> = (0..cfg.workers).map(|_| Worker::new_fifo()).collect();
-        let task_queues = TaskQueues::new(&locals, n.max(1));
-        let outstanding = AtomicUsize::new(0);
-        let current_round = AtomicU64::new(*clock);
-        let shutdown = AtomicBool::new(false);
-        let start_gate = Barrier::new(cfg.workers + 1);
-        let end_gate = Barrier::new(cfg.workers + 1);
 
         let mut rounds = 0u64;
         let mut admitted_by_tenant = vec![0u64; n];
@@ -443,62 +436,33 @@ impl Server {
         let mut rejections: Vec<Rejection> = Vec::new();
         let mut responses: Vec<Response> = Vec::new();
 
-        std::thread::scope(|scope| {
-            for (me, local) in locals.into_iter().enumerate() {
-                let slots = &slots;
-                let task_queues = &task_queues;
-                let outstanding = &outstanding;
-                let current_round = &current_round;
-                let shutdown = &shutdown;
-                let start_gate = &start_gate;
-                let end_gate = &end_gate;
-                scope.spawn(move || loop {
-                    start_gate.wait();
-                    if shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let now = current_round.load(Ordering::SeqCst);
-                    loop {
-                        match task_queues.find(me, &local) {
-                            Some((batch, _src)) => {
-                                let mut tenant = tenants[batch.shard].lock();
-                                let mut slot = slots[batch.shard].lock();
-                                let input = std::mem::take(&mut slot.input);
-                                for env in input {
-                                    let t0 = Instant::now();
-                                    let outcome = tenant.handle(&env, now);
-                                    metrics
-                                        .service_nanos
-                                        .record(t0.elapsed().as_nanos().min(u128::from(u64::MAX))
-                                            as u64);
-                                    slot.output.push(Response {
-                                        tenant: env.tenant,
-                                        seq: env.seq,
-                                        kind: env.request.kind(),
-                                        submitted_at: env.submitted_at,
-                                        completed_at: now,
-                                        outcome,
-                                        trace: env.trace.map(|t| t.child("response")),
-                                    });
-                                }
-                                outstanding.fetch_sub(1, Ordering::SeqCst);
-                            }
-                            None => {
-                                if outstanding.load(Ordering::SeqCst) == 0 {
-                                    break;
-                                }
-                                std::thread::yield_now();
-                            }
-                        }
-                    }
-                    end_gate.wait();
+        // Serves tenant `t`'s batch for round `now`.
+        let work = |now: u64, t: usize| {
+            let mut tenant = tenants[t].lock();
+            let mut slot = slots[t].lock();
+            let input = std::mem::take(&mut slot.input);
+            for env in input {
+                let t0 = Instant::now();
+                let outcome = tenant.handle(&env, now);
+                metrics
+                    .service_nanos
+                    .record(t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
+                slot.output.push(Response {
+                    tenant: env.tenant,
+                    seq: env.seq,
+                    kind: env.request.kind(),
+                    submitted_at: env.submitted_at,
+                    completed_at: now,
+                    outcome,
+                    trace: env.trace.map(|t| t.child("response")),
                 });
             }
-
+        };
+        with_pool(cfg.workers, work, |pool| {
+            let mut busy = Vec::new();
             let mut run_round = 0u64;
             loop {
                 let now = *clock;
-                current_round.store(now, Ordering::SeqCst);
 
                 // --- Phase 1 (main): admit this round's arrivals ----
                 for (tenant, request) in gen.arrivals_for(run_round) {
@@ -579,16 +543,14 @@ impl Server {
 
                 // --- Phase 2 (main): plan the round under DRR -------
                 let plan = sched.plan(tenant_queues, cfg.capacity_per_round);
-                let n_batches = plan.len();
-                if n_batches > 0 {
+                if !plan.is_empty() {
+                    busy.clear();
                     for (t, batch) in plan {
                         slots[t].lock().input = batch;
-                        task_queues.push(Batch { shard: t });
+                        busy.push(t);
                     }
                     // --- Phase 3 (workers): serve -------------------
-                    outstanding.store(n_batches, Ordering::SeqCst);
-                    start_gate.wait();
-                    end_gate.wait();
+                    pool.pass(now, &busy);
                     // --- Phase 4 (main): merge in tenant order ------
                     for (t, slot) in slots.iter().enumerate() {
                         let mut slot = slot.lock();
@@ -663,8 +625,6 @@ impl Server {
                     break;
                 }
             }
-            shutdown.store(true, Ordering::SeqCst);
-            start_gate.wait();
         });
 
         let verdict_logs = tenants

@@ -3,7 +3,7 @@
 //! `shards` independent bounded queues, each one mutex over a sequence
 //! counter and a FIFO of envelopes. Routing is by host ([`shard_of`]),
 //! so all events of one host flow through one shard in a gap-free total
-//! order — the serialization unit the work-stealing runtime preserves.
+//! order — the serialization unit the worker pool preserves.
 //!
 //! Publishing never blocks: a full shard queue reports
 //! [`PublishError::Backpressure`] and hands the event back, letting the

@@ -4,24 +4,24 @@
 //! unit of ownership is the bus shard: hosts route to shards by a fixed
 //! hash ([`shard_of`]), and each shard owns its hosts, their monitors,
 //! their open incidents, its event queue and sequence counter, and the
-//! events backpressure deferred. A tick runs in up to four steps,
-//! coordinated by barriers:
+//! events backpressure deferred. A tick runs in up to four steps; the
+//! two parallel ones are passes of the [`with_pool`] worker pool, and a
+//! panic on a worker fails the run:
 //!
 //! 1. **draw** (main thread): the only random draws, in host order —
 //!    each host's drift coin (and, when it hits, the
 //!    [`DriftInjector::plan`] of the event), then each host's
 //!    brute-force burst coin. The plans and burst bits go to the hosts'
 //!    shards;
-//! 2. **advance** (worker pool, one batch per shard with work; a lone
-//!    busy shard runs on the main thread, where a pool pass would only
-//!    add barrier crossings): the shard re-publishes the events deferred
-//!    on earlier ticks, runs the baseline audit (tick 0), applies the
-//!    drift plans and samples each host's telemetry. Every accepted
-//!    event gets the shard's next seq; a full queue defers the rest, in
-//!    order, to the next tick. A telemetry sample is fed to the host's
-//!    TEARS monitor on the spot (the monitor reads nothing else); the
-//!    re-check triggers then run the catalogue against the host, so
-//!    checks see this tick's drift.
+//! 2. **advance** (worker pool, one item per shard with work; a lone
+//!    busy shard runs on the main thread): the shard re-publishes the
+//!    events deferred on earlier ticks, runs the baseline audit (tick
+//!    0), applies the drift plans and samples each host's telemetry.
+//!    Every accepted event gets the shard's next seq; a full queue
+//!    defers the rest, in order, to the next tick. A telemetry sample is
+//!    fed to the host's TEARS monitor on the spot (the monitor reads
+//!    nothing else); the re-check triggers then run the catalogue
+//!    against the host, so checks see this tick's drift.
 //!    Because monitors run *per event*, a violation is detected on the
 //!    tick it happens — the polling baseline pays `(period - 1) / 2`
 //!    ticks of mean latency for the same detection;
@@ -50,11 +50,9 @@
 //! draws from a shared RNG stream.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::deque::Worker;
 use parking_lot::{Mutex, MutexGuard};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -69,7 +67,7 @@ use crate::event::{shard_of, HostId, SecEvent};
 use crate::metrics::{MetricsSnapshot, SocMetrics};
 use crate::monitors::{Detection, DetectionKind, HostMonitors};
 use crate::remediation::{DeadLetter, Dispatcher, RemediationConfig, RemediationTask, SocIncident};
-use crate::runtime::{Batch, TaskQueues, TaskSource};
+use crate::runtime::with_pool;
 
 /// A host class the engine can operate: writable, so drift plans and
 /// remediation can change it, and movable to the worker that owns its
@@ -88,7 +86,8 @@ pub struct SocConfig {
     pub duration: u64,
     /// Per-host per-tick probability of one drift event.
     pub drift_rate: f64,
-    /// Worker threads in the pool (must be >= 1).
+    /// Threads that run each pass, the calling thread included (must be
+    /// >= 1).
     pub workers: usize,
     /// Bus shards (must be >= 1).
     pub shards: usize,
@@ -351,102 +350,6 @@ impl SocReport {
 
 /// Per-host violation ledger entry: open rule -> incident index.
 type OpenRules = BTreeMap<String, usize>;
-
-/// The worker pool's shared side: the batch queues, and the flags and
-/// gates of the current pass.
-struct Pool {
-    queues: TaskQueues,
-    /// Batches of the current pass not yet finished.
-    outstanding: AtomicUsize,
-    tick: AtomicU64,
-    remediating: AtomicBool,
-    shutdown: AtomicBool,
-    start_gate: Barrier,
-    end_gate: Barrier,
-}
-
-impl Pool {
-    /// One worker's life: each pass, run batches (work-stealing) until
-    /// none is left, then wait for the next pass or the shutdown.
-    fn work<E: SocHost>(
-        &self,
-        me: usize,
-        local: &Worker<Batch>,
-        shards: &[Mutex<Shard<'_, E>>],
-        run: &RunCtx<'_, E>,
-    ) {
-        loop {
-            self.start_gate.wait();
-            if self.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            let tick = self.tick.load(Ordering::SeqCst);
-            let remediate = self.remediating.load(Ordering::SeqCst);
-            loop {
-                match self.queues.find(me, local) {
-                    Some((batch, src)) => {
-                        if src == TaskSource::Stolen {
-                            run.metrics.steals.inc();
-                        }
-                        shards[batch.shard].lock().run_pass(run, tick, remediate);
-                        self.outstanding.fetch_sub(1, Ordering::SeqCst);
-                    }
-                    None => {
-                        if self.outstanding.load(Ordering::SeqCst) == 0 {
-                            break;
-                        }
-                        std::thread::yield_now();
-                    }
-                }
-            }
-            self.end_gate.wait();
-        }
-    }
-
-    /// Runs one pass over the `busy` shards; the main thread holds every
-    /// shard (`parts`) before and after. A single busy shard runs right
-    /// here: a pool pass would only add two barrier crossings.
-    fn pass<'s, 'h, E: SocHost>(
-        &self,
-        shards: &'s [Mutex<Shard<'h, E>>],
-        run: &RunCtx<'_, E>,
-        mut parts: Vec<MutexGuard<'s, Shard<'h, E>>>,
-        tick: u64,
-        remediate: bool,
-        busy: &[usize],
-    ) -> Vec<MutexGuard<'s, Shard<'h, E>>> {
-        match busy {
-            [] => {}
-            &[shard] => parts[shard].run_pass(run, tick, remediate),
-            _ => {
-                drop(parts);
-                self.tick.store(tick, Ordering::SeqCst);
-                self.remediating.store(remediate, Ordering::SeqCst);
-                for &shard in busy {
-                    self.queues.push(Batch { shard });
-                }
-                self.outstanding.store(busy.len(), Ordering::SeqCst);
-                self.start_gate.wait();
-                self.end_gate.wait();
-                parts = lock_all(shards);
-            }
-        }
-        parts
-    }
-}
-
-/// Stops the worker pool when the main thread leaves the tick loop,
-/// normally or by a panic: the workers pass their start gate, see the
-/// shutdown flag and exit, so the thread scope can join them instead
-/// of waiting on a barrier they never pass.
-struct StopWorkers<'a>(&'a Pool);
-
-impl Drop for StopWorkers<'_> {
-    fn drop(&mut self) {
-        self.0.shutdown.store(true, Ordering::SeqCst);
-        self.0.start_gate.wait();
-    }
-}
 
 /// What every pass reads and nothing writes while a run lasts.
 struct RunCtx<'r, E> {
@@ -798,7 +701,7 @@ impl<'h, E: SocHost> Shard<'h, E> {
 }
 
 /// Locks every shard, in shard order (the main thread's view between
-/// passes; workers are parked, so no lock waits).
+/// passes; no pass is running, so no lock waits).
 fn lock_all<'s, 'h, E>(shards: &'s [Mutex<Shard<'h, E>>]) -> Vec<MutexGuard<'s, Shard<'h, E>>> {
     shards.iter().map(Mutex::lock).collect()
 }
@@ -860,7 +763,8 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
     /// instruments and adds causal tracing. `metrics` may be
     /// [`SocMetrics::in_registry`], to surface the run in a unified
     /// [`vdo_obs`] snapshot, or [`SocMetrics::disabled`], the no-op
-    /// recorder (experiment E12 measures that overhead at under 5%);
+    /// recorder (experiment E12 compares the two: the difference is
+    /// within run-to-run noise, and no bound is asserted);
     /// the returned report snapshots whatever the instruments captured.
     /// Under tracing, requirement roots are journalled at tick 0, every
     /// detection/remediation step emits a journal event chained to the
@@ -940,16 +844,6 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
             telemetry: self.assertion.is_some(),
             journal_debug,
         };
-        let locals: Vec<Worker<Batch>> = (0..cfg.workers).map(|_| Worker::new_fifo()).collect();
-        let pool = Pool {
-            queues: TaskQueues::new(&locals, cfg.shards),
-            outstanding: AtomicUsize::new(0),
-            tick: AtomicU64::new(0),
-            remediating: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
-            start_gate: Barrier::new(cfg.workers + 1),
-            end_gate: Barrier::new(cfg.workers + 1),
-        };
         let wall_start = Instant::now();
 
         let mut incidents: Vec<SocIncident> = Vec::new();
@@ -964,12 +858,12 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
             .map(|p| LiveSloEngine::new(tracing.trace_seed, p.rules.clone()));
         let mut slo_alerts: Vec<SloAlert> = Vec::new();
 
-        std::thread::scope(|scope| {
-            for (me, local) in locals.into_iter().enumerate() {
-                let (pool, shards, run) = (&pool, &shards[..], &run);
-                scope.spawn(move || pool.work(me, &local, shards, run));
-            }
-            let _stop = StopWorkers(&pool);
+        // A pass locks each shard it runs, so the main thread, which
+        // holds every shard between passes, lets go of them first.
+        let work = |(tick, remediate), shard: usize| {
+            shards[shard].lock().run_pass(&run, tick, remediate);
+        };
+        with_pool(cfg.workers, work, |pool| {
             let mut rng = StdRng::seed_from_u64(cfg.seed);
             let mut drifter = DriftInjector::new(cfg.seed.wrapping_mul(31).wrapping_add(7));
 
@@ -995,7 +889,9 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
                     .filter(|p| p.has_work(&run, tick))
                     .map(|p| p.shard)
                     .collect();
-                parts = pool.pass(&shards, &run, parts, tick, false, &busy);
+                drop(parts);
+                pool.pass((tick, false), &busy);
+                parts = lock_all(&shards);
 
                 // --- Step 3 (main): journal, merge detections ---------
                 let published: u64 = parts
@@ -1134,7 +1030,9 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
                         }
                         part.tasks.push((order, task, fault));
                     }
-                    parts = pool.pass(&shards, &run, parts, tick, true, &busy);
+                    drop(parts);
+                    pool.pass((tick, true), &busy);
+                    parts = lock_all(&shards);
                     let mut outcomes: Vec<(usize, RemediationTask, Attempt)> = parts
                         .iter_mut()
                         .flat_map(|p| p.outcomes.drain(..))

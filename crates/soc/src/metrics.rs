@@ -3,7 +3,7 @@
 //! Everything here is updated with relaxed atomics from publisher,
 //! worker, and dispatcher threads, and read out as an immutable
 //! [`MetricsSnapshot`] that serialises to JSON. Counters measure load
-//! (events, batches, steals, retries); the histograms capture the two
+//! (events, batches, checks, retries); the histograms capture the two
 //! latency distributions the E11 experiment reports — detection latency
 //! in ticks and per-batch processing time in microseconds.
 //!
@@ -28,8 +28,6 @@ pub struct SocMetrics {
     /// Shard batches executed: one per shard per tick whose queue held
     /// events.
     pub batches: Counter,
-    /// Batches a worker obtained by stealing (injector or sibling).
-    pub steals: Counter,
     /// Catalogue rule checks performed.
     pub checks_run: Counter,
     /// High-water mark of any shard queue depth.
@@ -56,7 +54,6 @@ impl SocMetrics {
             events_deferred: Counter::new(),
             events_processed: Counter::new(),
             batches: Counter::new(),
-            steals: Counter::new(),
             checks_run: Counter::new(),
             max_queue_depth: Gauge::new(),
             retries: Counter::new(),
@@ -78,7 +75,6 @@ impl SocMetrics {
             events_deferred: Counter::disabled(),
             events_processed: Counter::disabled(),
             batches: Counter::disabled(),
-            steals: Counter::disabled(),
             checks_run: Counter::disabled(),
             max_queue_depth: Gauge::disabled(),
             retries: Counter::disabled(),
@@ -103,9 +99,8 @@ impl SocMetrics {
     /// Registers every instrument into `registry` under
     /// `<prefix>.<name>`, so an engine run surfaces in a unified
     /// [`vdo_obs::Snapshot`] alongside the rest of the closed loop.
-    /// Only deterministic instruments are exported: `steals`,
-    /// `max_queue_depth`, and `batch_micros` depend on scheduling and
-    /// stay engine-local so equal-seed snapshots stay identical at any
+    /// Only deterministic instruments are exported: `max_queue_depth`
+    /// and `batch_micros` depend on scheduling and stay engine-local so equal-seed snapshots stay identical at any
     /// worker count.
     #[must_use]
     pub fn in_registry(registry: &vdo_obs::Registry, prefix: &str) -> Self {
@@ -114,7 +109,6 @@ impl SocMetrics {
             events_deferred: registry.counter(&format!("{prefix}.events_deferred")),
             events_processed: registry.counter(&format!("{prefix}.events_processed")),
             batches: registry.counter(&format!("{prefix}.batches")),
-            steals: Counter::new(),
             checks_run: registry.counter(&format!("{prefix}.checks_run")),
             max_queue_depth: Gauge::new(),
             retries: registry.counter(&format!("{prefix}.retries")),
@@ -137,7 +131,7 @@ impl SocMetrics {
             events_deferred: self.events_deferred.get(),
             events_processed: processed,
             batches: self.batches.get(),
-            steals: self.steals.get(),
+            steals: 0,
             checks_run: self.checks_run.get(),
             max_queue_depth: self.max_queue_depth.get(),
             retries: self.retries.get(),
@@ -171,7 +165,10 @@ pub struct MetricsSnapshot {
     pub events_processed: u64,
     /// Shard batches executed.
     pub batches: u64,
-    /// Batches obtained by stealing.
+    /// Always 0: the worker pool hands out work from one cursor and
+    /// nothing is stolen. The field stays only because the perf
+    /// ledger, a package outside the workspace, still reads it; it
+    /// goes with the ledger's `soc.steals` row.
     pub steals: u64,
     /// Catalogue rule checks performed.
     pub checks_run: u64,
@@ -198,7 +195,6 @@ impl Serialize for MetricsSnapshot {
             ("events_deferred", self.events_deferred.to_value()),
             ("events_processed", self.events_processed.to_value()),
             ("batches", self.batches.to_value()),
-            ("steals", self.steals.to_value()),
             ("checks_run", self.checks_run.to_value()),
             ("max_queue_depth", self.max_queue_depth.to_value()),
             ("retries", self.retries.to_value()),
@@ -269,11 +265,9 @@ mod tests {
         m.events_published.add(2);
         m.checks_run.add(17);
         m.detection_latency.record(0);
-        m.steals.inc(); // engine-local: deliberately not exported
         let snap = registry.snapshot();
         assert_eq!(snap.counter("soc.events_published"), Some(2));
         assert_eq!(snap.counter("soc.checks_run"), Some(17));
         assert_eq!(snap.histograms["soc.detection_latency"].count, 1);
-        assert_eq!(snap.counter("soc.steals"), None);
     }
 }

@@ -1,186 +1,212 @@
-//! Work distribution for the worker pool.
+//! The worker pool the SOC engine and the server run their passes on.
 //!
-//! The unit of work is a [`Batch`] — "drain shard *s* and run its
-//! monitors". Batches for one tick are pushed to a global
-//! [`Injector`]; each worker takes a small chunk into its private
-//! [`Worker`] deque (amortising contention on the injector) and
-//! processes from there; an idle worker steals single batches from its
-//! siblings' deques. Because a shard appears in at most one batch per
-//! tick, a batch is processed by exactly one worker, which is what
-//! preserves per-shard (and therefore per-host) event order no matter
-//! how the stealing plays out.
+//! [`with_pool`] runs each pass on `workers` threads: the caller and
+//! `workers - 1` scoped threads kept for the length of its body. Each
+//! [`Pool::pass`] hands the listed items out one at a time from one
+//! atomic cursor and returns once every item has run: the pass's end
+//! barrier is its completion signal. An item runs on exactly one thread,
+//! so work keyed by item (a shard, a tenant) keeps its own order under
+//! any schedule. A pass of one item runs on the caller, where waking the
+//! pool would only add two barrier crossings.
+//!
+//! The caller takes items like any worker rather than sleeping through
+//! the pass: on a small virtual machine, waking a parked caller at the
+//! end of every pass costs more than the barrier crossings themselves.
+//! One worker thus means no thread and no barrier at all.
+//!
+//! A panic in an item does not strand the pass: the thread that ran the
+//! item catches it, the pass still ends, and the caller re-raises the
+//! first payload.
+//! Leaving the body, normally or by a panic, releases the workers so the
+//! scope can join them.
 
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Barrier;
 
-/// One unit of schedulable work: drain and process a bus shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Batch {
-    /// The shard to drain.
-    pub shard: usize,
+use parking_lot::{Mutex, RwLock};
+
+/// What the caller and the workers share.
+struct Shared<J> {
+    /// The current pass, one `(job, item)` per item. Written by the
+    /// caller only while the workers wait at `start`.
+    items: RwLock<Vec<(J, usize)>>,
+    /// Index of the next item to hand out.
+    cursor: AtomicUsize,
+    /// The first panic an item of the current pass raised.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    stop: AtomicBool,
+    start: Barrier,
+    end: Barrier,
 }
 
-/// Where a worker obtained its current batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaskSource {
-    /// Popped from the worker's own deque.
-    Local,
-    /// Taken from the shared injector.
-    Injector,
-    /// Stolen from a sibling worker's deque.
-    Stolen,
+/// A running pool of persistent workers; see [`with_pool`].
+pub struct Pool<'p, J> {
+    work: &'p (dyn Fn(J, usize) + Sync),
+    shared: &'p Shared<J>,
 }
 
-/// The shared side of the scheduler: the injector plus one stealer per
-/// worker deque.
-pub struct TaskQueues {
-    injector: Injector<Batch>,
-    stealers: Vec<Stealer<Batch>>,
-    /// Batches moved from the injector into a local deque per grab.
-    chunk: usize,
-}
-
-impl TaskQueues {
-    /// Builds the shared scheduler state over the workers' own deques.
-    /// `chunk` controls injector amortisation and is computed from the
-    /// shard/worker ratio.
-    #[must_use]
-    pub fn new(locals: &[Worker<Batch>], shards: usize) -> Self {
-        let workers = locals.len().max(1);
-        TaskQueues {
-            injector: Injector::new(),
-            stealers: locals.iter().map(Worker::stealer).collect(),
-            chunk: (shards / (2 * workers)).max(1),
+impl<J: Copy> Pool<'_, J> {
+    /// Runs `work(job, item)` once for every item in `items`, and
+    /// returns when all of them have run.
+    ///
+    /// # Panics
+    /// Re-raises the first panic an item raised, once the pass is over.
+    pub fn pass(&self, job: J, items: &[usize]) {
+        match *items {
+            [] => {}
+            [item] => (self.work)(job, item),
+            _ => {
+                let shared = self.shared;
+                {
+                    let mut list = shared.items.write();
+                    list.clear();
+                    list.extend(items.iter().map(|&item| (job, item)));
+                }
+                shared.cursor.store(0, Ordering::SeqCst);
+                shared.start.wait();
+                self.drain();
+                shared.end.wait();
+                if let Some(payload) = shared.panic.lock().take() {
+                    panic::resume_unwind(payload);
+                }
+            }
         }
     }
 
-    /// Enqueues a batch for any worker to pick up.
-    pub fn push(&self, batch: Batch) {
-        self.injector.push(batch);
+    /// Runs items of the current pass until none is left, keeping the
+    /// first panic for the caller to re-raise.
+    fn drain(&self) {
+        let shared = self.shared;
+        let items = shared.items.read();
+        while let Some(&(job, item)) = items.get(shared.cursor.fetch_add(1, Ordering::SeqCst)) {
+            let ran = panic::catch_unwind(AssertUnwindSafe(|| (self.work)(job, item)));
+            if let Err(payload) = ran {
+                let mut first = shared.panic.lock();
+                if first.is_none() {
+                    *first = Some(payload);
+                }
+            }
+        }
     }
 
-    /// Finds the next batch for worker `me`: own deque, then the
-    /// injector (taking up to `chunk` batches, surplus into the own
-    /// deque), then a sibling's deque.
-    pub fn find(&self, me: usize, local: &Worker<Batch>) -> Option<(Batch, TaskSource)> {
-        if let Some(b) = local.pop() {
-            return Some((b, TaskSource::Local));
-        }
-        // Drain a chunk from the injector.
-        let mut first = None;
+    /// A spawned worker's life: each pass, take items until none is
+    /// left, then wait for the next pass or the stop.
+    fn serve(&self) {
         loop {
-            match self.injector.steal() {
-                Steal::Success(b) => {
-                    if first.is_none() {
-                        first = Some(b);
-                    } else {
-                        local.push(b);
-                    }
-                    if local.len() + 1 >= self.chunk {
-                        break;
-                    }
-                }
-                Steal::Retry => continue,
-                Steal::Empty => break,
+            self.shared.start.wait();
+            if self.shared.stop.load(Ordering::SeqCst) {
+                return;
             }
+            self.drain();
+            self.shared.end.wait();
         }
-        if let Some(b) = first {
-            return Some((b, TaskSource::Injector));
-        }
-        // Steal a single batch from a sibling.
-        for (i, stealer) in self.stealers.iter().enumerate() {
-            if i == me {
-                continue;
-            }
-            loop {
-                match stealer.steal() {
-                    Steal::Success(b) => return Some((b, TaskSource::Stolen)),
-                    Steal::Retry => continue,
-                    Steal::Empty => break,
-                }
-            }
-        }
-        None
     }
+}
+
+/// Releases the workers when the body ends, normally or by a panic: they
+/// pass their start barrier, see the stop flag and return, so the scope
+/// joins them instead of waiting on a barrier no one else reaches.
+struct Release<'p, J>(&'p Shared<J>);
+
+impl<J> Drop for Release<'_, J> {
+    fn drop(&mut self) {
+        self.0.stop.store(true, Ordering::SeqCst);
+        self.0.start.wait();
+    }
+}
+
+/// Starts `workers - 1` threads that, with the caller, run
+/// `work(job, item)` for the items of each [`Pool::pass`]; calls `body`
+/// with the pool, and joins the threads before returning what `body`
+/// returned.
+///
+/// # Panics
+/// When `workers` is zero, and with any panic of `body` or of a pass.
+pub fn with_pool<J, R>(
+    workers: usize,
+    work: impl Fn(J, usize) + Sync,
+    body: impl FnOnce(&Pool<'_, J>) -> R,
+) -> R
+where
+    J: Copy + Send + Sync,
+{
+    assert!(workers > 0, "a pool needs at least one worker");
+    let shared = Shared {
+        items: RwLock::new(Vec::new()),
+        cursor: AtomicUsize::new(0),
+        panic: Mutex::new(None),
+        stop: AtomicBool::new(false),
+        start: Barrier::new(workers),
+        end: Barrier::new(workers),
+    };
+    let pool = Pool {
+        work: &work,
+        shared: &shared,
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(|| pool.serve());
+        }
+        let _release = Release(&shared);
+        body(&pool)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Barrier, Mutex};
+    use std::thread::{self, ThreadId};
 
     #[test]
-    fn every_batch_is_processed_exactly_once() {
-        let n_workers = 4;
-        let n_batches = 64;
-        let locals: Vec<Worker<Batch>> = (0..n_workers).map(|_| Worker::new_fifo()).collect();
-        let queues = Arc::new(TaskQueues::new(&locals, n_batches));
-        for shard in 0..n_batches {
-            queues.push(Batch { shard });
-        }
-        let outstanding = Arc::new(AtomicUsize::new(n_batches));
-        let seen = Arc::new(Mutex::new(vec![0usize; n_batches]));
-        let start = Arc::new(Barrier::new(n_workers));
-        let handles: Vec<_> = locals
-            .into_iter()
-            .enumerate()
-            .map(|(me, local)| {
-                let queues = Arc::clone(&queues);
-                let outstanding = Arc::clone(&outstanding);
-                let seen = Arc::clone(&seen);
-                let start = Arc::clone(&start);
-                std::thread::spawn(move || {
-                    start.wait();
-                    loop {
-                        match queues.find(me, &local) {
-                            Some((b, _)) => {
-                                seen.lock().unwrap()[b.shard] += 1;
-                                outstanding.fetch_sub(1, Ordering::SeqCst);
-                            }
-                            None => {
-                                if outstanding.load(Ordering::SeqCst) == 0 {
-                                    break;
-                                }
-                                std::thread::yield_now();
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert!(seen.lock().unwrap().iter().all(|&c| c == 1));
+    fn every_item_runs_exactly_once_over_passes_of_any_length() {
+        let runs: Vec<AtomicUsize> = (0..40).map(|_| AtomicUsize::new(0)).collect();
+        let work = |pass: usize, item: usize| {
+            runs[item].fetch_add(pass + 1, Ordering::SeqCst);
+        };
+        with_pool(3, work, |pool| {
+            for pass in 0..200 {
+                let len = pass % runs.len();
+                let items: Vec<usize> = (0..len).collect();
+                pool.pass(pass, &items);
+                for (item, n) in runs.iter().enumerate() {
+                    let want = if item < len { pass + 1 } else { 0 };
+                    assert_eq!(n.swap(0, Ordering::SeqCst), want, "pass {pass} item {item}");
+                }
+            }
+        });
     }
 
     #[test]
-    fn idle_workers_steal_from_a_loaded_sibling() {
-        // Worker 0 hoards every batch in its local deque; worker 1 has
-        // nothing and must steal.
-        let locals: Vec<Worker<Batch>> = (0..2).map(|_| Worker::new_fifo()).collect();
-        let queues = TaskQueues::new(&locals, 8);
-        for shard in 0..8 {
-            locals[0].push(Batch { shard });
-        }
-        let (b, src) = queues.find(1, &locals[1]).expect("sibling steal");
-        assert_eq!(src, TaskSource::Stolen);
-        assert_eq!(b.shard, 7, "steals from the end opposite the owner's pop");
+    fn a_panic_on_a_worker_fails_the_pass_on_the_caller() {
+        let caller = thread::current().id();
+        let both_running = Barrier::new(2);
+        let finished = AtomicUsize::new(0);
+        let work = |(): (), _item: usize| {
+            // Neither item gets past this alone, so one runs on the
+            // caller and the other on the spawned worker.
+            both_running.wait();
+            assert_eq!(thread::current().id(), caller, "the worker's item fails");
+            finished.fetch_add(1, Ordering::SeqCst);
+        };
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+            with_pool(2, work, |pool| pool.pass((), &[0, 1]));
+        }));
+        let payload = outcome.expect_err("the worker's panic reaches the caller");
+        let message = payload.downcast_ref::<String>().expect("formatted message");
+        assert!(message.contains("the worker's item fails"), "{message}");
+        assert_eq!(finished.into_inner(), 1, "the caller's item still finished");
     }
 
     #[test]
-    fn injector_grabs_prefetch_a_chunk() {
-        let locals: Vec<Worker<Batch>> = (0..1).map(|_| Worker::new_fifo()).collect();
-        // 8 shards, 1 worker -> chunk of 4.
-        let queues = TaskQueues::new(&locals, 8);
-        for shard in 0..8 {
-            queues.push(Batch { shard });
-        }
-        let (b, src) = queues.find(0, &locals[0]).expect("injector take");
-        assert_eq!(src, TaskSource::Injector);
-        assert_eq!(b.shard, 0);
-        assert_eq!(locals[0].len(), 3, "chunk minus the returned batch");
-        let (_, src) = queues.find(0, &locals[0]).expect("local pop");
-        assert_eq!(src, TaskSource::Local);
+    fn a_one_item_pass_and_a_one_worker_pool_run_on_the_caller() {
+        let ran_on: Mutex<Vec<ThreadId>> = Mutex::new(Vec::new());
+        let work = |(): (), _item: usize| ran_on.lock().push(thread::current().id());
+        with_pool(4, work, |pool| pool.pass((), &[3]));
+        with_pool(1, work, |pool| pool.pass((), &[0, 1, 2]));
+        let ran_on = ran_on.into_inner();
+        assert_eq!(ran_on.len(), 4);
+        assert!(ran_on.iter().all(|&t| t == thread::current().id()));
     }
 }

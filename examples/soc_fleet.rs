@@ -1,9 +1,9 @@
 //! Event-driven SOC over a 100-host fleet (the experiment E11 scenario
 //! as a demo).
 //!
-//! A work-stealing pool of four monitor workers watches a fleet of 100
-//! Ubuntu hosts through the sharded security-event bus. Seeded drift
-//! breaks hosts at random; every drift event is checked on the tick it
+//! A pool of four monitor workers watches a fleet of 100 Ubuntu hosts
+//! through the sharded security-event bus. Seeded drift breaks hosts at
+//! random; every drift event is checked on the tick it
 //! happens (zero detection latency), a TEARS guarded assertion watches
 //! the brute-force telemetry, and the remediation dispatcher repairs
 //! what it can — with injected faults forcing retries, exponential
@@ -86,7 +86,7 @@ fn main() {
     );
     println!("  events published:    {}", m.events_published);
     println!("  events processed:    {}", m.events_processed);
-    println!("  batches / steals:    {} / {}", m.batches, m.steals);
+    println!("  batches:             {}", m.batches);
     println!("  checks run:          {}", m.checks_run);
     println!("  max queue depth:     {}", m.max_queue_depth);
     println!(

@@ -19,7 +19,7 @@
 //!   lint engine behind the pipeline's analysis gate);
 //! * [`pipeline`] — the DevOps pipeline substrate tying it all together;
 //! * [`soc`] — the event-driven security-operations engine (sharded
-//!   event bus, work-stealing monitor runtime, remediation dispatcher);
+//!   event bus, shard-parallel monitor pool, remediation dispatcher);
 //! * [`server`] — the multi-tenant VeriDevOps-as-a-service front end
 //!   (admission control, weighted fair scheduling, open-loop load
 //!   generation);
