@@ -1,69 +1,41 @@
 //! E3 — STIG check/enforce convergence over host fleets.
 //!
-//! Regenerates: compliance sweep cost vs fleet size and drift rate, plus
-//! the check-only baseline (assessment without remediation).
+//! Regenerates: compliance sweep cost vs fleet size, plus the check-only
+//! baseline (assessment without remediation). The remediation table per
+//! drift rate is E3 in `exp_report`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use vdo_core::{PlannerConfig, PlannerOutcome, RemediationPlanner};
-use vdo_host::{Fleet, FleetConfig};
+use vdo_core::{PlannerConfig, RemediationPlanner};
+use vdo_host::{FleetConfig, FleetStore, UnixHost};
 use vdo_stigs::ubuntu;
 
-fn fleet_config(size: usize, drift_probability: f64, events: usize, seed: u64) -> FleetConfig {
-    FleetConfig::builder()
+/// A half-drifted fleet of `size` hosts, materialized once so the timed
+/// closures measure only checking and enforcing.
+fn hosts(size: usize) -> Vec<UnixHost> {
+    let config = FleetConfig::builder()
         .size(size)
-        .drift_probability(drift_probability)
-        .drift_events_per_host(events)
-        .seed(seed)
+        .drift_probability(0.5)
+        .drift_events_per_host(3)
+        .seed(1)
         .build()
-        .expect("valid fleet config")
-}
-
-fn print_convergence_table() {
-    println!("\n[E3] fleet compliance: remediations and convergence vs drift rate (20 hosts)");
-    println!(
-        "{:>10} {:>9} {:>13} {:>11}",
-        "DRIFT", "DRIFTED", "REMEDIATIONS", "ALL GREEN"
-    );
-    let catalog = ubuntu::catalog();
-    let planner = RemediationPlanner::new(PlannerConfig::default());
-    for drift in [0.0, 0.25, 0.5, 1.0] {
-        let mut fleet = Fleet::generate(&fleet_config(20, drift, 4, 3));
-        let mut remediations = 0;
-        let mut compliant = 0;
-        for host in fleet.hosts_mut() {
-            let host = host.into_unix_mut().expect("unix fleet");
-            let run = planner.run(&catalog, host);
-            remediations += run.report.summary().remediated;
-            if run.outcome == PlannerOutcome::Compliant {
-                compliant += 1;
-            }
-        }
-        println!(
-            "{:>10.2} {:>9} {:>13} {:>10}/20",
-            drift,
-            fleet.drifted_count(),
-            remediations,
-            compliant
-        );
-    }
+        .expect("valid fleet config");
+    let store = FleetStore::generate(&config);
+    (0..size).map(|i| store.materialize_unix(i)).collect()
 }
 
 fn bench_fleet(c: &mut Criterion) {
-    print_convergence_table();
-
     let catalog = ubuntu::catalog();
     let planner = RemediationPlanner::new(PlannerConfig::default());
 
     let mut group = c.benchmark_group("E3_check_only");
     for size in [10usize, 100, 500] {
-        let fleet = Fleet::generate(&fleet_config(size, 0.5, 3, 1));
+        let fleet = hosts(size);
         group.throughput(Throughput::Elements(size as u64));
         group.bench_with_input(BenchmarkId::from_parameter(size), &fleet, |b, fleet| {
             b.iter(|| {
                 fleet
-                    .hosts()
-                    .filter_map(|h| h.as_unix())
+                    .iter()
                     .map(|h| {
                         catalog
                             .check_all(h)
@@ -79,14 +51,13 @@ fn bench_fleet(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("E3_check_enforce");
     for size in [10usize, 100, 500] {
-        let fleet = Fleet::generate(&fleet_config(size, 0.5, 3, 1));
+        let fleet = hosts(size);
         group.throughput(Throughput::Elements(size as u64));
         group.bench_with_input(BenchmarkId::from_parameter(size), &fleet, |b, fleet| {
             b.iter_batched(
                 || fleet.clone(),
                 |mut fleet| {
-                    for host in fleet.hosts_mut() {
-                        let host = host.into_unix_mut().expect("unix fleet");
+                    for host in &mut fleet {
                         planner.run(&catalog, host);
                     }
                 },

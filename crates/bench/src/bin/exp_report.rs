@@ -30,7 +30,7 @@ use vdo_corpus::defects::{self, DefectConfig};
 use vdo_corpus::requirements::{generate, CorpusConfig};
 use vdo_corpus::traces::ViolationTrace;
 use vdo_gwt::generate::{AllEdges, Generator, RandomWalk};
-use vdo_host::{Fleet, FleetConfig};
+use vdo_host::{FleetConfig, FleetStore};
 use vdo_nalabs::Analyzer;
 use vdo_pipeline::{run, MonitorEngine, OperationsPhase, OpsConfig, PipelineConfig};
 use vdo_soc::{RemediationConfig, SocConfig, SocEngine, SocMetrics, SocTracing};
@@ -296,7 +296,7 @@ fn e3_fleet_convergence() -> Value {
     let planner = RemediationPlanner::new(PlannerConfig::default());
     let mut rows = Vec::new();
     for drift in [0.0, 0.25, 0.5, 1.0] {
-        let mut fleet = Fleet::generate(
+        let fleet = FleetStore::generate(
             &FleetConfig::builder()
                 .size(20)
                 .drift_probability(drift)
@@ -305,11 +305,13 @@ fn e3_fleet_convergence() -> Value {
                 .build()
                 .expect("valid fleet config"),
         );
+        let mut hosts: Vec<_> = (0..fleet.len())
+            .map(|i| fleet.materialize_unix(i))
+            .collect();
         let t0 = Instant::now();
         let mut remediations = 0;
         let mut compliant = 0;
-        for host in fleet.hosts_mut() {
-            let host = host.into_unix_mut().expect("unix fleet");
+        for host in &mut hosts {
             let run = planner.run(&catalog, host);
             remediations += run.report.summary().remediated;
             if run.outcome == PlannerOutcome::Compliant {

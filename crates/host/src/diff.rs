@@ -4,13 +4,11 @@
 //! question is *what changed since the last known-good state*.
 //! [`diff_hosts`] compares any two [`HostRead`] snapshots — owned
 //! structs, store-backed views, or one of each — and enumerates every
-//! difference as a typed [`HostDelta`]; [`diff_unix`] is the concrete
-//! convenience wrapper.
+//! difference as a typed [`HostDelta`].
 
 use std::collections::BTreeSet;
 use std::fmt;
 
-use crate::unix::UnixHost;
 use crate::view::HostRead;
 
 /// One observed difference between two host snapshots.
@@ -100,28 +98,21 @@ const WATCHED_SERVICES: [&str; 3] = ["sshd", "rsyslog", "telnet"];
 
 const WATCHED_KERNEL_PARAMS: [&str; 2] = ["kernel.dmesg_restrict", "fs.suid_dumpable"];
 
-/// Enumerates the differences between two Unix host snapshots.
+/// Enumerates the differences between any two host snapshots through the
+/// [`HostRead`] trait. The two sides may be different representations
+/// (e.g. an owned baseline vs. a columnar store view).
 ///
 /// Packages are compared exhaustively; directives, file modes, services,
 /// and kernel parameters are compared over the watched sets above.
 ///
 /// ```
-/// use vdo_host::{diff_unix, HostDelta, UnixHost};
+/// use vdo_host::{diff_hosts, HostDelta, UnixHost};
 /// let before = UnixHost::baseline_ubuntu_1804();
 /// let mut after = before.clone();
 /// after.install_package("nis", "3.17");
-/// let deltas = diff_unix(&before, &after);
+/// let deltas = diff_hosts(&before, &after);
 /// assert_eq!(deltas, vec![HostDelta::PackageInstalled("nis".into())]);
 /// ```
-#[must_use]
-pub fn diff_unix(before: &UnixHost, after: &UnixHost) -> Vec<HostDelta> {
-    diff_hosts(before, after)
-}
-
-/// Enumerates the differences between any two host snapshots through the
-/// [`HostRead`] trait — the representation-independent generalization of
-/// [`diff_unix`]. The two sides may be different representations (e.g.
-/// an owned baseline vs. a columnar store view).
 #[must_use]
 pub fn diff_hosts<B: HostRead + ?Sized, A: HostRead + ?Sized>(
     before: &B,
@@ -194,12 +185,13 @@ pub fn diff_hosts<B: HostRead + ?Sized, A: HostRead + ?Sized>(
 mod tests {
     use super::*;
     use crate::drift::DriftInjector;
-    use crate::unix::FileMode;
+    use crate::unix::{FileMode, UnixHost};
+    use crate::view::Platform;
 
     #[test]
     fn identical_hosts_diff_empty() {
         let h = UnixHost::baseline_ubuntu_1804();
-        assert!(diff_unix(&h, &h.clone()).is_empty());
+        assert!(diff_hosts(&h, &h.clone()).is_empty());
     }
 
     #[test]
@@ -214,7 +206,7 @@ mod tests {
         after.corrupt_password_storage("admin");
         after.set_kernel_param("fs.suid_dumpable", "1");
 
-        let deltas = diff_unix(&before, &after);
+        let deltas = diff_hosts(&before, &after);
         assert!(deltas.contains(&HostDelta::PackageInstalled("nis".into())));
         assert!(deltas.contains(&HostDelta::PackageRemoved("sudo".into())));
         assert!(deltas.iter().any(|d| matches!(
@@ -240,8 +232,8 @@ mod tests {
         for seed in 0..40 {
             let before = UnixHost::baseline_ubuntu_1804();
             let mut after = before.clone();
-            DriftInjector::new(seed).drift_unix(&mut after, 1);
-            let deltas = diff_unix(&before, &after);
+            DriftInjector::new(seed).drift(&mut after, Platform::Unix, 1);
+            let deltas = diff_hosts(&before, &after);
             // A drift event may be a no-op (e.g. re-installing an already
             // broken package); only assert when state actually changed.
             if before != after {

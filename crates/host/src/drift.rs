@@ -14,9 +14,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::unix::{FileMode, UnixHost};
+use crate::unix::FileMode;
 use crate::view::{HostWrite, Platform};
-use crate::windows::{AuditSetting, WindowsHost};
+use crate::windows::AuditSetting;
 
 /// The kinds of drift the injector can introduce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -122,16 +122,6 @@ impl DriftInjector {
         (0..n).map(|_| self.plan(platform).apply(host)).collect()
     }
 
-    /// Applies `n` random drift events to a Unix host.
-    pub fn drift_unix(&mut self, host: &mut UnixHost, n: usize) -> Vec<DriftEvent> {
-        self.drift(host, Platform::Unix, n)
-    }
-
-    /// Applies `n` random drift events to a Windows host.
-    pub fn drift_windows(&mut self, host: &mut WindowsHost, n: usize) -> Vec<DriftEvent> {
-        self.drift(host, Platform::Windows, n)
-    }
-
     /// Makes every draw of one drift event for `platform` and writes
     /// nothing. A caller that plans a whole fleet in host order can
     /// apply the plans later, in any grouping, and leave every host as
@@ -225,6 +215,8 @@ impl DriftPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::unix::UnixHost;
+    use crate::windows::WindowsHost;
     use proptest::prop_assert_eq;
 
     #[test]
@@ -232,8 +224,8 @@ mod tests {
         let mut a = UnixHost::baseline_ubuntu_1804();
         let mut b = UnixHost::baseline_ubuntu_1804();
         let ea = DriftInjector::new(7).drift(&mut a, Platform::Unix, 10);
-        let eb = DriftInjector::new(7).drift_unix(&mut b, 10);
-        assert_eq!(ea, eb, "generic and wrapper entry points draw identically");
+        let eb = DriftInjector::new(7).drift(&mut b, Platform::Unix, 10);
+        assert_eq!(ea, eb);
         assert_eq!(a, b);
     }
 

@@ -17,8 +17,8 @@
 //! `check()` queries the host, `enforce()` mutates it, and the remediation
 //! planner loops the two. [`drift`] adds seeded random configuration
 //! drift (the "attacks/misconfigurations appear at operations time" part
-//! of the VeriDevOps loop), and [`fleet`] stamps out host populations for
-//! the compliance-at-scale experiments (E3).
+//! of the VeriDevOps loop), and [`fleet`] holds the [`FleetConfig`] that
+//! names a host population for the compliance-at-scale experiments (E3).
 //!
 //! Three layers make the surface scale past per-host structs:
 //!
@@ -31,7 +31,10 @@
 //!   one shared baseline host plus per-host deltas, point lookups
 //!   through [`store::HostView`], vectorized per-key sweeps, and an
 //!   incremental dirty set for drift detection. A million-host fleet
-//!   costs roughly one host plus total drift.
+//!   costs roughly one host plus total drift. It is the one fleet
+//!   generator; [`FleetStore::materialize_unix`] hands out an owned
+//!   [`UnixHost`] where a caller needs one (the planner's catalogue is
+//!   typed on the single-host structs).
 //!
 //! ```
 //! use vdo_host::UnixHost;
@@ -54,9 +57,9 @@ pub mod unix;
 pub mod view;
 pub mod windows;
 
-pub use diff::{diff_hosts, diff_unix, HostDelta};
+pub use diff::{diff_hosts, HostDelta};
 pub use drift::{DriftEvent, DriftInjector, DriftKind, DriftPlan};
-pub use fleet::{Fleet, FleetConfig, FleetConfigBuilder, FleetConfigError, HostMut, HostRef};
+pub use fleet::{FleetConfig, FleetConfigBuilder, FleetConfigError};
 pub use intern::{Interner, Sym};
 pub use store::{FleetStore, HostView, HostViewMut, MemoryProfile};
 pub use unix::{FileMode, HostKey, PackageState, SavedKey, ServiceState, UnixHost};

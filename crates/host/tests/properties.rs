@@ -1,13 +1,19 @@
 //! Observational-equivalence properties: the columnar [`FleetStore`]
-//! must be indistinguishable from the legacy per-host-struct [`Fleet`]
-//! at equal seeds — same drift counts, same diff reports, same
-//! materialized hosts — across the whole configuration space.
+//! must be indistinguishable from owned per-host structs drifted the
+//! same way at equal seeds — same drift counts, same diff reports, same
+//! STIG verdicts and planner runs — across the whole configuration
+//! space. The owned side comes from [`owned_fleet`], an oracle written
+//! independently of [`FleetStore::generate`].
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use vdo_core::{CheckStatus, PlannerConfig, RemediationPlanner};
 use vdo_host::{
-    diff_hosts, diff_unix, DriftInjector, Fleet, FleetConfig, FleetStore, HostRead, Platform,
-    UnixHost,
+    diff_hosts, DriftInjector, FleetConfig, FleetStore, HostRead, HostWrite, Platform, UnixHost,
+    WindowsHost,
 };
+use vdo_stigs::{ubuntu, win10};
 
 fn cfg(size: usize, seed: u64, p: f64, platform: Platform) -> FleetConfig {
     FleetConfig::builder()
@@ -20,27 +26,128 @@ fn cfg(size: usize, seed: u64, p: f64, platform: Platform) -> FleetConfig {
         .expect("valid config")
 }
 
+/// Drift probabilities with both edges drawn often: 0 must leave every
+/// host pristine and 1 must drift every host.
+fn probability() -> impl Strategy<Value = f64> {
+    prop_oneof![Just(0.0), Just(1.0), 0.0f64..1.0]
+}
+
+/// The oracle: one owned host per slot, drifted iff the master coin
+/// (seeded with `config.seed`) says so, by an injector seeded
+/// `seed + i + 1`. Returns the hosts and how many drifted.
+fn owned_fleet<H: HostWrite>(config: &FleetConfig, baseline: fn() -> H) -> (Vec<H>, usize) {
+    let mut coin = StdRng::seed_from_u64(config.seed);
+    let mut drifted = 0;
+    let hosts = (0..config.size)
+        .map(|i| {
+            let mut host = baseline();
+            if coin.gen_bool(config.drift_probability) {
+                DriftInjector::new(config.seed.wrapping_add(i as u64 + 1)).drift(
+                    &mut host,
+                    config.platform,
+                    config.drift_events_per_host,
+                );
+                drifted += 1;
+            }
+            host
+        })
+        .collect();
+    (hosts, drifted)
+}
+
+/// One Unix config: the store (generated twice, for determinism), its
+/// views, its materialized hosts and the oracle's hosts agree on drift
+/// counts, diffs against the baseline, `ubuntu::catalog()` verdicts and
+/// planner runs. Struct `==` is not compared: overlay replay may order
+/// a materialized host's directives differently.
+fn store_matches_oracle(config: &FleetConfig) -> Result<(), TestCaseError> {
+    let store = FleetStore::generate(config);
+    let again = FleetStore::generate(config);
+    let (oracle, drifted) = owned_fleet(config, UnixHost::baseline_ubuntu_1804);
+    prop_assert_eq!(store.drifted_count(), drifted);
+    prop_assert_eq!(again.drifted_count(), drifted);
+    if config.drift_probability == 0.0 {
+        prop_assert_eq!(drifted, 0);
+    }
+    if config.drift_probability == 1.0 {
+        prop_assert_eq!(drifted, config.size);
+    }
+
+    let base = UnixHost::baseline_ubuntu_1804();
+    let cat = ubuntu::catalog();
+    let rules = ubuntu::rules();
+    let planner = RemediationPlanner::new(PlannerConfig::default());
+    let verdicts = |host: &UnixHost| -> Vec<CheckStatus> {
+        cat.check_all(host).iter().map(|(_, v)| *v).collect()
+    };
+    for (i, mut owned) in oracle.into_iter().enumerate() {
+        let view = store.host(i);
+        let mut materialized = store.materialize_unix(i);
+        let diff = diff_hosts(&base, &owned);
+        prop_assert_eq!(&diff, &diff_hosts(&base, &view), "host {} view diff", i);
+        prop_assert_eq!(
+            &diff,
+            &diff_hosts(&base, &again.host(i)),
+            "host {} rerun",
+            i
+        );
+        prop_assert_eq!(
+            &diff,
+            &diff_hosts(&base, &materialized),
+            "host {} materialized",
+            i
+        );
+
+        // The catalogue is built from `rules()` in order, so entry j of
+        // `check_all` and rule j's op evaluate the same finding.
+        let expected = verdicts(&owned);
+        let on_view: Vec<CheckStatus> = rules.iter().map(|r| r.op().check(&view)).collect();
+        prop_assert_eq!(&expected, &on_view, "host {} view verdicts", i);
+        prop_assert_eq!(&expected, &verdicts(&materialized), "host {} verdicts", i);
+
+        let a = planner.run(&cat, &mut owned);
+        let b = planner.run(&cat, &mut materialized);
+        prop_assert_eq!(
+            (a.report.summary().remediated, a.outcome, a.enforcements),
+            (b.report.summary().remediated, b.outcome, b.enforcements),
+            "host {} planner run",
+            i
+        );
+    }
+    Ok(())
+}
+
+/// Fixed configs that earlier unit tests pinned, each an edge of the
+/// generator: three-event drift at p = 0.5, a pristine fleet and a
+/// fully drifted one.
+#[test]
+fn fixed_configs_match_the_oracle() {
+    for (size, seed, p) in [
+        (40, 11, 0.5),
+        (15, 23, 0.5),
+        (20, 9, 0.5),
+        (5, 0, 0.0),
+        (8, 0, 1.0),
+    ] {
+        let config = FleetConfig {
+            drift_events_per_host: 3,
+            ..cfg(size, seed, p, Platform::Unix)
+        };
+        store_matches_oracle(&config).unwrap_or_else(|e| panic!("{config:?}: {e}"));
+    }
+}
+
 proptest! {
-    /// Equal seeds ⇒ the columnar store and the legacy fleet drift the
-    /// same hosts and show identical per-host diffs vs. the baseline.
+    /// Equal seeds ⇒ the columnar store and the owned oracle drift the
+    /// same hosts, diff identically against the baseline, give the same
+    /// STIG verdicts and remediate the same way.
     #[test]
-    fn store_and_fleet_agree_observably(
+    fn store_and_oracle_agree_observably(
         seed in 0u64..300,
         size in 1usize..30,
-        p in 0.0f64..1.0,
+        p in probability(),
     ) {
-        let config = cfg(size, seed, p, Platform::Unix);
-        let fleet = Fleet::generate(&config);
-        let store = FleetStore::generate(&config);
-        prop_assert_eq!(fleet.drifted_count(), store.drifted_count());
-
-        let base = UnixHost::baseline_ubuntu_1804();
-        for (i, host) in fleet.hosts().enumerate() {
-            let legacy = host.as_unix().expect("unix fleet");
-            let legacy_diff = diff_unix(&base, legacy);
-            let store_diff = diff_hosts(&base, &store.host(i));
-            prop_assert_eq!(&legacy_diff, &store_diff, "host {} diff diverged", i);
-        }
+        store_matches_oracle(&cfg(size, seed, p, Platform::Unix))?;
     }
 
     /// Materializing a store host yields a struct that diffs empty
@@ -59,18 +166,25 @@ proptest! {
         }
     }
 
-    /// Windows fleets agree on the trait-visible surface at equal seeds.
+    /// Windows fleets agree with the oracle on the trait-visible surface
+    /// and on `win10::catalog()` verdicts at equal seeds.
     #[test]
-    fn windows_store_and_fleet_agree(
+    fn windows_store_and_oracle_agree(
         seed in 0u64..200,
         size in 1usize..20,
-        p in 0.0f64..1.0,
+        p in probability(),
     ) {
         let config = cfg(size, seed, p, Platform::Windows);
-        let fleet = Fleet::generate(&config);
         let store = FleetStore::generate(&config);
-        prop_assert_eq!(fleet.drifted_count(), store.drifted_count());
-        for (i, host) in fleet.hosts().enumerate() {
+        let (oracle, drifted) = owned_fleet(&config, WindowsHost::baseline_win10);
+        prop_assert_eq!(store.platform(), Platform::Windows);
+        prop_assert_eq!(store.drifted_count(), drifted);
+        if p == 1.0 {
+            prop_assert_eq!(drifted, size);
+        }
+        let cat = win10::catalog();
+        let rules = win10::rules();
+        for (i, host) in oracle.iter().enumerate() {
             let view = store.host(i);
             for (c, s) in [
                 ("Account Management", "User Account Management"),
@@ -86,7 +200,8 @@ proptest! {
                 view.lockout_duration_minutes()
             );
             prop_assert_eq!(
-                host.registry_value(
+                HostRead::registry_value(
+                    host,
                     r"HKLM\SOFTWARE\Microsoft\Windows\CurrentVersion\Policies\System",
                     "EnableLUA"
                 ),
@@ -95,6 +210,10 @@ proptest! {
                     "EnableLUA"
                 )
             );
+            let expected: Vec<CheckStatus> =
+                cat.check_all(host).iter().map(|(_, v)| *v).collect();
+            let on_view: Vec<CheckStatus> = rules.iter().map(|r| r.op().check(&view)).collect();
+            prop_assert_eq!(expected, on_view, "host {} verdicts", i);
         }
     }
 

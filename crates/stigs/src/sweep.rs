@@ -635,22 +635,20 @@ mod tests {
                 }
             }
 
-            /// The columnar sweep agrees with the legacy per-host
-            /// catalogue evaluation at equal seeds.
+            /// The columnar sweep agrees with the per-host catalogue
+            /// evaluation of each materialized host.
             #[test]
-            fn columnar_sweep_equals_legacy_catalog(
+            fn columnar_sweep_equals_per_host_catalog(
                 seed in 0u64..200,
                 size in 1usize..25,
                 p in 0.0f64..1.0,
             ) {
-                let cfg = store_cfg(size, seed, p, Platform::Unix);
-                let store = FleetStore::generate(&cfg);
-                let fleet = vdo_host::Fleet::generate(&cfg);
+                let store = FleetStore::generate(&store_cfg(size, seed, p, Platform::Unix));
                 let auditor = FleetAuditor::new(&store);
                 let cat = crate::ubuntu::catalog();
-                for (i, host) in fleet.hosts().enumerate() {
-                    let legacy = host.as_unix().expect("unix fleet");
-                    for (j, (_, verdict)) in cat.check_all(legacy).iter().enumerate() {
+                for i in 0..size {
+                    let host = store.materialize_unix(i);
+                    for (j, (_, verdict)) in cat.check_all(&host).iter().enumerate() {
                         prop_assert_eq!(auditor.status(i, j), *verdict);
                     }
                 }

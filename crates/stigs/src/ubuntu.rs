@@ -737,7 +737,7 @@ mod tests {
     mod properties {
         use super::*;
         use proptest::prelude::*;
-        use vdo_host::DriftInjector;
+        use vdo_host::{DriftInjector, Platform};
 
         proptest! {
             /// After arbitrary drift, one planner run restores compliance,
@@ -746,7 +746,7 @@ mod tests {
             fn enforcement_converges_and_is_idempotent(seed in 0u64..500, events in 0usize..12) {
                 let cat = catalog();
                 let mut host = UnixHost::baseline_ubuntu_1804();
-                DriftInjector::new(seed).drift_unix(&mut host, events);
+                DriftInjector::new(seed).drift(&mut host, Platform::Unix, events);
                 let planner = RemediationPlanner::new(PlannerConfig::default());
                 let first = planner.run(&cat, &mut host);
                 prop_assert_eq!(first.outcome, PlannerOutcome::Compliant);

@@ -514,14 +514,14 @@ mod tests {
     mod properties {
         use super::*;
         use proptest::prelude::*;
-        use vdo_host::DriftInjector;
+        use vdo_host::{DriftInjector, Platform};
 
         proptest! {
             #[test]
             fn enforcement_converges_and_is_idempotent(seed in 0u64..500, events in 0usize..10) {
                 let cat = catalog();
                 let mut host = WindowsHost::baseline_win10();
-                DriftInjector::new(seed).drift_windows(&mut host, events);
+                DriftInjector::new(seed).drift(&mut host, Platform::Windows, events);
                 let planner = RemediationPlanner::new(PlannerConfig::default());
                 let first = planner.run(&cat, &mut host);
                 prop_assert_eq!(first.outcome, PlannerOutcome::Compliant);

@@ -11,7 +11,7 @@
 //! Run with: `cargo run --example incident_forensics`
 
 use veridevops::core::{RemediationPlanner, WaiverSet};
-use veridevops::host::{diff_unix, DriftInjector, UnixHost};
+use veridevops::host::{diff_hosts, DriftInjector, Platform, UnixHost};
 use veridevops::stigs::ubuntu;
 use veridevops::tears::{GaMonitor, GuardedAssertion, SignalTrace};
 
@@ -70,7 +70,7 @@ fn main() {
     );
 
     // -- The incident: meanwhile, the host itself drifted. ---------------
-    DriftInjector::new(99).drift_unix(&mut host, 4);
+    DriftInjector::new(99).drift(&mut host, Platform::Unix, 4);
     let open: Vec<_> = catalog
         .check_all(&host)
         .into_iter()
@@ -85,7 +85,7 @@ fn main() {
 
     // -- Forensics: what exactly changed since the snapshot? -------------
     println!("\nforensic diff vs day-0 snapshot:");
-    for delta in diff_unix(&known_good, &host) {
+    for delta in diff_hosts(&known_good, &host) {
         println!("  {delta}");
     }
 

@@ -2,12 +2,12 @@
 //!
 //! Generates a fleet of drifted Ubuntu hosts, assesses each against the
 //! STIG catalogue, remediates, and prints the per-host compliance table
-//! plus Windows 10 audit-policy hardening on a second fleet.
+//! plus Windows 10 audit-policy hardening on six drifted Windows hosts.
 //!
 //! Run with: `cargo run --example stig_fleet_compliance`
 
 use veridevops::core::{PlannerConfig, RemediationPlanner, WaiverSet};
-use veridevops::host::{Fleet, FleetConfig, Platform};
+use veridevops::host::{DriftInjector, FleetConfig, FleetStore, Platform, WindowsHost};
 use veridevops::stigs::{ubuntu, win10};
 
 fn main() {
@@ -23,7 +23,7 @@ fn main() {
         .platform(Platform::Unix)
         .build()
         .expect("valid fleet config");
-    let mut fleet = Fleet::generate(&config);
+    let fleet = FleetStore::generate(&config);
     println!(
         "== Ubuntu fleet: {} hosts, {} drifted ==\n",
         fleet.len(),
@@ -34,14 +34,14 @@ fn main() {
         "HOST", "FINDINGS", "FAILING", "REMEDIATED", "OUTCOME"
     );
     let mut total_remediated = 0;
-    for (i, host) in fleet.hosts_mut().enumerate() {
-        let host = host.into_unix_mut().expect("unix fleet");
+    for i in 0..fleet.len() {
+        let mut host = fleet.materialize_unix(i);
         let failing_before = catalog
-            .check_all(host)
+            .check_all(&host)
             .iter()
             .filter(|(_, v)| !v.is_pass())
             .count();
-        let run = planner.run(&catalog, host);
+        let run = planner.run(&catalog, &mut host);
         let s = run.report.summary();
         total_remediated += s.remediated;
         println!(
@@ -73,22 +73,13 @@ fn main() {
         host.is_package_installed("vlock")
     );
 
-    // ---- Windows fleet ----
+    // ---- Windows fleet: six hosts, each drifted by three events ----
     let wcat = win10::catalog();
-    let mut wfleet = Fleet::generate(
-        &FleetConfig::builder()
-            .size(6)
-            .drift_probability(1.0)
-            .drift_events_per_host(3)
-            .seed(9)
-            .platform(Platform::Windows)
-            .build()
-            .expect("valid fleet config"),
-    );
-    println!("== Windows 10 fleet: {} hosts ==\n", wfleet.len());
-    for (i, host) in wfleet.hosts_mut().enumerate() {
-        let host = host.into_windows_mut().expect("windows fleet");
-        let run = planner.run(&wcat, host);
+    println!("== Windows 10 fleet: 6 hosts ==\n");
+    for i in 0..6u64 {
+        let mut host = WindowsHost::baseline_win10();
+        DriftInjector::new(9 + i + 1).drift(&mut host, Platform::Windows, 3);
+        let run = planner.run(&wcat, &mut host);
         println!(
             "win-{i:02}: {:?} after {} enforcement(s); sensitive privilege use now '{}'",
             run.outcome,

@@ -2,7 +2,7 @@
 //! × drift — across `vdo-core`, `vdo-host`, and `vdo-stigs`.
 
 use veridevops::core::{CheckStatus, PlannerConfig, PlannerOutcome, RemediationPlanner, Severity};
-use veridevops::host::{DriftInjector, Fleet, FleetConfig, UnixHost, WindowsHost};
+use veridevops::host::{DriftInjector, FleetConfig, FleetStore, Platform, UnixHost, WindowsHost};
 use veridevops::stigs::{ubuntu, win10};
 
 #[test]
@@ -65,7 +65,7 @@ fn fleet_compliance_scales_with_drift_rate() {
     let planner = RemediationPlanner::new(PlannerConfig::default());
     let mut failing_counts = Vec::new();
     for drift_probability in [0.0, 0.5, 1.0] {
-        let mut fleet = Fleet::generate(
+        let fleet = FleetStore::generate(
             &FleetConfig::builder()
                 .size(10)
                 .drift_probability(drift_probability)
@@ -75,21 +75,18 @@ fn fleet_compliance_scales_with_drift_rate() {
                 .expect("valid fleet config"),
         );
         let mut failing = 0usize;
-        for host in fleet.hosts() {
-            let host = host.as_unix().expect("unix fleet");
+        for i in 0..fleet.len() {
+            let mut host = fleet.materialize_unix(i);
             failing += cat
-                .check_all(host)
+                .check_all(&host)
                 .iter()
                 .filter(|(_, v)| v.is_fail())
                 .count();
-        }
-        failing_counts.push(failing);
-        // Remediate the whole fleet.
-        for host in fleet.hosts_mut() {
-            let host = host.into_unix_mut().expect("unix fleet");
-            let run = planner.run(&cat, host);
+            // Remediate every host.
+            let run = planner.run(&cat, &mut host);
             assert_eq!(run.outcome, PlannerOutcome::Compliant);
         }
+        failing_counts.push(failing);
     }
     // The baseline image itself is non-compliant, so drift monotonically
     // adds on top of a non-zero floor.
@@ -128,7 +125,7 @@ fn severity_rollup_matches_catalog_inventory() {
     let cat = ubuntu::catalog();
     let mut host = UnixHost::baseline_ubuntu_1804();
     // Break everything breakable, then assess.
-    DriftInjector::new(3).drift_unix(&mut host, 25);
+    DriftInjector::new(3).drift(&mut host, Platform::Unix, 25);
     let run = RemediationPlanner::default().run(&cat, &mut host);
     let summary = run.report.summary();
     assert_eq!(summary.total, cat.len());

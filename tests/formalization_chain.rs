@@ -168,7 +168,7 @@ fn ops_incident_forensics_with_host_diff() {
     // known-good host, let drift break it, and verify the diff names the
     // change that the compliance check flagged.
     use veridevops::core::RemediationPlanner;
-    use veridevops::host::{diff_unix, DriftInjector, UnixHost};
+    use veridevops::host::{diff_hosts, DriftInjector, Platform, UnixHost};
     use veridevops::stigs::ubuntu;
 
     let catalog = ubuntu::catalog();
@@ -176,14 +176,14 @@ fn ops_incident_forensics_with_host_diff() {
     RemediationPlanner::default().run(&catalog, &mut host);
     let known_good = host.clone();
 
-    DriftInjector::new(5).drift_unix(&mut host, 3);
+    DriftInjector::new(5).drift(&mut host, Platform::Unix, 3);
     let failing: Vec<_> = catalog
         .check_all(&host)
         .into_iter()
         .filter(|(_, v)| !v.is_pass())
         .map(|(e, _)| e.spec().finding_id().to_string())
         .collect();
-    let deltas = diff_unix(&known_good, &host);
+    let deltas = diff_hosts(&known_good, &host);
     if !failing.is_empty() {
         assert!(
             !deltas.is_empty(),
