@@ -1,11 +1,16 @@
 //! Property tests for the journal's three load-bearing guarantees:
 //! no losses below capacity under concurrent emitters, exact drop
 //! accounting above capacity, and emission-order independence of the
-//! snapshot fingerprint (the worker-count-invariance contract).
+//! snapshot fingerprint (the worker-count-invariance contract) — plus
+//! the columnar reader's: a filtered scan returns exactly the rows a
+//! full decode would keep.
 
 use proptest::prelude::*;
 
-use vdo_trace::{Event, Journal, JournalConfig, Severity, TraceContext};
+use vdo_trace::{
+    DirWriter, Event, FieldValue, Journal, JournalConfig, JournalDir, JournalSink, Severity,
+    TraceContext,
+};
 
 /// A deterministic event stream: a mix of traced (varying roots, so
 /// events spread across shards) and untraced events.
@@ -26,7 +31,110 @@ fn stream(seed: u64, n: usize) -> Vec<Event> {
         .collect()
 }
 
+/// Field keys for [`columnar_row`]: seven, so a row can hold more than
+/// the four fields `Fields` keeps inline.
+const KEYS: [&str; 7] = ["host", "rule", "latency", "ok", "delta", "note", "extra"];
+const NAMES: [&str; 4] = [
+    "soc.drift",
+    "soc.detection",
+    "requirement.ingested",
+    "slo.alert",
+];
+const SEVERITIES: [Severity; 4] = [
+    Severity::Debug,
+    Severity::Info,
+    Severity::Warn,
+    Severity::Error,
+];
+
+/// Row `i` of a generated columnar stream. Every third block of
+/// `block_events` rows is Debug-only, so severity floors skip it by
+/// the block index. `trace` picks no trace (0), a root without a
+/// parent (1) or a child span (2, 3).
+fn columnar_row(
+    i: usize,
+    block_events: usize,
+    (at, sev, trace, fields, v): (u64, usize, u8, usize, u64),
+) -> Event {
+    let severity = if (i / block_events) % 3 == 1 {
+        Severity::Debug
+    } else {
+        SEVERITIES[sev]
+    };
+    let mut event = Event::new(NAMES[(v % 4) as usize], severity).at(at);
+    let root = TraceContext::root(v, "R");
+    match trace {
+        0 => {}
+        1 => event = event.trace(root),
+        _ => event = event.trace(root.child_u64("step", i as u64)),
+    }
+    for (j, key) in KEYS.iter().enumerate().take(fields) {
+        let value = match (v as usize + j) % 5 {
+            0 => FieldValue::U64(v * 7 + j as u64),
+            1 => FieldValue::I64(-(v as i64) - j as i64),
+            2 => FieldValue::F64(v as f64 / 8.0),
+            3 => FieldValue::Bool(v % 2 == 0),
+            _ => FieldValue::Str(format!("s-{}", (v + j as u64) % 13)),
+        };
+        event.fields.push(key, value);
+    }
+    event
+}
+
 proptest! {
+    /// `events_where(floor, lo, hi)` returns exactly `events()` filtered
+    /// by the same floor and seq range: skipping blocks by the index and
+    /// rows before their fields are decoded drops nothing it should keep
+    /// and keeps nothing it should drop.
+    #[test]
+    fn filtered_decode_equals_filtered_full_decode(
+        rows in prop::collection::vec(
+            (0u64..4, 0usize..4, 0u8..4, 0usize..8, 0u64..1_000),
+            1..400,
+        ),
+        gaps in prop::collection::vec(1u64..4, 400..401),
+        block_events in 1usize..40,
+        per_segment in 20u64..300,
+        floor in 0usize..5,
+        bounds in (0u64..1_200, 0u64..1_200, 0u8..4),
+    ) {
+        let (lo, hi, bounded) = bounds;
+        let dir = std::env::temp_dir()
+            .join(format!("vdo-trace-filtered-decode-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // Ticks step forward and sometimes fall back to 0, as
+        // development-phase events do.
+        let (mut seq, mut at) = (0u64, 0u64);
+        let mut written = Vec::new();
+        {
+            let mut sink = DirWriter::with_limits(&dir, "prop", per_segment, block_events).unwrap();
+            for (i, row) in rows.iter().enumerate() {
+                seq += gaps[i];
+                at = if row.0 == 3 { 0 } else { at + row.0 };
+                let event = columnar_row(i, block_events, (at, row.1, row.2, row.3, row.4));
+                sink.record(seq, &event);
+                written.push((seq, event));
+            }
+        }
+        let journal = JournalDir::open(&dir).unwrap();
+        let all = journal.events().unwrap();
+        prop_assert_eq!(&all, &written);
+
+        let floor = SEVERITIES.get(floor).copied();
+        let lo = (bounded & 1 != 0).then_some(lo);
+        let hi = (bounded & 2 != 0).then_some(hi);
+        let expected: Vec<_> = all
+            .into_iter()
+            .filter(|(s, e)| {
+                floor.is_none_or(|f| e.severity >= f)
+                    && lo.is_none_or(|lo| *s >= lo)
+                    && hi.is_none_or(|hi| *s <= hi)
+            })
+            .collect();
+        prop_assert_eq!(journal.events_where(floor, lo, hi).unwrap(), expected);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// Concurrent emitters below capacity lose nothing: every event
     /// lands, drop counters stay zero, regardless of thread count and
     /// shard count.
