@@ -8,11 +8,12 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vdo_core::{CheckStatus, PlannerConfig, RemediationPlanner};
+use vdo_core::{Catalog, CheckStatus, PlannerConfig, RemediationPlanner};
 use vdo_host::{
-    diff_hosts, DriftInjector, FleetConfig, FleetStore, HostRead, HostWrite, Platform, UnixHost,
-    WindowsHost,
+    diff_hosts, DriftInjector, FleetConfig, FleetStore, HostRead, HostViewMut, HostWrite, Platform,
+    UnixHost, WindowsHost,
 };
+use vdo_stigs::sweep::catalog_of;
 use vdo_stigs::{ubuntu, win10};
 
 fn cfg(size: usize, seed: u64, p: f64, platform: Platform) -> FleetConfig {
@@ -134,6 +135,52 @@ fn fixed_configs_match_the_oracle() {
             ..cfg(size, seed, p, Platform::Unix)
         };
         store_matches_oracle(&config).unwrap_or_else(|e| panic!("{config:?}: {e}"));
+    }
+}
+
+/// No drift event writes a kernel parameter, so a store host gets a
+/// kernel overlay only from an enforcement write. The planner, run on
+/// the store's views, writes `kernel.dmesg_restrict` (the Ubuntu
+/// baseline holds 0); every materialized host must then match the
+/// oracle host the same planner hardened.
+#[test]
+fn planner_runs_on_views_materialize_like_the_oracle() {
+    let config = cfg(12, 5, 0.5, Platform::Unix);
+    let mut store = FleetStore::generate(&config);
+    let (oracle, _) = owned_fleet(&config, UnixHost::baseline_ubuntu_1804);
+    let base = UnixHost::baseline_ubuntu_1804();
+    assert_eq!(base.kernel_param("kernel.dmesg_restrict"), Some("0"));
+    let planner = RemediationPlanner::new(PlannerConfig::default());
+    let cat = ubuntu::catalog();
+    for (i, mut owned) in oracle.into_iter().enumerate() {
+        let on_view = {
+            let views: Catalog<HostViewMut<'_>> = catalog_of("ubuntu", ubuntu::rules());
+            planner.run(&views, &mut store.host_mut(i))
+        };
+        let on_owned = planner.run(&cat, &mut owned);
+        assert_eq!(
+            (on_view.outcome, on_view.enforcements),
+            (on_owned.outcome, on_owned.enforcements),
+            "host {i} planner run"
+        );
+        assert_eq!(
+            store.host(i).kernel_param("kernel.dmesg_restrict"),
+            Some("1")
+        );
+        let materialized = store.materialize_unix(i);
+        assert_eq!(
+            materialized.kernel_param("kernel.dmesg_restrict"),
+            Some("1"),
+            "host {i} kernel overlay"
+        );
+        assert_eq!(
+            diff_hosts(&base, &materialized),
+            diff_hosts(&base, &owned),
+            "host {i} materialized"
+        );
+        let verdicts = |host: &UnixHost| cat.check_all(host).iter().map(|(_, v)| *v).collect();
+        let expected: Vec<CheckStatus> = verdicts(&owned);
+        assert_eq!(expected, verdicts(&materialized), "host {i} verdicts");
     }
 }
 

@@ -181,8 +181,12 @@ impl CompiledCheck {
 }
 
 /// Registers every row of a rule table, in order, as an enforceable
-/// entry under `package`.
-pub(crate) fn catalog_of<H: HostWrite>(package: &str, rules: Vec<CompiledCheck>) -> Catalog<H> {
+/// entry under `package`, for any host type: `ubuntu::catalog()` is
+/// this over [`UnixHost`](vdo_host::UnixHost), and the same rows over
+/// a [`HostViewMut`](vdo_host::HostViewMut) let the planner harden a
+/// host inside a [`FleetStore`].
+#[must_use]
+pub fn catalog_of<H: HostWrite>(package: &str, rules: Vec<CompiledCheck>) -> Catalog<H> {
     let mut cat = Catalog::new();
     for CompiledCheck { spec, op } in rules {
         cat.register_enforceable(package, spec, op);
