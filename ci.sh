@@ -62,6 +62,15 @@ else
 fi
 test -n "$(ls target/e18_compact/seg-*.vdoj 2> /dev/null)" \
   || { echo "E18 compacted journal segments missing from target/e18_compact"; exit 1; }
+# The compacted segments are a pure function of the seeded run: their
+# bytes must match the committed digests (re-bless only for an
+# intentional format or behaviour change).
+if command -v sha256sum > /dev/null; then
+  sha256sum target/e18_compact/seg-*.vdoj | diff crates/bench/tests/golden/e18_compact.sha256 - \
+    || { echo "E18 compacted segment bytes differ from crates/bench/tests/golden/e18_compact.sha256"; exit 1; }
+else
+  echo "   (sha256sum unavailable — skipping the E18 compacted-segment digest check)"
+fi
 test -s target/e19_alerts.log \
   || { echo "E19 alert log missing or empty at target/e19_alerts.log"; exit 1; }
 
