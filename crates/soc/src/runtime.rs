@@ -14,6 +14,15 @@
 //! end of every pass costs more than the barrier crossings themselves.
 //! One worker thus means no thread and no barrier at all.
 //!
+//! Between passes the workers park at the `start` barrier rather than
+//! spin. A bounded spin-then-park pool was tried on a shared 2-vCPU
+//! VM: against this parked barrier it ran `fleet_ops` at 15.2 M
+//! host-ticks/s to 14.4 M in the two ledger pairs run while the VM was
+//! quiet, but at 4.7 M to 10.4 M in the four pairs run while it was
+//! contended, where a spinning worker holds a core the caller or
+//! another guest needs. The small quiet-machine gain does not pay for
+//! that loss, so the pool parks.
+//!
 //! A panic in an item does not strand the pass: the thread that ran the
 //! item catches it, the pass still ends, and the caller re-raises the
 //! first payload.
