@@ -51,7 +51,7 @@ for ex in examples/*.rs; do
   cargo run --release --quiet --example "$name" > /dev/null
 done
 
-echo "==> exp_report --json --journal (exit 1 names every failed E15–E19 budget)"
+echo "==> exp_report --json --journal (exit 1 names every failed E11 and E15–E19 budget)"
 cargo run -p vdo-bench --bin exp_report --release --quiet -- --json target/exp_report.json --journal target/journal.jsonl \
   | sed -n '/^== Budgets ==/,$p'
 if command -v python3 > /dev/null; then

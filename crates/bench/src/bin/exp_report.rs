@@ -13,7 +13,7 @@
 //! workload and writes its event journal as JSON Lines — the artifact
 //! CI uploads next to the JSON report.
 //!
-//! After every selected section has run, the pinned E15–E19 budgets
+//! After every selected section has run, the pinned E11 and E15–E19 budgets
 //! are printed as one table, and the process exits 1 naming every
 //! budget that failed — that exit status is the CI budget gate.
 
@@ -101,7 +101,7 @@ fn main() {
         ("e8_gwt_coverage", plain(e8_gwt_coverage)),
         ("e9_tears_throughput", plain(e9_tears_throughput)),
         ("e10_pipeline_comparison", plain(e10_pipeline_comparison)),
-        ("e11_soc_engine", plain(e11_soc_engine)),
+        ("e11_soc_engine", Box::new(e11_soc_engine)),
         ("e12_obs_overhead", plain(e12_obs_overhead)),
         ("e13_analyze", plain(e13_analyze)),
         ("e14_trace", plain(e14_trace)),
@@ -640,16 +640,22 @@ fn e10_pipeline_comparison() -> Value {
     Value::Array(rows)
 }
 
-fn e11_soc_engine() -> Value {
+/// E11: the event-driven SOC against the polling monitor. The SOC's
+/// `checks` count every rule's verdict per trigger; `rules_evaluated`
+/// counts the evaluations that ran, the rest coming from its per-host
+/// verdict cache. The budget row pins that saving at 1,000 hosts: a SOC
+/// that fell back to full re-checks would evaluate every verdict.
+fn e11_soc_engine() -> (Value, Vec<Budget>) {
     say!("\n== E11: event-driven SOC vs polling monitor (drift 2%/tick) ==");
     say!(
-        "{:>6} {:>14} {:>10} {:>13} {:>10} {:>10}",
+        "{:>6} {:>14} {:>10} {:>13} {:>10} {:>10} {:>10}",
         "HOSTS",
         "ENGINE",
         "INCIDENTS",
         "MEAN LATENCY",
         "EXPOSURE",
-        "CHECKS"
+        "CHECKS",
+        "EVALUATED"
     );
     let catalog = ubuntu::catalog();
     let planner = RemediationPlanner::default();
@@ -663,6 +669,7 @@ fn e11_soc_engine() -> Value {
             .collect()
     };
     let mut scaling_rows = Vec::new();
+    let mut budgets = Vec::new();
     for hosts in [1usize, 10, 100, 1_000] {
         let duration = if hosts <= 100 { 500 } else { 100 };
         let mut fleet = fleet_of(hosts);
@@ -680,14 +687,22 @@ fn e11_soc_engine() -> Value {
         .expect("valid config");
         let report = engine.run(&mut fleet);
         say!(
-            "{:>6} {:>14} {:>10} {:>13.1} {:>9.2}% {:>10}",
+            "{:>6} {:>14} {:>10} {:>13.1} {:>9.2}% {:>10} {:>10}",
             hosts,
             "event-driven",
             report.incidents.len(),
             report.mean_detection_latency(),
             100.0 * report.exposure(hosts),
-            report.metrics.checks_run
+            report.metrics.checks_run,
+            report.metrics.rules_evaluated
         );
+        if hosts == 1_000 {
+            budgets.push(Budget::at_most(
+                "e11.scaling.1000.rules_evaluated_per_check",
+                report.metrics.rules_evaluated as f64 / report.metrics.checks_run.max(1) as f64,
+                0.5,
+            ));
+        }
         scaling_rows.push(serde::json::object([
             ("hosts", Value::UInt(hosts as u64)),
             ("engine", Value::String("event-driven".into())),
@@ -698,6 +713,10 @@ fn e11_soc_engine() -> Value {
             ),
             ("exposure", Value::Float(report.exposure(hosts))),
             ("checks", Value::UInt(report.metrics.checks_run)),
+            (
+                "rules_evaluated",
+                Value::UInt(report.metrics.rules_evaluated),
+            ),
         ]));
         let phase = OperationsPhase::new(&catalog);
         let (mut incidents, mut weighted_latency, mut noncompliant, mut checks) =
@@ -723,13 +742,14 @@ fn e11_soc_engine() -> Value {
         let polling_latency = weighted_latency / incidents.max(1) as f64;
         let polling_exposure = noncompliant as f64 / (duration as f64 * hosts as f64);
         say!(
-            "{:>6} {:>14} {:>10} {:>13.1} {:>9.2}% {:>10}",
+            "{:>6} {:>14} {:>10} {:>13.1} {:>9.2}% {:>10} {:>10}",
             hosts,
             "polling-10",
             incidents,
             polling_latency,
             100.0 * polling_exposure,
-            checks * catalog.len() as u64
+            checks * catalog.len() as u64,
+            "-"
         );
         scaling_rows.push(serde::json::object([
             ("hosts", Value::UInt(hosts as u64)),
@@ -799,10 +819,11 @@ fn e11_soc_engine() -> Value {
             ("identical", Value::String(identical.to_string())),
         ]));
     }
-    serde::json::object([
+    let json = serde::json::object([
         ("scaling", Value::Array(scaling_rows)),
         ("determinism", Value::Array(determinism_rows)),
-    ])
+    ]);
+    (json, budgets)
 }
 
 /// E12: the cost of the recorder itself — the same SOC fleet workload

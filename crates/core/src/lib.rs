@@ -45,7 +45,7 @@ pub mod requirement;
 pub mod status;
 pub mod waiver;
 
-pub use catalog::{Catalog, CatalogEntry, PackagePath};
+pub use catalog::{Catalog, CatalogEntry, PackagePath, RuleSet};
 pub use composite::{AllOf, AnyOf, Named, Not};
 pub use planner::{PlannerConfig, PlannerOutcome, RemediationPlanner};
 pub use report::{ComplianceReport, ReportSummary, RequirementResult};
@@ -71,6 +71,17 @@ pub trait Checkable<E: ?Sized> {
     /// expose enough information to decide (e.g. a query for a policy
     /// that does not exist on this host class).
     fn check(&self, env: &E) -> CheckStatus;
+
+    /// The ids of the environment keys this check reads, or `None` when
+    /// it does not say, in which case a [`Catalog`] counts it as reading
+    /// every key. A check that answers `Some` promises that its verdict
+    /// depends on those keys alone and, if it is also [`Enforceable`],
+    /// that its `enforce` writes no other key. The catalogue indexes
+    /// its entries by these ids, so a change that names the keys it
+    /// wrote re-checks only the entries that read them.
+    fn read_set(&self) -> Option<Vec<u64>> {
+        None
+    }
 }
 
 /// A requirement that can drive a hosting environment of type `E`

@@ -14,7 +14,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::unix::FileMode;
+use crate::unix::{FileMode, HostKey};
 use crate::view::{HostWrite, Platform};
 use crate::windows::AuditSetting;
 
@@ -60,6 +60,8 @@ pub const WINDOWS_DRIFT_KINDS: [DriftKind; 2] = [
 pub struct DriftEvent {
     /// What category of drift happened.
     pub kind: DriftKind,
+    /// The slot it wrote.
+    pub key: HostKey<'static>,
     /// Human-readable detail (package name, directive, subcategory, …).
     pub detail: String,
 }
@@ -85,12 +87,14 @@ pub struct DriftInjector {
 
 const FORBIDDEN_PACKAGES: [&str; 4] = ["nis", "rsh-server", "telnetd", "rsh-client"];
 const REQUIRED_PACKAGES: [&str; 2] = ["vlock", "openssh-server"];
+const SSHD_CONFIG: &str = "/etc/ssh/sshd_config";
 const SSH_WEAKENINGS: [(&str, &str); 3] = [
     ("PermitEmptyPasswords", "yes"),
     ("PermitRootLogin", "yes"),
     ("Protocol", "1"),
 ];
 const SENSITIVE_FILES: [&str; 2] = ["/etc/shadow", "/etc/gshadow"];
+const HASH_DIRECTIVE: (&str, &str) = ("/etc/login.defs", "ENCRYPT_METHOD");
 const AUDIT_TARGETS: [(&str, &str); 4] = [
     ("Account Management", "User Account Management"),
     ("Logon/Logoff", "Logon"),
@@ -163,6 +167,26 @@ pub struct DriftPlan {
 }
 
 impl DriftPlan {
+    /// The one slot [`apply`](Self::apply) writes.
+    #[must_use]
+    pub fn key(&self) -> HostKey<'static> {
+        let pick = self.pick;
+        match self.kind {
+            DriftKind::InstallForbiddenPackage => HostKey::Package(FORBIDDEN_PACKAGES[pick]),
+            DriftKind::RemoveRequiredPackage => HostKey::Package(REQUIRED_PACKAGES[pick]),
+            DriftKind::WeakenSshConfig => HostKey::Directive(SSHD_CONFIG, SSH_WEAKENINGS[pick].0),
+            DriftKind::LoosenFileMode => HostKey::FileMode(SENSITIVE_FILES[pick]),
+            DriftKind::CorruptPasswordStorage => HostKey::Accounts,
+            DriftKind::WeakenPasswordHashing => {
+                HostKey::Directive(HASH_DIRECTIVE.0, HASH_DIRECTIVE.1)
+            }
+            DriftKind::DisableAuditSubcategory => {
+                HostKey::Audit(AUDIT_TARGETS[pick].0, AUDIT_TARGETS[pick].1)
+            }
+            DriftKind::ResetLockoutPolicy => HostKey::Lockout,
+        }
+    }
+
     /// Writes the planned drift into `host` and reports it.
     pub fn apply<H: HostWrite>(&self, host: &mut H) -> DriftEvent {
         let pick = self.pick;
@@ -179,7 +203,7 @@ impl DriftPlan {
             }
             DriftKind::WeakenSshConfig => {
                 let (k, v) = SSH_WEAKENINGS[pick];
-                host.write_directive("/etc/ssh/sshd_config", k, v);
+                host.write_directive(SSHD_CONFIG, k, v);
                 format!("{k}={v}")
             }
             DriftKind::LoosenFileMode => {
@@ -192,7 +216,7 @@ impl DriftPlan {
                 "admin".to_string()
             }
             DriftKind::WeakenPasswordHashing => {
-                host.write_directive("/etc/login.defs", "ENCRYPT_METHOD", "MD5");
+                host.write_directive(HASH_DIRECTIVE.0, HASH_DIRECTIVE.1, "MD5");
                 "ENCRYPT_METHOD=MD5".to_string()
             }
             DriftKind::DisableAuditSubcategory => {
@@ -207,6 +231,7 @@ impl DriftPlan {
         };
         DriftEvent {
             kind: self.kind,
+            key: self.key(),
             detail,
         }
     }

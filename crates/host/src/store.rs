@@ -41,7 +41,7 @@ use crate::columnar::{OverlayTable, BTREE_ENTRY_OVERHEAD};
 use crate::drift::DriftInjector;
 use crate::fleet::FleetConfig;
 use crate::intern::{Interner, Sym};
-use crate::unix::{FileMode, ServiceState, UnixHost};
+use crate::unix::{FileMode, HostKey, ServiceState, UnixHost};
 use crate::view::{HostRead, HostWrite, Platform};
 use crate::windows::{AuditSetting, RegistryValue, WindowsHost};
 
@@ -327,89 +327,31 @@ impl FleetStore {
         self.dirty.len()
     }
 
-    // ---- sweep support: which hosts deviate on a given key? ----------
-    //
-    // Each returns the ascending host ids holding an overlay that could
-    // change the answer of a check reading that key. A name the
-    // interner has never seen cannot have overlays.
-
-    /// Hosts overriding the named package record.
+    /// The hosts holding an overlay on `key`'s slot, ascending: the
+    /// hosts where a check reading that key can answer differently from
+    /// the baseline. A name the interner has never seen cannot have
+    /// overlays.
     #[must_use]
-    pub fn hosts_with_package_override(&self, name: &str) -> Vec<u32> {
-        self.interner
-            .get(name)
-            .map(|s| self.packages.hosts_for(s).collect())
-            .unwrap_or_default()
-    }
-
-    /// Hosts overriding the named service.
-    #[must_use]
-    pub fn hosts_with_service_override(&self, name: &str) -> Vec<u32> {
-        self.interner
-            .get(name)
-            .map(|s| self.services.hosts_for(s).collect())
-            .unwrap_or_default()
-    }
-
-    /// Hosts overriding a config directive (case-insensitive key).
-    #[must_use]
-    pub fn hosts_with_directive_override(&self, path: &str, key: &str) -> Vec<u32> {
-        match (
-            self.interner.get(path),
-            self.interner.get(&key.to_ascii_lowercase()),
-        ) {
-            (Some(p), Some(k)) => self.directives.hosts_for((p, k)).collect(),
-            _ => Vec::new(),
-        }
-    }
-
-    /// Hosts overriding a path's permission bits.
-    #[must_use]
-    pub fn hosts_with_mode_override(&self, path: &str) -> Vec<u32> {
-        self.interner
-            .get(path)
-            .map(|s| self.modes.hosts_for(s).collect())
-            .unwrap_or_default()
-    }
-
-    /// Hosts with any account overlay (password-storage checks read
-    /// the whole account set).
-    #[must_use]
-    pub fn hosts_with_account_overrides(&self) -> Vec<u32> {
-        self.accounts.hosts_any()
-    }
-
-    /// Hosts overriding a kernel parameter.
-    #[must_use]
-    pub fn hosts_with_kernel_override(&self, key: &str) -> Vec<u32> {
-        self.interner
-            .get(key)
-            .map(|s| self.kernel.hosts_for(s).collect())
-            .unwrap_or_default()
-    }
-
-    /// Hosts overriding an audit subcategory.
-    #[must_use]
-    pub fn hosts_with_audit_override(&self, category: &str, subcategory: &str) -> Vec<u32> {
-        match (self.interner.get(category), self.interner.get(subcategory)) {
-            (Some(c), Some(s)) => self.audit.hosts_for((c, s)).collect(),
-            _ => Vec::new(),
-        }
-    }
-
-    /// Hosts overriding a registry value.
-    #[must_use]
-    pub fn hosts_with_registry_override(&self, key: &str, name: &str) -> Vec<u32> {
-        match (self.interner.get(key), self.interner.get(name)) {
-            (Some(k), Some(n)) => self.registry.hosts_for((k, n)).collect(),
-            _ => Vec::new(),
-        }
-    }
-
-    /// Hosts overriding the lockout policy.
-    #[must_use]
-    pub fn hosts_with_lockout_override(&self) -> Vec<u32> {
-        self.lockout.hosts_for(()).collect()
+    pub fn hosts_with_override(&self, key: &HostKey<'_>) -> Vec<u32> {
+        let sym = |name: &str| self.interner.get(name);
+        let hosts = match *key {
+            HostKey::Package(name) => sym(name).map(|s| self.packages.hosts_for(s).collect()),
+            HostKey::Service(name) => sym(name).map(|s| self.services.hosts_for(s).collect()),
+            HostKey::Directive(path, key) => sym(path)
+                .zip(sym(&key.to_ascii_lowercase()))
+                .map(|pk| self.directives.hosts_for(pk).collect()),
+            HostKey::FileMode(path) => sym(path).map(|s| self.modes.hosts_for(s).collect()),
+            HostKey::Accounts => Some(self.accounts.hosts_any()),
+            HostKey::KernelParam(key) => sym(key).map(|s| self.kernel.hosts_for(s).collect()),
+            HostKey::Audit(category, subcategory) => sym(category)
+                .zip(sym(subcategory))
+                .map(|cs| self.audit.hosts_for(cs).collect()),
+            HostKey::Registry(key, name) => sym(key)
+                .zip(sym(name))
+                .map(|kn| self.registry.hosts_for(kn).collect()),
+            HostKey::Lockout => Some(self.lockout.hosts_for(()).collect()),
+        };
+        hosts.unwrap_or_default()
     }
 
     /// Total overlay entries across all domains.
@@ -671,16 +613,17 @@ fn host_id(host: usize) -> u32 {
 }
 
 /// Reconciles one host's overlay with a new effective value: writing
-/// the baseline value back drops the overlay. Returns `true` iff the
-/// effective state changed.
+/// the baseline value back drops the overlay, and with no baseline
+/// value any write is an overlay. Returns `true` iff the effective
+/// state changed.
 fn reconcile<K: Ord + Copy, V: PartialEq>(
     table: &mut OverlayTable<K, V>,
     key: K,
     host: u32,
-    base: &V,
+    base: Option<&V>,
     new: V,
 ) -> bool {
-    if *base == new {
+    if base == Some(&new) {
         table.clear(key, host)
     } else {
         match table.get(key, host) {
@@ -826,19 +769,13 @@ impl HostWrite for HostViewMut<'_> {
             version: self.store.interner.intern(&v),
             installed,
         });
-        let changed = match base_ov {
-            Some(b) => reconcile(&mut self.store.packages, sym, self.host, &b, new),
-            None => {
-                // Absent from the baseline: any install is an overlay.
-                match self.store.packages.get(sym, self.host) {
-                    Some(existing) if *existing == new => false,
-                    _ => {
-                        self.store.packages.set(sym, self.host, new);
-                        true
-                    }
-                }
-            }
-        };
+        let changed = reconcile(
+            &mut self.store.packages,
+            sym,
+            self.host,
+            base_ov.as_ref(),
+            new,
+        );
         self.mark(changed);
     }
 
@@ -861,13 +798,13 @@ impl HostWrite for HostViewMut<'_> {
             version: self.store.interner.intern(&v),
             installed: inst,
         });
-        let changed = match base_ov {
-            Some(b) => reconcile(&mut self.store.packages, sym, self.host, &b, new),
-            None => {
-                self.store.packages.set(sym, self.host, new);
-                true
-            }
-        };
+        let changed = reconcile(
+            &mut self.store.packages,
+            sym,
+            self.host,
+            base_ov.as_ref(),
+            new,
+        );
         self.mark(changed);
         true
     }
@@ -878,16 +815,13 @@ impl HostWrite for HostViewMut<'_> {
         }
         let sym = self.store.interner.intern(name);
         let base = self.base_unix().and_then(|b| b.service(name));
-        let changed = match base {
-            Some(b) => reconcile(&mut self.store.services, sym, self.host, &b, state),
-            None => match self.store.services.get(sym, self.host) {
-                Some(existing) if *existing == state => false,
-                _ => {
-                    self.store.services.set(sym, self.host, state);
-                    true
-                }
-            },
-        };
+        let changed = reconcile(
+            &mut self.store.services,
+            sym,
+            self.host,
+            base.as_ref(),
+            state,
+        );
         self.mark(changed);
     }
 
@@ -903,7 +837,13 @@ impl HostWrite for HostViewMut<'_> {
             .and_then(|b| b.directive(path, key))
             .map(str::to_string);
         let base = base_str.map(|s| self.store.interner.intern(&s));
-        let changed = reconcile(&mut self.store.directives, (p, k), self.host, &base, v);
+        let changed = reconcile(
+            &mut self.store.directives,
+            (p, k),
+            self.host,
+            Some(&base),
+            v,
+        );
         self.mark(changed);
     }
 
@@ -918,7 +858,13 @@ impl HostWrite for HostViewMut<'_> {
             .and_then(|b| b.directive(path, key))
             .map(str::to_string);
         let base = base_str.map(|s| self.store.interner.intern(&s));
-        let changed = reconcile(&mut self.store.directives, (p, k), self.host, &base, None);
+        let changed = reconcile(
+            &mut self.store.directives,
+            (p, k),
+            self.host,
+            Some(&base),
+            None,
+        );
         self.mark(changed);
         true
     }
@@ -929,16 +875,7 @@ impl HostWrite for HostViewMut<'_> {
         }
         let sym = self.store.interner.intern(path);
         let base = self.base_unix().and_then(|b| b.file_mode(path));
-        let changed = match base {
-            Some(b) => reconcile(&mut self.store.modes, sym, self.host, &b, mode),
-            None => match self.store.modes.get(sym, self.host) {
-                Some(existing) if *existing == mode => false,
-                _ => {
-                    self.store.modes.set(sym, self.host, mode);
-                    true
-                }
-            },
-        };
+        let changed = reconcile(&mut self.store.modes, sym, self.host, base.as_ref(), mode);
         self.mark(changed);
     }
 
@@ -1080,16 +1017,7 @@ impl HostWrite for HostViewMut<'_> {
             .and_then(|b| b.kernel_param(key))
             .map(str::to_string);
         let base = base_str.map(|s| self.store.interner.intern(&s));
-        let changed = match base {
-            Some(b) => reconcile(&mut self.store.kernel, k, self.host, &b, v),
-            None => match self.store.kernel.get(k, self.host) {
-                Some(existing) if *existing == v => false,
-                _ => {
-                    self.store.kernel.set(k, self.host, v);
-                    true
-                }
-            },
-        };
+        let changed = reconcile(&mut self.store.kernel, k, self.host, base.as_ref(), v);
         self.mark(changed);
     }
 
@@ -1104,7 +1032,7 @@ impl HostWrite for HostViewMut<'_> {
             &mut self.store.audit,
             (c, s),
             self.host,
-            &base_setting,
+            Some(&base_setting),
             setting,
         );
         self.mark(changed);
@@ -1128,16 +1056,13 @@ impl HostWrite for HostViewMut<'_> {
             RegistryValue::Dword(d) => RegistryOverlay::Dword(d),
             RegistryValue::Sz(s) => RegistryOverlay::Sz(self.store.interner.intern(&s)),
         });
-        let changed = match base_ov {
-            Some(b) => reconcile(&mut self.store.registry, (k, n), self.host, &b, new),
-            None => match self.store.registry.get((k, n), self.host) {
-                Some(existing) if *existing == new => false,
-                _ => {
-                    self.store.registry.set((k, n), self.host, new);
-                    true
-                }
-            },
-        };
+        let changed = reconcile(
+            &mut self.store.registry,
+            (k, n),
+            self.host,
+            base_ov.as_ref(),
+            new,
+        );
         self.mark(changed);
     }
 
@@ -1148,7 +1073,7 @@ impl HostWrite for HostViewMut<'_> {
         let base_val = (base.lockout_threshold(), base.lockout_duration_minutes());
         let current = self.store.read_lockout(self.host);
         let new = (attempts, current.1);
-        let changed = reconcile(&mut self.store.lockout, (), self.host, &base_val, new);
+        let changed = reconcile(&mut self.store.lockout, (), self.host, Some(&base_val), new);
         self.mark(changed);
     }
 
@@ -1159,7 +1084,7 @@ impl HostWrite for HostViewMut<'_> {
         let base_val = (base.lockout_threshold(), base.lockout_duration_minutes());
         let current = self.store.read_lockout(self.host);
         let new = (current.0, minutes);
-        let changed = reconcile(&mut self.store.lockout, (), self.host, &base_val, new);
+        let changed = reconcile(&mut self.store.lockout, (), self.host, Some(&base_val), new);
         self.mark(changed);
     }
 }
@@ -1351,18 +1276,22 @@ mod tests {
         store.host_mut(3).install_package("nis", "3.17");
         store.host_mut(17).install_package("nis", "3.17");
         store.host_mut(9).remove_package("vlock");
-        assert_eq!(store.hosts_with_package_override("nis"), vec![3, 17]);
-        assert_eq!(store.hosts_with_package_override("vlock"), vec![9]);
-        assert_eq!(store.hosts_with_package_override("sudo"), Vec::<u32>::new());
+        let hosts = |store: &FleetStore, key: HostKey<'_>| store.hosts_with_override(&key);
+        assert_eq!(hosts(&store, HostKey::Package("nis")), vec![3, 17]);
+        assert_eq!(hosts(&store, HostKey::Package("vlock")), vec![9]);
+        assert_eq!(hosts(&store, HostKey::Package("sudo")), Vec::<u32>::new());
         store
             .host_mut(5)
             .write_directive("/etc/ssh/sshd_config", "PermitRootLogin", "yes");
         assert_eq!(
-            store.hosts_with_directive_override("/etc/ssh/sshd_config", "permitrootlogin"),
+            hosts(
+                &store,
+                HostKey::Directive("/etc/ssh/sshd_config", "permitrootlogin")
+            ),
             vec![5]
         );
         store.host_mut(1).corrupt_password_storage("admin");
-        assert_eq!(store.hosts_with_account_overrides(), vec![1]);
+        assert_eq!(hosts(&store, HostKey::Accounts), vec![1]);
     }
 
     #[test]

@@ -8,6 +8,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use vdo_obs::hash::{fnv1a, FNV_OFFSET};
+
 /// Installation state of one package in the simulated dpkg database.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackageState {
@@ -108,14 +110,16 @@ pub(crate) struct Account {
     pub password_encrypted: bool,
 }
 
-/// One slot of a [`UnixHost`]'s configuration that a single write
-/// changes: a package record, a service unit, one directive of one
-/// config file, or a file's permission bits.
+/// One slot of a host's configuration that a single write changes.
+/// Every [`HostWrite`](crate::HostWrite) method writes one key, every
+/// STIG check reads a fixed set of them, and [`id`](Self::id) names a
+/// key as the `u64` a requirement catalogue indexes its rules by.
 ///
-/// A key can save its slot's exact state and put it back, which is how
-/// a change is staged on a host in place and undone: save each key just
-/// before writing it, and restore the keys newest first. The host is
-/// then `==` to what it was before the first write.
+/// The four slots a commit writes (package, service, directive, file
+/// mode) can also save their exact state on a [`UnixHost`] and put it
+/// back, which is how a change is staged on a host in place and undone:
+/// save each key just before writing it, and restore the keys newest
+/// first. The host is then `==` to what it was before the first write.
 ///
 /// ```
 /// use vdo_host::{HostKey, UnixHost};
@@ -126,25 +130,63 @@ pub(crate) struct Account {
 /// host.write_directive("/etc/app.conf", "Mode", "strict");
 /// key.restore(&mut host, saved);
 /// assert_eq!(host, before);
+/// assert_eq!(key.id(), HostKey::Directive("/etc/app.conf", "MODE").id());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HostKey<'a> {
-    /// A package record, as `install_package` and `remove_package`
-    /// write it.
+    /// A package record (`install_package`, `remove_package`).
     Package(&'a str),
-    /// A service unit, as `set_service`, `enable_service` and
-    /// `disable_service` write it.
+    /// A service unit (`set_service`, `enable_service`, `disable_service`).
     Service(&'a str),
-    /// One directive of one config file, `(path, key)`, as
-    /// `write_directive` writes it. The key matches ASCII
-    /// case-insensitively, like every directive lookup.
+    /// One directive `(path, key)` of a config file (`write_directive`);
+    /// the key matches ASCII case-insensitively, like every lookup.
     Directive(&'a str, &'a str),
-    /// A file's permission bits, as `set_file_mode` writes them.
+    /// A file's permission bits (`set_file_mode`).
     FileMode(&'a str),
+    /// The whole account table, which password hygiene reads.
+    Accounts,
+    /// A sysctl-style kernel parameter (`set_kernel_param`).
+    KernelParam(&'a str),
+    /// A Windows audit subcategory `(category, subcategory)`.
+    Audit(&'a str, &'a str),
+    /// A Windows registry value `(key, name)`.
+    Registry(&'a str, &'a str),
+    /// The Windows account-lockout policy: threshold and duration.
+    Lockout,
 }
 
 impl HostKey<'_> {
-    /// The key's exact current state on `host`.
+    /// The slot's id: FNV-1a of a tag and the key's fields, directive
+    /// keys lowercased, so keys naming one slot share an id. A collision
+    /// (about 2^-64) would only make an index re-check one rule more.
+    #[must_use]
+    pub fn id(&self) -> u64 {
+        let (tag, a, b) = match *self {
+            HostKey::Package(name) => (b'p', name, ""),
+            HostKey::Service(name) => (b's', name, ""),
+            HostKey::Directive(path, key) => (b'd', path, key),
+            HostKey::FileMode(path) => (b'm', path, ""),
+            HostKey::Accounts => (b'a', "", ""),
+            HostKey::KernelParam(key) => (b'k', key, ""),
+            HostKey::Audit(category, subcategory) => (b'u', category, subcategory),
+            HostKey::Registry(key, name) => (b'r', key, name),
+            HostKey::Lockout => (b'l', "", ""),
+        };
+        let h = fnv1a(fnv1a(fnv1a(FNV_OFFSET, &[tag]), a.as_bytes()), &[0]);
+        b.bytes().fold(h, |h, c| {
+            fnv1a(
+                h,
+                &[if tag == b'd' {
+                    c.to_ascii_lowercase()
+                } else {
+                    c
+                }],
+            )
+        })
+    }
+
+    /// The key's exact current state on `host`; nothing for a key no
+    /// commit writes.
     #[must_use]
     pub fn save(&self, host: &UnixHost) -> SavedKey {
         let saved = match *self {
@@ -166,6 +208,7 @@ impl HostKey<'_> {
                 None => Saved::NoFile,
                 Some(file) => Saved::FileMode(file.mode),
             },
+            _ => Saved::Nothing,
         };
         SavedKey(saved)
     }
@@ -232,6 +275,8 @@ enum Saved {
         matched: Option<(usize, String)>,
     },
     FileMode(Option<FileMode>),
+    /// A key no commit writes.
+    Nothing,
 }
 
 /// In-memory simulation of an Ubuntu-like host.

@@ -851,7 +851,7 @@ mod tests {
             // same decision, and rolls back when the guard drops.
             let mut host = prod.clone();
             let staged = Staged::apply(&mut host, &commit.changes);
-            let after = staged.recheck(vdo_stigs::sweep::shared_ubuntu(), &verdicts);
+            let after = staged.recheck(catalog, &verdicts);
             let cx = GateContext {
                 staged_verdicts: Some(&after),
                 ..GateContext::untraced(&commit, staged.host(), &journal)

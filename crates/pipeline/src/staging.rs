@@ -12,11 +12,11 @@
 //!
 //! The guard also knows what the commit writes, so a caller that keeps
 //! production's per-rule verdicts re-checks only the rules whose
-//! read-sets meet those writes ([`Staged::recheck`]).
+//! read-sets meet those writes ([`Staged::recheck`]), found through the
+//! catalogue's key index.
 
-use vdo_core::CheckStatus;
+use vdo_core::{Catalog, CheckStatus, RuleSet};
 use vdo_host::{HostKey, SavedKey, UnixHost};
-use vdo_stigs::sweep::CompiledCheck;
 
 use crate::repo::ConfigChange;
 
@@ -58,19 +58,19 @@ impl<'h, 'c> Staged<'h, 'c> {
         self.changes.iter().map(ConfigChange::key)
     }
 
-    /// The rule table's verdicts on the staged host, given `before`, its
-    /// verdicts on the host before staging. Only the rules whose
-    /// read-set (`checks[i].op().reads`) meets a written key are
-    /// re-checked; every other verdict is copied from `before`.
+    /// The catalogue's verdicts on the staged host, given `before`, its
+    /// verdicts on the host before staging. Only the entries whose
+    /// read-set names a written key are re-checked, at O(keys written +
+    /// entries hit); every other verdict is copied from `before`.
     #[must_use]
-    pub fn recheck(&self, checks: &[CompiledCheck], before: &[CheckStatus]) -> Vec<CheckStatus> {
-        debug_assert_eq!(checks.len(), before.len());
+    pub fn recheck(&self, catalog: &Catalog<UnixHost>, before: &[CheckStatus]) -> Vec<CheckStatus> {
+        debug_assert_eq!(catalog.len(), before.len());
         let mut verdicts = before.to_vec();
-        for (check, verdict) in checks.iter().zip(&mut verdicts) {
-            if self.writes().any(|key| check.op().reads(&key)) {
-                *verdict = check.op().check(self.host);
-            }
+        let mut stale = RuleSet::new();
+        for key in self.writes() {
+            catalog.mark_readers(key.id(), &mut stale);
         }
+        catalog.recheck(self.host, &mut verdicts, &mut stale);
         verdicts
     }
 
@@ -98,7 +98,6 @@ mod tests {
     use proptest::prelude::*;
     use vdo_core::{RemediationPlanner, Severity};
     use vdo_host::{DriftInjector, Platform};
-    use vdo_stigs::sweep::shared_ubuntu;
     use vdo_stigs::ubuntu::shared_catalog;
     use vdo_trace::Journal;
 
@@ -204,12 +203,12 @@ mod tests {
             let mut staged_host = host;
             let staged = Staged::apply(&mut staged_host, &changes);
             let after = verdicts(staged.host());
-            for (i, check) in shared_ubuntu().iter().enumerate() {
+            for (i, check) in vdo_stigs::ubuntu::rules().iter().enumerate() {
                 if !staged.writes().any(|key| check.op().reads(&key)) {
                     prop_assert_eq!(before[i], after[i], "{} changed", check.finding_id());
                 }
             }
-            prop_assert_eq!(staged.recheck(shared_ubuntu(), &before), after);
+            prop_assert_eq!(staged.recheck(shared_catalog(), &before), after);
         }
     }
 
@@ -232,7 +231,7 @@ mod tests {
             let before = verdicts(&host);
             let mut staged_host = host;
             let staged = Staged::apply(&mut staged_host, &commit.changes);
-            let after = staged.recheck(shared_ubuntu(), &before);
+            let after = staged.recheck(shared_catalog(), &before);
             let journal = Journal::disabled();
             let cx = GateContext {
                 staged_verdicts: Some(&after),

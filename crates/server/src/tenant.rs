@@ -6,13 +6,15 @@
 //! outright, so one tenant's smelly requirements, rejected commits, or
 //! drifting fleet cannot leak into another's verdicts. The only shared
 //! state is immutable: every tenant reads the one Ubuntu STIG
-//! [`Catalog`] and its read-set table that the process builds once.
+//! [`Catalog`], and its key index, that the process builds once.
 //!
 //! A pushed commit is staged on production in place ([`Staged`]), and
 //! the compliance gate re-checks only the rules whose read-sets meet
 //! the commit's writes, taking every other verdict from the tenant's
 //! cache. A rejected commit rolls production back to `==` its pre-push
-//! state; a merged one keeps the staged state and its verdicts.
+//! state; a merged one keeps the staged state and its verdicts. An ops
+//! call re-checks only the rules its drift's keys hit, and remediates
+//! from the cache through the planner's key-targeted sweep.
 //!
 //! Every handled request appends one line to the tenant's **verdict
 //! log**. Requests for one tenant are always processed in admission
@@ -21,20 +23,19 @@
 //! tenant's own seeded state, so equal-seed runs produce byte-identical
 //! verdict logs at any worker count.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use vdo_core::{Catalog, CheckStatus, RemediationPlanner, Severity};
+use vdo_core::{Catalog, CheckStatus, RemediationPlanner, RuleSet, Severity};
 use vdo_host::{DriftInjector, Platform, UnixHost};
 use vdo_nalabs::{Analyzer, RequirementDoc};
 use vdo_pipeline::{
     AnalysisGate, ComplianceGate, Gate, GateContext, GateDecision, RequirementsGate, Staged,
     TestGate,
 };
-use vdo_stigs::sweep::CompiledCheck;
 use vdo_trace::Journal;
 
 use crate::request::{Envelope, Outcome, Request};
@@ -122,9 +123,6 @@ pub struct Incident {
 pub struct Tenant {
     name: String,
     stig: &'static Catalog<UnixHost>,
-    /// The rule table `stig` is built from, in catalogue order: each
-    /// rule's read-set and check.
-    checks: &'static [CompiledCheck],
     production: UnixHost,
     /// `stig`'s verdicts on `production`, in catalogue order, refreshed
     /// wherever production is written.
@@ -140,6 +138,9 @@ pub struct Tenant {
     drifter: DriftInjector,
     planner: RemediationPlanner,
     incidents: Vec<Incident>,
+    /// Catalogue index of each rule with an open incident → that
+    /// incident's index in `incidents`.
+    open: BTreeMap<usize, usize>,
     verdict_log: String,
     /// Disabled journal lent to worker-side gate contexts: journal
     /// events are a main-thread concern (that is what keeps journal
@@ -172,7 +173,6 @@ impl Tenant {
         Tenant {
             name: config.name.clone(),
             stig,
-            checks: vdo_stigs::sweep::shared_ubuntu(),
             production,
             verdicts,
             requirements: Vec::new(),
@@ -188,6 +188,7 @@ impl Tenant {
             drifter: DriftInjector::new(config.seed.wrapping_mul(31).wrapping_add(7)),
             planner,
             incidents: Vec::new(),
+            open: BTreeMap::new(),
             verdict_log: String::new(),
             silent: Journal::disabled(),
         }
@@ -255,11 +256,7 @@ impl Tenant {
     /// A full check of production, in catalogue order: what the verdict
     /// cache must hold between requests.
     fn checked_verdicts(&self) -> Vec<CheckStatus> {
-        self.stig
-            .check_all(&self.production)
-            .into_iter()
-            .map(|(_, status)| status)
-            .collect()
+        self.stig.verdicts(&self.production)
     }
 
     fn submit_requirement(&mut self, doc: &RequirementDoc) -> Outcome {
@@ -289,7 +286,7 @@ impl Tenant {
         commit: &vdo_pipeline::Commit,
     ) -> Option<GateDecision> {
         let staged = Staged::apply(&mut self.production, &commit.changes);
-        let verdicts = staged.recheck(self.checks, &self.verdicts);
+        let verdicts = staged.recheck(self.stig, &self.verdicts);
         let compliance = ComplianceGate::new(self.stig, self.block_at);
         let delta = commit.artifact_delta();
         let cx = GateContext {
@@ -331,59 +328,55 @@ impl Tenant {
         Outcome::Incidents { total, open }
     }
 
+    /// Drifts production for up to 16 ticks, opens an incident for
+    /// every failing rule without one, and remediates while any is
+    /// open. Only the rules the drift's keys hit are re-checked, and
+    /// open incidents are found by rule, so a call costs O(rules hit),
+    /// not O(rules + incident history).
     fn run_ops(&mut self, ticks: u64, now: u64) -> Outcome {
         let ticks = ticks.clamp(1, 16);
         let mut drift = 0usize;
+        let mut stale = RuleSet::new();
         for _ in 0..ticks {
             if self.rng.gen_bool(self.drift_rate) {
-                drift += self
-                    .drifter
-                    .drift(&mut self.production, Platform::Unix, 1)
-                    .len();
+                for event in self.drifter.drift(&mut self.production, Platform::Unix, 1) {
+                    self.stig.mark_readers(event.key.id(), &mut stale);
+                    drift += 1;
+                }
             }
         }
         let mut detected = 0usize;
         if drift > 0 {
-            let open_rules: BTreeSet<&str> = self
-                .incidents
-                .iter()
-                .filter(|i| i.resolved_at.is_none())
-                .map(|i| i.rule.as_str())
-                .collect();
-            let mut fresh: Vec<String> = Vec::new();
-            let checked = self.stig.check_all(&self.production);
-            for ((entry, status), cached) in checked.into_iter().zip(&mut self.verdicts) {
-                *cached = status;
-                let rule = entry.spec().finding_id();
-                if !status.is_pass() && !open_rules.contains(rule) {
-                    fresh.push(rule.to_string());
+            self.stig
+                .recheck(&self.production, &mut self.verdicts, &mut stale);
+            // A rule can also fail with no incident open after a merged
+            // commit below the blocking severity; the cached verdicts
+            // cover it without a check.
+            for (rule, (entry, status)) in self.stig.iter().zip(&self.verdicts).enumerate() {
+                if !status.is_pass() && !self.open.contains_key(&rule) {
+                    self.open.insert(rule, self.incidents.len());
+                    self.incidents.push(Incident {
+                        rule: entry.spec().finding_id().to_string(),
+                        opened_at: now,
+                        resolved_at: None,
+                    });
+                    detected += 1;
                 }
-            }
-            detected = fresh.len();
-            for rule in fresh {
-                self.incidents.push(Incident {
-                    rule,
-                    opened_at: now,
-                    resolved_at: None,
-                });
             }
         }
         let mut remediated = 0usize;
-        if self.incidents.iter().any(|i| i.resolved_at.is_none()) {
-            self.verdicts = self.planner.remediate(self.stig, &mut self.production);
-            let passing: BTreeSet<&str> = self
-                .stig
-                .iter()
-                .zip(&self.verdicts)
-                .filter(|(_, status)| status.is_pass())
-                .map(|(entry, _)| entry.spec().finding_id())
-                .collect();
-            for inc in &mut self.incidents {
-                if inc.resolved_at.is_none() && passing.contains(inc.rule.as_str()) {
-                    inc.resolved_at = Some(now);
+        if !self.open.is_empty() {
+            self.planner
+                .remediate_from(self.stig, &mut self.production, &mut self.verdicts);
+            let (verdicts, incidents) = (&self.verdicts, &mut self.incidents);
+            self.open.retain(|&rule, &mut incident| {
+                let open = !verdicts[rule].is_pass();
+                if !open {
+                    incidents[incident].resolved_at = Some(now);
                     remediated += 1;
                 }
-            }
+                open
+            });
         }
         Outcome::OpsComplete {
             drift,

@@ -20,8 +20,9 @@
 //!    Every accepted event gets the shard's next seq; a full queue
 //!    defers the rest, in order, to the next tick. A telemetry sample is
 //!    fed to the host's TEARS monitor on the spot (the monitor reads
-//!    nothing else); the re-check triggers then run the catalogue
-//!    against the host, so checks see this tick's drift.
+//!    nothing else); the re-check triggers then bring the host's
+//!    cached verdicts up to date, so checks see this tick's drift (see
+//!    *Verdict cache* below).
 //!    Because monitors run *per event*, a violation is detected on the
 //!    tick it happens — the polling baseline pays `(period - 1) / 2`
 //!    ticks of mean latency for the same detection;
@@ -34,12 +35,27 @@
 //! 4. **remediate** (worker pool, only on ticks with due tasks): each
 //!    shard runs its due tasks in dispatcher order — skipping one whose
 //!    incident already closed, honouring its fault roll, calling
-//!    [`RemediationPlanner::remediate`] and closing every rule the
-//!    closing re-check passes. A task whose own rule still fails failed,
+//!    [`RemediationPlanner::remediate_from`] on the host's cached
+//!    verdicts and closing every rule the planner's final verdicts
+//!    pass. A task whose own rule still fails failed,
 //!    exactly as if a fault had been injected. The main thread then
 //!    replays the outcomes in dispatcher order: attempts, journal
 //!    events, retries, dead letters and live SLO signals, and publishes
 //!    any SLO alert to host 0's shard.
+//!
+//! Verdict cache: each shard keeps every host's last verdict per
+//! catalogue rule, and per host the set of rules made stale since. A
+//! drift plan marks the rules that read the key it writes
+//! ([`Catalog::mark_readers`]) when it writes, not when its event is
+//! processed, so a trigger that runs before a deferred drift event still
+//! sees the write. A trigger re-checks only the stale rules and serves
+//! the rest from the cache, yet still delivers every rule's verdict to
+//! the compliance monitor and raises a detection for every failing
+//! rule, so `checks_run`, `events_processed` and the incidents are what
+//! a full re-check gives; `rules_evaluated` counts the evaluations that
+//! ran. Remediation starts the planner from the cache and writes its
+//! final verdicts back. Debug builds assert after every trigger and
+//! remediation that the cache equals a full check.
 //!
 //! Determinism: with a fixed seed the incident log, the journal and the
 //! counters are byte-identical across runs *and across worker counts*,
@@ -57,7 +73,7 @@ use parking_lot::{Mutex, MutexGuard};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use vdo_core::{Catalog, CheckStatus, RemediationPlanner};
+use vdo_core::{Catalog, CheckStatus, RemediationPlanner, RuleSet};
 use vdo_host::{DriftInjector, DriftPlan, HostRead, HostWrite, Platform};
 use vdo_tears::GuardedAssertion;
 use vdo_temporal::{PatternMonitor, Trace};
@@ -348,12 +364,16 @@ impl SocReport {
     }
 }
 
-/// Per-host violation ledger entry: open rule -> incident index.
-type OpenRules = BTreeMap<String, usize>;
+/// Per-host violation ledger: open rule (catalogue index) -> incident
+/// index.
+type OpenRules = BTreeMap<usize, usize>;
 
 /// What every pass reads and nothing writes while a run lasts.
 struct RunCtx<'r, E> {
     catalog: &'r Catalog<E>,
+    /// Catalogue indices in finding-id order: the order a re-check
+    /// raises its detections in.
+    detect_order: &'r [usize],
     planner: &'r RemediationPlanner,
     metrics: &'r SocMetrics,
     /// Host `h` sits at slot `slots[h]` of shard `shard_of(h)`.
@@ -396,6 +416,12 @@ struct Shard<'h, E> {
     /// Fleet index of each slot.
     ids: Vec<HostId>,
     monitors: Vec<HostMonitors>,
+    /// Each slot's last verdict per catalogue rule: a full check of the
+    /// host, but for the rules in `stale`.
+    verdicts: Vec<Vec<CheckStatus>>,
+    /// Per slot, the rules whose keys drift wrote since the slot's
+    /// verdicts were last brought up to date.
+    stale: Vec<RuleSet>,
     /// Open rules per slot.
     open: Vec<OpenRules>,
     /// Tick a brute-force burst started on, per slot.
@@ -440,6 +466,8 @@ impl<'h, E: SocHost> Shard<'h, E> {
             hosts: Vec::new(),
             ids: Vec::new(),
             monitors: Vec::new(),
+            verdicts: Vec::new(),
+            stale: Vec::new(),
             open: Vec::new(),
             attack_since: Vec::new(),
             plans: Vec::new(),
@@ -459,11 +487,14 @@ impl<'h, E: SocHost> Shard<'h, E> {
         }
     }
 
-    /// Takes `host` (fleet index `id`) into the next slot.
-    fn admit(&mut self, id: HostId, host: &'h mut E, monitors: HostMonitors) {
+    /// Takes `host` (fleet index `id`) into the next slot, with every
+    /// one of the catalogue's `rules` stale.
+    fn admit(&mut self, id: HostId, host: &'h mut E, monitors: HostMonitors, rules: usize) {
         self.hosts.push(host);
         self.ids.push(id);
         self.monitors.push(monitors);
+        self.verdicts.push(vec![CheckStatus::Pass; rules]);
+        self.stale.push(RuleSet::all(rules));
         self.open.push(OpenRules::new());
         self.attack_since.push(None);
         self.bursts.push(false);
@@ -497,9 +528,10 @@ impl<'h, E: SocHost> Shard<'h, E> {
     }
 
     /// Advances the shard through `tick`: re-publishes deferred events,
-    /// runs the baseline audit (tick 0), applies the drift plans, samples
-    /// telemetry, then runs every queued re-check trigger through the
-    /// catalogue. Returns `true` when the shard had a batch (a non-empty
+    /// runs the baseline audit (tick 0), applies the drift plans (each
+    /// marking the rules that read its key stale), samples telemetry,
+    /// then runs every queued re-check trigger against the host's
+    /// verdicts. Returns `true` when the shard had a batch (a non-empty
     /// queue), which is what the `batches` counter counts.
     fn advance(&mut self, run: &RunCtx<'_, E>, tick: u64) -> bool {
         self.room = run.capacity.saturating_sub(self.queue.len());
@@ -522,6 +554,7 @@ impl<'h, E: SocHost> Shard<'h, E> {
         for (slot, plan) in plans.drain(..) {
             let host = self.ids[slot];
             let ev = plan.apply(&mut *self.hosts[slot]);
+            run.catalog.mark_readers(ev.key.id(), &mut self.stale[slot]);
             if run.journal_debug {
                 self.drifted.push((host, ev.detail.clone()));
             }
@@ -567,6 +600,8 @@ impl<'h, E: SocHost> Shard<'h, E> {
         let depth = self.queue.len() + self.signals;
         let mut processed = self.signals as u64;
         let mut checks = 0u64;
+        let mut evaluated = 0u64;
+        let rules = run.catalog.len() as u64;
         let mut queue = std::mem::take(&mut self.queue);
         for (seq, event) in queue.drain(..) {
             let (SecEvent::DriftApplied { host, tick: at, .. }
@@ -575,36 +610,38 @@ impl<'h, E: SocHost> Shard<'h, E> {
             else {
                 unreachable!("only re-check triggers are queued");
             };
-            // Re-check the catalogue; each verdict is one follow-up
-            // event, delivered to the host's compliance monitor.
+            // Re-check the stale rules; every rule's verdict is one
+            // follow-up event, delivered to the host's compliance monitor.
             let slot = run.slots[host];
-            for entry in run.catalog.iter() {
-                let status = entry.check(&*self.hosts[slot]);
+            evaluated += self.refresh(run, slot) as u64;
+            let verdicts = &self.verdicts[slot];
+            for status in verdicts {
                 self.monitors[slot].compliance.observe(&!status.is_fail());
-                if status == CheckStatus::Fail {
-                    let rule = entry.spec().finding_id();
-                    // A pure function of (trace_seed, rule, host, tick),
-                    // rooted at the requirement, so the incident chain
-                    // resolves to the catalogue rule.
-                    let trace = run.trace_seed.map(|s| {
-                        TraceContext::root(s, rule)
-                            .child_u64("host", host as u64)
-                            .child_u64("detect", tick)
-                    });
-                    self.detections.push(Detection {
-                        shard: self.shard,
-                        seq,
-                        host,
-                        rule: rule.to_string(),
-                        kind: DetectionKind::Stig,
-                        introduced_at: at,
-                        detected_at: tick,
-                        trace,
-                    });
-                }
             }
-            processed += 1 + run.catalog.len() as u64;
-            checks += run.catalog.len() as u64;
+            for &rule in run.detect_order {
+                if verdicts[rule] != CheckStatus::Fail {
+                    continue;
+                }
+                // A pure function of (trace_seed, rule, host, tick),
+                // rooted at the requirement, so the incident chain
+                // resolves to the catalogue rule.
+                let trace = run.trace_seed.map(|s| {
+                    TraceContext::root(s, finding_id(run.catalog, rule))
+                        .child_u64("host", host as u64)
+                        .child_u64("detect", tick)
+                });
+                self.detections.push(Detection {
+                    shard: self.shard,
+                    seq,
+                    host,
+                    rule: Some(rule),
+                    introduced_at: at,
+                    detected_at: tick,
+                    trace,
+                });
+            }
+            processed += 1 + rules;
+            checks += rules;
         }
         self.queue = queue;
         if depth == 0 {
@@ -613,7 +650,19 @@ impl<'h, E: SocHost> Shard<'h, E> {
         run.metrics.observe_queue_depth(depth as u64);
         run.metrics.events_processed.add(processed);
         run.metrics.checks_run.add(checks);
+        run.metrics.rules_evaluated.add(evaluated);
         true
+    }
+
+    /// Brings `slot`'s verdicts up to date by re-checking its stale
+    /// rules. Returns how many it evaluated.
+    fn refresh(&mut self, run: &RunCtx<'_, E>, slot: usize) -> usize {
+        let host = &*self.hosts[slot];
+        let stale = &mut self.stale[slot];
+        let evaluated = stale.len();
+        run.catalog.recheck(host, &mut self.verdicts[slot], stale);
+        assert_fresh(run.catalog, host, &self.verdicts[slot], self.ids[slot]);
+        evaluated
     }
 
     /// Sequences `event` if the queue has room, else defers it. A
@@ -642,8 +691,7 @@ impl<'h, E: SocHost> Shard<'h, E> {
                 shard: self.shard,
                 seq,
                 host,
-                rule: tears.name().to_string(),
-                kind: DetectionKind::Tears,
+                rule: None,
                 introduced_at: activation,
                 detected_at: now,
                 trace: run.trace_seed.map(|s| {
@@ -660,25 +708,36 @@ impl<'h, E: SocHost> Shard<'h, E> {
         let mut tasks = std::mem::take(&mut self.tasks);
         for (order, task, fault) in tasks.drain(..) {
             let slot = run.slots[task.host];
-            let attempt = match self.open[slot].get(&task.rule) {
+            let open = self.open[slot]
+                .iter()
+                .find(|&(&rule, _)| finding_id(run.catalog, rule) == task.rule)
+                .map(|(&rule, &incident)| (rule, incident));
+            let attempt = match open {
                 None => Attempt::Closed,
-                Some(&incident) if fault => Attempt::Faulted { incident },
-                Some(&incident) => {
-                    let verdicts = run.planner.remediate(run.catalog, &mut *self.hosts[slot]);
-                    // The planner's closing re-check is the catalogue
-                    // check that closes the remediation.
-                    let open = &mut self.open[slot];
-                    let resolved = run
-                        .catalog
-                        .iter()
-                        .zip(verdicts)
-                        .filter(|(_, status)| status.is_pass())
-                        .filter_map(|(entry, _)| open.remove(entry.spec().finding_id()))
-                        .collect();
+                Some((_, incident)) if fault => Attempt::Faulted { incident },
+                Some((rule, incident)) => {
+                    // The planner starts from the host's verdicts, up to
+                    // date, and leaves its final verdicts in the cache;
+                    // they are the check that closes the remediation.
+                    let mut evaluated = self.refresh(run, slot);
+                    let verdicts = &mut self.verdicts[slot];
+                    evaluated +=
+                        run.planner
+                            .remediate_from(run.catalog, &mut *self.hosts[slot], verdicts);
+                    run.metrics.rules_evaluated.add(evaluated as u64);
+                    assert_fresh(run.catalog, &*self.hosts[slot], verdicts, task.host);
+                    let mut resolved = Vec::new();
+                    self.open[slot].retain(|&rule, &mut incident| {
+                        let passes = verdicts[rule].is_pass();
+                        if passes {
+                            resolved.push(incident);
+                        }
+                        !passes
+                    });
                     Attempt::Ran {
                         incident,
                         resolved,
-                        failed: open.contains_key(&task.rule),
+                        failed: self.open[slot].contains_key(&rule),
                     }
                 }
             };
@@ -812,7 +871,12 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
         for (id, host) in hosts.iter_mut().enumerate() {
             let part = &mut parts[homes[id]];
             slots.push(part.ids.len());
-            part.admit(id, host, HostMonitors::new(self.assertion.clone()));
+            part.admit(
+                id,
+                host,
+                HostMonitors::new(self.assertion.clone()),
+                self.catalog.len(),
+            );
         }
         let shards: Vec<Mutex<Shard<'_, E>>> = parts.into_iter().map(Mutex::new).collect();
         // Telemetry roots (one per host, minted once): the signal
@@ -833,8 +897,12 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
         // runs per event.
         let drift_root = trace_seed.map(|s| TraceContext::root(s, "drift"));
         let planner = RemediationPlanner::default();
+        let mut detect_order: Vec<usize> = (0..self.catalog.len()).collect();
+        detect_order.sort_by_key(|&rule| finding_id(self.catalog, rule));
+        let tears_name = self.assertion.as_ref().map_or("", |ga| ga.name());
         let run = RunCtx {
             catalog: self.catalog,
+            detect_order: &detect_order,
             planner: &planner,
             metrics,
             slots: &slots,
@@ -938,15 +1006,16 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
                 for part in parts.iter_mut() {
                     detections.append(&mut part.detections);
                 }
-                detections.sort();
+                // Stable: one event's detections keep their order.
+                detections.sort_by_key(|det| (det.shard, det.seq));
                 for det in detections {
-                    match det.kind {
-                        DetectionKind::Tears => {
+                    match det.rule {
+                        None => {
                             if tracing_on {
                                 let mut ev = Event::warn("soc.tears_violation")
                                     .at(tick)
                                     .field("host", det.host)
-                                    .field("rule", det.rule.as_str())
+                                    .field("rule", tears_name)
                                     .field("activated_at", det.introduced_at);
                                 if let Some(t) = det.trace {
                                     ev = ev.trace(t);
@@ -955,7 +1024,7 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
                             }
                             incidents.push(SocIncident {
                                 host: det.host,
-                                rule: det.rule,
+                                rule: tears_name.to_string(),
                                 kind: DetectionKind::Tears,
                                 introduced_at: det.introduced_at,
                                 detected_at: det.detected_at,
@@ -964,11 +1033,12 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
                                 trace: det.trace,
                             });
                         }
-                        DetectionKind::Stig => {
+                        Some(rule) => {
                             let open = &mut parts[det.shard].open[slots[det.host]];
-                            if open.contains_key(&det.rule) {
+                            if open.contains_key(&rule) {
                                 continue; // already being remediated
                             }
+                            let finding = finding_id(self.catalog, rule);
                             let latency = det.detected_at - det.introduced_at;
                             // The exemplar links the latency bucket to
                             // the incident's causal chain.
@@ -985,19 +1055,19 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
                                 let mut ev = Event::warn("soc.detection")
                                     .at(tick)
                                     .field("host", det.host)
-                                    .field("rule", det.rule.as_str())
+                                    .field("rule", finding)
                                     .field("latency", latency);
                                 if let Some(t) = det.trace {
                                     ev = ev.trace(t);
                                 }
                                 journal.emit(ev);
                             }
-                            open.insert(det.rule.clone(), incidents.len());
+                            open.insert(rule, incidents.len());
                             dispatcher.schedule(
                                 tick,
                                 RemediationTask {
                                     host: det.host,
-                                    rule: det.rule.clone(),
+                                    rule: finding.to_string(),
                                     introduced_at: det.introduced_at,
                                     detected_at: det.detected_at,
                                     attempt: 0,
@@ -1006,7 +1076,7 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
                             );
                             incidents.push(SocIncident {
                                 host: det.host,
-                                rule: det.rule,
+                                rule: finding.to_string(),
                                 kind: DetectionKind::Stig,
                                 introduced_at: det.introduced_at,
                                 detected_at: det.detected_at,
@@ -1065,8 +1135,9 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
                         }
                         if let Some((resolved, failed)) = ran {
                             metrics.remediations.inc();
-                            // The planner's closing re-check is this
-                            // remediation's check of the whole catalogue.
+                            // The planner's final verdicts count as this
+                            // remediation's check of the whole catalogue,
+                            // whatever the cache spared it.
                             metrics.checks_run.add(self.catalog.len() as u64);
                             if let Some(live) = live_slo.as_mut() {
                                 live.incr("soc.remediations", tick, 1);
@@ -1152,6 +1223,27 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
             metrics: metrics.snapshot(wall_start.elapsed().as_secs_f64()),
         }
     }
+}
+
+/// In debug builds, asserts that host `id`'s cached verdicts equal a
+/// full check of the host.
+fn assert_fresh<E>(catalog: &Catalog<E>, host: &E, verdicts: &[CheckStatus], id: HostId) {
+    if cfg!(debug_assertions) {
+        assert_eq!(
+            verdicts,
+            catalog.verdicts(host),
+            "host {id}: the verdict cache differs from a full check"
+        );
+    }
+}
+
+/// The finding id of catalogue entry `rule`.
+fn finding_id<E>(catalog: &Catalog<E>, rule: usize) -> &str {
+    catalog
+        .get(rule)
+        .expect("a rule index from this catalogue")
+        .spec()
+        .finding_id()
 }
 
 /// Records a failed remediation attempt — an injected fault, or a

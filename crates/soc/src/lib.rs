@@ -26,7 +26,9 @@
 //!   shard is handled by exactly one thread at a time, which preserves
 //!   per-host event order under any schedule. The server runs its
 //!   tenant batches on the same pool;
-//! * **monitors** — STIG catalogue re-checks, the owned temporal
+//! * **monitors** — STIG catalogue re-checks, served from a per-host
+//!   verdict cache that re-evaluates only the rules whose keys drift
+//!   wrote since the host's last check; the owned temporal
 //!   compliance monitor [`ComplianceUniversality`], and per-host TEARS
 //!   guarded assertions ([`TearsHostMonitor`]);
 //! * **remediation** ([`Dispatcher`]) — bounded retries with

@@ -28,8 +28,12 @@ pub struct SocMetrics {
     /// Shard batches executed: one per shard per tick whose queue held
     /// events.
     pub batches: Counter,
-    /// Catalogue rule checks performed.
+    /// Catalogue rule verdicts delivered: every rule per re-check
+    /// trigger, and every rule per remediation's closing check.
     pub checks_run: Counter,
+    /// Rule evaluations that actually ran to produce those verdicts
+    /// (the rest came from the per-host verdict cache).
+    pub rules_evaluated: Counter,
     /// High-water mark of any shard queue depth.
     pub max_queue_depth: Gauge,
     /// Remediation attempts that were retried after an injected fault.
@@ -55,6 +59,7 @@ impl SocMetrics {
             events_processed: Counter::new(),
             batches: Counter::new(),
             checks_run: Counter::new(),
+            rules_evaluated: Counter::new(),
             max_queue_depth: Gauge::new(),
             retries: Counter::new(),
             dead_letters: Counter::new(),
@@ -76,6 +81,7 @@ impl SocMetrics {
             events_processed: Counter::disabled(),
             batches: Counter::disabled(),
             checks_run: Counter::disabled(),
+            rules_evaluated: Counter::disabled(),
             max_queue_depth: Gauge::disabled(),
             retries: Counter::disabled(),
             dead_letters: Counter::disabled(),
@@ -99,9 +105,12 @@ impl SocMetrics {
     /// Registers every instrument into `registry` under
     /// `<prefix>.<name>`, so an engine run surfaces in a unified
     /// [`vdo_obs::Snapshot`] alongside the rest of the closed loop.
-    /// Only deterministic instruments are exported: `max_queue_depth`
-    /// and `batch_micros` depend on scheduling and stay engine-local so equal-seed snapshots stay identical at any
-    /// worker count.
+    /// Only deterministic behaviour instruments are exported:
+    /// `max_queue_depth` and `batch_micros` depend on scheduling and
+    /// stay engine-local so equal-seed snapshots stay identical at any
+    /// worker count, and `rules_evaluated` measures the cost of the
+    /// verdicts `checks_run` counts, not what the engine did, so it too
+    /// stays in the engine's own snapshot.
     #[must_use]
     pub fn in_registry(registry: &vdo_obs::Registry, prefix: &str) -> Self {
         SocMetrics {
@@ -110,6 +119,7 @@ impl SocMetrics {
             events_processed: registry.counter(&format!("{prefix}.events_processed")),
             batches: registry.counter(&format!("{prefix}.batches")),
             checks_run: registry.counter(&format!("{prefix}.checks_run")),
+            rules_evaluated: Counter::new(),
             max_queue_depth: Gauge::new(),
             retries: registry.counter(&format!("{prefix}.retries")),
             dead_letters: registry.counter(&format!("{prefix}.dead_letters")),
@@ -133,6 +143,7 @@ impl SocMetrics {
             batches: self.batches.get(),
             steals: 0,
             checks_run: self.checks_run.get(),
+            rules_evaluated: self.rules_evaluated.get(),
             max_queue_depth: self.max_queue_depth.get(),
             retries: self.retries.get(),
             dead_letters: self.dead_letters.get(),
@@ -170,8 +181,11 @@ pub struct MetricsSnapshot {
     /// ledger, a package outside the workspace, still reads it; it
     /// goes with the ledger's `soc.steals` row.
     pub steals: u64,
-    /// Catalogue rule checks performed.
+    /// Catalogue rule verdicts delivered.
     pub checks_run: u64,
+    /// Rule evaluations that ran; the other verdicts came from the
+    /// per-host verdict cache.
+    pub rules_evaluated: u64,
     /// High-water mark of shard queue depth.
     pub max_queue_depth: u64,
     /// Remediation retries.
@@ -196,6 +210,7 @@ impl Serialize for MetricsSnapshot {
             ("events_processed", self.events_processed.to_value()),
             ("batches", self.batches.to_value()),
             ("checks_run", self.checks_run.to_value()),
+            ("rules_evaluated", self.rules_evaluated.to_value()),
             ("max_queue_depth", self.max_queue_depth.to_value()),
             ("retries", self.retries.to_value()),
             ("dead_letters", self.dead_letters.to_value()),

@@ -4,9 +4,10 @@
 //! verification layers of the reproduced stack:
 //!
 //! * **STIG re-checks** — on `DriftApplied`/`ConfigChanged`/`SloAlert`
-//!   the worker that owns the host's shard re-runs the compliance
-//!   catalogue against the host; every verdict is one follow-up event
-//!   for the monitors below (see the engine module);
+//!   the worker that owns the host's shard brings the host's cached
+//!   verdicts up to date, re-checking only the rules whose keys drift
+//!   wrote since the host's last check; every rule's verdict is one
+//!   follow-up event for the monitors below (see the engine module);
 //! * **temporal patterns** — [`ComplianceUniversality`] is an *owned*
 //!   streaming `A[] compliant` monitor implementing
 //!   [`vdo_temporal::PatternMonitor`], fed by the host's check verdicts
@@ -49,10 +50,13 @@ impl std::fmt::Display for DetectionKind {
     }
 }
 
-/// One monitor finding, ordered by the `(shard, seq)` stamp of the
-/// event that triggered it — the key that makes the merged detection
-/// stream independent of worker scheduling.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+/// One monitor finding. The engine merges a tick's findings by the
+/// `(shard, seq)` stamp of the event that triggered them, keeping the
+/// order that event emitted them in (a re-check emits its failing rules
+/// in finding-id order, a TEARS monitor its violations in activation
+/// order) — the key that makes the merged detection stream independent
+/// of worker scheduling.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Detection {
     /// Shard of the triggering event.
     pub shard: usize,
@@ -60,10 +64,10 @@ pub struct Detection {
     pub seq: u64,
     /// Affected host.
     pub host: HostId,
-    /// Finding id (STIG rule) or assertion name (TEARS).
-    pub rule: String,
-    /// Detector family.
-    pub kind: DetectionKind,
+    /// The failing rule's catalogue index for a STIG re-check; `None`
+    /// for the engine's TEARS assertion. The finding id is resolved
+    /// only where an incident or the journal names it.
+    pub rule: Option<usize>,
     /// Tick the violation entered the system (drift tick / activation
     /// tick).
     pub introduced_at: u64,
@@ -71,8 +75,7 @@ pub struct Detection {
     pub detected_at: u64,
     /// Causal context when tracing is on: a child of the originating
     /// requirement's root trace, so the incident chain resolves back to
-    /// the catalogue rule. Last field on purpose — the `(shard, seq)`
-    /// prefix stays the derived sort key.
+    /// the catalogue rule.
     pub trace: Option<TraceContext>,
 }
 

@@ -18,11 +18,13 @@
 //! table ([`ubuntu::rules`], [`win10::rules`]): the finding's
 //! [`vdo_core::RequirementSpec`] and the [`sweep::CheckOp`] that checks
 //! and enforces it. Everything else is built from those rows: the
-//! [`vdo_core::Catalog`] registers each row's op, the vectorized
-//! [`sweep::FleetAuditor`] evaluates them over a columnar fleet, a
-//! service reads each op's read-set to re-check only what a commit can
-//! change, and [`win10::full_guide`] folds the Windows rows into one
-//! composite. The remediation planner can sweep a whole guide:
+//! [`vdo_core::Catalog`] registers each row's op and indexes it by the
+//! host keys it reads ([`sweep::CheckOp::read_keys`]), so a commit, a
+//! drift event or an enforcement re-checks only the rules it can
+//! change; the vectorized [`sweep::FleetAuditor`] evaluates the rows
+//! over a columnar fleet, and [`win10::full_guide`] folds the Windows
+//! rows into one composite. The remediation planner can sweep a whole
+//! guide:
 //!
 //! ```
 //! use vdo_core::{PlannerConfig, PlannerOutcome, RemediationPlanner};

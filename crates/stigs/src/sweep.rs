@@ -5,8 +5,9 @@
 //! answers every check exactly like the shared baseline. Each platform's
 //! rule table ([`crate::ubuntu::rules`], [`crate::win10::rules`]) pairs
 //! every finding's spec with a [`CheckOp`], whose
-//! [`CheckOp::affected_hosts`] maps the finding onto the columnar
-//! overlay table it reads, so a full-fleet sweep costs:
+//! [`CheckOp::read_keys`] names the host slots it reads. The catalogue
+//! indexes rules by those keys, and [`CheckOp::affected_hosts`] maps
+//! them onto the columnar overlay tables, so a full-fleet sweep costs:
 //!
 //! * one pattern evaluation against the **baseline** host, plus
 //! * one evaluation per **overriding host** per finding — work
@@ -17,9 +18,6 @@
 //! tick ([`FleetAuditor::refresh`]), optionally fanned out over worker
 //! threads with a deterministic merge so the verdict state is
 //! byte-identical at any worker count.
-
-use std::collections::BTreeSet;
-use std::sync::OnceLock;
 
 use vdo_core::{Catalog, CheckStatus, Checkable, Enforceable, EnforcementStatus, RequirementSpec};
 use vdo_host::{FleetStore, HostKey, HostRead, HostWrite, Platform};
@@ -90,58 +88,61 @@ impl CheckOp {
         }
     }
 
-    /// The hosts whose verdict for this check **can** differ from the
-    /// baseline verdict — exactly the hosts holding an overlay in the
-    /// column(s) the check reads. Ascending, duplicate-free.
+    /// The host slots the check reads: the one declaration of what a
+    /// rule reads. Its verdict depends on these keys alone, and its
+    /// enforcement writes no other key.
     #[must_use]
-    pub fn affected_hosts(&self, store: &FleetStore) -> Vec<u32> {
+    pub fn read_keys(&self) -> Vec<HostKey<'_>> {
         match self {
-            CheckOp::Package(p) => store.hosts_with_package_override(p.package_name()),
-            CheckOp::Directive(p) => store.hosts_with_directive_override(p.path(), p.key()),
-            CheckOp::FileMode(p) => store.hosts_with_mode_override(p.path()),
+            CheckOp::Package(p) => vec![HostKey::Package(p.package_name())],
+            CheckOp::Directive(p) => vec![HostKey::Directive(p.path(), p.key())],
+            CheckOp::FileMode(p) => vec![HostKey::FileMode(p.path())],
             CheckOp::EncryptedPasswords(_) => {
-                // The check reads both account hygiene and the hashing
-                // directive; union the two overlay host sets.
                 let (path, key) = EncryptedPasswordsPattern::HASH_DIRECTIVE;
-                let mut hosts: BTreeSet<u32> =
-                    store.hosts_with_account_overrides().into_iter().collect();
-                hosts.extend(store.hosts_with_directive_override(path, key));
-                hosts.into_iter().collect()
+                vec![HostKey::Accounts, HostKey::Directive(path, key)]
             }
-            CheckOp::Service(p) => store.hosts_with_service_override(p.service_name()),
-            CheckOp::KernelParam(p) => store.hosts_with_kernel_override(p.key()),
-            CheckOp::Audit(p) => store.hosts_with_audit_override(p.category(), p.subcategory()),
-            CheckOp::RegistryDword(p) => store.hosts_with_registry_override(p.key(), p.name()),
-            CheckOp::Lockout(_) => store.hosts_with_lockout_override(),
+            CheckOp::Service(p) => vec![HostKey::Service(p.service_name())],
+            CheckOp::KernelParam(p) => vec![HostKey::KernelParam(p.key())],
+            CheckOp::Audit(p) => vec![HostKey::Audit(p.category(), p.subcategory())],
+            CheckOp::RegistryDword(p) => vec![HostKey::Registry(p.key(), p.name())],
+            CheckOp::Lockout(_) => vec![HostKey::Lockout],
         }
     }
 
+    /// The hosts whose verdict for this check **can** differ from the
+    /// baseline verdict — exactly the hosts holding an overlay on a key
+    /// the check reads. Ascending, duplicate-free.
+    #[must_use]
+    pub fn affected_hosts(&self, store: &FleetStore) -> Vec<u32> {
+        let mut hosts: Vec<u32> = self
+            .read_keys()
+            .iter()
+            .flat_map(|key| store.hosts_with_override(key))
+            .collect();
+        hosts.sort_unstable();
+        hosts.dedup();
+        hosts
+    }
+
     /// `true` iff a write to `key` can change this check's verdict: the
-    /// key names a slot the check reads, matched the way the host
-    /// matches it (directive keys ASCII case-insensitively). A check
-    /// whose reads miss every key a change writes keeps its verdict.
-    /// The Windows checks read no [`HostKey`].
+    /// key names a slot in [`read_keys`](Self::read_keys), compared by
+    /// [`HostKey::id`] (so directive keys match ASCII
+    /// case-insensitively). A check whose reads miss every key a change
+    /// writes keeps its verdict.
     #[must_use]
     pub fn reads(&self, key: &HostKey<'_>) -> bool {
-        match (self, *key) {
-            (CheckOp::Package(p), HostKey::Package(name)) => p.package_name() == name,
-            (CheckOp::Directive(p), HostKey::Directive(path, k)) => {
-                p.path() == path && p.key().eq_ignore_ascii_case(k)
-            }
-            (CheckOp::EncryptedPasswords(_), HostKey::Directive(path, k)) => {
-                let (hash_path, hash_key) = EncryptedPasswordsPattern::HASH_DIRECTIVE;
-                path == hash_path && hash_key.eq_ignore_ascii_case(k)
-            }
-            (CheckOp::FileMode(p), HostKey::FileMode(path)) => p.path() == path,
-            (CheckOp::Service(p), HostKey::Service(name)) => p.service_name() == name,
-            _ => false,
-        }
+        let id = key.id();
+        self.read_keys().iter().any(|k| k.id() == id)
     }
 }
 
 impl<H: HostRead> Checkable<H> for CheckOp {
     fn check(&self, host: &H) -> CheckStatus {
         CheckOp::check(self, host)
+    }
+
+    fn read_set(&self) -> Option<Vec<u64>> {
+        Some(self.read_keys().iter().map(HostKey::id).collect())
     }
 }
 
@@ -192,15 +193,6 @@ pub fn catalog_of<H: HostWrite>(package: &str, rules: Vec<CompiledCheck>) -> Cat
         cat.register_enforceable(package, spec, op);
     }
     cat
-}
-
-/// [`crate::ubuntu::rules`] built once per process and shared, like
-/// [`crate::ubuntu::shared_catalog`]: the read-set table a service
-/// consults to find the rules a commit can change.
-#[must_use]
-pub fn shared_ubuntu() -> &'static [CompiledCheck] {
-    static CHECKS: OnceLock<Vec<CompiledCheck>> = OnceLock::new();
-    CHECKS.get_or_init(crate::ubuntu::rules)
 }
 
 /// The rule table for a platform.
@@ -495,8 +487,9 @@ mod tests {
 
     #[test]
     fn read_sets_name_the_slots_each_check_reads() {
+        let rules = crate::ubuntu::rules();
         let op = |id: &str| {
-            shared_ubuntu()
+            rules
                 .iter()
                 .find(|c| c.finding_id() == id)
                 .expect("finding in the rule table")
@@ -518,12 +511,7 @@ mod tests {
         }
         // An htop install meets no read-set; telnetd and PermitRootLogin
         // meet exactly one each.
-        let hits = |key: HostKey<'_>| {
-            shared_ubuntu()
-                .iter()
-                .filter(|c| c.op().reads(&key))
-                .count()
-        };
+        let hits = |key: HostKey<'_>| rules.iter().filter(|c| c.op().reads(&key)).count();
         assert_eq!(hits(HostKey::Package("htop")), 0);
         assert_eq!(hits(HostKey::Package("telnetd")), 1);
         assert_eq!(hits(HostKey::Directive(sshd, "PermitRootLogin")), 1);

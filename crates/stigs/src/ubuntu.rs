@@ -299,8 +299,8 @@ pub fn shared_catalog() -> &'static Catalog<UnixHost> {
 }
 
 /// The Ubuntu 18.04 STIG rule table (D2.7 findings + extended hardening
-/// set): every finding's spec and op, written once. [`catalog`], the
-/// fleet sweep and the services' read-sets all read these rows.
+/// set): every finding's spec and op, written once. [`catalog`], its
+/// key index and the fleet sweep all read these rows.
 #[must_use]
 pub fn rules() -> Vec<CompiledCheck> {
     use CheckOp as Op;
