@@ -25,6 +25,9 @@ cargo build --release
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> NALABS matcher oracle, 4096 cases per property (the compiled matcher's correctness rests on it)"
+PROPTEST_CASES=4096 cargo test --release -q -p vdo-nalabs --test kernel_equivalence
+
 echo "==> pool goldens pinned to one CPU (the worker pool's barrier passes with no parallelism)"
 if command -v taskset > /dev/null; then
   taskset -c 0 cargo test -q -p vdo-soc --test steady_state_golden --test backpressure_golden
@@ -51,7 +54,7 @@ for ex in examples/*.rs; do
   cargo run --release --quiet --example "$name" > /dev/null
 done
 
-echo "==> exp_report --json --journal (exit 1 names every failed E11 and E15–E19 budget)"
+echo "==> exp_report --json --journal (exit 1 names every failed E2, E11 and E15–E19 budget)"
 cargo run -p vdo-bench --bin exp_report --release --quiet -- --json target/exp_report.json --journal target/journal.jsonl \
   | sed -n '/^== Budgets ==/,$p'
 if command -v python3 > /dev/null; then

@@ -4,16 +4,17 @@
 //! Regenerates:
 //! * E1 (precision/recall vs planted smell rate) — printed once at bench
 //!   start, since quality is deterministic;
-//! * E2 (analysis throughput vs corpus size) — the Criterion groups;
-//! * A1 (recall vs dictionary fraction) — printed table.
+//! * E2 (analysis throughput vs corpus size) — a Criterion group;
+//! * A1 (recall vs dictionary fraction) — printed table, plus a
+//!   Criterion group timing analysis at each fraction (the shrunk
+//!   analyzers are built, and their dictionaries compiled, outside the
+//!   timed loop).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use vdo_bench::workloads;
 use vdo_corpus::requirements::{generate, CorpusConfig};
-use vdo_nalabs::dictionaries;
-use vdo_nalabs::metrics::{DictionaryMetric, Readability, Size};
-use vdo_nalabs::{Analyzer, Metric, SmellThresholds};
+use vdo_nalabs::Analyzer;
 
 fn print_e1_table() {
     println!("\n[E1] NALABS detection quality vs planted smell rate (n = 1000)");
@@ -39,53 +40,13 @@ fn print_e1_table() {
     }
 }
 
-fn shrunk_analyzer(fraction: f64) -> Analyzer {
-    let metrics: Vec<Box<dyn Metric>> = vec![
-        Box::new(DictionaryMetric::new(
-            "conjunctions",
-            dictionaries::conjunctions().shrunk(fraction),
-        )),
-        Box::new(DictionaryMetric::new(
-            "continuances",
-            dictionaries::continuances().shrunk(fraction),
-        )),
-        Box::new(DictionaryMetric::new(
-            "incompleteness",
-            dictionaries::incompleteness().shrunk(fraction),
-        )),
-        Box::new(DictionaryMetric::new(
-            "optionality",
-            dictionaries::optionality().shrunk(fraction),
-        )),
-        Box::new(DictionaryMetric::new(
-            "references",
-            dictionaries::references().shrunk(fraction),
-        )),
-        Box::new(DictionaryMetric::new(
-            "subjectivity",
-            dictionaries::subjectivity().shrunk(fraction),
-        )),
-        Box::new(DictionaryMetric::new(
-            "vagueness",
-            dictionaries::vagueness().shrunk(fraction),
-        )),
-        Box::new(DictionaryMetric::new(
-            "weakness",
-            dictionaries::weakness().shrunk(fraction),
-        )),
-        Box::new(Readability),
-        Box::new(Size),
-    ];
-    Analyzer::new(metrics, SmellThresholds::default())
-}
-
 fn print_a1_table() {
     println!("\n[A1] ablation: recall vs dictionary fraction (n = 1000, rate 0.25)");
     println!("  (imperatives metric excluded: the ablation isolates dictionary smells)");
     println!("{:>10} {:>8} {:>10}", "FRACTION", "RECALL", "PRECISION");
     let corpus = workloads::corpus(1_000);
     for fraction in [1.0, 0.75, 0.5, 0.25, 0.1] {
-        let analyzer = shrunk_analyzer(fraction);
+        let analyzer = workloads::shrunk_analyzer(fraction);
         let report = analyzer.analyze_corpus(&corpus.documents);
         let pr = report.score_against(&|id| corpus.is_smelly(id));
         println!(
@@ -109,6 +70,19 @@ fn bench_throughput(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(size), &corpus, |b, corpus| {
             b.iter(|| analyzer.analyze_corpus(&corpus.documents))
         });
+    }
+    group.finish();
+
+    let corpus = workloads::corpus(1_000);
+    let mut group = c.benchmark_group("A1_nalabs_dictionary_fraction");
+    group.throughput(Throughput::Elements(corpus.documents.len() as u64));
+    for fraction in [1.0, 0.5, 0.1] {
+        let analyzer = workloads::shrunk_analyzer(fraction);
+        group.bench_with_input(
+            BenchmarkId::from_parameter(fraction),
+            &corpus,
+            |b, corpus| b.iter(|| analyzer.analyze_corpus(&corpus.documents)),
+        );
     }
     group.finish();
 }

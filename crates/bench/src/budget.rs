@@ -1,6 +1,6 @@
 //! The pinned experiment budgets, checked in one place.
 //!
-//! Each budgeted section (E11, E15–E19) returns one [`Budget`] row per
+//! Each budgeted section (E2, E11, E15–E19) returns one [`Budget`] row per
 //! threshold it pins, built from the numbers it measured. The section's
 //! JSON `smoke.within_budget` is the AND of its rows, and `exp_report`
 //! prints every row after the run and exits non-zero when one fails —

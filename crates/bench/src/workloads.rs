@@ -3,9 +3,14 @@
 //! function here that builds its input, so the published numbers are
 //! regenerable from one place.
 
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 use vdo_corpus::requirements::{generate, Corpus, CorpusConfig};
 use vdo_corpus::traces::{throttle_log, ViolationTrace};
 use vdo_gwt::GraphModel;
+use vdo_nalabs::dictionaries::{self, Dictionary};
+use vdo_nalabs::metrics::{DictionaryMetric, Readability, Size};
+use vdo_nalabs::{Analyzer, Metric, SmellThresholds};
 use vdo_specpat::Kripke;
 use vdo_tears::SignalTrace;
 
@@ -18,6 +23,63 @@ pub fn corpus(size: usize) -> Corpus {
         smell_rate: 0.25,
         seed: 7,
     })
+}
+
+/// E2/A1 — an analyzer with default thresholds over one dictionary
+/// metric per dictionary, named after it, then readability and size:
+/// the default suite's shape.
+#[must_use]
+pub fn nalabs_analyzer(dictionaries: impl IntoIterator<Item = Dictionary>) -> Analyzer {
+    let mut metrics: Vec<Box<dyn Metric>> = dictionaries
+        .into_iter()
+        .map(|d| Box::new(DictionaryMetric::new(d.name(), d)) as Box<dyn Metric>)
+        .collect();
+    metrics.push(Box::new(Readability));
+    metrics.push(Box::new(Size));
+    Analyzer::new(metrics, SmellThresholds::default())
+}
+
+/// A1 — every dictionary but imperatives (the ablation isolates
+/// dictionary smells), each shrunk to `fraction` of its entries.
+#[must_use]
+pub fn shrunk_analyzer(fraction: f64) -> Analyzer {
+    nalabs_analyzer(
+        dictionaries::all()
+            .into_iter()
+            .filter(|d| d.name() != "imperatives")
+            .map(|d| d.shrunk(fraction)),
+    )
+}
+
+/// E2 — every dictionary grown to `factor` times its entries by
+/// synthetic ones that never occur in a [`corpus`]: random lower-case
+/// words of 6–9 letters, and phrases of two such words where the entry
+/// they extend (entry `i` mod the stock length) is a phrase. The
+/// entries are leaked, as a [`Dictionary`] holds `&'static str`.
+#[must_use]
+pub fn grown_dictionaries(factor: usize) -> Vec<Dictionary> {
+    let mut rng = StdRng::seed_from_u64(factor as u64);
+    let mut word = move || -> String {
+        let len = 6 + rng.next_u64() % 4;
+        (0..len)
+            .map(|_| char::from(b'a' + (rng.next_u64() % 26) as u8))
+            .collect()
+    };
+    dictionaries::all()
+        .into_iter()
+        .map(|d| {
+            let stock = d.entries();
+            let synthetic = (0..stock.len() * factor.saturating_sub(1)).map(|i| {
+                let entry = if stock[i % stock.len()].contains(' ') {
+                    format!("{} {}", word(), word())
+                } else {
+                    word()
+                };
+                &*Box::leak(entry.into_boxed_str())
+            });
+            Dictionary::new(d.name(), stock.iter().copied().chain(synthetic).collect())
+        })
+        .collect()
 }
 
 /// E4/A2 — invariant-violation trace of `len` ticks with the violation

@@ -1,9 +1,11 @@
 //! Document and corpus analysis: run the metric suite, apply smell
 //! thresholds, aggregate, and score against planted ground truth.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
+use crate::dictionaries::Matcher;
 use crate::metrics::{self, Metric, MetricValue};
 use crate::text::{RequirementDoc, TextStats};
 
@@ -55,7 +57,10 @@ impl SmellThresholds {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DocumentReport {
     id: String,
-    values: BTreeMap<&'static str, MetricValue>,
+    /// The suite's metric names, shared by every report of one analyzer.
+    names: Arc<[&'static str]>,
+    /// One value per metric, in suite order.
+    values: Vec<MetricValue>,
     smells: Vec<&'static str>,
 }
 
@@ -66,16 +71,17 @@ impl DocumentReport {
         &self.id
     }
 
-    /// Metric value by name.
+    /// Metric value by name (of the last metric so named, if the suite
+    /// repeats a name).
     #[must_use]
     pub fn value(&self, metric: &str) -> Option<MetricValue> {
-        self.values.get(metric).copied()
+        let at = self.names.iter().rposition(|name| *name == metric)?;
+        Some(self.values[at])
     }
 
-    /// All metric values.
-    #[must_use]
-    pub fn values(&self) -> &BTreeMap<&'static str, MetricValue> {
-        &self.values
+    /// Every metric's name and value, in suite order.
+    pub fn values(&self) -> impl Iterator<Item = (&'static str, MetricValue)> + '_ {
+        self.names.iter().copied().zip(self.values.iter().copied())
     }
 
     /// Names of metrics flagged as smells.
@@ -167,26 +173,28 @@ impl CorpusReport {
     }
 
     /// Renders the corpus analysis as CSV: one row per document with
-    /// every metric's raw value plus the flagged-smell list. Column
-    /// order follows the first document's metric map (stable across the
-    /// corpus since every document runs the same suite).
+    /// every metric's raw value plus the flagged-smell list. The metric
+    /// columns are in alphabetical order, one per name (every document
+    /// runs the same suite).
     #[must_use]
     pub fn to_csv(&self) -> String {
         let Some(first) = self.reports.first() else {
             return String::from("req_id,smells\n");
         };
-        let metric_names: Vec<&str> = first.values.keys().copied().collect();
+        let names = &first.names;
+        let mut columns: Vec<usize> = (0..names.len()).collect();
+        columns.sort_by_key(|&i| (names[i], Reverse(i)));
+        columns.dedup_by_key(|i| names[*i]);
         let mut out = String::from("req_id");
-        for m in &metric_names {
+        for &i in &columns {
             out.push(',');
-            out.push_str(m);
+            out.push_str(names[i]);
         }
         out.push_str(",smells\n");
         for r in &self.reports {
             out.push_str(r.id());
-            for m in &metric_names {
-                let v = r.value(m).map_or(0.0, |v| v.raw);
-                out.push_str(&format!(",{v}"));
+            for &i in &columns {
+                out.push_str(&format!(",{}", r.values[i].raw));
             }
             out.push_str(&format!(",\"{}\"\n", r.smells().join(";")));
         }
@@ -271,27 +279,53 @@ impl PrecisionRecall {
     }
 }
 
+/// A metric suite ready to run: its dictionaries compiled into one
+/// matcher, whose slot `i` counts metric `i`'s dictionary, and its names
+/// in suite order for the reports.
+struct Suite {
+    metrics: Vec<Box<dyn Metric>>,
+    names: Arc<[&'static str]>,
+    matcher: Matcher,
+}
+
+impl Suite {
+    fn compile(metrics: Vec<Box<dyn Metric>>) -> Self {
+        Suite {
+            matcher: Matcher::compile(metrics.iter().map(|m| m.dictionary())),
+            names: metrics.iter().map(|m| m.name()).collect(),
+            metrics,
+        }
+    }
+}
+
 /// Runs a metric suite over documents and corpora.
 pub struct Analyzer {
-    metrics: Vec<Box<dyn Metric>>,
+    suite: Arc<Suite>,
     thresholds: SmellThresholds,
 }
 
 impl Analyzer {
-    /// Creates an analyzer over a custom metric suite.
+    /// Creates an analyzer over a custom metric suite, compiling the
+    /// suite's dictionaries into one matcher.
     #[must_use]
     pub fn new(metrics: Vec<Box<dyn Metric>>, thresholds: SmellThresholds) -> Self {
         Analyzer {
-            metrics,
+            suite: Arc::new(Suite::compile(metrics)),
             thresholds,
         }
     }
 
     /// The default NALABS configuration: full metric suite, default
-    /// thresholds.
+    /// thresholds. The suite is compiled once per process and shared by
+    /// every analyzer made here.
     #[must_use]
     pub fn with_default_metrics() -> Self {
-        Analyzer::new(metrics::default_suite(), SmellThresholds::default())
+        static DEFAULT: OnceLock<Arc<Suite>> = OnceLock::new();
+        let suite = DEFAULT.get_or_init(|| Arc::new(Suite::compile(metrics::default_suite())));
+        Analyzer {
+            suite: Arc::clone(suite),
+            thresholds: SmellThresholds::default(),
+        }
     }
 
     /// The thresholds in force.
@@ -300,21 +334,33 @@ impl Analyzer {
         &self.thresholds
     }
 
-    /// Analyses one document.
+    /// Analyses one document: one pass over its lower-cased text counts
+    /// every dictionary of the suite.
     #[must_use]
     pub fn analyze(&self, doc: &RequirementDoc) -> DocumentReport {
-        let stats = TextStats::of(doc.text());
-        let mut values = BTreeMap::new();
+        let suite = &*self.suite;
+        let mut hits = vec![0; suite.metrics.len()];
+        let stats = TextStats::matched(doc.text(), &suite.matcher, &mut hits);
         let mut smells = Vec::new();
-        for m in &self.metrics {
-            let v = m.evaluate(&stats);
-            if self.thresholds.is_smelly(m.name(), v, &stats) {
-                smells.push(m.name());
-            }
-            values.insert(m.name(), v);
-        }
+        let values = suite
+            .metrics
+            .iter()
+            .zip(hits)
+            .map(|(m, hits)| {
+                let v = if m.dictionary().is_some() {
+                    MetricValue::counted(hits as f64, stats.word_count())
+                } else {
+                    m.evaluate(&stats)
+                };
+                if self.thresholds.is_smelly(m.name(), v, &stats) {
+                    smells.push(m.name());
+                }
+                v
+            })
+            .collect();
         DocumentReport {
             id: doc.id().to_string(),
+            names: Arc::clone(&suite.names),
             values,
             smells,
         }

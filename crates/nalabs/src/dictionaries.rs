@@ -4,14 +4,22 @@
 //! indicator words/phrases drawn from the requirements-quality literature
 //! (Wilson et al.'s ARM quality indicators, QuARS, and the smells listed
 //! in D2.7 §2.2.2). [`Dictionary`] supports deterministic shrinking for
-//! the A1 ablation (recall vs dictionary size).
+//! the A1 ablation (recall vs dictionary size). An
+//! [`Analyzer`](crate::Analyzer) compiles its suite's dictionaries once
+//! into one matcher and counts them all in one pass over a document.
 
-use crate::text::TextStats;
+use std::cell::Cell;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+use crate::text::scan;
 
 /// A list of indicator words/phrases for one smell category.
 ///
 /// Entries containing a space are matched as phrases (word-boundary
-/// aware); single words are matched against tokens.
+/// aware); single words are matched against tokens. A dictionary is
+/// only its entries: an [`Analyzer`](crate::Analyzer) compiles its whole
+/// suite's dictionaries into one matcher that does the counting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dictionary {
     name: &'static str,
@@ -49,21 +57,6 @@ impl Dictionary {
         self.entries.is_empty()
     }
 
-    /// Total number of occurrences of any entry in `stats`.
-    #[must_use]
-    pub fn count_in(&self, stats: &TextStats) -> usize {
-        self.entries
-            .iter()
-            .map(|e| {
-                if e.contains(' ') {
-                    stats.count_phrase(e)
-                } else {
-                    stats.count_word(e)
-                }
-            })
-            .sum()
-    }
-
     /// A deterministic prefix of the dictionary keeping `fraction` of the
     /// entries (at least one if the source is non-empty and
     /// `fraction > 0`). Used by the A1 ablation.
@@ -79,6 +72,113 @@ impl Dictionary {
             name: self.name,
             entries: self.entries.iter().copied().take(keep).collect(),
         }
+    }
+}
+
+/// The dictionaries of a suite compiled into one matcher, so that
+/// counting every entry in a document is one pass over its lower-cased
+/// text, at a cost that grows with the text and not with the
+/// dictionaries.
+///
+/// Each dictionary counts into one *slot*: its position in the suite
+/// given to [`compile`](Self::compile). Entries are lower-cased once,
+/// here, and an entry that occurs twice counts twice.
+///
+/// - A word entry (no space) is a key of one hash table, listing the
+///   slots it counts for. A token counts for every slot listed under
+///   it.
+/// - A phrase entry (with a space) is filed under its first four bytes.
+///   At every offset where a phrase may start (offset 0, or after a
+///   non-alphanumeric char) the phrases filed under the next four bytes,
+///   and those shorter than four bytes, are compared with the text; one
+///   counts when no alphanumeric char follows it. Matches may overlap.
+#[derive(Default)]
+pub(crate) struct Matcher {
+    words: HashMap<Box<str>, Vec<usize>, Fx>,
+    phrases: HashMap<u32, Vec<(Box<str>, usize)>, Fx>,
+    short: Vec<(Box<str>, usize)>,
+}
+
+impl Matcher {
+    /// Compiles a suite: slot `i` counts the `i`-th item's entries, and
+    /// a `None` item's slot counts nothing.
+    pub(crate) fn compile<'a>(suite: impl IntoIterator<Item = Option<&'a Dictionary>>) -> Self {
+        let mut matcher = Matcher::default();
+        for (slot, dictionary) in suite.into_iter().enumerate() {
+            for entry in dictionary.into_iter().flat_map(Dictionary::entries) {
+                let phrase = entry.contains(' ');
+                let entry = entry.to_lowercase().into_boxed_str();
+                if !phrase {
+                    matcher.words.entry(entry).or_default().push(slot);
+                } else if let Some(head) = entry.as_bytes().first_chunk() {
+                    let head = u32::from_ne_bytes(*head);
+                    matcher.phrases.entry(head).or_default().push((entry, slot));
+                } else {
+                    matcher.short.push((entry, slot));
+                }
+            }
+        }
+        matcher
+    }
+
+    /// Adds every entry's occurrences in `lower` (a lower-cased text) to
+    /// its slot of `hits`, and calls `token` with every word token, in
+    /// order, in the same pass.
+    pub(crate) fn count(&self, lower: &str, hits: &mut [usize], mut token: impl FnMut(&str)) {
+        let hits = Cell::from_mut(hits).as_slice_of_cells();
+        let hit = |slot: usize| hits[slot].set(hits[slot].get() + 1);
+        scan(
+            lower,
+            |word| {
+                token(word);
+                for &slot in self.words.get(word).into_iter().flatten() {
+                    hit(slot);
+                }
+            },
+            |at| {
+                let rest = &lower[at..];
+                let filed = rest
+                    .as_bytes()
+                    .first_chunk()
+                    .and_then(|head| self.phrases.get(&u32::from_ne_bytes(*head)));
+                for (phrase, slot) in filed.into_iter().flatten().chain(&self.short) {
+                    if rest.starts_with(&**phrase)
+                        && !rest[phrase.len()..]
+                            .chars()
+                            .next()
+                            .is_some_and(char::is_alphanumeric)
+                    {
+                        hit(*slot);
+                    }
+                }
+            },
+        );
+    }
+}
+
+/// A fixed-cost hasher for the matcher's tables: the multiply-rotate of
+/// rustc's `FxHasher`, eight bytes a step. Only dictionary entries are
+/// inserted; a document's tokens are only looked up, and a lookup's
+/// probes are bounded by the chains the entries make, so crafted text
+/// cannot slow it down.
+#[derive(Default)]
+struct FxHasher(u64);
+
+type Fx = BuildHasherDefault<FxHasher>;
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.0 = (self.0.rotate_left(5) ^ u64::from_le_bytes(word))
+                .wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        // Buckets are picked by the low bits, which the multiply mixes least.
+        self.0.rotate_left(26)
     }
 }
 
@@ -328,19 +428,72 @@ mod tests {
         }
     }
 
+    /// Occurrences of `dictionary`'s entries in `text`.
+    fn count(dictionary: &Dictionary, text: &str) -> usize {
+        let mut hits = [0];
+        Matcher::compile([Some(dictionary)]).count(&text.to_lowercase(), &mut hits, |_| {});
+        hits[0]
+    }
+
+    fn custom(entries: Vec<&'static str>) -> Dictionary {
+        Dictionary::new("custom", entries)
+    }
+
     #[test]
     fn counting_words_and_phrases() {
-        let stats = TextStats::of("The system shall be able to respond as appropriate and fast.");
-        assert_eq!(weakness().count_in(&stats), 2); // "be able to", "as appropriate"
-        assert_eq!(imperatives().count_in(&stats), 1); // "shall"
-        assert_eq!(conjunctions().count_in(&stats), 1); // "and"
-        assert_eq!(vagueness().count_in(&stats), 1); // "fast"
+        let text = "The system shall be able to respond as appropriate and fast.";
+        assert_eq!(count(&weakness(), text), 2); // "be able to", "as appropriate"
+        assert_eq!(count(&imperatives(), text), 1); // "shall"
+        assert_eq!(count(&conjunctions(), text), 1); // "and"
+        assert_eq!(count(&vagueness(), text), 1); // "fast"
+    }
+
+    #[test]
+    fn words_match_whole_tokens_in_any_case() {
+        let text = "may or may not, MAY be";
+        assert_eq!(count(&custom(vec!["may"]), text), 3);
+        assert_eq!(count(&custom(vec!["or"]), text), 1);
+        assert_eq!(count(&custom(vec!["absent", ""]), text), 0);
+        assert_eq!(
+            count(&custom(vec!["May", "may"]), text),
+            6,
+            "duplicates count twice"
+        );
+    }
+
+    #[test]
+    fn phrases_respect_word_boundaries() {
+        let text = "As appropriate, do X. Inappropriate things happen as appropriate.";
+        assert_eq!(count(&custom(vec!["as appropriate"]), text), 2);
+        assert_eq!(
+            count(
+                &custom(vec!["appropriate x"]),
+                "inappropriate x, appropriate xy"
+            ),
+            0,
+            "neither a word before nor after may run on"
+        );
+        assert_eq!(count(&custom(vec!["a a"]), "a a a"), 2, "overlaps count");
     }
 
     #[test]
     fn custom_entries_with_multibyte_first_char() {
-        let d = Dictionary::new("custom", vec!["ä b", "öl"]);
-        assert_eq!(d.count_in(&TextStats::of("Ä b, xä b, ä b; Öl")), 3);
+        assert_eq!(count(&custom(vec!["ä b", "öl"]), "Ä b, xä b, ä b; Öl"), 3);
+        assert_eq!(count(&custom(vec!["é x"]), "é x"), 1);
+        assert_eq!(count(&custom(vec!["É X"]), "é x"), 1);
+        assert_eq!(count(&custom(vec!["ä b"]), "Ä b, xä b, ä bc; ä b"), 2);
+    }
+
+    #[test]
+    fn one_matcher_counts_each_dictionary_into_its_slot() {
+        let suite = [Some(optionality()), None, Some(weakness())];
+        let matcher = Matcher::compile(suite.iter().map(Option::as_ref));
+        let mut hits = [0; 3];
+        let mut tokens = Vec::new();
+        let text = "it may, as appropriate, be adequate";
+        matcher.count(text, &mut hits, |t| tokens.push(t.to_string()));
+        assert_eq!(hits, [2, 0, 2], "\"as appropriate\" counts in both");
+        assert_eq!(tokens, ["it", "may", "as", "appropriate", "be", "adequate"]);
     }
 
     #[test]

@@ -11,19 +11,22 @@
 //! (`ConjunctionMetric.cs`, `ContinuancesMetric.cs`, `ImperativesMetric.cs`,
 //! `ICountMetric.cs`, `OptionalityMetric.cs`, `ReferencesMetric.cs`,
 //! `SubjectivityMetric.cs`, `VaguenessMetric.cs`, `WeaknessMetric.cs`,
-//! plus readability and size):
+//! plus readability and size). Each dictionary smell is a
+//! [`metrics::DictionaryMetric`] over one of the dictionaries below, and
+//! an [`Analyzer`] compiles its suite's dictionaries once into one
+//! matcher, so analysing a document is one pass over its text:
 //!
 //! | Metric | Smell |
 //! |---|---|
-//! | [`metrics::conjunctions`] | compound requirements (and/or chains) |
-//! | [`metrics::continuances`] | nesting ("as follows:", "below:") |
-//! | [`metrics::Imperatives`] | weak or missing modal verbs |
-//! | [`metrics::incompleteness`] | TBD/TBS placeholders |
-//! | [`metrics::optionality`] | latitude words ("may", "if needed") |
-//! | [`metrics::references`] | out-of-document pointers |
-//! | [`metrics::subjectivity`] | opinion words ("user friendly") |
-//! | [`metrics::vagueness`] | imprecise adjectives ("fast", "adequate") |
-//! | [`metrics::weakness`] | uncertainty words ("as appropriate") |
+//! | [`dictionaries::conjunctions`] | compound requirements (and/or chains) |
+//! | [`dictionaries::continuances`] | nesting ("as follows:", "below:") |
+//! | [`dictionaries::imperatives`] | weak or missing modal verbs |
+//! | [`dictionaries::incompleteness`] | TBD/TBS placeholders |
+//! | [`dictionaries::optionality`] | latitude words ("may", "if needed") |
+//! | [`dictionaries::references`] | out-of-document pointers |
+//! | [`dictionaries::subjectivity`] | opinion words ("user friendly") |
+//! | [`dictionaries::vagueness`] | imprecise adjectives ("fast", "adequate") |
+//! | [`dictionaries::weakness`] | uncertainty words ("as appropriate") |
 //! | [`metrics::Readability`] | ARI `WS + 9·SW` as defined in D2.7 |
 //! | [`metrics::Size`] | over-complexity (chars/words/sentences) |
 //!

@@ -6,8 +6,9 @@
 //! requirements.
 
 use std::fmt;
+use std::sync::OnceLock;
 
-use crate::dictionaries::{self, Dictionary};
+use crate::dictionaries::{self, Dictionary, Matcher};
 use crate::text::TextStats;
 
 /// A metric result: the raw value and its per-word density.
@@ -43,27 +44,37 @@ pub trait Metric: Send + Sync {
 
     /// Evaluates the metric on a tokenised requirement.
     fn evaluate(&self, stats: &TextStats) -> MetricValue;
+
+    /// The dictionary this metric counts, when its value is the count of
+    /// that dictionary's entries, `MetricValue::counted(hits, words)`.
+    /// An [`Analyzer`](crate::Analyzer) compiles the dictionaries of its
+    /// whole suite into one matcher and values such a metric from that
+    /// matcher's count, without calling [`evaluate`](Self::evaluate).
+    fn dictionary(&self) -> Option<&Dictionary> {
+        None
+    }
 }
 
 /// Dictionary-count metric: raw = total occurrences of dictionary
-/// entries. Covers conjunctions, continuances, incompleteness,
-/// optionality, references, subjectivity, vagueness and weakness.
+/// entries. Covers every dictionary in [`dictionaries::all`], including
+/// imperatives, whose smell is a count of zero ([`crate::SmellThresholds`]).
 pub struct DictionaryMetric {
     name: &'static str,
     dictionary: Dictionary,
+    /// The dictionary alone, compiled on the first direct
+    /// [`evaluate`](Metric::evaluate) call.
+    matcher: OnceLock<Matcher>,
 }
 
 impl DictionaryMetric {
     /// Creates a metric counting hits of `dictionary`.
     #[must_use]
     pub fn new(name: &'static str, dictionary: Dictionary) -> Self {
-        DictionaryMetric { name, dictionary }
-    }
-
-    /// The underlying dictionary.
-    #[must_use]
-    pub fn dictionary(&self) -> &Dictionary {
-        &self.dictionary
+        DictionaryMetric {
+            name,
+            dictionary,
+            matcher: OnceLock::new(),
+        }
     }
 }
 
@@ -71,89 +82,18 @@ impl Metric for DictionaryMetric {
     fn name(&self) -> &'static str {
         self.name
     }
+
     fn evaluate(&self, stats: &TextStats) -> MetricValue {
-        MetricValue::counted(self.dictionary.count_in(stats) as f64, stats.word_count())
+        let matcher = self
+            .matcher
+            .get_or_init(|| Matcher::compile([Some(&self.dictionary)]));
+        let mut hits = [0];
+        matcher.count(stats.lower(), &mut hits, |_| {});
+        MetricValue::counted(hits[0] as f64, stats.word_count())
     }
-}
 
-/// Compound-requirement smell (`ConjunctionMetric.cs`).
-#[must_use]
-pub fn conjunctions() -> DictionaryMetric {
-    DictionaryMetric::new("conjunctions", dictionaries::conjunctions())
-}
-
-/// Nesting smell (`ContinuancesMetric.cs`).
-#[must_use]
-pub fn continuances() -> DictionaryMetric {
-    DictionaryMetric::new("continuances", dictionaries::continuances())
-}
-
-/// Placeholder smell (`ICountMetric.cs`).
-#[must_use]
-pub fn incompleteness() -> DictionaryMetric {
-    DictionaryMetric::new("incompleteness", dictionaries::incompleteness())
-}
-
-/// Latitude smell (`OptionalityMetric.cs`).
-#[must_use]
-pub fn optionality() -> DictionaryMetric {
-    DictionaryMetric::new("optionality", dictionaries::optionality())
-}
-
-/// Reference smell (`ReferencesMetric.cs`).
-#[must_use]
-pub fn references() -> DictionaryMetric {
-    DictionaryMetric::new("references", dictionaries::references())
-}
-
-/// Opinion smell (`SubjectivityMetric.cs`).
-#[must_use]
-pub fn subjectivity() -> DictionaryMetric {
-    DictionaryMetric::new("subjectivity", dictionaries::subjectivity())
-}
-
-/// Imprecision smell.
-#[must_use]
-pub fn vagueness() -> DictionaryMetric {
-    DictionaryMetric::new("vagueness", dictionaries::vagueness())
-}
-
-/// Uncertainty smell (`WeaknessMetric.cs`).
-#[must_use]
-pub fn weakness() -> DictionaryMetric {
-    DictionaryMetric::new("weakness", dictionaries::weakness())
-}
-
-/// Imperative-mood check (`ImperativesMetric.cs`): a requirement without
-/// any modal verb ("shall", "must", …) is not testable. Raw value is the
-/// imperative count; the *smell* is a raw value of zero, which
-/// [`crate::SmellThresholds`] flags.
-pub struct Imperatives {
-    dictionary: Dictionary,
-}
-
-impl Imperatives {
-    /// Creates the imperative-presence metric.
-    #[must_use]
-    pub fn new() -> Self {
-        Imperatives {
-            dictionary: dictionaries::imperatives(),
-        }
-    }
-}
-
-impl Default for Imperatives {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Metric for Imperatives {
-    fn name(&self) -> &'static str {
-        "imperatives"
-    }
-    fn evaluate(&self, stats: &TextStats) -> MetricValue {
-        MetricValue::counted(self.dictionary.count_in(stats) as f64, stats.word_count())
+    fn dictionary(&self) -> Option<&Dictionary> {
+        Some(&self.dictionary)
     }
 }
 
@@ -190,22 +130,18 @@ impl Metric for Size {
     }
 }
 
-/// The full default metric suite, in report-column order.
+/// The full default metric suite, in report-column order: one
+/// [`DictionaryMetric`] per dictionary of [`dictionaries::all`], named
+/// after it, then readability and size.
 #[must_use]
 pub fn default_suite() -> Vec<Box<dyn Metric>> {
-    vec![
-        Box::new(conjunctions()),
-        Box::new(continuances()),
-        Box::new(Imperatives::new()),
-        Box::new(incompleteness()),
-        Box::new(optionality()),
-        Box::new(references()),
-        Box::new(subjectivity()),
-        Box::new(vagueness()),
-        Box::new(weakness()),
-        Box::new(Readability),
-        Box::new(Size),
-    ]
+    let mut suite: Vec<Box<dyn Metric>> = dictionaries::all()
+        .into_iter()
+        .map(|d| Box::new(DictionaryMetric::new(d.name(), d)) as Box<dyn Metric>)
+        .collect();
+    suite.push(Box::new(Readability));
+    suite.push(Box::new(Size));
+    suite
 }
 
 #[cfg(test)]
@@ -216,9 +152,13 @@ mod tests {
         TextStats::of(text)
     }
 
+    fn metric(dictionary: Dictionary) -> DictionaryMetric {
+        DictionaryMetric::new(dictionary.name(), dictionary)
+    }
+
     #[test]
     fn dictionary_metric_counts_and_normalises() {
-        let m = vagueness();
+        let m = metric(dictionaries::vagueness());
         let v = m.evaluate(&stats("a fast and easy system"));
         assert_eq!(v.raw, 2.0);
         assert!((v.density - 2.0 / 5.0).abs() < 1e-9);
@@ -236,9 +176,10 @@ mod tests {
 
     #[test]
     fn imperatives_present_vs_absent() {
-        let with = Imperatives::new().evaluate(&stats("The system shall lock."));
+        let m = metric(dictionaries::imperatives());
+        let with = m.evaluate(&stats("The system shall lock."));
         assert_eq!(with.raw, 1.0);
-        let without = Imperatives::new().evaluate(&stats("The system locks quickly."));
+        let without = m.evaluate(&stats("The system locks quickly."));
         assert_eq!(without.raw, 0.0);
     }
 

@@ -1,14 +1,15 @@
-//! The indexed matching kernel in `TextStats` counts exactly what the
+//! The compiled matcher behind `Analyzer` counts exactly what the
 //! straightforward implementation it replaced counts: a `str::find` loop
-//! per phrase, and a linear scan of owned, lower-cased tokens per word.
-//! That implementation is kept here, verbatim, as the reference.
-
-use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+//! per phrase, and a linear scan of owned, lower-cased tokens per word,
+//! summed per dictionary. That implementation is kept here as the
+//! reference, and checked against the default suite, A1's shrunk
+//! dictionaries, and suites built from the probes themselves.
 
 use proptest::prelude::*;
-use vdo_nalabs::metrics::{self, MetricValue};
-use vdo_nalabs::{dictionaries, Analyzer, RequirementDoc, SmellThresholds, TextStats};
+use vdo_nalabs::metrics::{DictionaryMetric, MetricValue, Readability, Size};
+use vdo_nalabs::{
+    dictionaries, Analyzer, Dictionary, Metric, RequirementDoc, SmellThresholds, TextStats,
+};
 
 /// The tokeniser and lookups the kernel replaced.
 struct Reference {
@@ -77,8 +78,10 @@ impl Reference {
         self.words.iter().filter(|t| **t == w).count()
     }
 
-    /// Panics when a match starts with a multi-byte char: `at + 1` is
-    /// then not a char boundary.
+    /// The replaced implementation stepped to `at + 1` after a match,
+    /// which panics when the match starts with a multi-byte char; this
+    /// copy steps to the next char boundary instead. A match starts on a
+    /// char boundary, so the counts are the same.
     fn count_phrase(&self, phrase: &str) -> usize {
         let p = phrase.to_lowercase();
         if p.is_empty() {
@@ -103,19 +106,15 @@ impl Reference {
             if before_ok && after_ok {
                 count += 1;
             }
-            start = at + 1;
+            start = at + self.lower[at..].chars().next().map_or(1, char::len_utf8);
         }
         count
     }
 
-    /// `count_phrase`, or `None` where it panics.
-    fn try_count_phrase(&self, phrase: &str) -> Option<usize> {
-        catch_unwind(AssertUnwindSafe(|| self.count_phrase(phrase))).ok()
-    }
-
-    /// The default suite's values, computed with the reference lookups.
-    fn values(&self) -> BTreeMap<&'static str, MetricValue> {
-        let mut values: BTreeMap<_, _> = dictionaries::all()
+    /// The values of `suite`'s analyzer (see [`analyzer`]), in suite
+    /// order, computed with the reference lookups.
+    fn values(&self, suite: &[Dictionary]) -> Vec<(&'static str, MetricValue)> {
+        let mut values: Vec<_> = suite
             .iter()
             .map(|d| {
                 let hits: usize = d
@@ -136,18 +135,57 @@ impl Reference {
             })
             .collect();
         let raw = self.words_per_sentence() + 9.0 * self.letters_per_word();
-        values.insert("readability_ari", MetricValue { raw, density: 0.0 });
+        values.push(("readability_ari", MetricValue { raw, density: 0.0 }));
         let raw = self.words.len() as f64;
-        values.insert("size_words", MetricValue { raw, density: 0.0 });
+        values.push(("size_words", MetricValue { raw, density: 0.0 }));
         values
     }
 }
 
+/// An analyzer over one dictionary metric per dictionary of `suite`,
+/// named after it, then readability and size: the default suite's shape.
+fn analyzer(suite: &[Dictionary]) -> Analyzer {
+    let metrics = suite
+        .iter()
+        .map(|d| Box::new(DictionaryMetric::new(d.name(), d.clone())) as Box<dyn Metric>)
+        .chain([Box::new(Readability) as Box<dyn Metric>, Box::new(Size)])
+        .collect();
+    Analyzer::new(metrics, SmellThresholds::default())
+}
+
+/// A1's suite: every dictionary but imperatives, shrunk to `fraction`.
+fn ablation_suite(fraction: f64) -> Vec<Dictionary> {
+    dictionaries::all()
+        .iter()
+        .filter(|d| d.name() != "imperatives")
+        .map(|d| d.shrunk(fraction))
+        .collect()
+}
+
+/// A suite made of `entries`: one dictionary per entry, so each is
+/// checked on its own, then one holding all of them twice and the empty
+/// entry, so duplicates count within and across dictionaries.
+fn entry_suite(entries: &[String]) -> Vec<Dictionary> {
+    let entries: Vec<&'static str> = entries
+        .iter()
+        .map(|e| &*Box::leak(e.clone().into_boxed_str()))
+        .collect();
+    let mut suite: Vec<Dictionary> = entries
+        .iter()
+        .map(|&e| Dictionary::new("entry", vec![e]))
+        .collect();
+    let mut all = entries.repeat(2);
+    all.push("");
+    suite.push(Dictionary::new("entries", all));
+    suite
+}
+
 /// Chars whose lower-case form has a different byte length, a
-/// combining mark, and plain separators: boundaries are decided around
-/// them.
-const SEPARATORS: [&str; 16] = [
-    " ", "  ", ", ", ". ", "; ", "-", "'", "", "x", "İ", "Ⱥ ", "ẞ", " é ", "?! ", "\u{307}", "Σ ",
+/// combining mark, a digit, and plain separators: boundaries are
+/// decided around them.
+const SEPARATORS: [&str; 17] = [
+    " ", "  ", ", ", ". ", "; ", "-", "'", "", "x", "7", "İ", "Ⱥ ", "ẞ", " é ", "?! ", "\u{307}",
+    "Σ ",
 ];
 
 fn all_entries() -> Vec<&'static str> {
@@ -208,6 +246,37 @@ fn slice_of(text: &str, a: usize, b: usize, mode: u8) -> String {
     recase(&chars[i.min(j)..i.max(j)].iter().collect::<String>(), mode)
 }
 
+/// `analyzer`'s report on `text` equals the reference's values for
+/// `suite`, bit for bit, and the smells those values give.
+fn check_suite(
+    text: &str,
+    reference: &Reference,
+    suite: &[Dictionary],
+    analyzer: &Analyzer,
+) -> Result<(), TestCaseError> {
+    let report = analyzer.analyze(&RequirementDoc::new("R", text));
+    let expected = reference.values(suite);
+    let bits = |values: &mut dyn Iterator<Item = (&str, MetricValue)>| -> Vec<(String, u64, u64)> {
+        values
+            .map(|(k, v)| (k.to_string(), v.raw.to_bits(), v.density.to_bits()))
+            .collect()
+    };
+    prop_assert_eq!(
+        bits(&mut report.values()),
+        bits(&mut expected.iter().copied()),
+        "values of {:?}",
+        text
+    );
+    let stats = TextStats::of(text);
+    let smells: Vec<&str> = expected
+        .iter()
+        .filter(|(name, v)| analyzer.thresholds().is_smelly(name, *v, &stats))
+        .map(|(name, _)| *name)
+        .collect();
+    prop_assert_eq!(report.smells(), smells.as_slice(), "smells of {:?}", text);
+    Ok(())
+}
+
 fn check(text: &str, probes: &[String]) -> Result<(), TestCaseError> {
     let stats = TextStats::of(text);
     let reference = Reference::of(text);
@@ -221,67 +290,26 @@ fn check(text: &str, probes: &[String]) -> Result<(), TestCaseError> {
         stats.letters_per_word().to_bits(),
         reference.letters_per_word().to_bits()
     );
-    for entry in all_entries() {
-        prop_assert_eq!(
-            stats.count_word(entry),
-            reference.count_word(entry),
-            "word {:?} in {:?}",
-            entry,
-            text
-        );
-        prop_assert_eq!(
-            stats.count_phrase(entry),
-            reference.count_phrase(entry),
-            "phrase {:?} in {:?}",
-            entry,
-            text
-        );
+
+    let default = Analyzer::with_default_metrics();
+    check_suite(text, &reference, &dictionaries::all(), &default)?;
+    for fraction in [0.0, 0.1, 0.5, 1.0] {
+        let suite = ablation_suite(fraction);
+        check_suite(text, &reference, &suite, &analyzer(&suite))?;
     }
+    // Every dictionary entry, the probes, and the text's words re-cased.
     let recased_words = reference
         .words
         .iter()
         .flat_map(|w| [recase(w, 1), recase(w, 2)]);
-    for probe in probes.iter().cloned().chain(recased_words) {
-        let probe = probe.as_str();
-        prop_assert_eq!(
-            stats.count_word(probe),
-            reference.count_word(probe),
-            "word {:?} in {:?}",
-            probe,
-            text
-        );
-        if let Some(expected) = reference.try_count_phrase(probe) {
-            prop_assert_eq!(
-                stats.count_phrase(probe),
-                expected,
-                "phrase {:?} in {:?}",
-                probe,
-                text
-            );
-        }
-    }
-
-    let report = Analyzer::with_default_metrics().analyze(&RequirementDoc::new("R", text));
-    let expected = reference.values();
-    let bits = |m: &BTreeMap<&str, MetricValue>| -> Vec<(String, u64, u64)> {
-        m.iter()
-            .map(|(k, v)| (k.to_string(), v.raw.to_bits(), v.density.to_bits()))
-            .collect()
-    };
-    prop_assert_eq!(
-        bits(report.values()),
-        bits(&expected),
-        "values of {:?}",
-        text
-    );
-    let thresholds = SmellThresholds::default();
-    let smells: Vec<&str> = metrics::default_suite()
-        .iter()
-        .map(|m| m.name())
-        .filter(|name| thresholds.is_smelly(name, expected[name], &stats))
+    let entries: Vec<String> = all_entries()
+        .into_iter()
+        .map(String::from)
+        .chain(probes.iter().cloned())
+        .chain(recased_words)
         .collect();
-    prop_assert_eq!(report.smells(), smells.as_slice(), "smells of {:?}", text);
-    Ok(())
+    let suite = entry_suite(&entries);
+    check_suite(text, &reference, &suite, &analyzer(&suite))
 }
 
 proptest! {

@@ -141,6 +141,9 @@ pub struct Tenant {
     /// Catalogue index of each rule with an open incident → that
     /// incident's index in `incidents`.
     open: BTreeMap<usize, usize>,
+    /// Finding id → (incidents recorded, incidents open) for that rule,
+    /// kept beside `open` so a query is one lookup.
+    tally: BTreeMap<&'static str, (usize, usize)>,
     verdict_log: String,
     /// Disabled journal lent to worker-side gate contexts: journal
     /// events are a main-thread concern (that is what keeps journal
@@ -189,6 +192,7 @@ impl Tenant {
             planner,
             incidents: Vec::new(),
             open: BTreeMap::new(),
+            tally: BTreeMap::new(),
             verdict_log: String::new(),
             silent: Journal::disabled(),
         }
@@ -312,19 +316,13 @@ impl Tenant {
         rejection
     }
 
+    /// Counts the incidents recorded and open, for one rule or all, from
+    /// the tallies `run_ops` keeps: O(log rules), whatever the history.
     fn query_incidents(&self, rule: Option<&str>) -> Outcome {
-        let matching = self
-            .incidents
-            .iter()
-            .filter(|i| rule.is_none_or(|r| i.rule == r));
-        let mut total = 0;
-        let mut open = 0;
-        for inc in matching {
-            total += 1;
-            if inc.resolved_at.is_none() {
-                open += 1;
-            }
-        }
+        let (total, open) = match rule {
+            None => (self.incidents.len(), self.open.len()),
+            Some(rule) => self.tally.get(rule).copied().unwrap_or_default(),
+        };
         Outcome::Incidents { total, open }
     }
 
@@ -354,9 +352,13 @@ impl Tenant {
             // cover it without a check.
             for (rule, (entry, status)) in self.stig.iter().zip(&self.verdicts).enumerate() {
                 if !status.is_pass() && !self.open.contains_key(&rule) {
+                    let id = entry.spec().finding_id();
+                    let tally = self.tally.entry(id).or_default();
+                    tally.0 += 1;
+                    tally.1 += 1;
                     self.open.insert(rule, self.incidents.len());
                     self.incidents.push(Incident {
-                        rule: entry.spec().finding_id().to_string(),
+                        rule: id.to_string(),
                         opened_at: now,
                         resolved_at: None,
                     });
@@ -368,11 +370,17 @@ impl Tenant {
         if !self.open.is_empty() {
             self.planner
                 .remediate_from(self.stig, &mut self.production, &mut self.verdicts);
-            let (verdicts, incidents) = (&self.verdicts, &mut self.incidents);
+            let (verdicts, incidents, tally) =
+                (&self.verdicts, &mut self.incidents, &mut self.tally);
             self.open.retain(|&rule, &mut incident| {
                 let open = !verdicts[rule].is_pass();
                 if !open {
-                    incidents[incident].resolved_at = Some(now);
+                    let incident = &mut incidents[incident];
+                    incident.resolved_at = Some(now);
+                    let tally = tally
+                        .get_mut(incident.rule.as_str())
+                        .expect("every incident's rule has a tally");
+                    tally.1 -= 1;
                     remediated += 1;
                 }
                 open
@@ -588,6 +596,45 @@ mod tests {
         }
 
         proptest! {
+            /// After any run of ops calls and pushes, every incident
+            /// query (each catalogue rule, no rule, ids outside the
+            /// catalogue) answers what a scan of the ledger gives.
+            #[test]
+            fn incident_queries_equal_a_scan_of_the_ledger(
+                seed in 0u64..1_000_000,
+                steps in prop::collection::vec(
+                    (prop::bool::ANY, 1u64..8, prop::collection::vec(change(), 0..4)),
+                    1..24,
+                ),
+                block_at in prop::sample::select(vec![Severity::Low, Severity::Medium, Severity::High]),
+            ) {
+                let config = TenantConfig { block_at, ..TenantConfig::new("acme").with_seed(seed) };
+                let mut t = Tenant::new(&config);
+                for (seq, (ops, ticks, changes)) in (0u64..).zip(steps) {
+                    let request = if ops {
+                        Request::RunOps { ticks }
+                    } else {
+                        Request::PushCommit(Commit { changes, ..Commit::new("c") })
+                    };
+                    t.handle(&env(seq, request), seq);
+                }
+                let scan = |rule: Option<&str>| {
+                    let matching = t.incidents().iter().filter(|i| rule.is_none_or(|r| i.rule == r));
+                    let (total, open) = matching.fold((0, 0), |(total, open), i| {
+                        (total + 1, open + usize::from(i.resolved_at.is_none()))
+                    });
+                    Outcome::Incidents { total, open }
+                };
+                let rules = t
+                    .stig
+                    .iter()
+                    .map(|e| Some(e.spec().finding_id()))
+                    .chain([None, Some("V-000000"), Some(""), Some("V-2")]);
+                for rule in rules {
+                    prop_assert_eq!(t.query_incidents(rule), scan(rule), "rule {:?}", rule);
+                }
+            }
+
             /// On a drifted production host, the tenant's compliance
             /// decision (staged in place, verdicts from the cache) is
             /// the reference gate's decision on a clone; a rejection
