@@ -77,3 +77,26 @@ fn unknown_only_section_exits_two_and_lists_the_sections() {
     assert!(stderr.contains("no such section"));
     assert!(stderr.contains("e19_telemetry_plane"), "{stderr}");
 }
+
+#[test]
+fn e2_reports_the_grown_dictionary_row_and_its_budget() {
+    let out = exp_report()
+        .args(["--json", "-", "--only", "e2_nalabs_throughput"])
+        .output()
+        .expect("spawning exp_report");
+    let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
+    let stderr = String::from_utf8(out.stderr).expect("stderr is UTF-8");
+    for key in [
+        "\"dictionary_scale\": 10",
+        "\"stock_elapsed_secs\"",
+        "\"per_doc_ratio\"",
+        "\"default_suite_compile_secs\"",
+    ] {
+        assert!(stdout.contains(key), "missing {key} in:\n{stdout}");
+    }
+    assert_eq!(stdout.matches("\"dictionary_scale\": 1,").count(), 3);
+    assert!(
+        stderr.contains("e2.grown_10x.per_doc_ratio"),
+        "the budget table names the E2 row:\n{stderr}"
+    );
+}
