@@ -2,18 +2,19 @@
 //! seeded `Server::run_load` over three tenants with a mix of
 //! requirement submissions, gated commits, incident queries and ops
 //! bursts (drift, detection and remediation on each tenant's production
-//! host). Every tenant's verdict log must match
-//! `tests/golden/verdict_logs_seed21.txt` byte for byte at 1 and 2
-//! workers. Regenerate after an intentional change with
+//! host). Every tenant's verdict log and the order of the traced run's
+//! journal events must match `tests/golden/verdict_logs_seed21.txt`
+//! byte for byte at 1 and 2 workers. Regenerate after an intentional change with
 //! `BLESS_GOLDEN=1 cargo test -p vdo-server --test verdict_log_golden`.
 
+use vdo_obs::hash::{fnv1a, FNV_OFFSET};
 use vdo_server::{
     LoadConfig, LoadGen, MixWeights, Server, ServerConfig, ServerMetrics, ServerTracing,
     TenantConfig,
 };
 
 /// Runs the seeded load on `workers` threads and renders every
-/// tenant's verdict log under a header line.
+/// tenant's verdict log under a header line, then the journal order.
 fn verdict_logs(workers: usize) -> String {
     let mut server = Server::new(ServerConfig {
         capacity_per_round: 16,
@@ -49,7 +50,21 @@ fn verdict_logs(workers: usize) -> String {
     for (t, log) in report.verdict_logs.iter().enumerate() {
         out.push_str(&format!("== tenant-{t}\n{log}"));
     }
+    out.push_str(&format!(
+        "journal_order {}\n",
+        journal_order(&tracing.journal)
+    ));
     out
+}
+
+/// FNV-1a over the journal's canonical lines in seq order: unlike the
+/// order-free [`vdo_trace::JournalSnapshot::fingerprint`], it changes
+/// when the server emits the same events in another order.
+fn journal_order(journal: &vdo_trace::Journal) -> String {
+    let digest = journal.snapshot().events.iter().fold(FNV_OFFSET, |h, e| {
+        fnv1a(fnv1a(h, e.canonical_line().as_bytes()), b"\n")
+    });
+    format!("{digest:016x}")
 }
 
 #[test]
