@@ -30,6 +30,9 @@ PROPTEST_CASES=4096 cargo test --release -q -p vdo-nalabs --test kernel_equivale
 
 echo "==> pool goldens pinned to one CPU (the worker pool's barrier passes with no parallelism)"
 if command -v taskset > /dev/null; then
+  # The pool's own tests: a worker cannot run until the caller, which
+  # runs its closure first, parks.
+  taskset -c 0 cargo test -q -p vdo-soc --lib runtime
   taskset -c 0 cargo test -q -p vdo-soc --test steady_state_golden --test backpressure_golden
   taskset -c 0 cargo test -q -p vdo-server --test verdict_log_golden
 else

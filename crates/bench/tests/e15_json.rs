@@ -96,6 +96,23 @@ fn e15_section_has_the_documented_shape() {
         assert_ne!(identical, "NO");
     }
 
+    // -- worker scaling: commit-heavy mix at 1 and 2 workers. -----------
+    let scaling = field(&doc, "worker_scaling");
+    assert!(matches!(field(scaling, "mix"), Value::String(m) if m == "20/70/9/1"));
+    assert_eq!(
+        as_uint(field(scaling, "total_requests")),
+        scale.scaling_total
+    );
+    assert!(as_uint(field(scaling, "rounds")) > 0);
+    let rows = as_array(field(scaling, "rows"));
+    assert_eq!(rows.len(), 2);
+    for (row, workers) in rows.iter().zip([1u64, 2]) {
+        assert_eq!(as_uint(field(row, "workers")), workers);
+        assert!(as_float(field(row, "throughput_rps")) > 0.0);
+        assert!(as_float(field(row, "wall_secs")) > 0.0);
+    }
+    assert!(as_float(field(scaling, "throughput_ratio")) > 0.0);
+
     // -- smoke: the CI latency gate's contract. -------------------------
     let smoke = field(&doc, "smoke");
     assert_eq!(as_uint(field(smoke, "budget_ticks")), SMOKE_BUDGET_TICKS);

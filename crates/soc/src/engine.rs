@@ -958,7 +958,7 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
                     .map(|p| p.shard)
                     .collect();
                 drop(parts);
-                pool.pass((tick, false), &busy);
+                pool.pass((tick, false), &busy, || ());
                 parts = lock_all(&shards);
 
                 // --- Step 3 (main): journal, merge detections ---------
@@ -1101,7 +1101,7 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
                         part.tasks.push((order, task, fault));
                     }
                     drop(parts);
-                    pool.pass((tick, true), &busy);
+                    pool.pass((tick, true), &busy, || ());
                     parts = lock_all(&shards);
                     let mut outcomes: Vec<(usize, RemediationTask, Attempt)> = parts
                         .iter_mut()
