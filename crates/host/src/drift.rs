@@ -129,7 +129,11 @@ impl DriftInjector {
     /// Makes every draw of one drift event for `platform` and writes
     /// nothing. A caller that plans a whole fleet in host order can
     /// apply the plans later, in any grouping, and leave every host as
-    /// serial [`drift`](Self::drift) calls would.
+    /// serial [`drift`](Self::drift) calls would. A caller that wants
+    /// each event's content fixed by a key instead of by its place in a
+    /// stream seeds a fresh injector per event: the SOC engine plans
+    /// with `DriftInjector::new(key).plan(platform)`, the key a hash of
+    /// `(seed, host, tick)`.
     pub fn plan(&mut self, platform: Platform) -> DriftPlan {
         let kind = match platform {
             Platform::Unix => UNIX_DRIFT_KINDS[self.rng.gen_range(0..UNIX_DRIFT_KINDS.len())],

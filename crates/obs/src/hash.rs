@@ -35,6 +35,15 @@ pub fn mix64(z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// `true` with probability `p` for a uniformly mixed `z` (a [`mix64`]
+/// output): its top 53 bits, read as a fraction in `[0, 1)`, fall below
+/// `p`. A keyed coin flip: `p = 0` never hits, `p = 1` always does.
+#[inline]
+#[must_use]
+pub fn chance(z: u64, p: f64) -> bool {
+    ((z >> 11) as f64 / (1u64 << 53) as f64) < p
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -56,5 +65,14 @@ mod tests {
         // The first outputs of SplitMix64 seeded with 0.
         assert_eq!(mix64(0), 0xe220_a839_7b1d_cdaf);
         assert_eq!(mix64(0x9E37_79B9_7F4A_7C15), 0x6e78_9e6a_a1b9_65f4);
+    }
+
+    #[test]
+    fn chance_hits_at_its_rate_and_honours_the_bounds() {
+        let hits = (0..10_000u64).filter(|&i| chance(mix64(i), 0.25)).count();
+        assert!((2_300..2_700).contains(&hits), "{hits} hits of 10,000");
+        assert!((0..1_000u64).all(|i| chance(mix64(i), 1.0)));
+        assert!((0..1_000u64).all(|i| !chance(mix64(i), 0.0)));
+        assert!(chance(0, f64::MIN_POSITIVE) && !chance(u64::MAX, 1.0 - 1e-12));
     }
 }

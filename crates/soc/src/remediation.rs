@@ -17,7 +17,7 @@
 use std::collections::BTreeMap;
 
 use serde::Serialize;
-use vdo_obs::hash::{fnv1a, mix64, FNV_OFFSET};
+use vdo_obs::hash::{chance, fnv1a, mix64, FNV_OFFSET};
 use vdo_trace::TraceContext;
 
 use crate::event::HostId;
@@ -186,9 +186,7 @@ impl Dispatcher {
         let mut h = fnv1a(FNV_OFFSET ^ self.seed, &task.host.to_le_bytes());
         h = fnv1a(h, task.rule.as_bytes());
         h = fnv1a(h, &task.attempt.to_le_bytes());
-        // Finalize and map the top 53 bits to [0, 1).
-        let z = mix64(h);
-        ((z >> 11) as f64 / (1u64 << 53) as f64) < self.cfg.fault_rate
+        chance(mix64(h), self.cfg.fault_rate)
     }
 
     /// Records a failed attempt at `tick`: reschedules with exponential
