@@ -35,6 +35,8 @@ if command -v taskset > /dev/null; then
   taskset -c 0 cargo test -q -p vdo-soc --lib runtime
   taskset -c 0 cargo test -q -p vdo-soc --test steady_state_golden --test backpressure_golden
   taskset -c 0 cargo test -q -p vdo-server --test verdict_log_golden
+  # Operations run on the SOC engine's pool, also in the closed loop.
+  taskset -c 0 cargo test -q -p vdo-pipeline --test closed_loop_golden
 else
   echo "   (taskset unavailable — skipping the one-CPU golden run)"
 fi

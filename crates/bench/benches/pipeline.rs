@@ -7,8 +7,14 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use vdo_pipeline::{run, PipelineConfig};
+use vdo_pipeline::{run, DetectionMode, PipelineConfig};
 use vdo_trace::Telemetry;
+
+/// The manual baseline's detection: the scheduled audit alone.
+const AUDIT_ONLY: DetectionMode = DetectionMode::Periodic {
+    monitor: None,
+    audit: 500,
+};
 
 fn configs(seed: u64) -> Vec<(&'static str, PipelineConfig)> {
     let base = PipelineConfig {
@@ -22,7 +28,7 @@ fn configs(seed: u64) -> Vec<(&'static str, PipelineConfig)> {
         (
             "gates only",
             PipelineConfig {
-                monitor_period: None,
+                detection: AUDIT_ONLY,
                 ..base
             },
         ),
@@ -43,7 +49,7 @@ fn configs(seed: u64) -> Vec<(&'static str, PipelineConfig)> {
                 compliance_gate: false,
                 test_gate: false,
                 analysis_gate: false,
-                monitor_period: None,
+                detection: AUDIT_ONLY,
                 ..base
             },
         ),

@@ -1,9 +1,9 @@
 //! E11 — event-driven SOC engine vs the polling `MonitoringLoop` idea.
 //!
 //! Regenerates: detection latency and check cost of the `vdo-soc`
-//! sharded-bus engine against the polling baseline
-//! (`OperationsPhase` with `MonitorEngine::Polling`, the host-scale
-//! `MonitoringLoop`) across fleet sizes 1–1,000, and worker-pool
+//! sharded-bus engine in its continuous mode against its periodic mode
+//! (a monitor every 10 ticks, the host-scale `MonitoringLoop`) on the
+//! same fleets and drift, across fleet sizes 1–1,000, and worker-pool
 //! scaling 1–16 under simulated per-batch I/O latency. On a single
 //! core the worker sweep shows scheduling overhead, not speedup —
 //! the `io_latency` column is where extra workers pay off.
@@ -14,10 +14,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use vdo_core::RemediationPlanner;
 use vdo_host::UnixHost;
-use vdo_pipeline::{MonitorEngine, OperationsPhase, OpsConfig};
-use vdo_soc::{SocConfig, SocEngine};
+use vdo_soc::{DetectionMode, SocConfig, SocEngine};
 use vdo_stigs::ubuntu;
-use vdo_trace::Telemetry;
 
 fn compliant_fleet(n: usize) -> Vec<UnixHost> {
     let catalog = ubuntu::catalog();
@@ -43,73 +41,51 @@ fn ticks_for(hosts: usize) -> u64 {
 fn print_fleet_table() {
     println!("\n[E11] event-driven SOC vs polling monitor (drift 2%/tick, polling period 10)");
     println!(
-        "{:>6} {:>14} {:>10} {:>13} {:>10} {:>10} {:>12}",
-        "HOSTS", "ENGINE", "INCIDENTS", "MEAN LATENCY", "EXPOSURE", "CHECKS", "EVENTS/SEC"
+        "{:>6} {:>14} {:>7} {:>10} {:>13} {:>10} {:>10} {:>12}",
+        "HOSTS", "ENGINE", "DRIFT", "INCIDENTS", "MEAN LATENCY", "EXPOSURE", "CHECKS", "EVENTS/SEC"
     );
     let catalog = ubuntu::catalog();
+    let modes = [
+        ("event-driven", DetectionMode::Continuous),
+        (
+            "polling-10",
+            DetectionMode::Periodic {
+                monitor: Some(10),
+                audit: 0,
+            },
+        ),
+    ];
     for hosts in [1usize, 10, 100, 1_000] {
         let duration = ticks_for(hosts);
-
-        // Event-driven: one engine over the whole fleet.
-        let mut fleet = compliant_fleet(hosts);
-        let engine = SocEngine::new(
-            &catalog,
-            SocConfig {
-                duration,
-                drift_rate: 0.02,
-                workers: 4,
-                shards: 16,
-                seed: 11,
-                ..SocConfig::default()
-            },
-        )
-        .expect("valid config");
-        let report = engine.run(&mut fleet);
-        println!(
-            "{:>6} {:>14} {:>10} {:>13.1} {:>9.2}% {:>10} {:>12.0}",
-            hosts,
-            "event-driven",
-            report.incidents.len(),
-            report.mean_detection_latency(),
-            100.0 * report.exposure(hosts),
-            report.metrics.checks_run,
-            report.metrics.events_per_sec,
-        );
-
-        // Polling baseline: the MonitoringLoop idea per host.
-        let phase = OperationsPhase::new(&catalog);
-        let mut incidents = 0usize;
-        let mut latency_sum = 0.0;
-        let mut noncompliant = 0u64;
-        let mut checks = 0u64;
-        for (i, host) in compliant_fleet(hosts).iter_mut().enumerate() {
-            let r = phase.run(
-                host,
-                &OpsConfig {
-                    engine: MonitorEngine::Polling,
+        // One engine, one fleet and one seed per row: the modes differ
+        // only in their detection policy.
+        for (name, detection) in modes {
+            let engine = SocEngine::new(
+                &catalog,
+                SocConfig {
                     duration,
                     drift_rate: 0.02,
-                    monitor_period: Some(10),
-                    audit_period: 0,
-                    seed: 11u64.wrapping_add(i as u64),
+                    workers: 4,
+                    shards: 16,
+                    seed: 11,
+                    detection,
+                    ..SocConfig::default()
                 },
-                &Telemetry::off(),
+            )
+            .expect("valid config");
+            let report = engine.run(&mut compliant_fleet(hosts));
+            println!(
+                "{:>6} {:>14} {:>7} {:>10} {:>13.1} {:>9.2}% {:>10} {:>12.0}",
+                hosts,
+                name,
+                report.drift_events,
+                report.incidents.len(),
+                report.mean_detection_latency(),
+                100.0 * report.exposure(hosts),
+                report.metrics.checks_run,
+                report.metrics.events_per_sec,
             );
-            incidents += r.incidents.len();
-            latency_sum += r.mean_detection_latency() * r.incidents.len() as f64;
-            noncompliant += r.noncompliant_ticks;
-            checks += r.checks;
         }
-        println!(
-            "{:>6} {:>14} {:>10} {:>13.1} {:>9.2}% {:>10} {:>12}",
-            hosts,
-            "polling-10",
-            incidents,
-            latency_sum / incidents.max(1) as f64,
-            100.0 * noncompliant as f64 / (duration as f64 * hosts as f64),
-            checks * catalog.len() as u64,
-            "-",
-        );
     }
 }
 

@@ -32,8 +32,8 @@ use vdo_corpus::traces::ViolationTrace;
 use vdo_gwt::generate::{AllEdges, Generator, RandomWalk};
 use vdo_host::{FleetConfig, FleetStore};
 use vdo_nalabs::Analyzer;
-use vdo_pipeline::{run, MonitorEngine, OperationsPhase, OpsConfig, PipelineConfig};
-use vdo_soc::{RemediationConfig, SocConfig, SocEngine, SocMetrics, SocTracing};
+use vdo_pipeline::{run, OperationsPhase, PipelineConfig};
+use vdo_soc::{DetectionMode, RemediationConfig, SocConfig, SocEngine, SocMetrics, SocTracing};
 use vdo_specpat::pattern::full_matrix;
 use vdo_specpat::{CtlFormula, ModelChecker, ObserverAutomaton};
 use vdo_stigs::ubuntu;
@@ -613,7 +613,14 @@ fn e9_tears_throughput() -> Value {
     Value::Array(rows)
 }
 
+/// E10: the closed loop with and without the gates and the monitor.
+/// Operations run the SOC in its periodic mode: a monitor every 10
+/// ticks plus an audit every 500 (the default), or the audit alone.
 fn e10_pipeline_comparison() -> Value {
+    const AUDIT_ONLY: DetectionMode = DetectionMode::Periodic {
+        monitor: None,
+        audit: 500,
+    };
     say!("\n== E10: automated vs manual pipeline (mean of seeds 1-5) ==");
     say!(
         "{:<28} {:>9} {:>9} {:>10} {:>13} {:>10}",
@@ -639,7 +646,7 @@ fn e10_pipeline_comparison() -> Value {
             "gates only",
             Box::new(move |seed| PipelineConfig {
                 seed,
-                monitor_period: None,
+                detection: AUDIT_ONLY,
                 ..base
             }),
         ),
@@ -662,7 +669,7 @@ fn e10_pipeline_comparison() -> Value {
                 compliance_gate: false,
                 test_gate: false,
                 analysis_gate: false,
-                monitor_period: None,
+                detection: AUDIT_ONLY,
                 ..base
             }),
         ),
@@ -701,17 +708,22 @@ fn e10_pipeline_comparison() -> Value {
     Value::Array(rows)
 }
 
-/// E11: the event-driven SOC against the polling monitor. The SOC's
-/// `checks` count every rule's verdict per trigger; `rules_evaluated`
-/// counts the evaluations that ran, the rest coming from its per-host
-/// verdict cache. The budget row pins that saving at 1,000 hosts: a SOC
-/// that fell back to full re-checks would evaluate every verdict.
+/// E11: the SOC's two detection modes on one engine — continuous
+/// (event-driven) against a periodic monitor of period 10 — over the
+/// same fleet and seed, so both rows face the same drift history by
+/// construction; the section asserts their `drift_events` are equal.
+/// The SOC's `checks` count every rule's verdict per trigger;
+/// `rules_evaluated` counts the evaluations that ran, the rest coming
+/// from its per-host verdict cache. The budget row pins that saving at
+/// 1,000 hosts: a SOC that fell back to full re-checks would evaluate
+/// every verdict.
 fn e11_soc_engine() -> (Value, Vec<Budget>) {
     say!("\n== E11: event-driven SOC vs polling monitor (drift 2%/tick) ==");
     say!(
-        "{:>6} {:>14} {:>10} {:>13} {:>10} {:>10} {:>10}",
+        "{:>6} {:>14} {:>7} {:>10} {:>13} {:>10} {:>10} {:>10}",
         "HOSTS",
         "ENGINE",
+        "DRIFT",
         "INCIDENTS",
         "MEAN LATENCY",
         "EXPOSURE",
@@ -729,97 +741,77 @@ fn e11_soc_engine() -> (Value, Vec<Budget>) {
             })
             .collect()
     };
+    let modes = [
+        ("event-driven", DetectionMode::Continuous),
+        (
+            "polling-10",
+            DetectionMode::Periodic {
+                monitor: Some(10),
+                audit: 0,
+            },
+        ),
+    ];
     let mut scaling_rows = Vec::new();
     let mut budgets = Vec::new();
     for hosts in [1usize, 10, 100, 1_000] {
         let duration = if hosts <= 100 { 500 } else { 100 };
-        let mut fleet = fleet_of(hosts);
-        let engine = SocEngine::new(
-            &catalog,
-            SocConfig {
-                duration,
-                drift_rate: 0.02,
-                workers: 4,
-                shards: 16,
-                seed: 11,
-                ..SocConfig::default()
-            },
-        )
-        .expect("valid config");
-        let report = engine.run(&mut fleet);
-        say!(
-            "{:>6} {:>14} {:>10} {:>13.1} {:>9.2}% {:>10} {:>10}",
-            hosts,
-            "event-driven",
-            report.incidents.len(),
-            report.mean_detection_latency(),
-            100.0 * report.exposure(hosts),
-            report.metrics.checks_run,
-            report.metrics.rules_evaluated
-        );
-        if hosts == 1_000 {
-            budgets.push(Budget::at_most(
-                "e11.scaling.1000.rules_evaluated_per_check",
-                report.metrics.rules_evaluated as f64 / report.metrics.checks_run.max(1) as f64,
-                0.5,
-            ));
-        }
-        scaling_rows.push(serde::json::object([
-            ("hosts", Value::UInt(hosts as u64)),
-            ("engine", Value::String("event-driven".into())),
-            ("incidents", Value::UInt(report.incidents.len() as u64)),
-            (
-                "mean_detection_latency",
-                Value::Float(report.mean_detection_latency()),
-            ),
-            ("exposure", Value::Float(report.exposure(hosts))),
-            ("checks", Value::UInt(report.metrics.checks_run)),
-            (
-                "rules_evaluated",
-                Value::UInt(report.metrics.rules_evaluated),
-            ),
-        ]));
-        let phase = OperationsPhase::new(&catalog);
-        let (mut incidents, mut weighted_latency, mut noncompliant, mut checks) =
-            (0usize, 0.0f64, 0u64, 0u64);
-        for (i, host) in fleet_of(hosts).iter_mut().enumerate() {
-            let r = phase.run(
-                host,
-                &OpsConfig {
-                    engine: MonitorEngine::Polling,
+        let mut drift_events = Vec::new();
+        for (name, detection) in modes {
+            let engine = SocEngine::new(
+                &catalog,
+                SocConfig {
                     duration,
                     drift_rate: 0.02,
-                    monitor_period: Some(10),
-                    audit_period: 0,
-                    seed: 11u64.wrapping_add(i as u64),
+                    workers: 4,
+                    shards: 16,
+                    seed: 11,
+                    detection,
+                    ..SocConfig::default()
                 },
-                &Telemetry::off(),
+            )
+            .expect("valid config");
+            let report = engine.run(&mut fleet_of(hosts));
+            let m = &report.metrics;
+            say!(
+                "{:>6} {:>14} {:>7} {:>10} {:>13.1} {:>9.2}% {:>10} {:>10}",
+                hosts,
+                name,
+                report.drift_events,
+                report.incidents.len(),
+                report.mean_detection_latency(),
+                100.0 * report.exposure(hosts),
+                m.checks_run,
+                m.rules_evaluated
             );
-            incidents += r.incidents.len();
-            weighted_latency += r.mean_detection_latency() * r.incidents.len() as f64;
-            noncompliant += r.noncompliant_ticks;
-            checks += r.checks;
+            if hosts == 1_000 && detection == DetectionMode::Continuous {
+                budgets.push(Budget::at_most(
+                    "e11.scaling.1000.rules_evaluated_per_check",
+                    m.rules_evaluated as f64 / m.checks_run.max(1) as f64,
+                    0.5,
+                ));
+            }
+            drift_events.push(report.drift_events);
+            scaling_rows.push(serde::json::object([
+                ("hosts", Value::UInt(hosts as u64)),
+                ("engine", Value::String(name.into())),
+                ("drift_events", Value::UInt(report.drift_events)),
+                ("incidents", Value::UInt(report.incidents.len() as u64)),
+                (
+                    "mean_detection_latency",
+                    Value::Float(report.mean_detection_latency()),
+                ),
+                ("exposure", Value::Float(report.exposure(hosts))),
+                ("checks", Value::UInt(m.checks_run)),
+                ("rules_evaluated", Value::UInt(m.rules_evaluated)),
+            ]));
         }
-        let polling_latency = weighted_latency / incidents.max(1) as f64;
-        let polling_exposure = noncompliant as f64 / (duration as f64 * hosts as f64);
-        say!(
-            "{:>6} {:>14} {:>10} {:>13.1} {:>9.2}% {:>10} {:>10}",
-            hosts,
-            "polling-10",
-            incidents,
-            polling_latency,
-            100.0 * polling_exposure,
-            checks * catalog.len() as u64,
-            "-"
+        // A correctness check, not a budget: the modes differ only in
+        // their detection policy, never in the drift they face.
+        assert!(
+            drift_events.windows(2).all(|w| w[0] == w[1]),
+            "{hosts} hosts: both detection modes must face the same drift history, \
+             got drift_events {drift_events:?}"
         );
-        scaling_rows.push(serde::json::object([
-            ("hosts", Value::UInt(hosts as u64)),
-            ("engine", Value::String("polling-10".into())),
-            ("incidents", Value::UInt(incidents as u64)),
-            ("mean_detection_latency", Value::Float(polling_latency)),
-            ("exposure", Value::Float(polling_exposure)),
-            ("checks", Value::UInt(checks * catalog.len() as u64)),
-        ]));
     }
 
     say!("\n   determinism + remediation faults (64 hosts, 200 ticks, 25% fault rate):");
@@ -1341,17 +1333,20 @@ fn f1_closed_loop() -> Value {
         let mut host = vdo_host::UnixHost::baseline_ubuntu_1804();
         RemediationPlanner::default().run(&catalog, &mut host);
         let reg = vdo_obs::Registry::new();
-        let _ = OperationsPhase::new(&catalog).run(
-            &mut host,
-            &OpsConfig {
-                engine: MonitorEngine::EventDriven { workers },
-                duration: 1_000,
-                drift_rate: 0.05,
-                seed: 7,
-                ..OpsConfig::default()
-            },
-            &with_registry(&reg),
-        );
+        OperationsPhase::new(&catalog)
+            .run(
+                &mut host,
+                &SocConfig {
+                    duration: 1_000,
+                    drift_rate: 0.05,
+                    workers,
+                    shards: 4,
+                    seed: 7,
+                    ..SocConfig::default()
+                },
+                &with_registry(&reg),
+            )
+            .expect("valid config");
         fingerprints.push(reg.snapshot().deterministic_fingerprint());
     }
     let worker_sweep = fingerprints.windows(2).all(|w| w[0] == w[1]);

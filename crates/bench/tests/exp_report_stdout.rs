@@ -100,3 +100,18 @@ fn e2_reports_the_grown_dictionary_row_and_its_budget() {
         "the budget table names the E2 row:\n{stderr}"
     );
 }
+
+#[test]
+fn e11_rows_report_the_drift_history_both_modes_face() {
+    let out = exp_report()
+        .args(["--json", "-", "--only", "e11_soc_engine"])
+        .output()
+        .expect("spawning exp_report");
+    assert!(out.status.success(), "exit: {:?}", out.status);
+    let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
+    // Four fleet sizes, one continuous and one periodic row each.
+    assert_eq!(stdout.matches("\"drift_events\"").count(), 8, "{stdout}");
+    assert_eq!(stdout.matches("\"engine\": \"event-driven\"").count(), 4);
+    assert_eq!(stdout.matches("\"engine\": \"polling-10\"").count(), 4);
+    assert_eq!(stdout.matches("\"rules_evaluated\"").count(), 8);
+}

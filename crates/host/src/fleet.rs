@@ -95,8 +95,8 @@ impl fmt::Display for FleetConfigError {
 
 impl std::error::Error for FleetConfigError {}
 
-/// Builder for [`FleetConfig`] following the `PipelineConfig` /
-/// `OpsConfig` convention: chain setters, then [`build`] validates.
+/// Builder for [`FleetConfig`] following the `PipelineConfig`
+/// convention: chain setters, then [`build`] validates.
 ///
 /// [`build`]: FleetConfigBuilder::build
 #[derive(Debug, Clone)]

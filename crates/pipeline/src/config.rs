@@ -1,16 +1,17 @@
-//! Validating builders for the pipeline and operations configs.
+//! A validating builder for the pipeline config.
 //!
-//! The plain structs ([`PipelineConfig`], [`OpsConfig`]) stay `Copy`
-//! literal-constructible for tests and struct-update syntax; the
-//! builders are the front door for configs assembled from user input
-//! (CLI flags, experiment sweeps), turning nonsense — a zero-commit
-//! pipeline, a 140% drift rate, a zero-tick monitor period — into a
-//! recoverable [`ConfigError`] instead of a panic or a silent
-//! degenerate run.
+//! [`PipelineConfig`] stays `Copy` and literal-constructible for tests
+//! and struct-update syntax; the builder is the front door for configs
+//! assembled from user input (CLI flags, experiment sweeps), turning
+//! nonsense — a zero-commit pipeline, a 140% drift rate, a zero-tick
+//! monitor period — into a recoverable [`ConfigError`] instead of a
+//! panic or a silent degenerate run. A standalone operations phase takes
+//! a [`vdo_soc::SocConfig`], which validates itself.
 
 use std::fmt;
 
-use crate::ops::{MonitorEngine, OpsConfig};
+use vdo_soc::DetectionMode;
+
 use crate::scenario::PipelineConfig;
 
 /// Why a builder rejected its inputs.
@@ -121,11 +122,11 @@ impl PipelineConfigBuilder {
         self
     }
 
-    /// Continuous-monitoring period (`None` = audits only; `Some(0)` is
-    /// rejected by [`build`](Self::build)).
+    /// How operations detect drift (a periodic monitor of period
+    /// `Some(0)` is rejected by [`build`](Self::build)).
     #[must_use]
-    pub fn monitor_period(mut self, period: Option<u64>) -> Self {
-        self.config.monitor_period = period;
+    pub fn detection(mut self, detection: DetectionMode) -> Self {
+        self.config.detection = detection;
         self
     }
 
@@ -143,13 +144,6 @@ impl PipelineConfigBuilder {
         self
     }
 
-    /// Scheduled audit period in ticks.
-    #[must_use]
-    pub fn audit_period(mut self, ticks: u64) -> Self {
-        self.config.audit_period = ticks;
-        self
-    }
-
     /// Master seed.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
@@ -162,7 +156,7 @@ impl PipelineConfigBuilder {
     /// # Errors
     ///
     /// [`ConfigError::Zero`] for zero `commits`, `ops_duration`, or a
-    /// `Some(0)` monitor period; [`ConfigError::RateOutOfRange`] for
+    /// periodic `detection` with a `Some(0)` monitor period; [`ConfigError::RateOutOfRange`] for
     /// any probability outside `[0, 1]`.
     pub fn build(self) -> Result<PipelineConfig, ConfigError> {
         let c = &self.config;
@@ -172,8 +166,11 @@ impl PipelineConfigBuilder {
         if c.ops_duration == 0 {
             return Err(ConfigError::Zero("ops_duration"));
         }
-        if c.monitor_period == Some(0) {
-            return Err(ConfigError::Zero("monitor_period"));
+        if let DetectionMode::Periodic {
+            monitor: Some(0), ..
+        } = c.detection
+        {
+            return Err(ConfigError::Zero("monitor period"));
         }
         check_rate("smelly_commit_rate", c.smelly_commit_rate)?;
         check_rate("vulnerable_commit_rate", c.vulnerable_commit_rate)?;
@@ -207,106 +204,6 @@ impl PipelineConfig {
     }
 }
 
-/// Builder for [`OpsConfig`]; see [`OpsConfig::builder`].
-#[derive(Debug, Clone, Copy)]
-pub struct OpsConfigBuilder {
-    config: OpsConfig,
-}
-
-impl OpsConfigBuilder {
-    /// Monitoring engine (`EventDriven` workers must be ≥ 1).
-    #[must_use]
-    pub fn engine(mut self, engine: MonitorEngine) -> Self {
-        self.config.engine = engine;
-        self
-    }
-
-    /// Ticks to simulate (must be ≥ 1).
-    #[must_use]
-    pub fn duration(mut self, ticks: u64) -> Self {
-        self.config.duration = ticks;
-        self
-    }
-
-    /// Per-tick probability of one drift event.
-    #[must_use]
-    pub fn drift_rate(mut self, rate: f64) -> Self {
-        self.config.drift_rate = rate;
-        self
-    }
-
-    /// Compliance-check period (`None` disables continuous monitoring;
-    /// `Some(0)` is rejected by [`build`](Self::build)).
-    #[must_use]
-    pub fn monitor_period(mut self, period: Option<u64>) -> Self {
-        self.config.monitor_period = period;
-        self
-    }
-
-    /// Scheduled-audit period in ticks.
-    #[must_use]
-    pub fn audit_period(mut self, ticks: u64) -> Self {
-        self.config.audit_period = ticks;
-        self
-    }
-
-    /// RNG seed for drift timing.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Validates and returns the config.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError::Zero`] for a zero `duration`, a `Some(0)` monitor
-    /// period, or an `EventDriven` engine with zero workers;
-    /// [`ConfigError::RateOutOfRange`] for a `drift_rate` outside
-    /// `[0, 1]`.
-    pub fn build(self) -> Result<OpsConfig, ConfigError> {
-        let c = &self.config;
-        if c.duration == 0 {
-            return Err(ConfigError::Zero("duration"));
-        }
-        if c.monitor_period == Some(0) {
-            return Err(ConfigError::Zero("monitor_period"));
-        }
-        if let MonitorEngine::EventDriven { workers: 0 } = c.engine {
-            return Err(ConfigError::Zero("workers"));
-        }
-        check_rate("drift_rate", c.drift_rate)?;
-        Ok(self.config)
-    }
-}
-
-impl OpsConfig {
-    /// Starts a validating builder from the defaults.
-    ///
-    /// ```
-    /// use vdo_pipeline::{MonitorEngine, OpsConfig};
-    ///
-    /// let cfg = OpsConfig::builder()
-    ///     .engine(MonitorEngine::EventDriven { workers: 4 })
-    ///     .duration(500)
-    ///     .build()
-    ///     .unwrap();
-    /// assert_eq!(cfg.duration, 500);
-    /// let err = OpsConfig::builder()
-    ///     .engine(MonitorEngine::EventDriven { workers: 0 })
-    ///     .build()
-    ///     .unwrap_err();
-    /// assert!(err.to_string().contains("workers"));
-    /// ```
-    #[must_use]
-    pub fn builder() -> OpsConfigBuilder {
-        OpsConfigBuilder {
-            config: OpsConfig::default(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,7 +214,6 @@ mod tests {
             PipelineConfig::builder().build().unwrap(),
             PipelineConfig::default()
         );
-        assert_eq!(OpsConfig::builder().build().unwrap(), OpsConfig::default());
     }
 
     #[test]
@@ -332,10 +228,12 @@ mod tests {
             .compliance_gate(false)
             .test_gate(false)
             .analysis_gate(false)
-            .monitor_period(None)
+            .detection(DetectionMode::Periodic {
+                monitor: None,
+                audit: 10,
+            })
             .ops_duration(123)
             .drift_rate(1.0)
-            .audit_period(10)
             .seed(42)
             .build()
             .unwrap();
@@ -343,7 +241,13 @@ mod tests {
         assert!(!cfg.requirements_gate);
         assert!(!cfg.analysis_gate);
         assert_eq!(cfg.bad_artifact_rate, 0.2);
-        assert_eq!(cfg.monitor_period, None);
+        assert_eq!(
+            cfg.detection,
+            DetectionMode::Periodic {
+                monitor: None,
+                audit: 10
+            }
+        );
         assert_eq!(cfg.ops_duration, 123);
         assert_eq!(cfg.seed, 42);
     }
@@ -359,8 +263,13 @@ mod tests {
             Err(ConfigError::Zero("ops_duration"))
         );
         assert_eq!(
-            PipelineConfig::builder().monitor_period(Some(0)).build(),
-            Err(ConfigError::Zero("monitor_period"))
+            PipelineConfig::builder()
+                .detection(DetectionMode::Periodic {
+                    monitor: Some(0),
+                    audit: 500
+                })
+                .build(),
+            Err(ConfigError::Zero("monitor period"))
         );
         assert_eq!(
             PipelineConfig::builder().drift_rate(-0.1).build(),
@@ -381,28 +290,6 @@ mod tests {
             .to_string();
         assert!(msg.contains("vulnerable_commit_rate"));
         assert!(msg.contains("[0, 1]"));
-    }
-
-    #[test]
-    fn ops_builder_rejects_nonsense() {
-        assert_eq!(
-            OpsConfig::builder().duration(0).build(),
-            Err(ConfigError::Zero("duration"))
-        );
-        assert_eq!(
-            OpsConfig::builder().monitor_period(Some(0)).build(),
-            Err(ConfigError::Zero("monitor_period"))
-        );
-        assert_eq!(
-            OpsConfig::builder()
-                .engine(MonitorEngine::EventDriven { workers: 0 })
-                .build(),
-            Err(ConfigError::Zero("workers"))
-        );
-        assert_eq!(
-            OpsConfig::builder().drift_rate(7.0).build(),
-            Err(ConfigError::RateOutOfRange("drift_rate", 7.0))
-        );
     }
 
     #[test]

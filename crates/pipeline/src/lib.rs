@@ -16,13 +16,14 @@
 //!   baseline);
 //! * [`staging`] — a commit staged on production in place and rolled
 //!   back unless it merges, for callers that keep production's verdicts;
-//! * [`ops`] — the operations phase: deployed host, seeded drift,
-//!   periodic compliance monitoring, automated remediation, and an
-//!   incident log with exact detection latencies;
+//! * [`ops`] — the operations phase: the deployed host on the SOC
+//!   engine, seeded drift, continuous or periodic detection
+//!   ([`DetectionMode`]), automated remediation, and an incident log
+//!   with exact detection latencies;
 //! * [`run`] — the end-to-end scenario and its metrics (experiment E10).
 //!
 //! ```
-//! use vdo_pipeline::{PipelineConfig, run};
+//! use vdo_pipeline::{run, DetectionMode, PipelineConfig};
 //! use vdo_trace::Telemetry;
 //!
 //! let off = Telemetry::off();
@@ -32,7 +33,7 @@
 //!         seed: 1,
 //!         requirements_gate: false,
 //!         compliance_gate: false,
-//!         monitor_period: None,
+//!         detection: DetectionMode::Periodic { monitor: None, audit: 500 },
 //!         ..PipelineConfig::default()
 //!     },
 //!     &off,
@@ -48,11 +49,12 @@ pub mod staging;
 
 mod scenario;
 
-pub use config::{ConfigError, OpsConfigBuilder, PipelineConfigBuilder};
+pub use config::{ConfigError, PipelineConfigBuilder};
 pub use gates::{
     AnalysisGate, ComplianceGate, Gate, GateContext, GateDecision, RequirementsGate, TestGate,
 };
-pub use ops::{DriftTarget, Incident, MonitorEngine, OperationsPhase, OpsConfig, OpsReport};
+pub use ops::{Incident, OperationsPhase, OpsReport};
 pub use repo::{Commit, ConfigChange};
 pub use scenario::{run, PipelineConfig, PipelineReport};
 pub use staging::Staged;
+pub use vdo_soc::{DetectionMode, SocConfig};

@@ -17,12 +17,13 @@ use serde::Serialize;
 use vdo_core::{RemediationPlanner, Severity};
 use vdo_host::UnixHost;
 use vdo_nalabs::RequirementDoc;
+use vdo_soc::{DetectionMode, SocConfig};
 use vdo_tears::{Expr, GuardedAssertion};
 use vdo_temporal::Formula;
 use vdo_trace::{Event, Telemetry, TraceContext};
 
 use crate::gates::{AnalysisGate, ComplianceGate, Gate, GateContext, RequirementsGate, TestGate};
-use crate::ops::{MonitorEngine, OperationsPhase, OpsConfig, OpsReport};
+use crate::ops::{OperationsPhase, OpsReport};
 use crate::repo::{Commit, ConfigChange};
 
 /// Scenario parameters.
@@ -53,14 +54,15 @@ pub struct PipelineConfig {
     /// re-linting only its own delta (`false` = batch per-commit
     /// analysis; verdicts are identical either way).
     pub incremental_analysis: bool,
-    /// Continuous-monitoring period at operations (`None` = audits only).
-    pub monitor_period: Option<u64>,
+    /// How operations detect drift. The default is the paper's
+    /// automated configuration: a periodic monitor every 10 ticks plus a
+    /// scheduled audit every 500; a periodic mode with no monitor is
+    /// the manual baseline.
+    pub detection: DetectionMode,
     /// Operations duration in ticks.
     pub ops_duration: u64,
     /// Per-tick drift probability at operations.
     pub drift_rate: f64,
-    /// Scheduled audit period.
-    pub audit_period: u64,
     /// Master seed.
     pub seed: u64,
 }
@@ -78,10 +80,12 @@ impl Default for PipelineConfig {
             test_gate: true,
             analysis_gate: true,
             incremental_analysis: true,
-            monitor_period: Some(10),
+            detection: DetectionMode::Periodic {
+                monitor: Some(10),
+                audit: 500,
+            },
             ops_duration: 2_000,
             drift_rate: 0.02,
-            audit_period: 500,
             seed: 0,
         }
     }
@@ -204,6 +208,10 @@ impl Serialize for PipelineReport {
 /// sink streams the whole closed loop to disk; call
 /// [`Journal::sync`](vdo_trace::Journal::sync) before reopening it.
 /// [`Telemetry::off`] records nothing and changes no verdict.
+///
+/// # Panics
+/// On a config [`PipelineConfig::builder`] would reject: a periodic
+/// monitor period of zero, or a drift rate outside `[0, 1]`.
 #[must_use]
 pub fn run(config: &PipelineConfig, telemetry: &Telemetry) -> PipelineReport {
     let obs = &telemetry.registry;
@@ -333,20 +341,22 @@ pub fn run(config: &PipelineConfig, telemetry: &Telemetry) -> PipelineReport {
     drop(dev_span);
 
     // The operations phase inherits `config.seed` as its trace
-    // namespace (its drift RNG still uses the offset seed below), so
+    // namespace (its drift draws still key on the offset seed below), so
     // incident roots coincide with the requirement roots minted above.
-    let ops = OperationsPhase::new(&catalog).run(
-        &mut production,
-        &OpsConfig {
-            engine: MonitorEngine::Polling,
-            duration: config.ops_duration,
-            drift_rate: config.drift_rate,
-            monitor_period: config.monitor_period,
-            audit_period: config.audit_period,
-            seed: config.seed.wrapping_add(1),
-        },
-        &lent,
-    );
+    let ops = OperationsPhase::new(&catalog)
+        .run(
+            &mut production,
+            &SocConfig {
+                duration: config.ops_duration,
+                drift_rate: config.drift_rate,
+                workers: 1,
+                seed: config.seed.wrapping_add(1),
+                detection: config.detection,
+                ..SocConfig::default()
+            },
+            &lent,
+        )
+        .expect("a config PipelineConfig::builder accepts makes a valid SocConfig");
 
     PipelineReport {
         commits: config.commits,
@@ -550,7 +560,10 @@ mod tests {
                 compliance_gate: false,
                 test_gate: false,
                 analysis_gate: false,
-                monitor_period: None,
+                detection: DetectionMode::Periodic {
+                    monitor: None,
+                    audit: 500,
+                },
                 ..PipelineConfig::default()
             },
             &Telemetry::off(),

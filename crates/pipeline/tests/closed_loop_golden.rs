@@ -1,6 +1,7 @@
 //! Golden-file test for the closed loop's telemetry: one small gated
-//! scenario (development gates, deploys, polling operations) and one
-//! event-driven operations phase, both with an enabled registry and
+//! scenario (development gates, deploys, operations under a periodic
+//! monitor) and one event-driven operations phase, both with an
+//! enabled registry and
 //! journal. The journal's JSONL export and the registry's counters must
 //! match `tests/golden/closed_loop_seed21.txt` byte for byte, and the
 //! event-driven phase must render identically at 1 and 2 workers.
@@ -11,7 +12,7 @@ use std::fmt::Write as _;
 
 use vdo_core::RemediationPlanner;
 use vdo_host::UnixHost;
-use vdo_pipeline::{MonitorEngine, OperationsPhase, OpsConfig, PipelineConfig};
+use vdo_pipeline::{DetectionMode, OperationsPhase, PipelineConfig, SocConfig};
 use vdo_stigs::ubuntu;
 use vdo_trace::{Journal, Telemetry};
 
@@ -54,17 +55,21 @@ fn event_driven_run(workers: usize) -> String {
     let mut host = UnixHost::baseline_ubuntu_1804();
     RemediationPlanner::default().run(&catalog, &mut host);
     let telemetry = enabled();
-    let report = OperationsPhase::new(&catalog).run(
-        &mut host,
-        &OpsConfig {
-            engine: MonitorEngine::EventDriven { workers },
-            duration: 400,
-            drift_rate: 0.05,
-            seed: 21,
-            ..OpsConfig::default()
-        },
-        &telemetry,
-    );
+    let report = OperationsPhase::new(&catalog)
+        .run(
+            &mut host,
+            &SocConfig {
+                duration: 400,
+                drift_rate: 0.05,
+                workers,
+                shards: 4,
+                seed: 21,
+                detection: DetectionMode::Continuous,
+                ..SocConfig::default()
+            },
+            &telemetry,
+        )
+        .expect("valid config");
     let mut out = String::new();
     writeln!(
         out,

@@ -1,7 +1,8 @@
-//! Property tests for the SOC engine's three load-bearing guarantees:
-//! the latency advantage over polling, per-shard event ordering under
-//! concurrent publishers, and bounded-retry termination into the
-//! dead-letter queue.
+//! Property tests for the SOC engine's load-bearing guarantees: keyed
+//! drift histories, the latency advantage of continuous detection over
+//! a periodic monitor, per-shard event ordering under concurrent
+//! publishers, and bounded-retry termination into the dead-letter
+//! queue.
 
 use std::sync::Arc;
 
@@ -9,50 +10,125 @@ use proptest::prelude::*;
 
 use vdo_core::{CheckStatus, RemediationPlanner};
 use vdo_host::UnixHost;
-use vdo_pipeline::{MonitorEngine, OperationsPhase, OpsConfig};
 use vdo_soc::{
-    Dispatcher, PublishError, RemediationConfig, RemediationTask, SecEvent, ShardedBus, SocConfig,
-    SocEngine,
+    DetectionMode, Dispatcher, PublishError, RemediationConfig, RemediationTask, SecEvent,
+    ShardedBus, SocConfig, SocEngine, SocMetrics, SocReport, SocTracing,
 };
 use vdo_stigs::ubuntu;
 use vdo_temporal::{GlobalUniversality, MonitorOutcome, MonitoringLoop};
+use vdo_trace::Journal;
+
+/// One host's drift events as `(tick, detail)`, in tick order.
+type DriftLog = Vec<(u64, String)>;
+
+/// Runs `config` over `hosts` hardened Ubuntu hosts and returns the
+/// report with every host's drift log, read from the run's Debug-floor
+/// journal.
+fn run_logged(config: &SocConfig, hosts: usize) -> (SocReport, Vec<DriftLog>) {
+    let catalog = ubuntu::catalog();
+    let mut host = UnixHost::baseline_ubuntu_1804();
+    RemediationPlanner::default().run(&catalog, &mut host);
+    let mut fleet = vec![host; hosts];
+    let journal = Journal::new();
+    let report = SocEngine::new(&catalog, config.clone())
+        .expect("valid config")
+        .run_traced(
+            &mut fleet,
+            &SocMetrics::new(),
+            &SocTracing::new(journal.clone(), 1),
+        );
+    let snap = journal.snapshot();
+    assert_eq!(snap.dropped(), 0, "the journal holds the whole run");
+    let mut logs = vec![DriftLog::new(); hosts];
+    for event in snap.events_named("soc.drift") {
+        let field = |key: &str| {
+            event
+                .fields
+                .iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| v.to_string())
+                .expect("soc.drift carries host and detail")
+        };
+        let host: usize = field("host").parse().expect("a host index");
+        logs[host].push((event.at, field("detail")));
+    }
+    for log in &mut logs {
+        log.sort();
+    }
+    let logged: usize = logs.iter().map(Vec::len).sum();
+    assert_eq!(report.drift_events, logged as u64);
+    (report, logs)
+}
 
 proptest! {
-    /// For every polling period `p >= 1` and every drift history, the
-    /// event-driven engine's mean detection latency is no worse than
-    /// the polling monitor's — on the *same* violation history (equal
-    /// seeds give both engines identical drift streams).
+    /// A host's drift history is keyed by `(seed, host, tick)`, not
+    /// drawn from a stream: at equal seed, each of the first `n` hosts
+    /// drifts at the same ticks with the same details in a fleet of `n`
+    /// hosts as in one of `n + k`, whatever the shard count, the worker
+    /// count or the detection mode of either run.
+    #[test]
+    fn drift_history_is_keyed_not_streamed(
+        seed in 0u64..10_000,
+        n in 1usize..6,
+        k in 1usize..6,
+        shards in prop::sample::select(vec![1usize, 4, 16]),
+        other_shards in prop::sample::select(vec![1usize, 4, 16]),
+        workers in 1usize..3,
+        other_workers in 1usize..3,
+        period in prop::sample::select(vec![None, Some(1u64), Some(7)]),
+    ) {
+        let base = SocConfig {
+            duration: 120,
+            drift_rate: 0.1,
+            workers,
+            shards,
+            seed,
+            ..SocConfig::default()
+        };
+        let other = SocConfig {
+            workers: other_workers,
+            shards: other_shards,
+            detection: match period {
+                None => DetectionMode::Continuous,
+                Some(p) => DetectionMode::Periodic { monitor: Some(p), audit: 50 },
+            },
+            ..base.clone()
+        };
+        let (_, small) = run_logged(&base, n);
+        let (_, large) = run_logged(&other, n + k);
+        prop_assert!(small.iter().any(|log| !log.is_empty()),
+            "10% drift over 120 ticks must hit some host");
+        prop_assert_eq!(&large[..n], &small[..]);
+    }
+
+    /// For every monitor period `p >= 1` and every drift history,
+    /// continuous detection's mean latency is no worse than a periodic
+    /// monitor's — on the *same* drift history: the two runs share one
+    /// configuration but for the detection mode, and their drift logs
+    /// are equal.
     #[test]
     fn event_driven_latency_never_exceeds_polling(seed in 0u64..10_000, period in 1u64..40) {
-        let catalog = ubuntu::catalog();
-        let planner = RemediationPlanner::default();
-        let base = OpsConfig {
+        let continuous = SocConfig {
             duration: 300,
             drift_rate: 0.05,
-            monitor_period: Some(period),
-            audit_period: 0,
+            workers: 1,
+            shards: 2,
             seed,
-            ..OpsConfig::default()
+            ..SocConfig::default()
         };
+        let periodic = SocConfig {
+            detection: DetectionMode::Periodic { monitor: Some(period), audit: 0 },
+            ..continuous.clone()
+        };
+        let (eventful, eventful_log) = run_logged(&continuous, 1);
+        let (polled, polled_log) = run_logged(&periodic, 1);
 
-        let mut polled_host = UnixHost::baseline_ubuntu_1804();
-        planner.run(&catalog, &mut polled_host);
-        let polled = OperationsPhase::new(&catalog).run(&mut polled_host, &base, &vdo_trace::Telemetry::off());
-
-        let mut event_host = UnixHost::baseline_ubuntu_1804();
-        planner.run(&catalog, &mut event_host);
-        let eventful = OperationsPhase::new(&catalog).run(
-            &mut event_host,
-            &OpsConfig {
-                engine: MonitorEngine::EventDriven { workers: 1 },
-                ..base
-            }, &vdo_trace::Telemetry::off()
-        );
-
-        prop_assert_eq!(polled.drift_events, eventful.drift_events,
-            "equal seeds must give equal drift streams");
+        prop_assert_eq!(eventful_log, polled_log,
+            "equal seeds must give equal drift histories in both modes");
         prop_assert!(eventful.incidents.iter().all(|i| i.latency() == 0),
             "event-driven detection is same-tick");
+        prop_assert!(polled.incidents.iter().all(|i| i.latency() < period),
+            "a monitor of period {} waits at most {} ticks", period, period - 1);
         prop_assert!(
             eventful.mean_detection_latency() <= polled.mean_detection_latency(),
             "event-driven {} > polling {} at period {}",

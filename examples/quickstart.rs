@@ -11,7 +11,7 @@ use veridevops::core::{PlannerConfig, RemediationPlanner, Severity};
 use veridevops::host::UnixHost;
 use veridevops::nalabs::{Analyzer, RequirementDoc};
 use veridevops::pipeline::{Commit, ComplianceGate, ConfigChange, RequirementsGate};
-use veridevops::pipeline::{MonitorEngine, OperationsPhase, OpsConfig};
+use veridevops::pipeline::{DetectionMode, OperationsPhase, SocConfig};
 use veridevops::stigs::ubuntu;
 use veridevops::trace::Telemetry;
 
@@ -74,19 +74,26 @@ fn main() {
     println!("{d2}");
     assert!(!d1.passed && !d2.passed, "both gates must reject");
 
-    // 4. Protection at operations: drift is detected and repaired.
-    let ops = OperationsPhase::new(&catalog).run(
-        &mut production,
-        &OpsConfig {
-            engine: MonitorEngine::Polling,
-            duration: 2_000,
-            drift_rate: 0.03,
-            monitor_period: Some(10),
-            audit_period: 500,
-            seed: 42,
-        },
-        &Telemetry::off(),
-    );
+    // 4. Protection at operations: the SOC engine polls the host every
+    //    10 ticks (plus an audit every 500); drift is detected and
+    //    repaired.
+    let ops = OperationsPhase::new(&catalog)
+        .run(
+            &mut production,
+            &SocConfig {
+                duration: 2_000,
+                drift_rate: 0.03,
+                workers: 1,
+                seed: 42,
+                detection: DetectionMode::Periodic {
+                    monitor: Some(10),
+                    audit: 500,
+                },
+                ..SocConfig::default()
+            },
+            &Telemetry::off(),
+        )
+        .expect("valid config");
     println!(
         "\noperations: {} drift events, {} incidents detected \
          (mean latency {:.1} ticks), exposure {:.2}%",

@@ -2,7 +2,7 @@
 //! integration test: gates at development, monitors at operations, and
 //! the paper's headline claim that automation reduces exposure.
 
-use veridevops::pipeline::{run, PipelineConfig};
+use veridevops::pipeline::{run, DetectionMode, PipelineConfig};
 use veridevops::trace::Telemetry;
 
 fn base(seed: u64) -> PipelineConfig {
@@ -12,7 +12,10 @@ fn base(seed: u64) -> PipelineConfig {
         vulnerable_commit_rate: 0.3,
         ops_duration: 3_000,
         drift_rate: 0.02,
-        audit_period: 500,
+        detection: DetectionMode::Periodic {
+            monitor: Some(10),
+            audit: 500,
+        },
         seed,
         ..PipelineConfig::default()
     }
@@ -37,7 +40,10 @@ fn automated_configuration_dominates_manual_baseline() {
                 requirements_gate: false,
                 compliance_gate: false,
                 test_gate: false,
-                monitor_period: None,
+                detection: DetectionMode::Periodic {
+                    monitor: None,
+                    audit: 500,
+                },
                 ..base(seed)
             },
             &Telemetry::off(),
@@ -63,7 +69,6 @@ fn monitoring_alone_still_catches_operations_drift() {
             requirements_gate: false,
             compliance_gate: false,
             test_gate: false,
-            monitor_period: Some(10),
             ..base(4)
         },
         &Telemetry::off(),

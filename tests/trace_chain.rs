@@ -1,12 +1,13 @@
 //! The tracing acceptance criteria as an integration test: every
-//! incident raised in a gated E10 (polling) or E11 (event-driven) run
+//! incident raised in a gated E10 (periodic monitor) or E11
+//! (event-driven) run
 //! carries a [`TraceContext`] whose root resolves back to the
 //! originating catalogue requirement's ingestion event, and equal-seed
 //! runs produce identical journal fingerprints at any worker count.
 
 use veridevops::core::RemediationPlanner;
 use veridevops::host::UnixHost;
-use veridevops::pipeline::{run, MonitorEngine, OperationsPhase, OpsConfig, PipelineConfig};
+use veridevops::pipeline::{run, OperationsPhase, PipelineConfig, SocConfig};
 use veridevops::stigs::ubuntu;
 use veridevops::trace::{Journal, Telemetry, TraceContext};
 
@@ -30,7 +31,7 @@ fn with_journal(journal: &Journal, seed: u64) -> Telemetry {
     }
 }
 
-/// E10, gated, polling monitor: each incident's trace root is a
+/// E10, gated, periodic monitor: each incident's trace root is a
 /// catalogue requirement's `requirement.ingested` event, and the
 /// root's trace id equals `TraceContext::root(seed, finding_id)` for
 /// the violated rule.
@@ -86,17 +87,19 @@ fn event_driven_incidents_resolve_and_fingerprints_ignore_worker_count() {
         let mut host = UnixHost::baseline_ubuntu_1804();
         RemediationPlanner::default().run(&catalog, &mut host);
         let journal = Journal::new();
-        let report = OperationsPhase::new(&catalog).run(
-            &mut host,
-            &OpsConfig {
-                engine: MonitorEngine::EventDriven { workers },
-                duration: 600,
-                drift_rate: 0.05,
-                seed,
-                ..OpsConfig::default()
-            },
-            &with_journal(&journal, seed),
-        );
+        let report = OperationsPhase::new(&catalog)
+            .run(
+                &mut host,
+                &SocConfig {
+                    duration: 600,
+                    drift_rate: 0.05,
+                    workers,
+                    seed,
+                    ..SocConfig::default()
+                },
+                &with_journal(&journal, seed),
+            )
+            .expect("valid config");
         assert!(!report.incidents.is_empty());
         let snap = journal.snapshot();
         for incident in &report.incidents {
