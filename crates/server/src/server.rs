@@ -621,8 +621,13 @@ impl Server {
                 // --- SLO evaluation (main): end of round ------------
                 if let Some(policy) = tracing.slo.as_ref().filter(|_| !live_slo.is_empty()) {
                     if (run_round + 1).is_multiple_of(policy.period.max(1)) {
+                        let mut slo_events = Vec::new();
                         for (t, live) in live_slo.iter_mut().enumerate() {
-                            for alert in live.end_tick(now, journal) {
+                            let alerts = live.end_tick(now, &mut slo_events);
+                            for event in slo_events.drain(..) {
+                                journal.emit(event);
+                            }
+                            for alert in alerts {
                                 journal.emit(
                                     Event::warn("server.slo_alert")
                                         .at(now)

@@ -6,10 +6,12 @@
 //! over two trailing windows and fires when **both** burn budget faster
 //! than `factor` (the Google SRE multi-window discipline: the long
 //! window proves the problem is real, the short window proves it is
-//! still happening). Alerts fire on the breach transition, are emitted
-//! into the [`Journal`] with a deterministic [`TraceContext`], and are
-//! returned to the caller, which can publish them onto the SOC bus to
-//! close observability back into reaction.
+//! still happening). Alerts fire on the breach transition, are built as
+//! journal [`Event`]s with a deterministic [`TraceContext`] into a
+//! buffer the caller passes (the caller decides when they reach its
+//! [`crate::Journal`]), and are returned to the caller, which can
+//! publish them onto the SOC bus to close observability back into
+//! reaction.
 //!
 //! The engine is fed per event into [`vdo_obs::WindowCounter`] /
 //! [`vdo_obs::WindowHistogram`] rings — O(1) per observation,
@@ -42,10 +44,15 @@
 //! for tick in 0..50 {
 //!     live.incr("soc.remediations", tick, 10);
 //!     live.incr("soc.dead_letters", tick, if tick > 30 { 3 } else { 0 });
-//!     fired.extend(live.end_tick(tick, &journal));
+//!     let mut events = Vec::new();
+//!     fired.extend(live.end_tick(tick, &mut events));
+//!     for event in events {
+//!         journal.emit(event);
+//!     }
 //! }
 //! assert_eq!(fired.len(), 1, "sustained burn fires exactly once");
 //! assert!(!live.firing().is_empty());
+//! assert_eq!(journal.snapshot().events_named("slo.alert").len(), 1);
 //! ```
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -53,7 +60,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use vdo_obs::{Ewma, HistogramSnapshot, WindowCounter, WindowHistogram, TICK_BOUNDS};
 
 use crate::context::TraceContext;
-use crate::journal::{Event, Journal};
+use crate::journal::Event;
 
 /// What a rule counts as bad events within a window.
 #[derive(Debug, Clone, PartialEq)]
@@ -263,10 +270,11 @@ impl LiveSloEngine {
 
     /// Evaluates every rule at the end of `tick`. A rule whose
     /// long **and** short windows burn at `>= factor` transitions into
-    /// breach, producing one [`SloAlert`] mirrored into `journal` as an
-    /// `slo.alert` error event; leaving breach emits `slo.resolved`.
-    /// The first call only seeds the windows.
-    pub fn end_tick(&mut self, tick: u64, journal: &Journal) -> Vec<SloAlert> {
+    /// breach, producing one [`SloAlert`] mirrored into `events` as an
+    /// `slo.alert` error event; leaving breach appends `slo.resolved`.
+    /// Events are appended in rule order; journalling them is the
+    /// caller's. The first call only seeds the windows.
+    pub fn end_tick(&mut self, tick: u64, events: &mut Vec<Event>) -> Vec<SloAlert> {
         let mut alerts = Vec::new();
         if self.started.is_none() {
             self.started = Some(tick);
@@ -286,7 +294,7 @@ impl LiveSloEngine {
                 self.firing.insert(rule.name.clone());
                 let root = TraceContext::root(self.seed, &format!("slo:{}", rule.name));
                 let trace = root.child_u64("alert", tick);
-                journal.emit(
+                events.push(
                     Event::error("slo.alert")
                         .at(tick)
                         .trace(trace)
@@ -305,7 +313,7 @@ impl LiveSloEngine {
             } else if !breached && was_firing {
                 self.firing.remove(&rule.name);
                 let root = TraceContext::root(self.seed, &format!("slo:{}", rule.name));
-                journal.emit(
+                events.push(
                     Event::info("slo.resolved")
                         .at(tick)
                         .trace(root.child_u64("resolved", tick))
@@ -376,27 +384,27 @@ mod tests {
 
     #[test]
     fn healthy_stream_never_alerts() {
-        let journal = Journal::new();
+        let mut events = Vec::new();
         let mut live = LiveSloEngine::new(0, vec![gate_rule()]);
         for t in 0..30 {
             live.incr("commits", t, 20);
             live.incr("rejected", t, 1); // 5% — half the budget
-            assert!(live.end_tick(t, &journal).is_empty(), "t={t}");
+            assert!(live.end_tick(t, &mut events).is_empty(), "t={t}");
         }
         assert!(live.firing().is_empty());
-        assert!(journal.snapshot().events_named("slo.alert").is_empty());
+        assert!(events.is_empty());
     }
 
     #[test]
     fn sustained_burn_fires_once_then_resolves() {
-        let journal = Journal::new();
+        let mut events = Vec::new();
         let mut live = LiveSloEngine::new(7, vec![gate_rule()]);
         let mut fired = 0;
         for t in 0..60 {
             live.incr("commits", t, 20);
             // 50% rejection during the burn window (5× the budget).
             live.incr("rejected", t, if (20..30).contains(&t) { 10 } else { 1 });
-            let alerts = live.end_tick(t, &journal);
+            let alerts = live.end_tick(t, &mut events);
             fired += alerts.len();
             for a in &alerts {
                 assert!(a.long_burn >= 2.0 && a.short_burn >= 2.0);
@@ -406,16 +414,15 @@ mod tests {
         }
         assert_eq!(fired, 1, "alerts fire on the breach transition only");
         assert!(live.firing().is_empty(), "resolved after the burn drains");
-        let snap = journal.snapshot();
-        assert_eq!(snap.events_named("slo.alert").len(), 1);
-        assert_eq!(snap.events_named("slo.resolved").len(), 1);
-        assert!(snap.events_named("slo.alert")[0].trace.is_some());
+        let names: Vec<&str> = events.iter().map(|e| e.name).collect();
+        assert_eq!(names, ["slo.alert", "slo.resolved"], "in firing order");
+        assert!(events[0].trace.is_some());
         assert!(live.burn_trend("gate-pass-rate").is_some());
     }
 
     #[test]
     fn latency_rules_run_on_window_histograms() {
-        let journal = Journal::new();
+        let mut events = Vec::new();
         let mut live = LiveSloEngine::new(3, vec![latency_rule()]);
         let mut fired = 0;
         for t in 0..40 {
@@ -428,7 +435,7 @@ mod tests {
                     live.observe_value("latency", t, 40);
                 }
             }
-            fired += live.end_tick(t, &journal).len();
+            fired += live.end_tick(t, &mut events).len();
         }
         assert_eq!(fired, 1, "latency burn fires exactly once");
     }
@@ -436,20 +443,20 @@ mod tests {
     #[test]
     fn alerts_are_deterministic_per_seed_and_match_slo_event_shape() {
         let run = || {
-            let journal = Journal::new();
+            let mut events = Vec::new();
             let mut live = LiveSloEngine::new(3, vec![gate_rule()]);
             let mut out = Vec::new();
             for t in 0..10 {
                 live.incr("commits", t, 10);
                 live.incr("rejected", t, 5);
-                out.extend(live.end_tick(t, &journal));
+                out.extend(live.end_tick(t, &mut events));
             }
-            (out, journal.snapshot().fingerprint())
+            (out, events)
         };
-        let (a, fa) = run();
-        let (b, fb) = run();
+        let (a, events_a) = run();
+        let (b, events_b) = run();
         assert_eq!(a, b);
-        assert_eq!(fa, fb);
+        assert_eq!(events_a, events_b);
         assert!(!a.is_empty(), "50% rejection must breach");
         // Alert traces are minted from the seed and rule name alone.
         let expected = TraceContext::root(3, "slo:gate-pass-rate").child_u64("alert", a[0].at);
@@ -458,12 +465,13 @@ mod tests {
 
     #[test]
     fn unreferenced_names_and_zero_totals_are_quiet() {
-        let journal = Journal::disabled();
+        let mut events = Vec::new();
         let mut live = LiveSloEngine::new(0, vec![gate_rule()]);
         live.incr("unknown.counter", 0, 99);
         live.observe_value("unknown.histogram", 0, 99);
-        assert!(live.end_tick(0, &journal).is_empty());
-        assert!(live.end_tick(1, &journal).is_empty());
+        assert!(live.end_tick(0, &mut events).is_empty());
+        assert!(live.end_tick(1, &mut events).is_empty());
+        assert!(events.is_empty());
         assert!(live.burn_trend("nope").is_none());
     }
 }
