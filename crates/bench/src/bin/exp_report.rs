@@ -13,6 +13,10 @@
 //! workload and writes its event journal as JSON Lines — the artifact
 //! CI uploads next to the JSON report.
 //!
+//! `--only <section>` runs one section (by its JSON key); repeat it to
+//! run several. Every name is checked before anything runs, and an
+//! unknown one exits 2 listing the known sections.
+//!
 //! After every selected section has run, the pinned E2, E11 and E15–E19 budgets
 //! are printed as one table, and the process exits 1 naming every
 //! budget that failed — that exit status is the CI budget gate.
@@ -44,7 +48,8 @@ use vdo_trace::Telemetry;
 fn main() {
     let mut json_path: Option<String> = None;
     let mut journal_path: Option<String> = None;
-    let mut only: Option<String> = None;
+    // Sections named by `--only` (repeatable); empty runs them all.
+    let mut only: Vec<String> = Vec::new();
     let mut e16_full = false;
     let mut e17_full = false;
     let mut e18_full = false;
@@ -69,7 +74,7 @@ fn main() {
                 }));
             }
             "--only" => {
-                only = Some(args.next().unwrap_or_else(|| {
+                only.push(args.next().unwrap_or_else(|| {
                     eprintln!("--only requires a section name argument");
                     std::process::exit(2);
                 }));
@@ -77,7 +82,7 @@ fn main() {
             other => {
                 eprintln!(
                     "unknown argument: {other} \
-                     (supported: --json <path|->, --journal <path>, --only <section>, \
+                     (supported: --json <path|->, --journal <path>, --only <section> (repeatable), \
                      --e16-full, --e17-full, --e18-full, --e19-full)"
                 );
                 std::process::exit(2);
@@ -125,7 +130,7 @@ fn main() {
         ("f1_closed_loop", plain(f1_closed_loop)),
         ("a1_dictionary_ablation", plain(a1_dictionary_ablation)),
     ];
-    if let Some(name) = &only {
+    for name in &only {
         if !all.iter().any(|(k, _)| k == name) {
             let known: Vec<&str> = all.iter().map(|(k, _)| *k).collect();
             eprintln!(
@@ -138,7 +143,7 @@ fn main() {
     let mut budgets: Vec<Budget> = Vec::new();
     let sections: Vec<(&'static str, Value)> = all
         .into_iter()
-        .filter(|(k, _)| only.as_deref().is_none_or(|o| *k == o))
+        .filter(|(k, _)| only.is_empty() || only.iter().any(|o| k == o))
         .map(|(k, f)| {
             let (json, rows) = f();
             budgets.extend(rows);

@@ -115,3 +115,28 @@ fn e11_rows_report_the_drift_history_both_modes_face() {
     assert_eq!(stdout.matches("\"engine\": \"polling-10\"").count(), 4);
     assert_eq!(stdout.matches("\"rules_evaluated\"").count(), 8);
 }
+
+#[test]
+fn repeated_only_flags_run_the_union_of_their_sections() {
+    let out = exp_report()
+        .args(["--json", "-"])
+        .args(["--only", "e10_pipeline_comparison"])
+        .args(["--only", "e11_soc_engine"])
+        .output()
+        .expect("spawning exp_report");
+    assert!(out.status.success(), "exit: {:?}", out.status);
+    let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
+    for key in ["\"e10_pipeline_comparison\"", "\"e11_soc_engine\""] {
+        assert!(stdout.contains(key), "missing {key} in:\n{stdout}");
+    }
+    assert!(!stdout.contains("\"e8_gwt_coverage\""), "{stdout}");
+
+    // Every name is checked, not just the last.
+    let out = exp_report()
+        .args(["--only", "no_such_section", "--only", "e8_gwt_coverage"])
+        .output()
+        .expect("spawning exp_report");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8(out.stderr).expect("stderr is UTF-8");
+    assert!(stderr.contains("--only no_such_section"), "{stderr}");
+}
