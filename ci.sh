@@ -33,7 +33,10 @@ if command -v taskset > /dev/null; then
   # The pool's own tests: a worker cannot run until the caller, which
   # runs its closure first, parks.
   taskset -c 0 cargo test -q -p vdo-soc --lib runtime
-  taskset -c 0 cargo test -q -p vdo-soc --test steady_state_golden --test backpressure_golden
+  # The SOC's main thread journals the last tick's events inside the
+  # advance pass's caller closure, on the CPU its workers share.
+  taskset -c 0 cargo test -q -p vdo-soc --test steady_state_golden --test backpressure_golden \
+    --test firehose_disk_golden
   taskset -c 0 cargo test -q -p vdo-server --test verdict_log_golden
   # Operations run on the SOC engine's pool, also in the closed loop.
   taskset -c 0 cargo test -q -p vdo-pipeline --test closed_loop_golden
