@@ -11,10 +11,11 @@
 //!
 //! Each pass also takes a `caller` closure: the calling thread runs it
 //! once, after it releases the workers and before it takes items, so
-//! main-thread work that does not touch the items (the server frees
-//! the last round's requests and draws the next round's arrivals) runs
-//! while the workers serve. A pass of at most one item runs the closure
-//! and then the item on the caller.
+//! main-thread work that does not touch the items runs while the
+//! workers serve: the server frees the last round's requests and draws
+//! the next round's arrivals, and the SOC engine journals the last
+//! tick's events during each advance pass. A pass of at most one item
+//! runs the closure and then the item on the caller.
 //!
 //! The caller takes items like any worker rather than sleeping through
 //! the pass: on a small virtual machine, waking a parked caller at the
