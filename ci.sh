@@ -28,11 +28,17 @@ cargo test --workspace -q
 echo "==> NALABS matcher oracle, 4096 cases per property (the compiled matcher's correctness rests on it)"
 PROPTEST_CASES=4096 cargo test --release -q -p vdo-nalabs --test kernel_equivalence
 
+echo "==> journal equivalence, 4096 cases per property (batch emit vs one at a time; segment-parallel vs sequential scans)"
+PROPTEST_CASES=4096 cargo test --release -q -p vdo-trace --test properties equivalence::
+
 echo "==> pool goldens pinned to one CPU (the worker pool's barrier passes with no parallelism)"
 if command -v taskset > /dev/null; then
   # The pool's own tests: a worker cannot run until the caller, which
   # runs its closure first, parks.
   taskset -c 0 cargo test -q -p vdo-soc --lib runtime
+  # The journal directory's segment scan on one thread: it must equal
+  # the same scan on every available CPU.
+  taskset -c 0 cargo test -q -p vdo-trace
   # The SOC's main thread journals the last tick's events inside the
   # advance pass's caller closure, on the CPU its workers share.
   taskset -c 0 cargo test -q -p vdo-soc --test steady_state_golden --test backpressure_golden \

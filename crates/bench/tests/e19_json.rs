@@ -49,7 +49,7 @@ fn e19_section_has_the_documented_shape() {
     let forensic = as_float(field(overhead, "forensic_best_secs"));
     let baseline = as_float(field(overhead, "baseline_best_secs"));
     assert!(plane > 0.0 && forensic > 0.0 && baseline > 0.0);
-    // The gate percentage is the minimum *paired* per-round ratio, so
+    // The gate percentage is the median *paired* per-round ratio, so
     // it need not derive from the independent best-of wall clocks —
     // only finiteness and budget consistency are structural.
     let plane_pct = as_float(field(overhead, "plane_overhead_pct"));

@@ -29,12 +29,10 @@
 //!    happens; under [`DetectionMode::Periodic`] drift triggers nothing
 //!    and the scheduled audits find it, at `(period - 1) / 2` ticks of
 //!    mean latency for a monitor of that period;
-//! 2. **merge** (main thread): the shards' drift events, then their
-//!    signal events, merge into host order, one cursor per shard; then
-//!    detections merge in `(shard, seq)` order — making the incident
-//!    log independent of worker count and scheduling — into incidents
-//!    and retry/backoff dispatcher tasks, each journal event appended
-//!    to the tick's buffer;
+//! 2. **merge** (main thread): detections merge in `(shard, seq)`
+//!    order — making the incident log independent of worker count and
+//!    scheduling — into incidents and retry/backoff dispatcher tasks,
+//!    each journal event appended to the tick's buffer;
 //! 3. **remediate** (worker pool, only on ticks with due tasks): each
 //!    shard runs its due tasks in dispatcher order — skipping one whose
 //!    incident already closed, honouring its fault roll, calling
@@ -48,14 +46,17 @@
 //!    the buffer last).
 //!
 //! Journal: tick *t*'s events reach the journal during tick *t+1*'s
-//! advance pass. The main thread empties the tick's buffer into
-//! [`Journal::emit`] inside that pass's `caller` closure
-//! ([`crate::runtime::Pool::pass`]), so journalling overlaps the
-//! workers' advance; it empties it once more after the last tick. Only
-//! the main thread emits, in the fixed order the buffer was filled in,
-//! so the journal — every seq, and every byte a sink writes — is the
-//! same as if each event were emitted where it was buffered. A
-//! disabled journal builds and buffers nothing.
+//! advance pass. Before that pass the main thread swaps every shard's
+//! drift and signal logs out for emptied ones (no event moves); inside
+//! the pass's `caller` closure ([`crate::runtime::Pool::pass`]) it
+//! journals tick *t* as one [`Journal::emit_all`] batch: the drift
+//! events, then the signal events, each merged into host order with one
+//! cursor per shard, then the tick's buffer. Journalling thus overlaps
+//! the workers' advance; after the last tick the main thread swaps and
+//! journals once more. Only the main thread emits, in a fixed order, so
+//! the journal — every seq, and every byte a sink writes — is the same
+//! as if each event were emitted where it was built or buffered. A
+//! disabled journal builds, buffers and journals nothing.
 //!
 //! Verdict cache: each shard keeps every host's last verdict per
 //! catalogue rule. A drift write marks the rules that read the key it
@@ -1142,9 +1143,11 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
             .filter(|_| tracing_on)
             .map(|p| LiveSloEngine::new(tracing.trace_seed, p.rules.clone()));
         let mut slo_alerts: Vec<SloAlert> = Vec::new();
-        // Every journal event of the tick being merged, in emission
-        // order; journalled during the next tick's advance pass.
+        // The journal events of the tick being merged, in emission
+        // order, behind its shards' firehose logs; all journalled during
+        // the next tick's advance pass.
         let mut pending: Vec<Event> = Vec::new();
+        let mut firehose = Firehose::new(cfg.shards);
 
         // A pass locks each shard it runs, so the main thread, which
         // holds every shard between passes, lets go of them first.
@@ -1160,13 +1163,16 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
                     .filter(|p| p.has_work(&run, tick))
                     .map(|p| p.shard)
                     .collect();
+                firehose.take(&mut parts);
                 drop(parts);
                 // The main thread journals the last tick's events while
                 // the workers advance this one.
-                pool.pass((tick, false), &busy, || flush(journal, &mut pending));
+                pool.pass((tick, false), &busy, || {
+                    firehose.journal(journal, &homes, &mut pending);
+                });
                 parts = lock_all(&shards);
 
-                // --- Step 2 (main): merge journal events, detections --
+                // --- Step 2 (main): merge detections ------------------
                 let published: u64 = parts
                     .iter_mut()
                     .map(|p| std::mem::take(&mut p.published))
@@ -1177,18 +1183,6 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
                     .sum();
                 metrics.events_published.add(published);
                 metrics.events_deferred.add(deferrals);
-                if journal_debug {
-                    merge_in_host_order(
-                        parts.iter_mut().map(|p| &mut p.drift_log),
-                        &homes,
-                        &mut pending,
-                    );
-                    merge_in_host_order(
-                        parts.iter_mut().map(|p| &mut p.signal_log),
-                        &homes,
-                        &mut pending,
-                    );
-                }
                 let mut detections: Vec<Detection> = Vec::new();
                 for part in parts.iter_mut() {
                     detections.append(&mut part.detections);
@@ -1393,7 +1387,8 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
                     }
                 }
             }
-            flush(journal, &mut pending);
+            firehose.take(&mut lock_all(&shards));
+            firehose.journal(journal, &homes, &mut pending);
         });
 
         SocReport {
@@ -1469,34 +1464,68 @@ fn fail_attempt(
     }
 }
 
-/// Moves one tick's per-host journal events out of the shards' logs
-/// into `out`, in host order: one cursor per shard, each log already in
-/// ascending host order. The logs keep their capacity.
-fn merge_in_host_order<'l>(
-    logs: impl Iterator<Item = &'l mut Vec<(HostId, Event)>>,
-    homes: &[usize],
-    out: &mut Vec<Event>,
-) {
-    let mut cursors: Vec<_> = logs.map(|log| log.drain(..)).collect();
-    let mut left: usize = cursors.iter().map(ExactSizeIterator::len).sum();
-    for (host, &home) in homes.iter().enumerate() {
-        if left == 0 {
-            break;
+/// One tick's per-host journal events, swapped out of the shards'
+/// logs before the next advance pass refills them. The two sets of
+/// buffers trade places every tick, so both keep their capacity.
+struct Firehose {
+    drift: Vec<Vec<(HostId, Event)>>,
+    signal: Vec<Vec<(HostId, Event)>>,
+}
+
+impl Firehose {
+    fn new(shards: usize) -> Self {
+        Firehose {
+            drift: (0..shards).map(|_| Vec::new()).collect(),
+            signal: (0..shards).map(|_| Vec::new()).collect(),
         }
-        let cursor = &mut cursors[home];
-        if cursor.as_slice().first().is_some_and(|&(h, _)| h == host) {
-            let (_, event) = cursor.next().expect("the head just read");
-            out.push(event);
-            left -= 1;
+    }
+
+    /// Swaps the shards' logs (the tick just advanced) for this
+    /// firehose's emptied ones; no event moves.
+    fn take<E>(&mut self, parts: &mut [MutexGuard<'_, Shard<'_, E>>]) {
+        for ((part, drift), signal) in parts.iter_mut().zip(&mut self.drift).zip(&mut self.signal) {
+            std::mem::swap(&mut part.drift_log, drift);
+            std::mem::swap(&mut part.signal_log, signal);
+        }
+    }
+
+    /// Journals the taken tick as one batch: its drift events, then its
+    /// signal events, each in host order, then `pending`. A disabled
+    /// journal touches nothing (its logs and `pending` stay empty).
+    fn journal(&mut self, journal: &Journal, homes: &[usize], pending: &mut Vec<Event>) {
+        if journal.is_enabled() {
+            journal.emit_all(
+                in_host_order(&mut self.drift, homes)
+                    .chain(in_host_order(&mut self.signal, homes))
+                    .chain(pending.drain(..)),
+            );
         }
     }
 }
 
-/// Journals `pending` in order, keeping the buffer's capacity.
-fn flush(journal: &Journal, pending: &mut Vec<Event>) {
-    for event in pending.drain(..) {
-        journal.emit(event);
-    }
+/// Drains per-shard logs, each already in ascending host order, into
+/// one stream in host order: one cursor per shard, walked by the
+/// host→shard table and stopped once every log is empty.
+fn in_host_order<'l>(
+    logs: &'l mut [Vec<(HostId, Event)>],
+    homes: &'l [usize],
+) -> impl Iterator<Item = Event> + 'l {
+    let mut cursors: Vec<_> = logs.iter_mut().map(|log| log.drain(..)).collect();
+    let mut left: usize = cursors.iter().map(ExactSizeIterator::len).sum();
+    let mut hosts = homes.iter().enumerate();
+    std::iter::from_fn(move || {
+        if left == 0 {
+            return None;
+        }
+        for (host, &home) in hosts.by_ref() {
+            let cursor = &mut cursors[home];
+            if cursor.as_slice().first().is_some_and(|&(h, _)| h == host) {
+                left -= 1;
+                return cursor.next().map(|(_, event)| event);
+            }
+        }
+        None
+    })
 }
 
 #[cfg(test)]

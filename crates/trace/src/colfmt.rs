@@ -54,10 +54,18 @@
 //! are copied, to wait with their keys for the block's flush, since a
 //! block's names take dictionary symbols before its keys and values.
 //!
-//! **Filtered decode.** Readers decode a block's seq, tick and severity
-//! columns first and build only the rows a query keeps; the others'
-//! names, traces and fields are stepped over without allocating. Names
-//! and keys become `&'static str` once per segment symbol.
+//! **Filtered decode.** A [`SegmentReader`] reads a segment's header,
+//! footer and block index once and keeps them; it never holds the
+//! block bodies. A scan opens the file once and reads only the blocks
+//! its filter can match, each by its offset into one reused buffer, so
+//! memory stays at one block per scanning thread. It decodes a block's
+//! seq, tick and severity columns first and builds only the rows the
+//! query keeps; the others' names, traces and fields are stepped over
+//! without allocating. Names and keys become `&'static str` once per
+//! segment symbol. [`JournalDir`] keeps one reader per segment, loaded
+//! on first use, and scans segments on up to one scoped thread per
+//! available CPU, concatenating their rows in segment order: the rows,
+//! and the first error, are a sequential scan's.
 //!
 //! The [`compact`] pass merges a directory into fresh segments, dropping
 //! events below a severity floor **except** those belonging to a
@@ -68,8 +76,10 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fs::{self, File};
-use std::io::{self, Read as _, Write as _};
+use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
+use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use crate::context::{SpanId, TraceContext, TraceId};
@@ -490,13 +500,13 @@ impl<'a> Cur<'a> {
     }
 }
 
-/// Decodes one segment file. The whole file is read into memory on
-/// open (segments are bounded by [`DirWriter`]'s roll threshold);
-/// blocks decode on demand, so index-guided scans touch only the
-/// bytes they need.
+/// Decodes one segment file. Opening reads the header, the footer
+/// and the block index and keeps them; block bodies are read from the
+/// file by offset when a scan needs them (see "Filtered decode" in the
+/// module docs), so the file must not change while the reader lives.
 #[derive(Debug)]
 pub struct SegmentReader {
-    data: Vec<u8>,
+    path: PathBuf,
     header: String,
     dict: Vec<String>,
     /// Each entry as a `&'static str`, set when a name or key uses it.
@@ -505,28 +515,63 @@ pub struct SegmentReader {
     events: u64,
 }
 
+/// Reads exactly `len` bytes at `offset`, or reports the file too
+/// short as `InvalidData` — a truncated segment is corrupt data.
+fn read_at(file: &mut File, offset: u64, len: u64, buf: &mut Vec<u8>) -> io::Result<()> {
+    let len = usize::try_from(len).map_err(|_| bad("length overflow"))?;
+    buf.clear();
+    buf.resize(len, 0);
+    file.seek(SeekFrom::Start(offset))?;
+    file.read_exact(buf).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => bad("truncated"),
+        _ => e,
+    })
+}
+
 impl SegmentReader {
-    /// Opens and indexes `path`. A footer count that the bytes left
+    /// Opens and indexes `path`, reading its header, footer and
+    /// trailer (not its blocks). A footer count that the bytes left
     /// cannot hold is `InvalidData`; nothing is sized by it unchecked.
     pub fn open(path: &Path) -> io::Result<Self> {
-        let mut data = Vec::new();
-        File::open(path)?.read_to_end(&mut data)?;
-        if data.len() < 24 || &data[..8] != SEGMENT_MAGIC {
+        let mut file = File::open(path)?;
+        let len = file.metadata()?.len();
+        let mut head = Vec::new();
+        read_at(&mut file, 0, len.min(18), &mut head)?;
+        if len < 24 || &head[..8] != SEGMENT_MAGIC {
             return Err(bad(format!("{}: not a journal segment", path.display())));
         }
-        if &data[data.len() - 8..] != TRAILER_MAGIC {
+        let mut tail = Vec::new();
+        read_at(&mut file, len - 16, 16, &mut tail)?;
+        if &tail[8..] != TRAILER_MAGIC {
             return Err(bad(format!(
                 "{}: missing trailer (unfinished segment?)",
                 path.display()
             )));
         }
-        let footer_end = data.len() - 16;
-        let footer_offset = Cur::new(&data[footer_end..]).u64_le()?;
-        if footer_offset > footer_end as u64 {
+        let footer_end = len - 16;
+        let footer_offset = Cur::new(&tail).u64_le()?;
+        if footer_offset > footer_end {
             return Err(bad("footer offset out of range"));
         }
-        let header = Cur::new(&data[8..]).string()?;
-        let mut cur = Cur::new(&data[footer_offset as usize..footer_end]);
+        // The header: a varint length (at most ten bytes), then that
+        // many bytes of UTF-8, all inside the file.
+        let mut cur = Cur::new(&head[8..]);
+        let header_len = cur.varint()?;
+        let header_at = 8 + cur.pos as u64;
+        if header_len > len - header_at {
+            return Err(bad("truncated"));
+        }
+        let mut bytes = Vec::new();
+        read_at(&mut file, header_at, header_len, &mut bytes)?;
+        let header = String::from_utf8(bytes).map_err(|_| bad("string is not UTF-8"))?;
+        let mut footer = Vec::new();
+        read_at(
+            &mut file,
+            footer_offset,
+            footer_end - footer_offset,
+            &mut footer,
+        )?;
+        let mut cur = Cur::new(&footer);
         let dict_len = cur.count(1)?;
         let dict = (0..dict_len)
             .map(|_| cur.string())
@@ -555,7 +600,7 @@ impl SegmentReader {
             blocks.push(meta);
         }
         Ok(SegmentReader {
-            data,
+            path: path.to_path_buf(),
             header,
             statics: dict.iter().map(|_| OnceLock::new()).collect(),
             dict,
@@ -607,19 +652,36 @@ impl SegmentReader {
         Ok(self.statics[sym as usize].get_or_init(|| intern_static(s)))
     }
 
-    /// Appends the rows of one block that `keep(seq, severity)`
+    /// Opens the file once and hands `f` the body of every block
+    /// `want` accepts, in file order, each read by its offset into one
+    /// reused buffer. Opens nothing when no block is wanted.
+    fn for_each_body(
+        &self,
+        want: impl Fn(&BlockMeta) -> bool,
+        mut f: impl FnMut(&BlockMeta, &[u8]) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let mut blocks = self.blocks.iter().filter(|meta| want(meta));
+        let Some(first) = blocks.next() else {
+            return Ok(());
+        };
+        let mut file = File::open(&self.path)?;
+        let mut body = Vec::new();
+        for meta in std::iter::once(first).chain(blocks) {
+            read_at(&mut file, meta.offset, meta.len, &mut body)?;
+            f(meta, &body)?;
+        }
+        Ok(())
+    }
+
+    /// Appends the rows of one block body that `keep(seq, severity)`
     /// accepts to `out` (see "Filtered decode" in the module docs).
     fn decode_block(
         &self,
         meta: &BlockMeta,
+        body: &[u8],
         keep: impl Fn(u64, Severity) -> bool,
         out: &mut Vec<(u64, Event)>,
     ) -> io::Result<()> {
-        let range = meta.offset as usize..meta.offset.saturating_add(meta.len) as usize;
-        let body = self
-            .data
-            .get(range)
-            .ok_or_else(|| bad("block out of range"))?;
         let mut cur = Cur::new(body);
         let count = cur.count(1)?;
         if count as u64 != meta.count {
@@ -700,13 +762,6 @@ impl SegmentReader {
         Ok(())
     }
 
-    /// Decodes one block into `(seq, event)` pairs.
-    pub fn read_block(&self, meta: &BlockMeta) -> io::Result<Vec<(u64, Event)>> {
-        let mut out = Vec::new();
-        self.decode_block(meta, |_, _| true, &mut out)?;
-        Ok(out)
-    }
-
     /// Every event in the segment, in seq order.
     pub fn events(&self) -> io::Result<Vec<(u64, Event)>> {
         self.events_where(None, None, None)
@@ -722,23 +777,50 @@ impl SegmentReader {
         min_seq: Option<u64>,
         max_seq: Option<u64>,
     ) -> io::Result<Vec<(u64, Event)>> {
-        let mask = min_severity.map(sev_mask_at_or_above);
-        let keep = |seq: u64, severity: Severity| {
-            min_severity.is_none_or(|floor| severity >= floor)
-                && min_seq.is_none_or(|lo| seq >= lo)
-                && max_seq.is_none_or(|hi| seq <= hi)
-        };
+        self.scan(&Filter::new(min_severity, min_seq, max_seq))
+    }
+
+    /// The rows `filter` keeps, from the blocks it can match.
+    fn scan(&self, filter: &Filter) -> io::Result<Vec<(u64, Event)>> {
         let mut out = Vec::new();
-        for meta in &self.blocks {
-            if mask.is_some_and(|mask| meta.severity_mask & mask == 0)
-                || min_seq.is_some_and(|lo| meta.max_seq < lo)
-                || max_seq.is_some_and(|hi| meta.min_seq > hi)
-            {
-                continue;
-            }
-            self.decode_block(meta, keep, &mut out)?;
-        }
+        self.for_each_body(
+            |meta| filter.wants(meta),
+            |meta, body| self.decode_block(meta, body, |seq, sev| filter.keeps(seq, sev), &mut out),
+        )?;
         Ok(out)
+    }
+}
+
+/// A scan's filter: an optional severity floor and an optional
+/// inclusive seq range.
+#[derive(Debug, Clone, Copy)]
+struct Filter {
+    floor: Option<Severity>,
+    min_seq: Option<u64>,
+    max_seq: Option<u64>,
+}
+
+impl Filter {
+    fn new(floor: Option<Severity>, min_seq: Option<u64>, max_seq: Option<u64>) -> Self {
+        Filter {
+            floor,
+            min_seq,
+            max_seq,
+        }
+    }
+
+    /// Whether the block's summary admits a row this filter keeps.
+    fn wants(&self, meta: &BlockMeta) -> bool {
+        let mask = self.floor.map(sev_mask_at_or_above);
+        !(mask.is_some_and(|mask| meta.severity_mask & mask == 0)
+            || self.min_seq.is_some_and(|lo| meta.max_seq < lo)
+            || self.max_seq.is_some_and(|hi| meta.min_seq > hi))
+    }
+
+    fn keeps(&self, seq: u64, severity: Severity) -> bool {
+        self.floor.is_none_or(|floor| severity >= floor)
+            && self.min_seq.is_none_or(|lo| seq >= lo)
+            && self.max_seq.is_none_or(|hi| seq <= hi)
     }
 }
 
@@ -871,15 +953,21 @@ impl Drop for DirWriter {
 // ---------------------------------------------------------------- dir reader
 
 /// Reads a [`DirWriter`] directory: finished segments in name (= seq)
-/// order.
+/// order. Each segment's index (header, footer, block index) is read on
+/// first use and kept; its blocks are read per scan (see "Filtered
+/// decode" in the module docs).
 #[derive(Debug)]
 pub struct JournalDir {
     segments: Vec<PathBuf>,
+    /// Each segment's reader, or the kind and text of the error opening
+    /// it gave, so every later call reports that error again.
+    readers: Vec<OnceLock<Result<SegmentReader, (io::ErrorKind, String)>>>,
 }
 
 impl JournalDir {
-    /// Indexes the `.vdoj` segments under `dir`. Fails when the
-    /// directory holds none (nothing was ever synced).
+    /// Lists the `.vdoj` segments under `dir`. Fails when the
+    /// directory holds none (nothing was ever synced); a segment's
+    /// index is read, and its errors reported, on first use.
     pub fn open(dir: &Path) -> io::Result<Self> {
         let mut segments: Vec<PathBuf> = fs::read_dir(dir)?
             .filter_map(Result::ok)
@@ -893,7 +981,8 @@ impl JournalDir {
                 format!("{}: no journal segments", dir.display()),
             ));
         }
-        Ok(JournalDir { segments })
+        let readers = segments.iter().map(|_| OnceLock::new()).collect();
+        Ok(JournalDir { segments, readers })
     }
 
     /// The segment paths, in seq order.
@@ -902,10 +991,19 @@ impl JournalDir {
         &self.segments
     }
 
+    /// Segment `i`'s reader, indexed on first use.
+    fn segment(&self, i: usize) -> io::Result<&SegmentReader> {
+        let open = || SegmentReader::open(&self.segments[i]).map_err(|e| (e.kind(), e.to_string()));
+        match self.readers[i].get_or_init(open) {
+            Ok(reader) => Ok(reader),
+            Err((kind, msg)) => Err(io::Error::new(*kind, msg.clone())),
+        }
+    }
+
     /// The opaque header (identical across segments; read from the
     /// first).
     pub fn header(&self) -> io::Result<String> {
-        Ok(SegmentReader::open(&self.segments[0])?.header().to_string())
+        Ok(self.segment(0)?.header().to_string())
     }
 
     /// Total on-disk size of all segments.
@@ -918,8 +1016,9 @@ impl JournalDir {
 
     /// Total events across segments (index-only; no block decoding).
     pub fn event_count(&self) -> io::Result<u64> {
-        let count = |p: &PathBuf| Ok(SegmentReader::open(p)?.event_count());
-        self.segments.iter().map(count).sum()
+        (0..self.segments.len())
+            .map(|i| Ok(self.segment(i)?.event_count()))
+            .sum()
     }
 
     /// Every event, in global seq order.
@@ -928,31 +1027,99 @@ impl JournalDir {
     }
 
     /// Index-guided scan across all segments (see
-    /// [`SegmentReader::events_where`]).
+    /// [`SegmentReader::events_where`]). Segments with a block the
+    /// filter can match are decoded on up to one scoped thread per
+    /// available CPU; their rows are concatenated in segment order, and
+    /// the error returned is the first a sequential scan would meet.
     pub fn events_where(
         &self,
         min_severity: Option<Severity>,
         min_seq: Option<u64>,
         max_seq: Option<u64>,
     ) -> io::Result<Vec<(u64, Event)>> {
-        let mut out = Vec::new();
-        for p in &self.segments {
-            out.extend(SegmentReader::open(p)?.events_where(min_severity, min_seq, max_seq)?);
+        let filter = Filter::new(min_severity, min_seq, max_seq);
+        // A sequential scan stops at the first segment it cannot open:
+        // scan the segments before it, then report it.
+        let mut wanted = Vec::new();
+        let mut unopened = None;
+        for i in 0..self.segments.len() {
+            match self.segment(i) {
+                Ok(reader) if reader.blocks.iter().any(|meta| filter.wants(meta)) => {
+                    wanted.push(reader);
+                }
+                Ok(_) => {}
+                Err(e) => {
+                    unopened = Some(e);
+                    break;
+                }
+            }
         }
-        Ok(out)
+        let mut out = Vec::new();
+        for rows in scan_segments(&wanted, |reader| reader.scan(&filter)) {
+            let mut rows = rows?;
+            if out.is_empty() {
+                out = rows;
+            } else {
+                out.append(&mut rows);
+            }
+        }
+        unopened.map_or(Ok(out), Err)
     }
 
     /// The logical tick of the event holding `seq`, found via the
     /// block index (only the one containing block is decoded).
     pub fn tick_for_seq(&self, seq: u64) -> io::Result<Option<u64>> {
-        for p in &self.segments {
-            let hit = SegmentReader::open(p)?.events_where(None, Some(seq), Some(seq))?;
+        for i in 0..self.segments.len() {
+            let hit = self.segment(i)?.events_where(None, Some(seq), Some(seq))?;
             if let Some((_, event)) = hit.first() {
                 return Ok(Some(event.at));
             }
         }
         Ok(None)
     }
+}
+
+/// Runs `scan` on every reader, on up to `min(readers, available
+/// CPUs)` scoped threads (the caller is one of them), and returns the
+/// results in reader order.
+fn scan_segments<T: Send>(
+    readers: &[&SegmentReader],
+    scan: impl Fn(&SegmentReader) -> T + Sync,
+) -> Vec<T> {
+    let threads = match readers.len() {
+        0 | 1 => 1,
+        n => std::thread::available_parallelism()
+            .map_or(1, NonZeroUsize::get)
+            .min(n),
+    };
+    if threads == 1 {
+        return readers.iter().map(|reader| scan(reader)).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(reader) = readers.get(i) else {
+                return done;
+            };
+            done.push((i, scan(reader)));
+        }
+    };
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for helper in helpers {
+            done.extend(
+                helper
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
+            );
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 // ---------------------------------------------------------------- compactor
@@ -1008,14 +1175,11 @@ pub fn compact(
 ) -> io::Result<CompactionStats> {
     let src_dir = JournalDir::open(src)?;
     let header = src_dir.header()?;
-    let mut protected: HashSet<u64> = HashSet::new();
-    for p in src_dir.segment_paths() {
-        let warn = SegmentReader::open(p)?.events_where(Some(Severity::Warn), None, None)?;
-        protected.extend(
-            warn.iter()
-                .filter_map(|(_, e)| e.trace.map(|t| t.trace_id.0)),
-        );
-    }
+    let protected: HashSet<u64> = src_dir
+        .events_where(Some(Severity::Warn), None, None)?
+        .iter()
+        .filter_map(|(_, e)| e.trace.map(|t| t.trace_id.0))
+        .collect();
     let mut stats = CompactionStats {
         events_in: 0,
         events_out: 0,
@@ -1026,21 +1190,27 @@ pub fn compact(
         protected_traces: protected.len() as u64,
     };
     let mut out = DirWriter::lazy(dst, &header, events_per_segment, DEFAULT_BLOCK_EVENTS)?;
-    for p in src_dir.segment_paths() {
-        let reader = SegmentReader::open(p)?;
-        for meta in reader.blocks() {
-            for (seq, event) in reader.read_block(meta)? {
-                stats.events_in += 1;
-                if event.severity >= floor
-                    || event
-                        .trace
-                        .is_some_and(|t| protected.contains(&t.trace_id.0))
-                {
-                    out.try_record(seq, &event)?;
-                    stats.events_out += 1;
+    let mut rows = Vec::new();
+    for i in 0..src_dir.segments.len() {
+        let reader = src_dir.segment(i)?;
+        reader.for_each_body(
+            |_| true,
+            |meta, body| {
+                reader.decode_block(meta, body, |_, _| true, &mut rows)?;
+                for (seq, event) in rows.drain(..) {
+                    stats.events_in += 1;
+                    if event.severity >= floor
+                        || event
+                            .trace
+                            .is_some_and(|t| protected.contains(&t.trace_id.0))
+                    {
+                        out.try_record(seq, &event)?;
+                        stats.events_out += 1;
+                    }
                 }
-            }
-        }
+                Ok(())
+            },
+        )?;
     }
     out.seal_current()?;
     stats.bytes_out = out.bytes;

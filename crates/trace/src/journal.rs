@@ -36,6 +36,11 @@
 //! shard locks are held at once, so for every emitter thread the
 //! snapshot contains a causal prefix of its emissions, listed in
 //! global seq order.
+//!
+//! [`Journal::emit_all`] records a batch under one sink lock and one
+//! hold of every ring lock; [`Journal::emit`] is the batch of one. A
+//! batch's seqs are contiguous and a snapshot sees all of a batch or
+//! none of it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -515,38 +520,64 @@ impl Journal {
         (mix64(key) % inner.config.shards as u64) as usize
     }
 
-    /// Records `event`, unless the journal is disabled, the event is
-    /// below the severity floor, or its shard is full (a lossy-tail
-    /// drop, which the shard's drop counter records exactly). Accepted
-    /// events are stamped with a global sequence number and — when a
-    /// sink is attached — delivered to it *before* the capacity check,
-    /// so the durable stream has no lossy tail.
+    /// Records `event`: the batch of one (see
+    /// [`emit_all`](Journal::emit_all)). A disabled journal returns at
+    /// once.
     pub fn emit(&self, event: Event) {
+        self.emit_all(std::iter::once(event));
+    }
+
+    /// Records a batch of events in iteration order, skipping those
+    /// below the severity floor. Each accepted event is stamped with the
+    /// next global sequence number and — when a sink is attached —
+    /// delivered to it *before* the capacity check, so the durable
+    /// stream has no lossy tail; an event whose shard is full is dropped
+    /// and counted exactly.
+    ///
+    /// The batch takes the sink lock once, then every ring lock in shard
+    /// index order ([`snapshot`](Journal::snapshot)'s order), and holds
+    /// them all until it ends: it mints its seqs as one contiguous run
+    /// (every batch mints under all ring locks, so no other batch can
+    /// interleave) and tallies its drops once per shard. A concurrent
+    /// snapshot sees all of a batch or none of it.
+    pub fn emit_all(&self, events: impl IntoIterator<Item = Event>) {
         let Some(inner) = &self.inner else { return };
-        if event.severity < inner.config.min_severity {
-            return;
-        }
-        let seq = match &inner.sink {
-            // Seq is minted while the sink lock is held so the sink
-            // observes strictly increasing seqs even under concurrent
-            // emitters.
-            Some(sink) => {
-                let mut sink = sink.lock().expect("journal sink poisoned");
-                let seq = inner.next_seq.fetch_add(1, Ordering::Relaxed);
+        let floor = inner.config.min_severity;
+        let mut events = events.into_iter().filter(|e| e.severity >= floor);
+        // Take no lock for a batch the floor empties.
+        let Some(first) = events.next() else { return };
+        let mut sink = inner
+            .sink
+            .as_ref()
+            .map(|sink| sink.lock().expect("journal sink poisoned"));
+        let mut rings: Vec<_> = inner
+            .shards
+            .iter()
+            .map(|s| s.lock().expect("journal shard poisoned"))
+            .collect();
+        let mut drops = vec![0u64; rings.len()];
+        let mut seq = inner.next_seq.load(Ordering::Relaxed);
+        for event in std::iter::once(first).chain(events) {
+            if let Some(sink) = sink.as_mut() {
                 sink.record(seq, &event);
-                seq
             }
-            None => inner.next_seq.fetch_add(1, Ordering::Relaxed),
-        };
-        let shard = Self::shard_for(inner, &event);
-        let mut ring = inner.shards[shard].lock().expect("journal shard poisoned");
-        if ring.len() < inner.config.capacity_per_shard {
-            ring.push((seq, event));
-        } else {
-            // Count the drop while the ring lock is held so a
-            // consistent-cut snapshot sees ring contents and drop
-            // counts at the same point.
-            inner.dropped[shard].fetch_add(1, Ordering::Relaxed);
+            let shard = Self::shard_for(inner, &event);
+            let ring = &mut rings[shard];
+            if ring.len() < inner.config.capacity_per_shard {
+                ring.push((seq, event));
+            } else {
+                drops[shard] += 1;
+            }
+            seq += 1;
+        }
+        inner.next_seq.store(seq, Ordering::Relaxed);
+        // Drops are counted while the ring locks are held, so a
+        // consistent-cut snapshot sees ring contents and drop counts at
+        // the same point.
+        for (counter, n) in inner.dropped.iter().zip(drops) {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
         }
     }
 

@@ -246,3 +246,266 @@ proptest! {
         );
     }
 }
+
+/// The batch path against the path of one event at a time, and the
+/// segment-parallel directory scan against a sequential scan of its
+/// segments. `ci.sh` runs this module in release at a raised
+/// `PROPTEST_CASES`, and once more on one CPU.
+mod equivalence {
+    use std::io;
+    use std::path::{Path, PathBuf};
+
+    use proptest::prelude::*;
+
+    use vdo_trace::{
+        DirWriter, Event, Journal, JournalConfig, JournalDir, JournalSink, MemorySink,
+        SegmentReader, Severity, TraceContext,
+    };
+
+    use super::{columnar_row, SEVERITIES};
+
+    /// Event `i` of a stream with mixed severities, names and traces,
+    /// so it spreads over the ring shards and meets any floor.
+    fn mixed(i: usize, (sev, trace): (usize, u8)) -> Event {
+        let mut event = Event::new(["a", "b", "c"][i % 3], SEVERITIES[sev])
+            .at(i as u64 / 3)
+            .field("i", i);
+        if trace > 0 {
+            let root = TraceContext::root(u64::from(trace), "batch");
+            event = event.trace(root.child_u64("i", i as u64));
+        }
+        event
+    }
+
+    /// A journal with a memory sink, and the sink's shared buffer.
+    fn journal(config: JournalConfig) -> (Journal, vdo_trace::journal::MemoryEntries) {
+        let sink = MemorySink::new();
+        let entries = sink.entries();
+        (Journal::with_sink(config, Box::new(sink)), entries)
+    }
+
+    /// A fresh directory for one test case.
+    fn fresh(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("vdo-trace-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Writes `rows` (see [`columnar_row`]) into a multi-segment
+    /// directory and returns what was written, with seqs 0, 2, 4, ….
+    fn write_dir(
+        dir: &Path,
+        rows: &[(u64, usize, u8, usize, u64)],
+        per_segment: u64,
+        block_events: usize,
+    ) -> Vec<(u64, Event)> {
+        let mut sink = DirWriter::with_limits(dir, "equivalence", per_segment, block_events)
+            .expect("journal dir");
+        let mut at = 0u64;
+        let mut written = Vec::new();
+        for (i, row) in rows.iter().enumerate() {
+            at += row.0;
+            let event = columnar_row(i, block_events, (at, row.1, row.2, row.3, row.4));
+            sink.record(2 * i as u64, &event);
+            written.push((2 * i as u64, event));
+        }
+        written
+    }
+
+    /// The scan [`JournalDir::events_where`] replaces: each segment in
+    /// turn, stopping at the first error.
+    fn sequential(
+        dir: &JournalDir,
+        floor: Option<Severity>,
+        lo: Option<u64>,
+        hi: Option<u64>,
+    ) -> io::Result<Vec<(u64, Event)>> {
+        let mut out = Vec::new();
+        for path in dir.segment_paths() {
+            out.extend(SegmentReader::open(path)?.events_where(floor, lo, hi)?);
+        }
+        Ok(out)
+    }
+
+    /// Two scan results are equal, errors by kind and text.
+    fn same(
+        got: &io::Result<Vec<(u64, Event)>>,
+        want: &io::Result<Vec<(u64, Event)>>,
+    ) -> Result<(), TestCaseError> {
+        match (got, want) {
+            (Ok(got), Ok(want)) => prop_assert_eq!(got, want),
+            (Err(got), Err(want)) => {
+                prop_assert_eq!(got.kind(), want.kind());
+                prop_assert_eq!(got.to_string(), want.to_string());
+            }
+            _ => prop_assert!(false, "got {:?}, a sequential scan gives {:?}", got, want),
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Emitting a stream in batches (random cuts, empty batches
+        /// included) gives what emitting it one event at a time gives:
+        /// the same seqs and sink stream, ring contents, drop counts and
+        /// fingerprint — over random shard counts, capacities (full
+        /// rings included) and severity floors.
+        #[test]
+        fn batch_emit_equals_one_at_a_time(
+            events in prop::collection::vec((0usize..4, 0u8..6), 0..200),
+            cuts in prop::collection::vec(0usize..200, 0..12),
+            shards in 1usize..6,
+            capacity in 1usize..40,
+            floor in 0usize..4,
+        ) {
+            let config = JournalConfig {
+                shards,
+                capacity_per_shard: capacity,
+                min_severity: SEVERITIES[floor],
+            };
+            let events: Vec<Event> =
+                events.into_iter().enumerate().map(|(i, e)| mixed(i, e)).collect();
+            let (single, single_sink) = journal(config);
+            for event in &events {
+                single.emit(event.clone());
+            }
+            let (batched, batched_sink) = journal(config);
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(events.len())).collect();
+            cuts.push(0);
+            cuts.push(events.len());
+            cuts.sort_unstable();
+            for pair in cuts.windows(2) {
+                batched.emit_all(events[pair[0]..pair[1]].iter().cloned());
+            }
+            prop_assert_eq!(batched.accepted(), single.accepted());
+            prop_assert_eq!(batched.dropped(), single.dropped());
+            prop_assert_eq!(batched.len(), single.len());
+            prop_assert_eq!(&*batched_sink.lock().unwrap(), &*single_sink.lock().unwrap());
+            let (b, s) = (batched.snapshot(), single.snapshot());
+            prop_assert_eq!(b.fingerprint(), s.fingerprint());
+            prop_assert_eq!(b, s);
+        }
+
+        /// On a multi-segment directory the segment-parallel scan
+        /// equals the per-segment scans concatenated, for random
+        /// severity and seq filters; `event_count`, `header` and
+        /// `tick_for_seq` answer from the kept indexes as before.
+        #[test]
+        fn dir_scan_equals_sequential_segment_scans(
+            rows in prop::collection::vec(
+                (0u64..3, 0usize..4, 0u8..4, 0usize..6, 0u64..1_000),
+                1..300,
+            ),
+            block_events in 1usize..24,
+            per_segment in 5u64..80,
+            floor in 0usize..5,
+            bounds in (0u64..650, 0u64..650, 0u8..4),
+            probes in prop::collection::vec(0u64..650, 1..6),
+        ) {
+            let dir = fresh("dir-scan");
+            let written = write_dir(&dir, &rows, per_segment, block_events);
+            let journal = JournalDir::open(&dir).unwrap();
+            prop_assert!(journal.segment_paths().len() as u64 >= (rows.len() as u64).div_ceil(per_segment));
+            let (lo, hi, bounded) = bounds;
+            let floor = SEVERITIES.get(floor).copied();
+            let lo = (bounded & 1 != 0).then_some(lo);
+            let hi = (bounded & 2 != 0).then_some(hi);
+            // Twice: the first call loads the indexes, the second reuses them.
+            for _ in 0..2 {
+                same(&journal.events_where(floor, lo, hi), &sequential(&journal, floor, lo, hi))?;
+            }
+            prop_assert_eq!(journal.events().unwrap(), written.clone());
+            prop_assert_eq!(journal.event_count().unwrap(), written.len() as u64);
+            prop_assert_eq!(journal.header().unwrap(), "equivalence");
+            for seq in probes {
+                let want = written.iter().find(|(s, _)| *s == seq).map(|(_, e)| e.at);
+                prop_assert_eq!(journal.tick_for_seq(seq).unwrap(), want);
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+
+        /// A bit-flipped or truncated middle segment gives a scan the
+        /// result a sequential scan gives — the same typed error (no
+        /// partial result), or, for a flip the codec cannot see, the
+        /// same rows — and never a panic.
+        #[test]
+        fn corrupt_middle_segment_fails_like_a_sequential_scan(
+            rows in prop::collection::vec(
+                (0u64..3, 0usize..4, 0u8..4, 0usize..6, 0u64..1_000),
+                60..200,
+            ),
+            block_events in 2usize..16,
+            at in 0usize..1 << 20,
+            bit in 0u8..8,
+            truncate in 0u8..2,
+            floor in 0usize..5,
+        ) {
+            let dir = fresh("corrupt");
+            let per_segment = (rows.len() as u64).div_ceil(3);
+            write_dir(&dir, &rows, per_segment, block_events);
+            let paths = JournalDir::open(&dir).unwrap().segment_paths().to_vec();
+            prop_assert_eq!(paths.len(), 3);
+            let mut bytes = std::fs::read(&paths[1]).unwrap();
+            let at = at % bytes.len();
+            let truncate = truncate == 1;
+            if truncate {
+                bytes.truncate(at);
+            } else {
+                bytes[at] ^= 1 << bit;
+            }
+            std::fs::write(&paths[1], &bytes).unwrap();
+            let floor = SEVERITIES.get(floor).copied();
+            let journal = JournalDir::open(&dir).unwrap();
+            let want = sequential(&journal, floor, None, None);
+            if truncate {
+                prop_assert_eq!(
+                    want.as_ref().map(|_| ()).unwrap_err().kind(),
+                    io::ErrorKind::InvalidData
+                );
+            }
+            same(&journal.events_where(floor, None, None), &want)?;
+            same(&journal.events(), &sequential(&journal, None, None, None))?;
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// A thread emitting batches and a thread taking snapshots (plus
+    /// single emits, `len` and `sync`) finish: batches take the sink
+    /// lock, then the ring locks in index order, which is the order a
+    /// snapshot takes them in, so no lock-order cycle can form.
+    #[test]
+    fn batches_and_snapshots_never_deadlock() {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let (journal, _) = journal(JournalConfig {
+                shards: 4,
+                capacity_per_shard: 256,
+                min_severity: Severity::Debug,
+            });
+            let stop = std::sync::atomic::AtomicBool::new(false);
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    for round in 0..400usize {
+                        journal.emit_all(
+                            (0..32).map(|i| mixed(round * 32 + i, (i % 4, 1 + (i % 5) as u8))),
+                        );
+                        journal.emit(mixed(round, (2, 0)));
+                    }
+                    stop.store(true, std::sync::atomic::Ordering::SeqCst);
+                });
+                scope.spawn(|| {
+                    while !stop.load(std::sync::atomic::Ordering::SeqCst) {
+                        let snap = journal.snapshot();
+                        assert!(snap.seqs.windows(2).all(|w| w[0] < w[1]));
+                        let _ = journal.len();
+                        journal.sync();
+                    }
+                });
+            });
+            assert_eq!(journal.accepted(), 400 * 33);
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("batches and snapshots deadlocked (or a thread panicked)");
+    }
+}
