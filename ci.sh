@@ -28,6 +28,9 @@ cargo test --workspace -q
 echo "==> NALABS matcher oracle, 4096 cases per property (the compiled matcher's correctness rests on it)"
 PROPTEST_CASES=4096 cargo test --release -q -p vdo-nalabs --test kernel_equivalence
 
+echo "==> catalogue monitors vs LTL, 4096 cases per property (every entry with an observer, both semantics, every prefix)"
+PROPTEST_CASES=4096 cargo test --release -q -p vdo-specpat --test monitor_vs_ltl
+
 echo "==> journal equivalence, 4096 cases per property (batch emit vs one at a time; segment-parallel vs sequential scans)"
 PROPTEST_CASES=4096 cargo test --release -q -p vdo-trace --test properties equivalence::
 

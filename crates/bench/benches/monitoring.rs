@@ -9,7 +9,19 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use vdo_bench::workloads;
 use vdo_core::CheckStatus;
 use vdo_corpus::traces::ViolationTrace;
-use vdo_temporal::{GlobalUniversality, MonitorOutcome, MonitoringLoop};
+use vdo_specpat::{ObserverAutomaton, PatternKind, Scope, SpecPattern};
+use vdo_temporal::{MonitorOutcome, MonitoringLoop};
+
+/// The compliance invariant `G up`: the catalogue's Globally /
+/// Universality entry.
+fn always_up() -> ObserverAutomaton {
+    let pattern = SpecPattern::new(Scope::Globally, PatternKind::universality("up"));
+    ObserverAutomaton::for_pattern(&pattern).expect("observer")
+}
+
+fn up(up: &bool) -> CheckStatus {
+    CheckStatus::from(*up)
+}
 
 fn print_latency_table() {
     println!("\n[E4/A2] detection latency and polling cost vs period (trace 10k ticks)");
@@ -17,7 +29,7 @@ fn print_latency_table() {
         "{:>8} {:>12} {:>10} {:>8}",
         "PERIOD", "MEAN LATENCY", "MAX LATENCY", "POLLS"
     );
-    let pattern = GlobalUniversality::new(|up: &bool| CheckStatus::from(*up));
+    let observer = always_up();
     for period in [1u64, 5, 10, 50, 100, 500] {
         let mut latencies = Vec::new();
         let mut polls = 0;
@@ -26,7 +38,7 @@ fn print_latency_table() {
             let w = ViolationTrace::at(10_000, 313 * (k + 1) % 9_000 + 500);
             let report = MonitoringLoop::new(period)
                 .expect("nonzero period")
-                .run(&pattern, &w.trace);
+                .run(observer.monitor(&[("up", &up)]).expect("bound"), &w.trace);
             polls += report.polls;
             if let MonitorOutcome::ViolationDetected(_) = report.outcome {
                 latencies.push(report.detection_latency(w.violation_tick).unwrap() as f64);
@@ -49,14 +61,17 @@ fn bench_monitoring(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("E4_monitor_run");
     let workload = workloads::violation_trace(100_000);
-    let pattern = GlobalUniversality::new(|up: &bool| CheckStatus::from(*up));
+    let observer = always_up();
     for period in [1u64, 10, 100] {
         group.bench_with_input(
             BenchmarkId::from_parameter(period),
             &period,
             |b, &period| {
                 let looper = MonitoringLoop::new(period).expect("nonzero period");
-                b.iter(|| looper.run(&pattern, &workload.trace))
+                b.iter(|| {
+                    let monitor = observer.monitor(&[("up", &up)]).expect("bound");
+                    looper.run(monitor, &workload.trace)
+                })
             },
         );
     }

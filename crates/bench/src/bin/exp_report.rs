@@ -39,10 +39,10 @@ use vdo_nalabs::Analyzer;
 use vdo_pipeline::{run, OperationsPhase, PipelineConfig};
 use vdo_soc::{DetectionMode, RemediationConfig, SocConfig, SocEngine, SocMetrics, SocTracing};
 use vdo_specpat::pattern::full_matrix;
-use vdo_specpat::{CtlFormula, ModelChecker, ObserverAutomaton};
+use vdo_specpat::{CtlFormula, ModelChecker, ObserverAutomaton, PatternKind, Scope, SpecPattern};
 use vdo_stigs::ubuntu;
 use vdo_tears::Session;
-use vdo_temporal::{GlobalUniversality, MonitorOutcome, MonitoringLoop};
+use vdo_temporal::{MonitorOutcome, MonitoringLoop};
 use vdo_trace::Telemetry;
 
 fn main() {
@@ -410,16 +410,19 @@ fn e4_monitor_latency() -> Value {
         "MAX LATENCY",
         "POLLS"
     );
-    let pattern = GlobalUniversality::new(|up: &bool| CheckStatus::from(*up));
+    let pattern = SpecPattern::new(Scope::Globally, PatternKind::universality("up"));
+    let observer = ObserverAutomaton::for_pattern(&pattern).expect("observer");
+    let up = |up: &bool| CheckStatus::from(*up);
     let mut rows = Vec::new();
     for period in [1u64, 5, 10, 50, 100, 500] {
         let mut latencies = Vec::new();
         let mut polls = 0;
         for k in 0..32u64 {
             let w = ViolationTrace::at(10_000, 313 * (k + 1) % 9_000 + 500);
+            let monitor = observer.monitor(&[("up", &up)]).expect("bound");
             let report = MonitoringLoop::new(period)
                 .expect("nonzero period")
-                .run(&pattern, &w.trace);
+                .run(monitor, &w.trace);
             polls += report.polls;
             if let MonitorOutcome::ViolationDetected(_) = report.outcome {
                 latencies.push(report.detection_latency(w.violation_tick).unwrap() as f64);
@@ -472,10 +475,7 @@ fn e5_matrix_coverage() -> Value {
 fn e6_observer_throughput() -> Value {
     say!("\n== E6: observer trace checking vs trace length ==");
     say!("{:>10} {:>12} {:>14}", "TICKS", "ELAPSED", "TICKS/SEC");
-    let pattern = vdo_specpat::SpecPattern::new(
-        vdo_specpat::Scope::Globally,
-        vdo_specpat::PatternKind::bounded_response("p", "s", 10),
-    );
+    let pattern = SpecPattern::new(Scope::Globally, PatternKind::bounded_response("p", "s", 10));
     let observer = ObserverAutomaton::for_pattern(&pattern).expect("observer");
     let mut rows = Vec::new();
     for len in [1_000usize, 10_000, 100_000, 1_000_000] {

@@ -191,7 +191,8 @@ pub fn throttle_log(
 mod tests {
     use super::*;
     use vdo_core::CheckStatus;
-    use vdo_temporal::{GlobalUniversality, MonitorOutcome, MonitoringLoop};
+    use vdo_specpat::{ObserverAutomaton, PatternKind, Scope, SpecPattern};
+    use vdo_temporal::{MonitorOutcome, MonitoringLoop};
 
     #[test]
     fn violation_trace_shape() {
@@ -222,10 +223,12 @@ mod tests {
     #[test]
     fn monitor_detects_planted_violation_with_exact_latency() {
         let w = ViolationTrace::at(50, 23);
-        let pattern = GlobalUniversality::new(|b: &bool| CheckStatus::from(*b));
+        let pattern = SpecPattern::new(Scope::Globally, PatternKind::universality("up"));
+        let observer = ObserverAutomaton::for_pattern(&pattern).expect("observer");
+        let up = |b: &bool| CheckStatus::from(*b);
         let report = MonitoringLoop::new(5)
             .expect("nonzero period")
-            .run(&pattern, &w.trace);
+            .run(observer.monitor(&[("up", &up)]).expect("bound"), &w.trace);
         // Polls at 0,5,10,15,20,25 → detection at 25, latency 2.
         assert_eq!(report.outcome, MonitorOutcome::ViolationDetected(25));
         assert_eq!(report.detection_latency(w.violation_tick), Some(2));

@@ -71,8 +71,8 @@ pub struct OpsReport {
     /// remediation.
     pub checks: u64,
     /// Ground-truth compliance per tick (`true` = compliant), suitable
-    /// for post-hoc temporal-pattern evaluation (e.g.
-    /// `GlobalUniversality` over the operations history).
+    /// for post-hoc temporal-pattern evaluation (e.g. the catalogue's
+    /// Globally / Universality monitor over the operations history).
     pub compliance_trace: Trace<bool>,
 }
 
@@ -320,7 +320,8 @@ mod tests {
     #[test]
     fn compliance_trace_supports_temporal_evaluation() {
         use vdo_core::CheckStatus;
-        use vdo_temporal::{GlobalUniversality, Semantics, TemporalPattern};
+        use vdo_specpat::{ObserverAutomaton, PatternKind, Scope, SpecPattern};
+        use vdo_temporal::{PatternMonitor, Semantics};
 
         let catalog = ubuntu::catalog();
         let mut host = compliant_host(&catalog);
@@ -329,8 +330,14 @@ mod tests {
         assert_eq!(report.compliance_trace.len(), 1_000);
         // "Globally compliant" over the operations history fails exactly
         // when the host ever spent a tick out of compliance.
-        let always_compliant = GlobalUniversality::new(|c: &bool| CheckStatus::from(*c));
-        let verdict = always_compliant.evaluate(&report.compliance_trace, Semantics::Complete);
+        let always_compliant =
+            SpecPattern::new(Scope::Globally, PatternKind::universality("compliant"));
+        let observer = ObserverAutomaton::for_pattern(&always_compliant).expect("observer");
+        let compliant = |c: &bool| CheckStatus::from(*c);
+        let verdict = observer
+            .monitor(&[("compliant", &compliant)])
+            .expect("bound")
+            .evaluate(&report.compliance_trace, Semantics::Complete);
         assert_eq!(verdict.is_fail(), report.noncompliant_ticks > 0);
         // Exposure recomputed from the trace matches the counter.
         let bad = report

@@ -11,8 +11,9 @@
 //! * **temporal patterns** — [`ComplianceUniversality`] is an *owned*
 //!   streaming `A[] compliant` monitor implementing
 //!   [`vdo_temporal::PatternMonitor`], fed by the host's check verdicts
-//!   (the borrowed monitors returned by `TemporalPattern::begin` cannot
-//!   outlive their pattern, which a long-lived monitor registry needs);
+//!   (the catalogue's observer monitors borrow their observer and
+//!   bound propositions, which a long-lived per-host monitor registry
+//!   cannot hold);
 //! * **TEARS guarded assertions** — [`TearsHostMonitor`] holds the
 //!   newest value of each signal in a host's `SignalTick` telemetry and
 //!   streams it through [`vdo_tears::OwnedGaMonitor`]. The engine parses
@@ -81,7 +82,7 @@ pub struct Detection {
 
 /// Owned streaming monitor for `A[] compliant` over a host's
 /// check-result stream. Implements the same latching prefix semantics
-/// as `GlobalUniversality`'s borrowed monitor: `Fail` latches on the
+/// as the catalogue's Globally / Universality monitor: `Fail` latches on the
 /// first non-compliant observation, the prefix verdict is otherwise
 /// `Incomplete`, and finishing a never-failed stream yields `Pass`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -223,19 +224,28 @@ impl HostMonitors {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vdo_temporal::{GlobalUniversality, Semantics, TemporalPattern, Trace};
+    use vdo_specpat::{ObserverAutomaton, PatternKind, Scope, SpecPattern};
+    use vdo_temporal::{Semantics, Trace};
 
     #[test]
     fn compliance_monitor_matches_global_universality() {
-        // The owned streaming monitor must agree with vdo-temporal's
-        // batch evaluation under both semantics on every prefix.
+        // The owned streaming monitor must agree with the catalogue's
+        // Globally / Universality monitor under both semantics on every
+        // prefix.
         let streams: [&[bool]; 4] = [
             &[true, true, true],
             &[true, false, true],
             &[false],
             &[true, true, false, false, true],
         ];
-        let pattern = GlobalUniversality::new(|c: &bool| CheckStatus::from(*c));
+        let pattern = SpecPattern::new(Scope::Globally, PatternKind::universality("compliant"));
+        let observer = ObserverAutomaton::for_pattern(&pattern).expect("observer");
+        let compliant = |c: &bool| CheckStatus::from(*c);
+        let catalogue = || {
+            observer
+                .monitor(&[("compliant", &compliant)])
+                .expect("bound")
+        };
         for bits in streams {
             let mut m = ComplianceUniversality::new();
             for (i, &b) in bits.iter().enumerate() {
@@ -243,13 +253,16 @@ mod tests {
                 let prefix: Trace<bool> = Trace::from_states(bits[..=i].iter().copied());
                 assert_eq!(
                     verdict,
-                    pattern.evaluate(&prefix, Semantics::Prefix),
+                    catalogue().evaluate(&prefix, Semantics::Prefix),
                     "prefix {:?}",
                     &bits[..=i]
                 );
             }
             let whole: Trace<bool> = Trace::from_states(bits.iter().copied());
-            assert_eq!(m.finish(), pattern.evaluate(&whole, Semantics::Complete));
+            assert_eq!(
+                m.finish(),
+                catalogue().evaluate(&whole, Semantics::Complete)
+            );
         }
     }
 

@@ -14,8 +14,9 @@ use vdo_soc::{
     DetectionMode, Dispatcher, PublishError, RemediationConfig, RemediationTask, SecEvent,
     ShardedBus, SocConfig, SocEngine, SocMetrics, SocReport, SocTracing,
 };
+use vdo_specpat::{ObserverAutomaton, PatternKind, Scope, SpecPattern};
 use vdo_stigs::ubuntu;
-use vdo_temporal::{GlobalUniversality, MonitorOutcome, MonitoringLoop};
+use vdo_temporal::{MonitorOutcome, MonitoringLoop};
 use vdo_trace::Journal;
 
 /// One host's drift events as `(tick, detail)`, in tick order.
@@ -168,10 +169,12 @@ proptest! {
             .iter()
             .position(|&ok| !ok)
             .map(|i| i as u64);
-        let pattern = GlobalUniversality::new(|ok: &bool| CheckStatus::from(*ok));
+        let pattern = SpecPattern::new(Scope::Globally, PatternKind::universality("ok"));
+        let observer = ObserverAutomaton::for_pattern(&pattern).expect("observer");
+        let ok = |ok: &bool| CheckStatus::from(*ok);
         let poll = MonitoringLoop::new(period)
             .expect("nonzero period")
-            .run(&pattern, &report.fleet_compliance_trace);
+            .run(observer.monitor(&[("ok", &ok)]).expect("bound"), &report.fleet_compliance_trace);
         match (first_violation, poll.outcome) {
             (Some(tick), MonitorOutcome::ViolationDetected(at)) => {
                 let latency = poll.detection_latency(tick).expect("detected after violation");

@@ -1,5 +1,5 @@
 //! Observer automata: violation detectors compiled from specification
-//! patterns.
+//! patterns, and the catalogue's incremental monitors.
 //!
 //! PROPAS's catalogue ships each pattern with an *observer timed
 //! automaton* template; composed with the system model in UPPAAL, the
@@ -11,12 +11,25 @@
 //! Within one observation, enabled edges fire as a chain (the analogue of
 //! UPPAAL's committed locations), so e.g. a trigger and a zero-bound
 //! deadline are processed in the same tick. The clock advances once per
-//! observation and resets on edges that request it.
+//! observation and resets on edges that request it. BAD and ACCEPTING
+//! locations are absorbing: once one is entered the verdict is decided.
+//!
+//! One step function advances the observer by one observation.
+//! [`ObserverAutomaton::run`] loops it over a trace of true-atom sets,
+//! and [`ObserverAutomaton::monitor`] binds the guards' atoms to
+//! [`Checkable`] propositions over any state type, giving the entry's
+//! incremental [`PatternMonitor`]. A proposition may answer
+//! [`CheckStatus::Incomplete`]; guards are then evaluated in three-valued
+//! logic, and an edge whose guard is Incomplete may or may not fire, so
+//! the monitor follows both. A verdict is decided only when every
+//! location the observer may be in agrees on it: an Incomplete guard
+//! caps a Pass unless each way it could resolve also passes.
 
 use std::collections::BTreeSet;
 use std::fmt;
 
-use vdo_core::CheckStatus;
+use vdo_core::{CheckStatus, Checkable};
+use vdo_temporal::PatternMonitor;
 
 use crate::pattern::{PatternKind, Scope, SpecPattern};
 
@@ -60,15 +73,39 @@ impl BoolExpr {
         BoolExpr::Or(Box::new(a), Box::new(b))
     }
 
-    /// Evaluates the guard against an observation (set of true atoms).
+    /// Evaluates the guard in three-valued (Kleene) logic, `value`
+    /// giving each atom's verdict in the current observation.
     #[must_use]
-    pub fn eval(&self, atoms: &BTreeSet<String>) -> bool {
+    pub fn eval(&self, value: &impl Fn(&str) -> CheckStatus) -> CheckStatus {
         match self {
-            BoolExpr::True => true,
-            BoolExpr::Atom(a) => atoms.contains(a),
-            BoolExpr::Not(e) => !e.eval(atoms),
-            BoolExpr::And(a, b) => a.eval(atoms) && b.eval(atoms),
-            BoolExpr::Or(a, b) => a.eval(atoms) || b.eval(atoms),
+            BoolExpr::True => CheckStatus::Pass,
+            BoolExpr::Atom(a) => value(a),
+            BoolExpr::Not(e) => e.eval(value).negate(),
+            // Kleene connectives, short-circuiting on a deciding operand.
+            BoolExpr::And(a, b) => match a.eval(value) {
+                CheckStatus::Fail => CheckStatus::Fail,
+                v => v.and(b.eval(value)),
+            },
+            BoolExpr::Or(a, b) => match a.eval(value) {
+                CheckStatus::Pass => CheckStatus::Pass,
+                v => v.or(b.eval(value)),
+            },
+        }
+    }
+
+    fn collect_atoms(&self, out: &mut Vec<String>) {
+        match self {
+            BoolExpr::True => {}
+            BoolExpr::Atom(a) => {
+                if !out.contains(a) {
+                    out.push(a.clone());
+                }
+            }
+            BoolExpr::Not(e) => e.collect_atoms(out),
+            BoolExpr::And(a, b) | BoolExpr::Or(a, b) => {
+                a.collect_atoms(out);
+                b.collect_atoms(out);
+            }
         }
     }
 }
@@ -104,6 +141,22 @@ pub enum LocationKind {
     Bad,
 }
 
+impl LocationKind {
+    /// `(prefix, complete)` verdicts of a run that ends here.
+    fn verdicts(self) -> (CheckStatus, CheckStatus) {
+        match self {
+            LocationKind::Safe => (CheckStatus::Incomplete, CheckStatus::Pass),
+            LocationKind::Pending => (CheckStatus::Incomplete, CheckStatus::Fail),
+            LocationKind::Accepting => (CheckStatus::Pass, CheckStatus::Pass),
+            LocationKind::Bad => (CheckStatus::Fail, CheckStatus::Fail),
+        }
+    }
+
+    fn is_absorbing(self) -> bool {
+        matches!(self, LocationKind::Accepting | LocationKind::Bad)
+    }
+}
+
 /// One guarded edge.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Edge {
@@ -125,13 +178,31 @@ pub struct ObserverOutcome {
     pub violation_at: Option<usize>,
 }
 
+/// A location the observer may be in, with its clock.
+type Config = (usize, u64);
+
 /// A deterministic discrete-time observer automaton.
 pub struct ObserverAutomaton {
     name: String,
     locations: Vec<(String, LocationKind)>,
     edges: Vec<Edge>,
     initial: usize,
+    /// The atoms the guards read, in first-occurrence order.
+    atoms: Vec<String>,
 }
+
+/// Error from [`ObserverAutomaton::monitor`]: a guard reads an atom the
+/// binding does not name.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnboundAtom(pub String);
+
+impl fmt::Display for UnboundAtom {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "the binding has no proposition for atom '{}'", self.0)
+    }
+}
+
+impl std::error::Error for UnboundAtom {}
 
 impl ObserverAutomaton {
     /// Starts building an observer with the given name.
@@ -166,8 +237,9 @@ impl ObserverAutomaton {
     ///
     /// Supported: every `Globally`-scoped kind, `After`-scoped
     /// universality/absence, and `AfterUntil`-scoped universality/absence
-    /// — the templates the PSP-UPPAAL catalogue ships. Returns `None`
-    /// for the rest (checked via their LTL formula instead).
+    /// — the templates the PSP-UPPAAL catalogue ships, plus the two
+    /// rqcode kinds. Returns `None` for the rest (checked via their LTL
+    /// formula instead).
     #[must_use]
     pub fn for_pattern(pattern: &SpecPattern) -> Option<ObserverAutomaton> {
         use PatternKind::*;
@@ -208,6 +280,18 @@ impl ObserverAutomaton {
                     .initial("OK")
                     .build(),
             ),
+            (Scope::Globally, ResponseUntil(p, q, r)) => {
+                let discharged = || BoolExpr::or(atom(q), atom(r));
+                Some(
+                    Self::builder("obs_response_until")
+                        .location("OK", LocationKind::Safe)
+                        .location("WAIT", LocationKind::Pending)
+                        .edge("OK", "WAIT", and(atom(p), not(discharged())))
+                        .edge("WAIT", "OK", discharged())
+                        .initial("OK")
+                        .build(),
+                )
+            }
             (Scope::Globally, BoundedResponse(p, s, t)) => Some(
                 Self::builder("obs_bounded_response")
                     .location("OK", LocationKind::Safe)
@@ -217,6 +301,16 @@ impl ObserverAutomaton {
                     .edge("WAIT", "OK", atom(s))
                     .edge_clocked("WAIT", "BAD", not(atom(s)), ClockGuard::AtLeast(*t))
                     .initial("OK")
+                    .build(),
+            ),
+            (Scope::Globally, TimedUniversality(p, t)) => Some(
+                Self::builder("obs_timed_universality")
+                    .location("WAIT", LocationKind::Safe)
+                    .location("DONE", LocationKind::Accepting)
+                    .location("BAD", LocationKind::Bad)
+                    .edge("WAIT", "BAD", not(atom(p)))
+                    .edge_clocked("WAIT", "DONE", BoolExpr::True, ClockGuard::AtLeast(*t))
+                    .initial("WAIT")
                     .build(),
             ),
             (Scope::Globally, Precedence(p, s)) => Some(
@@ -315,55 +409,190 @@ impl ObserverAutomaton {
         out
     }
 
-    /// Runs the observer over a trace of observations.
-    #[must_use]
-    pub fn run(&self, trace: &[BTreeSet<String>]) -> ObserverOutcome {
-        let mut loc = self.initial;
-        let mut clock: u64 = 0;
-        let mut violation_at = None;
-        'obs: for (i, atoms) in trace.iter().enumerate() {
-            // Chain edges within one observation (committed-location
-            // analogue); bounded by the location count to stay safe.
-            for _ in 0..=self.locations.len() {
-                let fired = self.edges.iter().find(|e| {
-                    e.from == loc
-                        && e.guard.eval(atoms)
-                        && e.clock_guard.is_none_or(|g| g.eval(clock))
-                });
-                match fired {
-                    Some(e) => {
-                        loc = e.to;
-                        if e.reset_clock {
-                            clock = 0;
-                        }
-                        if self.locations[loc].1 == LocationKind::Bad {
-                            violation_at = Some(i);
-                            break 'obs;
-                        }
-                    }
-                    None => break,
+    /// Advances every location in `configs` by one observation, `value`
+    /// giving each atom's verdict. The one step function behind both
+    /// [`run`](Self::run) and [`monitor`](Self::monitor).
+    fn step(
+        &self,
+        configs: &mut Vec<Config>,
+        next: &mut Vec<Config>,
+        value: &impl Fn(&str) -> CheckStatus,
+    ) {
+        next.clear();
+        for &config in configs.iter() {
+            self.chain(config, 0, value, next);
+        }
+        next.sort_unstable();
+        next.dedup();
+        std::mem::swap(configs, next);
+    }
+
+    /// Fires edges from `(loc, clock)` as a chain within one observation
+    /// (bounded by the location count), pushing every location the
+    /// observer may end it in. An Incomplete guard both fires and does
+    /// not.
+    fn chain(
+        &self,
+        (loc, clock): Config,
+        fired: usize,
+        value: &impl Fn(&str) -> CheckStatus,
+        out: &mut Vec<Config>,
+    ) {
+        if self.locations[loc].1.is_absorbing() {
+            out.push((loc, 0));
+            return;
+        }
+        if fired <= self.locations.len() {
+            // A plain loop: an iterator `filter` over the edges here cost
+            // E6 about a third of its throughput.
+            for e in &self.edges {
+                if e.from != loc {
+                    continue;
+                }
+                if !e.clock_guard.is_none_or(|g| g.eval(clock)) {
+                    continue;
+                }
+                let guard = e.guard.eval(value);
+                if guard.is_fail() {
+                    continue;
+                }
+                let clock = if e.reset_clock { 0 } else { clock };
+                self.chain((e.to, clock), fired + 1, value, out);
+                if guard.is_pass() {
+                    return;
                 }
             }
-            if self.locations[loc].1 == LocationKind::Accepting {
-                break;
-            }
-            clock += 1;
         }
-        let kind = self.locations[loc].1;
-        let prefix = match kind {
-            LocationKind::Bad => CheckStatus::Fail,
-            LocationKind::Accepting => CheckStatus::Pass,
-            LocationKind::Safe | LocationKind::Pending => CheckStatus::Incomplete,
-        };
-        let complete = match kind {
-            LocationKind::Bad | LocationKind::Pending => CheckStatus::Fail,
-            LocationKind::Safe | LocationKind::Accepting => CheckStatus::Pass,
-        };
+        out.push((loc, clock.saturating_add(1)));
+    }
+
+    /// `(prefix, complete)` verdicts over every location the observer
+    /// may be in: a verdict they all agree on, else Incomplete.
+    fn verdicts(&self, configs: &[Config]) -> (CheckStatus, CheckStatus) {
+        let agree =
+            |a: CheckStatus, b: CheckStatus| if a == b { a } else { CheckStatus::Incomplete };
+        configs
+            .iter()
+            .map(|&(loc, _)| self.locations[loc].1.verdicts())
+            .reduce(|(p, c), (q, d)| (agree(p, q), agree(c, d)))
+            .expect("an observer is always somewhere")
+    }
+
+    /// Runs the observer over a trace of observations (the atoms true at
+    /// each tick), stopping at the first decided prefix verdict.
+    #[must_use]
+    pub fn run(&self, trace: &[BTreeSet<String>]) -> ObserverOutcome {
+        let mut configs = vec![(self.initial, 0)];
+        let mut next = Vec::with_capacity(1);
+        let mut violation_at = None;
+        for (i, atoms) in trace.iter().enumerate() {
+            self.step(&mut configs, &mut next, &|a| {
+                CheckStatus::from(atoms.contains(a))
+            });
+            match self.verdicts(&configs).0 {
+                CheckStatus::Fail => {
+                    violation_at = Some(i);
+                    break;
+                }
+                CheckStatus::Pass => break,
+                CheckStatus::Incomplete => {}
+            }
+        }
+        let (prefix, complete) = self.verdicts(&configs);
         ObserverOutcome {
             prefix,
             complete,
             violation_at,
         }
+    }
+
+    /// The incremental monitor of this observer over states `S`, each
+    /// guard atom read through the proposition `binding` names it with.
+    ///
+    /// ```
+    /// use vdo_core::CheckStatus;
+    /// use vdo_specpat::{ObserverAutomaton, PatternKind, Scope, SpecPattern};
+    /// use vdo_temporal::{MonitorOutcome, MonitoringLoop, PatternMonitor, Trace};
+    ///
+    /// let pattern = SpecPattern::new(Scope::Globally, PatternKind::universality("up"));
+    /// let observer = ObserverAutomaton::for_pattern(&pattern).unwrap();
+    /// let up = |s: &bool| CheckStatus::from(*s);
+    /// let mut monitor = observer.monitor(&[("up", &up)]).unwrap();
+    /// assert_eq!(monitor.observe(&true), CheckStatus::Incomplete);
+    /// assert_eq!(monitor.observe(&false), CheckStatus::Fail);
+    ///
+    /// // Ground truth: healthy until tick 6, then down; polled every 2 ticks.
+    /// let trace: Trace<bool> = (0..10).map(|t| t < 6).collect();
+    /// let monitor = observer.monitor(&[("up", &up)]).unwrap();
+    /// let report = MonitoringLoop::new(2).unwrap().run(monitor, &trace);
+    /// assert_eq!(report.outcome, MonitorOutcome::ViolationDetected(6));
+    /// assert_eq!(report.detection_latency(6), Some(0));
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Returns [`UnboundAtom`] if a guard reads an atom `binding` does
+    /// not name.
+    pub fn monitor<'a, S: ?Sized>(
+        &'a self,
+        binding: &[(&str, &'a dyn Checkable<S>)],
+    ) -> Result<ObserverMonitor<'a, S>, UnboundAtom> {
+        let props = self
+            .atoms
+            .iter()
+            .map(|a| {
+                binding
+                    .iter()
+                    .find(|(name, _)| name == a)
+                    .map(|&(_, prop)| prop)
+                    .ok_or_else(|| UnboundAtom(a.clone()))
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(ObserverMonitor {
+            observer: self,
+            props,
+            values: vec![CheckStatus::Incomplete; self.atoms.len()],
+            configs: vec![(self.initial, 0)],
+            next: Vec::with_capacity(1),
+        })
+    }
+}
+
+/// An [`ObserverAutomaton`]'s incremental monitor over states `S`: the
+/// catalogue's [`PatternMonitor`] for every entry with an observer.
+/// Build one with [`ObserverAutomaton::monitor`].
+pub struct ObserverMonitor<'a, S: ?Sized> {
+    observer: &'a ObserverAutomaton,
+    /// The proposition bound to each of the observer's atoms.
+    props: Vec<&'a dyn Checkable<S>>,
+    /// Each atom's verdict in the current observation.
+    values: Vec<CheckStatus>,
+    /// Every location the observer may be in.
+    configs: Vec<Config>,
+    next: Vec<Config>,
+}
+
+impl<S: ?Sized> PatternMonitor<S> for ObserverMonitor<'_, S> {
+    fn observe(&mut self, state: &S) -> CheckStatus {
+        if self.verdict().is_decided() {
+            return self.verdict();
+        }
+        for (v, prop) in self.values.iter_mut().zip(&self.props) {
+            *v = prop.check(state);
+        }
+        let (atoms, values) = (&self.observer.atoms, &self.values);
+        let value = |a: &str| values[atoms.iter().position(|x| x == a).expect("bound atom")];
+        self.observer
+            .step(&mut self.configs, &mut self.next, &value);
+        self.verdict()
+    }
+
+    fn verdict(&self) -> CheckStatus {
+        self.observer.verdicts(&self.configs).0
+    }
+
+    fn finish(&mut self) -> CheckStatus {
+        self.observer.verdicts(&self.configs).1
     }
 }
 
@@ -471,11 +700,16 @@ impl FinishedObserverBuilder {
                 reset_clock: *r,
             })
             .collect();
+        let mut atoms = Vec::new();
+        for (_, _, guard, _, _) in &self.inner.edges {
+            guard.collect_atoms(&mut atoms);
+        }
         ObserverAutomaton {
             name: self.inner.name,
             locations: self.inner.locations,
             edges,
             initial,
+            atoms,
         }
     }
 }
@@ -490,6 +724,7 @@ pub fn obs(atoms: &[&str]) -> BTreeSet<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vdo_temporal::{MonitorOutcome, MonitoringLoop, Semantics, Trace};
 
     fn trace(rows: &[&[&str]]) -> Vec<BTreeSet<String>> {
         rows.iter().map(|r| obs(r)).collect()
@@ -646,92 +881,171 @@ mod tests {
         assert!(r.is_err());
     }
 
-    mod against_ltl {
-        //! Observers for globally-scoped patterns agree with the LTL
-        //! evaluator on random traces.
-        use super::*;
-        use proptest::prelude::*;
-        use vdo_core::CheckStatus;
-        use vdo_temporal::{Interpretation, Semantics, Trace};
+    /// States for monitor tests: the verdicts of `p`, `s` (or `q`) and
+    /// `r`.
+    type St = [CheckStatus; 3];
+    const P: CheckStatus = CheckStatus::Pass;
+    const F: CheckStatus = CheckStatus::Fail;
+    const I: CheckStatus = CheckStatus::Incomplete;
 
-        type St = (bool, bool); // (p/req, s/ack)
+    fn with_monitor<R>(
+        scope: Scope,
+        kind: PatternKind,
+        f: impl FnOnce(ObserverMonitor<'_, St>) -> R,
+    ) -> R {
+        let observer = pat(scope, kind);
+        let (p, s, r) = (|x: &St| x[0], |x: &St| x[1], |x: &St| x[2]);
+        let binding: [(&str, &dyn Checkable<St>); 4] = [("p", &p), ("s", &s), ("q", &s), ("r", &r)];
+        f(observer.monitor(&binding).expect("bound"))
+    }
 
-        fn to_obs(states: &[St]) -> Vec<BTreeSet<String>> {
-            states
-                .iter()
-                .map(|&(p, s)| {
-                    let mut set = BTreeSet::new();
-                    if p {
-                        set.insert("p".to_string());
-                    }
-                    if s {
-                        set.insert("s".to_string());
-                    }
-                    set
-                })
-                .collect()
-        }
+    /// `(prefix, complete)` verdicts of a globally-scoped `kind`.
+    fn verdicts(kind: PatternKind, states: &[St]) -> (CheckStatus, CheckStatus) {
+        let trace = Trace::from_states(states.iter().copied());
+        let eval = |mode| with_monitor(Scope::Globally, kind.clone(), |m| m.evaluate(&trace, mode));
+        (eval(Semantics::Prefix), eval(Semantics::Complete))
+    }
 
-        fn ltl_eval(pattern: &SpecPattern, states: &[St], mode: Semantics) -> CheckStatus {
-            let i = Interpretation::new(|name: &str, st: &St| match name {
-                "p" => CheckStatus::from(st.0),
-                "s" => CheckStatus::from(st.1),
-                _ => CheckStatus::Incomplete,
-            });
-            i.evaluate(
-                &pattern.to_ltl(),
-                &Trace::from_states(states.iter().copied()),
-                0,
-                mode,
-            )
-        }
+    #[test]
+    fn monitor_latches_fail() {
+        with_monitor(Scope::Globally, PatternKind::universality("p"), |mut m| {
+            assert_eq!(m.observe(&[P, F, F]), I);
+            assert_eq!(m.observe(&[F, F, F]), CheckStatus::Fail);
+            assert_eq!(m.observe(&[P, F, F]), CheckStatus::Fail, "latched");
+            assert_eq!(m.finish(), CheckStatus::Fail);
+        });
+        // The empty trace: vacuous when complete, open as a prefix.
+        assert_eq!(verdicts(PatternKind::universality("p"), &[]), (I, P));
+    }
 
-        fn cross_check(kind: PatternKind, states: &[St]) -> Result<(), TestCaseError> {
-            let pattern = SpecPattern::new(Scope::Globally, kind);
-            let observer = ObserverAutomaton::for_pattern(&pattern).unwrap();
-            let outcome = observer.run(&to_obs(states));
-            prop_assert_eq!(
-                outcome.complete,
-                ltl_eval(&pattern, states, Semantics::Complete),
-                "complete mismatch for {} on {:?}",
-                pattern,
-                states
-            );
-            // Prefix comparison only when the observer decides; observers
-            // are conservative (they may say Incomplete where LTL decides
-            // Pass, e.g. F p once p is seen — but our accepting locations
-            // handle that; assert full agreement).
-            prop_assert_eq!(
-                outcome.prefix,
-                ltl_eval(&pattern, states, Semantics::Prefix),
-                "prefix mismatch for {} on {:?}",
-                pattern,
-                states
-            );
-            Ok(())
-        }
+    #[test]
+    fn incomplete_propositions_cap_pass() {
+        let maybe = [I, F, F];
+        assert_eq!(verdicts(PatternKind::universality("p"), &[maybe]), (I, I));
+        assert_eq!(verdicts(PatternKind::existence("p"), &[maybe]), (I, I));
+        // Each resolution of the unknown still leads to the later `p`.
+        assert_eq!(
+            verdicts(PatternKind::existence("p"), &[maybe, [P, F, F]]),
+            (P, P)
+        );
+        // A definite violation is decided whatever the unknowns resolve to.
+        assert_eq!(
+            verdicts(PatternKind::universality("p"), &[maybe, [F, F, F]]),
+            (F, F)
+        );
+        // An unknown response leaves a definite trigger's obligation open.
+        let response = PatternKind::bounded_response("p", "s", 1);
+        assert_eq!(verdicts(response.clone(), &[[P, F, F], [F, I, F]]), (I, I));
+        assert_eq!(verdicts(response, &[[P, F, F], [F, F, F]]), (F, F));
+    }
 
-        proptest! {
-            #[test]
-            fn universality(states in prop::collection::vec((prop::bool::ANY, prop::bool::ANY), 0..20)) {
-                cross_check(PatternKind::universality("p"), &states)?;
-            }
-            #[test]
-            fn absence(states in prop::collection::vec((prop::bool::ANY, prop::bool::ANY), 0..20)) {
-                cross_check(PatternKind::absence("p"), &states)?;
-            }
-            #[test]
-            fn existence(states in prop::collection::vec((prop::bool::ANY, prop::bool::ANY), 0..20)) {
-                cross_check(PatternKind::existence("p"), &states)?;
-            }
-            #[test]
-            fn response(states in prop::collection::vec((prop::bool::ANY, prop::bool::ANY), 0..20)) {
-                cross_check(PatternKind::response("p", "s"), &states)?;
-            }
-            #[test]
-            fn bounded_response(states in prop::collection::vec((prop::bool::ANY, prop::bool::ANY), 0..20), bound in 0u64..5) {
-                cross_check(PatternKind::bounded_response("p", "s", bound), &states)?;
-            }
-        }
+    #[test]
+    fn unbound_atom_is_a_typed_error() {
+        let observer = pat(Scope::Globally, PatternKind::response("req", "ack"));
+        let req = |_: &u8| P;
+        let err = observer
+            .monitor(&[("req", &req as &dyn Checkable<u8>)])
+            .err()
+            .expect("ack is unbound");
+        assert_eq!(err, UnboundAtom("ack".to_string()));
+        assert!(err.to_string().contains("'ack'"));
+    }
+
+    #[test]
+    fn bounded_response_open_obligation_at_end() {
+        let pending = [[P, F, F], [F, F, F]];
+        assert_eq!(
+            verdicts(PatternKind::bounded_response("p", "s", 10), &pending),
+            (I, F),
+            "the deadline is ahead, but a complete trace ends the obligation unmet"
+        );
+    }
+
+    #[test]
+    fn response_until_fulfilment_and_release() {
+        let kind = || PatternKind::response_until("p", "q", "r");
+        assert_eq!(
+            verdicts(kind(), &[[P, F, F], [F, P, F]]),
+            (I, P),
+            "fulfilled"
+        );
+        assert_eq!(
+            verdicts(kind(), &[[P, F, F], [F, F, P]]),
+            (I, P),
+            "released"
+        );
+        assert_eq!(verdicts(kind(), &[[P, F, F], [F, F, F]]), (I, F), "open");
+        assert_eq!(
+            verdicts(kind(), &[[P, P, F]]),
+            (I, P),
+            "same-tick fulfilment"
+        );
+    }
+
+    #[test]
+    fn timed_universality_passes_conclusively() {
+        with_monitor(
+            Scope::Globally,
+            PatternKind::timed_universality("p", 2),
+            |mut m| {
+                assert_eq!(m.observe(&[P, F, F]), I);
+                assert_eq!(m.observe(&[P, F, F]), I);
+                assert_eq!(m.observe(&[P, F, F]), P, "window [0, 2] held");
+                assert_eq!(m.observe(&[F, F, F]), P, "latched");
+            },
+        );
+        let kind = |t| PatternKind::timed_universality("p", t);
+        let late = [[P, F, F], [P, F, F], [F, F, F]];
+        assert_eq!(
+            verdicts(kind(1), &late),
+            (P, P),
+            "violation outside the window"
+        );
+        assert_eq!(verdicts(kind(1), &[[F, F, F]]), (F, F));
+        assert_eq!(
+            verdicts(kind(5), &[[P, F, F]; 2]),
+            (I, P),
+            "window clamps to a complete trace"
+        );
+        assert_eq!(
+            verdicts(kind(0), &[[P, F, F]]),
+            (P, P),
+            "zero bound reads tick 0 only"
+        );
+    }
+
+    #[test]
+    fn after_until_never_opened_is_vacuous() {
+        let o = pat(Scope::after_until("q", "r"), PatternKind::universality("p"));
+        assert_eq!(o.run(&trace(&[&[], &[], &[]])).complete, CheckStatus::Pass);
+    }
+
+    #[test]
+    fn monitoring_loop_runs_catalogue_monitors() {
+        let sampled = |kind: PatternKind, period: u64, states: &[St]| {
+            let trace = Trace::from_states(states.iter().copied());
+            with_monitor(Scope::Globally, kind, |m| {
+                MonitoringLoop::new(period).expect("nonzero").run(m, &trace)
+            })
+        };
+        let up = [[P, F, F]; 20];
+        let report = sampled(PatternKind::timed_universality("p", 4), 1, &up);
+        assert_eq!(report.outcome, MonitorOutcome::ConclusivePass(4));
+        assert_eq!(report.polls, 5);
+
+        let mut once = [[F, F, F]; 10];
+        once[6] = [P, F, F];
+        let report = sampled(PatternKind::existence("p"), 3, &once);
+        assert_eq!(report.outcome, MonitorOutcome::ConclusivePass(6));
+
+        // Under sampling the monitor's clock counts polls: a bound of 2
+        // polls at period 5 spans 10 ticks, and the response at tick 5 is
+        // the second poll.
+        let mut answered = [[F, F, F]; 6];
+        answered[0] = [P, F, F];
+        answered[5] = [F, P, F];
+        let report = sampled(PatternKind::bounded_response("p", "s", 2), 5, &answered);
+        assert_eq!(report.outcome, MonitorOutcome::EndOfTrace);
+        assert_eq!(report.final_verdict, I);
     }
 }

@@ -89,6 +89,12 @@ pub enum PatternKind {
     /// (globally-scoped only; the real-time pattern of D2.7's
     /// `GlobalResponseTimed`).
     BoundedResponse(String, String, u64),
+    /// Every `p` is followed by a `q`, unless an `r` releases it first
+    /// (D2.7's `GlobalResponseUntil`): response to `q ∨ r`.
+    ResponseUntil(String, String, String),
+    /// `p` holds at every tick up to and including `t` (globally-scoped
+    /// only; D2.7's `GlobalUniversalityTimed`).
+    TimedUniversality(String, u64),
 }
 
 impl PatternKind {
@@ -123,6 +129,22 @@ impl PatternKind {
         PatternKind::BoundedResponse(p.into(), s.into(), t)
     }
 
+    /// `response_until(p, q, r)` constructor: `p` is answered by `q` or
+    /// released by `r`.
+    #[must_use]
+    pub fn response_until(
+        p: impl Into<String>,
+        q: impl Into<String>,
+        r: impl Into<String>,
+    ) -> PatternKind {
+        PatternKind::ResponseUntil(p.into(), q.into(), r.into())
+    }
+    /// `timed_universality(p, t)` constructor.
+    #[must_use]
+    pub fn timed_universality(p: impl Into<String>, t: u64) -> PatternKind {
+        PatternKind::TimedUniversality(p.into(), t)
+    }
+
     /// Catalogue name of the pattern family.
     #[must_use]
     pub fn name(&self) -> &'static str {
@@ -133,6 +155,8 @@ impl PatternKind {
             PatternKind::Response(..) => "Response",
             PatternKind::Precedence(..) => "Precedence",
             PatternKind::BoundedResponse(..) => "Bounded Response",
+            PatternKind::ResponseUntil(..) => "Response Until",
+            PatternKind::TimedUniversality(..) => "Timed Universality",
         }
     }
 }
@@ -194,6 +218,40 @@ fn w(a: Formula, b: Formula) -> Formula {
     or(u(a.clone(), b), g(a))
 }
 
+/// `p` holds throughout the scope.
+fn universality(scope: &Scope, p: Formula) -> Formula {
+    match scope {
+        Scope::Globally => g(p),
+        Scope::Before(r) => implies(f_(atom(r)), u(p, atom(r))),
+        Scope::After(q) => g(implies(atom(q), g(p))),
+        Scope::Between(q, r) => g(implies(
+            and(and(atom(q), not(atom(r))), f_(atom(r))),
+            u(p, atom(r)),
+        )),
+        Scope::AfterUntil(q, r) => g(implies(and(atom(q), not(atom(r))), w(p, atom(r)))),
+    }
+}
+
+/// Every `p` is followed by an `s` within the scope.
+fn response(scope: &Scope, p: Formula, s: Formula) -> Formula {
+    // Inside an interval closed by `r`, `s` must come before `r`.
+    let answered_before =
+        |r: &str| implies(p.clone(), u(not(atom(r)), and(s.clone(), not(atom(r)))));
+    match scope {
+        Scope::Globally => g(implies(p.clone(), f_(s.clone()))),
+        Scope::Before(r) => implies(f_(atom(r)), u(answered_before(r), atom(r))),
+        Scope::After(q) => g(implies(atom(q), g(implies(p.clone(), f_(s.clone()))))),
+        Scope::Between(q, r) => g(implies(
+            and(and(atom(q), not(atom(r))), f_(atom(r))),
+            u(answered_before(r), atom(r)),
+        )),
+        Scope::AfterUntil(q, r) => g(implies(
+            and(atom(q), not(atom(r))),
+            w(answered_before(r), atom(r)),
+        )),
+    }
+}
+
 impl SpecPattern {
     /// Instantiates a pattern in a scope.
     #[must_use]
@@ -215,51 +273,29 @@ impl SpecPattern {
 
     /// Generates the LTL formula per the canonical catalogue.
     ///
-    /// # Panics
-    ///
-    /// Never panics; every scope × kind combination has an LTL mapping
-    /// (bounded response uses the bounded-eventually operator and is
-    /// mapped in the `Globally` scope only — other scopes fall back to
-    /// its untimed response shape, which is the catalogue's documented
-    /// approximation).
+    /// Every scope × kind combination has an LTL mapping. The two timed
+    /// kinds use the bounded operators in the `Globally` scope only;
+    /// other scopes fall back to their untimed shape (response,
+    /// universality), which is the catalogue's documented approximation.
     #[must_use]
     pub fn to_ltl(&self) -> Formula {
         use PatternKind::*;
         use Scope::*;
-        let kind = match &self.kind {
-            // Absence(p) in scope == Universality(¬p) in scope.
-            Absence(p) => Universality(format!("__not__{p}")),
-            k => k.clone(),
-        };
-        // Handle absence by negating the atom inline instead of the
-        // marker hack above — regenerate the proposition:
-        let (p_formula, kind) = match (&self.kind, kind) {
-            (Absence(p), _) => (not(atom(p)), PatternKind::Universality(p.clone())),
-            (_, k) => (
-                match &k {
-                    Universality(p) | Existence(p) => atom(p),
-                    Response(p, _) | Precedence(p, _) | BoundedResponse(p, _, _) => atom(p),
-                    Absence(_) => unreachable!("absence normalised above"),
-                },
-                k,
-            ),
-        };
-
-        match (&self.scope, &kind) {
-            // ---- Universality (and Absence, with p negated) ----
-            (Globally, Universality(_)) => g(p_formula),
-            (Before(r), Universality(_)) => implies(f_(atom(r)), u(p_formula, atom(r))),
-            (After(q), Universality(_)) => g(implies(atom(q), g(p_formula))),
-            (Between(q, r), Universality(_)) => g(implies(
-                and(and(atom(q), not(atom(r))), f_(atom(r))),
-                u(p_formula, atom(r)),
-            )),
-            (AfterUntil(q, r), Universality(_)) => {
-                g(implies(and(atom(q), not(atom(r))), w(p_formula, atom(r))))
+        match (&self.scope, &self.kind) {
+            (Globally, BoundedResponse(p, s, t)) => {
+                g(implies(atom(p), Formula::finally_within(*t, atom(s))))
             }
+            (Globally, TimedUniversality(p, t)) => Formula::globally_within(*t, atom(p)),
+            // Absence(p) in scope == Universality(¬p) in scope.
+            (_, Absence(p)) => universality(&self.scope, not(atom(p))),
+            (_, Universality(p) | TimedUniversality(p, _)) => universality(&self.scope, atom(p)),
+            (_, Response(p, s) | BoundedResponse(p, s, _)) => {
+                response(&self.scope, atom(p), atom(s))
+            }
+            (_, ResponseUntil(p, q, r)) => response(&self.scope, atom(p), or(atom(q), atom(r))),
 
             // ---- Existence ----
-            (Globally, Existence(_)) => f_(p_formula),
+            (Globally, Existence(p)) => f_(atom(p)),
             (Before(r), Existence(p)) => w(not(atom(r)), and(atom(p), not(atom(r)))),
             (After(q), Existence(p)) => or(g(not(atom(q))), f_(and(atom(q), f_(atom(p))))),
             (Between(q, r), Existence(p)) => g(implies(
@@ -269,31 +305,6 @@ impl SpecPattern {
             (AfterUntil(q, r), Existence(p)) => g(implies(
                 and(atom(q), not(atom(r))),
                 u(not(atom(r)), and(atom(p), not(atom(r)))),
-            )),
-
-            // ---- Response ----
-            (Globally, Response(p, s)) => g(implies(atom(p), f_(atom(s)))),
-            (Before(r), Response(p, s)) => implies(
-                f_(atom(r)),
-                u(
-                    implies(atom(p), u(not(atom(r)), and(atom(s), not(atom(r))))),
-                    atom(r),
-                ),
-            ),
-            (After(q), Response(p, s)) => g(implies(atom(q), g(implies(atom(p), f_(atom(s)))))),
-            (Between(q, r), Response(p, s)) => g(implies(
-                and(and(atom(q), not(atom(r))), f_(atom(r))),
-                u(
-                    implies(atom(p), u(not(atom(r)), and(atom(s), not(atom(r))))),
-                    atom(r),
-                ),
-            )),
-            (AfterUntil(q, r), Response(p, s)) => g(implies(
-                and(atom(q), not(atom(r))),
-                w(
-                    implies(atom(p), u(not(atom(r)), and(atom(s), not(atom(r))))),
-                    atom(r),
-                ),
             )),
 
             // ---- Precedence (s precedes p) ----
@@ -312,17 +323,6 @@ impl SpecPattern {
                 and(atom(q), not(atom(r))),
                 w(not(atom(p)), or(atom(s), atom(r))),
             )),
-
-            // ---- Bounded response: timed mapping in the global scope,
-            //      untimed response shape elsewhere (documented) ----
-            (Globally, BoundedResponse(p, s, t)) => {
-                g(implies(atom(p), Formula::finally_within(*t, atom(s))))
-            }
-            (_, BoundedResponse(p, s, _)) => {
-                SpecPattern::new(self.scope.clone(), PatternKind::response(p, s)).to_ltl()
-            }
-
-            (_, Absence(_)) => unreachable!("absence normalised to universality"),
         }
     }
 
@@ -344,11 +344,13 @@ impl SpecPattern {
             pattern: self.kind.name(),
             target,
         };
+        let responds = |p: &str, s: C| C::ag(C::implies(C::atom(p), C::af(s)));
         match (&self.scope, &self.kind) {
             (Globally, Universality(p)) => Ok(C::ag(C::atom(p))),
             (Globally, Absence(p)) => Ok(C::ag(C::not(C::atom(p)))),
             (Globally, Existence(p)) => Ok(C::af(C::atom(p))),
-            (Globally, Response(p, s)) => Ok(C::ag(C::implies(C::atom(p), C::af(C::atom(s))))),
+            (Globally, Response(p, s)) => Ok(responds(p, C::atom(s))),
+            (Globally, ResponseUntil(p, q, r)) => Ok(responds(p, C::or(C::atom(q), C::atom(r)))),
             (Globally, Precedence(p, s)) => {
                 // ¬p W s in CTL: ¬E[¬s U (p ∧ ¬s)]
                 Ok(C::not(C::eu(
@@ -358,10 +360,9 @@ impl SpecPattern {
             }
             (After(q), Universality(p)) => Ok(C::ag(C::implies(C::atom(q), C::ag(C::atom(p))))),
             (After(q), Absence(p)) => Ok(C::ag(C::implies(C::atom(q), C::ag(C::not(C::atom(p)))))),
-            (After(q), Response(p, s)) => Ok(C::ag(C::implies(
-                C::atom(q),
-                C::ag(C::implies(C::atom(p), C::af(C::atom(s)))),
-            ))),
+            (After(q), Response(p, s)) => {
+                Ok(C::ag(C::implies(C::atom(q), responds(p, C::atom(s)))))
+            }
             _ => Err(err("CTL")),
         }
     }
@@ -392,6 +393,8 @@ impl SpecPattern {
             Existence(p) => format!("A<> {p}"),
             Response(p, s) => format!("{p} --> {s}"),
             BoundedResponse(p, s, t) => format!("{p} --> (x <= {t} && {s})"),
+            ResponseUntil(p, q, r) => format!("{p} --> ({q} || {r})"),
+            TimedUniversality(p, t) => format!("A[] (x <= {t} imply {p})"),
             Precedence(..) => return Err(err()),
         })
     }
@@ -408,6 +411,12 @@ impl SpecPattern {
             Precedence(p, s) => format!("{p} occurs only after {s}"),
             BoundedResponse(p, s, t) => {
                 format!("if {p} holds then {s} holds within {t} time units")
+            }
+            ResponseUntil(p, q, r) => {
+                format!("if {p} holds then, unless {r} holds, {q} eventually holds")
+            }
+            TimedUniversality(p, t) => {
+                format!("{p} holds at every instant within the first {t} time units")
             }
         };
         format!("{}, {body}", self.scope)
@@ -448,6 +457,43 @@ pub fn full_matrix() -> Vec<SpecPattern> {
     out
 }
 
+/// The nine classes of D2.7's `rqcode.patterns.temporal` package, each
+/// named with the catalogue entry that formalises it, over atoms `p`,
+/// `s`, `q`, `r` and deadline `t`.
+#[must_use]
+pub fn rqcode_temporal(t: u64) -> Vec<(&'static str, SpecPattern)> {
+    let globally = |kind| SpecPattern::new(Scope::Globally, kind);
+    vec![
+        (
+            "GlobalUniversality",
+            globally(PatternKind::universality("p")),
+        ),
+        ("Eventually", globally(PatternKind::existence("p"))),
+        ("GlobalAbsence", globally(PatternKind::absence("p"))),
+        ("GlobalResponse", globally(PatternKind::response("p", "s"))),
+        (
+            "GlobalPrecedence",
+            globally(PatternKind::precedence("p", "s")),
+        ),
+        (
+            "GlobalResponseTimed",
+            globally(PatternKind::bounded_response("p", "s", t)),
+        ),
+        (
+            "GlobalResponseUntil",
+            globally(PatternKind::response_until("p", "q", "r")),
+        ),
+        (
+            "GlobalUniversalityTimed",
+            globally(PatternKind::timed_universality("p", t)),
+        ),
+        (
+            "AfterUntilUniversality",
+            SpecPattern::new(Scope::after_until("q", "r"), PatternKind::universality("p")),
+        ),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -486,6 +532,13 @@ mod tests {
                 .to_string(),
             "G (p -> F<=4 s)"
         );
+        let until = SpecPattern::new(Scope::Globally, PatternKind::response_until("p", "q", "r"));
+        assert_eq!(until.to_ltl().to_string(), "G (p -> F (q || r))");
+        assert_eq!(until.to_uppaal().unwrap(), "p --> (q || r)");
+        let timed = SpecPattern::new(Scope::Globally, PatternKind::timed_universality("p", 7));
+        assert_eq!(timed.to_ltl().to_string(), "G<=7 p");
+        assert_eq!(timed.to_uppaal().unwrap(), "A[] (x <= 7 imply p)");
+        assert!(timed.describe().contains('7'));
     }
 
     #[test]
@@ -494,6 +547,18 @@ mod tests {
         assert_eq!(after_univ.to_ltl().to_string(), "G (q -> G p)");
         let before_univ = SpecPattern::new(Scope::before("r"), PatternKind::universality("p"));
         assert_eq!(before_univ.to_ltl().to_string(), "F r -> (p U r)");
+        // The timed rqcode kinds keep their untimed shape outside Globally.
+        let after_timed =
+            SpecPattern::new(Scope::after("q"), PatternKind::timed_universality("p", 3));
+        assert_eq!(after_timed.to_ltl(), after_univ.to_ltl());
+        let before_until = SpecPattern::new(
+            Scope::before("r"),
+            PatternKind::response_until("p", "s", "u"),
+        );
+        assert_eq!(
+            before_until.to_ltl().to_string(),
+            "F r -> ((p -> (!r U ((s || u) && !r))) U r)"
+        );
     }
 
     #[test]

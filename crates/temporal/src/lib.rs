@@ -1,11 +1,12 @@
-//! # vdo-temporal — temporal requirement patterns and runtime monitoring
+//! # vdo-temporal — temporal logic and runtime monitoring
 //!
-//! Rust reproduction of the `rqcode.patterns.temporal` package from the
-//! VeriDevOps patterns catalogue (D2.7): the classic specification-pattern
-//! shapes (universality, existence/response, timed variants, after/until
-//! scoping) as *executable* requirement classes, plus the
-//! [`MonitoringLoop`] that the project uses for "reactive protection at
-//! operations".
+//! The linear-time half of the VeriDevOps patterns catalogue (D2.7):
+//! finite traces, a three-valued finite-trace LTL, the incremental
+//! [`PatternMonitor`] interface, and the [`MonitoringLoop`] that the
+//! project uses for "reactive protection at operations". The catalogue
+//! itself — each pattern's LTL, CTL and UPPAAL renderings, its observer
+//! automaton and the monitor compiled from that observer — lives in
+//! `vdo-specpat`.
 //!
 //! Three layers:
 //!
@@ -13,44 +14,33 @@
 //!    system states. Propositions over states are just
 //!    [`vdo_core::Checkable`] values, so the same closures/requirements
 //!    used for host checking work as atomic propositions here.
-//! 2. **Patterns** ([`patterns`]) — the temporal classes
-//!    ([`GlobalUniversality`], [`Eventually`], [`GlobalResponseTimed`],
-//!    [`GlobalResponseUntil`], [`GlobalUniversalityTimed`],
-//!    [`AfterUntilUniversality`]) with finite-trace evaluation under two
+//! 2. **LTL** ([`ltl`]) — a formula AST and its evaluator under two
 //!    semantics ([`Semantics::Complete`] and the runtime-verification
-//!    prefix semantics [`Semantics::Prefix`]), TCTL rendering, and
-//!    incremental [`PatternMonitor`]s. A general [`ltl`] AST +
-//!    evaluator backs property tests (each pattern's verdict is
-//!    cross-checked against its LTL expansion).
-//! 3. **Monitoring** ([`monitor`]) — [`MonitoringLoop`] samples an
-//!    evolving environment at a fixed polling period on a simulated
-//!    clock, feeds observations to a pattern monitor, and reports
-//!    detection latency. Experiment E4/A2 sweeps the polling period.
+//!    prefix semantics [`Semantics::Prefix`]): the reference every
+//!    catalogue monitor is property-tested against.
+//! 3. **Monitoring** ([`monitor`]) — [`PatternMonitor`], fed one state
+//!    per tick, and [`MonitoringLoop`], which samples an evolving
+//!    environment at a fixed polling period on a simulated clock, feeds
+//!    the samples to a monitor, and reports detection latency.
+//!    Experiment E4/A2 sweeps the polling period.
 //!
 //! ```
 //! use vdo_core::CheckStatus;
-//! use vdo_temporal::{GlobalUniversality, Semantics, TemporalPattern, Trace};
+//! use vdo_temporal::{Formula, Interpretation, Semantics, Trace};
 //!
 //! // States are u32 "queue depths"; the invariant: depth < 10.
-//! let ok = |s: &u32| CheckStatus::from(*s < 10);
-//! let pattern = GlobalUniversality::new(ok);
+//! let invariant = Formula::globally(Formula::atom("shallow"));
+//! let label = Interpretation::new(|_: &str, depth: &u32| CheckStatus::from(*depth < 10));
 //! let healthy: Trace<u32> = Trace::from_states([1, 3, 2, 5]);
 //! let broken: Trace<u32> = Trace::from_states([1, 3, 12, 5]);
-//! assert_eq!(pattern.evaluate(&healthy, Semantics::Complete), CheckStatus::Pass);
-//! assert_eq!(pattern.evaluate(&broken, Semantics::Prefix), CheckStatus::Fail);
-//! assert_eq!(pattern.tctl(), "A[] p");
+//! assert_eq!(label.evaluate(&invariant, &healthy, 0, Semantics::Complete), CheckStatus::Pass);
+//! assert_eq!(label.evaluate(&invariant, &broken, 0, Semantics::Prefix), CheckStatus::Fail);
 //! ```
 
 pub mod ltl;
 pub mod monitor;
-pub mod patterns;
 pub mod trace;
 
-pub use ltl::{Formula, Interpretation};
-pub use monitor::{MonitorOutcome, MonitorReport, MonitoringLoop, ZeroPeriodError};
-pub use patterns::{
-    AfterUntilUniversality, Eventually, GlobalAbsence, GlobalPrecedence, GlobalResponse,
-    GlobalResponseTimed, GlobalResponseUntil, GlobalUniversality, GlobalUniversalityTimed,
-    PatternMonitor, Semantics, TemporalPattern,
-};
+pub use ltl::{Formula, Interpretation, Semantics};
+pub use monitor::{MonitorOutcome, MonitorReport, MonitoringLoop, PatternMonitor, ZeroPeriodError};
 pub use trace::{Tick, Trace};

@@ -1,10 +1,9 @@
 //! A small LTL (with discrete-time bounds) abstract syntax tree and
 //! finite-trace evaluator.
 //!
-//! The pattern classes in [`crate::patterns`] each have a hand-rolled,
-//! efficient evaluator; this module provides the *reference semantics*
-//! they are property-tested against, plus the formula values that
-//! `vdo-specpat` emits when it formalises a specification pattern.
+//! `vdo-specpat` renders every catalogue entry to a [`Formula`], and its
+//! observer monitors are property-tested against this module's
+//! *reference semantics*.
 //!
 //! Evaluation is three-valued ([`CheckStatus`]) under two finite-trace
 //! interpretations:
@@ -21,8 +20,19 @@ use std::fmt;
 
 use vdo_core::CheckStatus;
 
-use crate::patterns::Semantics;
 use crate::trace::{Tick, Trace};
+
+/// How a finite trace is interpreted during evaluation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Semantics {
+    /// The trace is the complete behaviour: `G p` passes if `p` held at
+    /// every observed tick; `F p` fails if `p` never held.
+    Complete,
+    /// The trace is a prefix of an unknown infinite behaviour: verdicts
+    /// are `Pass`/`Fail` only when every continuation agrees
+    /// (impartial runtime-verification semantics).
+    Prefix,
+}
 
 /// An LTL formula over named atomic propositions.
 ///

@@ -1,10 +1,13 @@
-//! The runtime monitoring loop — "reactive protection at operations".
+//! Incremental pattern monitors and the runtime monitoring loop —
+//! "reactive protection at operations".
 //!
 //! The Java prototype's `MonitoringLoop` periodically re-checks a temporal
 //! property (`sleepMilliseconds()` between polls). This module reproduces
 //! it on a **simulated clock**: the environment's ground-truth behaviour
 //! is a [`Trace`] with one state per tick, and the loop samples it every
-//! `period` ticks, feeding samples to a [`PatternMonitor`](crate::patterns::PatternMonitor).
+//! `period` ticks, feeding samples to a [`PatternMonitor`]. Every
+//! catalogue entry with an observer automaton gets its monitor from
+//! `vdo_specpat::ObserverAutomaton::monitor`.
 //!
 //! Two effects fall out exactly as in a real deployment and are measured
 //! by experiments E4/A2:
@@ -18,8 +21,42 @@ use std::fmt;
 
 use vdo_core::CheckStatus;
 
-use crate::patterns::TemporalPattern;
+use crate::ltl::Semantics;
 use crate::trace::{Tick, Trace};
+
+/// An incremental evaluator fed one state per tick.
+///
+/// Verdicts are *monotone*: once `Pass` or `Fail` is returned, every
+/// later call returns the same verdict (monitors latch).
+/// [`finish`](PatternMonitor::finish) closes the trace and returns the
+/// [`Semantics::Complete`] verdict.
+pub trait PatternMonitor<S: ?Sized> {
+    /// Feeds the state observed at the next tick; returns the current
+    /// prefix verdict.
+    fn observe(&mut self, state: &S) -> CheckStatus;
+
+    /// Current prefix verdict without feeding a state.
+    fn verdict(&self) -> CheckStatus;
+
+    /// Declares the trace complete and returns the final verdict under
+    /// [`Semantics::Complete`].
+    fn finish(&mut self) -> CheckStatus;
+
+    /// Feeds a whole trace and returns its verdict under `mode`.
+    fn evaluate(mut self, trace: &Trace<S>, mode: Semantics) -> CheckStatus
+    where
+        Self: Sized,
+        S: Sized,
+    {
+        for s in trace.states() {
+            self.observe(s);
+        }
+        match mode {
+            Semantics::Prefix => self.verdict(),
+            Semantics::Complete => self.finish(),
+        }
+    }
+}
 
 /// Error returned by [`MonitoringLoop::new`] when the polling period is
 /// zero: the loop would re-sample the same tick forever.
@@ -77,19 +114,8 @@ impl MonitorReport {
 }
 
 /// Periodically samples an environment trace and drives a pattern
-/// monitor.
-///
-/// ```
-/// use vdo_core::CheckStatus;
-/// use vdo_temporal::{GlobalUniversality, MonitorOutcome, MonitoringLoop, Trace};
-///
-/// // Ground truth: service healthy until tick 6, then down.
-/// let trace: Trace<bool> = (0..10).map(|t| t < 6).collect();
-/// let pattern = GlobalUniversality::new(|up: &bool| CheckStatus::from(*up));
-/// let report = MonitoringLoop::new(2).unwrap().run(&pattern, &trace);
-/// assert_eq!(report.outcome, MonitorOutcome::ViolationDetected(6));
-/// assert_eq!(report.detection_latency(6), Some(0));
-/// ```
+/// monitor (see `vdo_specpat::ObserverAutomaton::monitor` for a run over
+/// a catalogue entry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MonitoringLoop {
     period: Tick,
@@ -117,11 +143,9 @@ impl MonitoringLoop {
         self.period
     }
 
-    /// Runs the pattern monitor over the ground-truth `trace`, sampling at
-    /// ticks `0, period, 2·period, …`, stopping early on a decided
-    /// verdict.
-    pub fn run<S, P: TemporalPattern<S>>(&self, pattern: &P, trace: &Trace<S>) -> MonitorReport {
-        let mut monitor = pattern.begin();
+    /// Runs `monitor` over the ground-truth `trace`, sampling at ticks
+    /// `0, period, 2·period, …`, stopping early on a decided verdict.
+    pub fn run<S, M: PatternMonitor<S>>(&self, mut monitor: M, trace: &Trace<S>) -> MonitorReport {
         let mut polls = 0;
         let mut tick = 0;
         while let Some(state) = trace.state_at(tick) {
@@ -160,20 +184,46 @@ impl MonitoringLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::patterns::{
-        Eventually, GlobalResponseTimed, GlobalUniversality, GlobalUniversalityTimed,
-    };
 
-    fn up(threshold: u64) -> Trace<bool> {
-        (0..20).map(|t| t < threshold).collect()
+    /// A monitor over states that already are verdicts: it reports what
+    /// it observes, so each test scripts the verdict stream directly.
+    struct Echo(CheckStatus);
+
+    impl PatternMonitor<CheckStatus> for Echo {
+        fn observe(&mut self, state: &CheckStatus) -> CheckStatus {
+            self.0 = *state;
+            self.0
+        }
+        fn verdict(&self) -> CheckStatus {
+            self.0
+        }
+        fn finish(&mut self) -> CheckStatus {
+            self.0
+        }
+    }
+
+    fn run(period: Tick, trace: &Trace<CheckStatus>) -> MonitorReport {
+        MonitoringLoop::new(period)
+            .expect("nonzero period")
+            .run(Echo(CheckStatus::Incomplete), trace)
+    }
+
+    /// Undecided before `at`, `then` from `at` on, over 20 ticks.
+    fn decided_at(at: u64, then: CheckStatus) -> Trace<CheckStatus> {
+        (0..20)
+            .map(|t| {
+                if t < at {
+                    CheckStatus::Incomplete
+                } else {
+                    then
+                }
+            })
+            .collect()
     }
 
     #[test]
     fn tight_polling_detects_at_violation_tick() {
-        let pattern = GlobalUniversality::new(|b: &bool| CheckStatus::from(*b));
-        let report = MonitoringLoop::new(1)
-            .expect("nonzero period")
-            .run(&pattern, &up(7));
+        let report = run(1, &decided_at(7, CheckStatus::Fail));
         assert_eq!(report.outcome, MonitorOutcome::ViolationDetected(7));
         assert_eq!(report.detection_latency(7), Some(0));
         assert_eq!(report.polls, 8);
@@ -181,11 +231,8 @@ mod tests {
 
     #[test]
     fn coarse_polling_adds_latency() {
-        let pattern = GlobalUniversality::new(|b: &bool| CheckStatus::from(*b));
         // Violation at tick 7; polls at 0,5,10 → detected at 10.
-        let report = MonitoringLoop::new(5)
-            .expect("nonzero period")
-            .run(&pattern, &up(7));
+        let report = run(5, &decided_at(7, CheckStatus::Fail));
         assert_eq!(report.outcome, MonitorOutcome::ViolationDetected(10));
         assert_eq!(report.detection_latency(7), Some(3));
         assert_eq!(report.polls, 3);
@@ -193,70 +240,49 @@ mod tests {
 
     #[test]
     fn short_glitch_can_be_missed() {
-        // Down only at tick 3; polls every 2 ticks see 0,2,4,… — blind.
-        let trace: Trace<bool> = (0..10).map(|t| t != 3).collect();
-        let pattern = GlobalUniversality::new(|b: &bool| CheckStatus::from(*b));
-        let report = MonitoringLoop::new(2)
-            .expect("nonzero period")
-            .run(&pattern, &trace);
+        // Decided only at tick 3; polls every 2 ticks see 0,2,4,… — blind.
+        let trace: Trace<CheckStatus> = (0..10)
+            .map(|t| {
+                if t == 3 {
+                    CheckStatus::Fail
+                } else {
+                    CheckStatus::Incomplete
+                }
+            })
+            .collect();
+        let report = run(2, &trace);
         assert_eq!(report.outcome, MonitorOutcome::EndOfTrace);
         assert_eq!(report.final_verdict, CheckStatus::Incomplete);
+        assert_eq!(report.polls, 5);
     }
 
     #[test]
-    fn conclusive_pass_for_bounded_pattern() {
-        let trace: Trace<bool> = (0..20).map(|_| true).collect();
-        let pattern = GlobalUniversalityTimed::new(|b: &bool| CheckStatus::from(*b), 4);
-        let report = MonitoringLoop::new(1)
-            .expect("nonzero period")
-            .run(&pattern, &trace);
+    fn conclusive_pass_stops_the_loop() {
+        let report = run(1, &decided_at(4, CheckStatus::Pass));
         assert_eq!(report.outcome, MonitorOutcome::ConclusivePass(4));
         assert_eq!(report.polls, 5);
     }
 
     #[test]
-    fn eventually_pass_detected() {
-        let trace: Trace<bool> = (0..10).map(|t| t == 6).collect();
-        let pattern = Eventually::new(|b: &bool| CheckStatus::from(*b));
-        let report = MonitoringLoop::new(3)
-            .expect("nonzero period")
-            .run(&pattern, &trace);
-        assert_eq!(report.outcome, MonitorOutcome::ConclusivePass(6));
-    }
-
-    #[test]
     fn detection_latency_requires_detection() {
-        let trace: Trace<bool> = (0..4).map(|_| true).collect();
-        let pattern = GlobalUniversality::new(|b: &bool| CheckStatus::from(*b));
-        let report = MonitoringLoop::new(1)
-            .expect("nonzero period")
-            .run(&pattern, &trace);
+        let report = run(1, &decided_at(20, CheckStatus::Fail));
+        assert_eq!(report.outcome, MonitorOutcome::EndOfTrace);
         assert_eq!(report.detection_latency(0), None);
     }
 
     #[test]
-    fn sampled_response_monitoring_uses_poll_clock() {
-        // NOTE: under sampling, the monitor's notion of time is *polls*,
-        // not ticks; callers express bounds in poll units. A bound of 2
-        // polls at period 5 means "response within ~10 ticks".
-        let states: Trace<(bool, bool)> = Trace::from_states(vec![
-            (true, false), // trigger at tick 0 (poll 0)
-            (false, false),
-            (false, false),
-            (false, false),
-            (false, false),
-            (false, true), // response at tick 5 (poll 1)
-        ]);
-        let pattern = GlobalResponseTimed::new(
-            |s: &(bool, bool)| CheckStatus::from(s.0),
-            |s: &(bool, bool)| CheckStatus::from(s.1),
-            2,
+    fn evaluate_feeds_the_whole_trace() {
+        let trace = decided_at(3, CheckStatus::Fail);
+        let echo = || Echo(CheckStatus::Incomplete);
+        assert_eq!(
+            echo().evaluate(&trace, Semantics::Prefix),
+            CheckStatus::Fail
         );
-        let report = MonitoringLoop::new(5)
-            .expect("nonzero period")
-            .run(&pattern, &states);
-        assert_eq!(report.outcome, MonitorOutcome::EndOfTrace);
-        assert_eq!(report.final_verdict, CheckStatus::Incomplete);
+        let empty: Trace<CheckStatus> = Trace::new();
+        assert_eq!(
+            echo().evaluate(&empty, Semantics::Complete),
+            CheckStatus::Incomplete
+        );
     }
 
     #[test]

@@ -2,9 +2,9 @@
 
 use std::fmt;
 
-/// Discrete time, in clock ticks. One tick is the unit in which pattern
-/// bounds ([`GlobalResponseTimed`](crate::GlobalResponseTimed)'s `T`) and
-/// monitor polling periods are expressed.
+/// Discrete time, in clock ticks. One tick is the unit in which timed
+/// operators' bounds ([`Formula::FinallyWithin`](crate::Formula::FinallyWithin)'s
+/// `T`) and monitor polling periods are expressed.
 pub type Tick = u64;
 
 /// A finite trace: the system's state sampled at ticks `0..len`.

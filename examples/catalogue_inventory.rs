@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --example catalogue_inventory`
 
-use veridevops::specpat::pattern::full_matrix;
+use veridevops::specpat::pattern::{full_matrix, rqcode_temporal};
 use veridevops::specpat::ObserverAutomaton;
 use veridevops::stigs::{ubuntu, win10};
 
@@ -36,17 +36,14 @@ fn main() {
     }
 
     println!("\n== temporal pattern classes (rqcode.patterns.temporal) ==\n");
-    for (name, tctl) in [
-        ("GlobalUniversality", "A[] p"),
-        ("Eventually", "A<> p"),
-        ("GlobalResponseTimed", "A[] (p imply (A<>_{<=T} s))"),
-        ("GlobalResponseUntil", "A[] (p imply A<> (q or r))"),
-        ("GlobalUniversalityTimed", "A[] (t <= T imply p)"),
-        ("AfterUntilUniversality", "A[] (q imply (A[] (p or r) W r))"),
-        ("MonitoringLoop", "(runtime monitor driver)"),
-    ] {
-        println!("  {:<26} {}", name, tctl);
+    println!("  {:<24} {:<31} UPPAAL QUERY", "CLASS", "CATALOGUE ENTRY");
+    for (name, entry) in rqcode_temporal(10) {
+        let query = entry
+            .to_uppaal()
+            .unwrap_or_else(|_| "(observer only)".to_string());
+        println!("  {:<24} {:<31} {}", name, entry.to_string(), query);
     }
+    println!("  {:<24} (runtime monitor driver)", "MonitoringLoop");
 
     println!("\n== PROPAS scope x pattern matrix ==\n");
     let matrix = full_matrix();

@@ -15,7 +15,7 @@ use veridevops::corpus::traces::ViolationTrace;
 use veridevops::specpat::{
     CtlFormula, Kripke, ModelChecker, ObserverAutomaton, PatternKind, Scope, SpecPattern,
 };
-use veridevops::temporal::{GlobalUniversality, MonitoringLoop};
+use veridevops::temporal::{MonitorOutcome, MonitoringLoop};
 
 fn obs(atoms: &[&str]) -> BTreeSet<String> {
     atoms.iter().map(|s| s.to_string()).collect()
@@ -129,15 +129,20 @@ After maintenance_start until maintenance_end, the audit service shall always sa
         );
     }
 
-    // 4. Runtime monitoring: polling period vs detection latency.
+    // 4. Runtime monitoring: the invariant's observer, compiled into a
+    //    monitor over the service's up/down stream; polling period vs
+    //    detection latency.
     println!("\n== monitoring latency vs polling period ==\n");
     let workload = ViolationTrace::at(600, 361);
-    let invariant = GlobalUniversality::new(|up: &bool| CheckStatus::from(*up));
+    let invariant = SpecPattern::new(Scope::Globally, PatternKind::universality("up"));
+    let observer = ObserverAutomaton::for_pattern(&invariant).expect("globally-scoped");
+    let up = |up: &bool| CheckStatus::from(*up);
     println!("{:>8} {:>12} {:>9}", "PERIOD", "DETECTED_AT", "LATENCY");
     for period in [1, 2, 5, 10, 25, 50, 100] {
+        let monitor = observer.monitor(&[("up", &up)]).expect("bound");
         let report = MonitoringLoop::new(period)
             .expect("nonzero period")
-            .run(&invariant, &workload.trace);
+            .run(monitor, &workload.trace);
         let latency = report
             .detection_latency(workload.violation_tick)
             .map_or("missed".to_string(), |l| l.to_string());
@@ -145,7 +150,7 @@ After maintenance_start until maintenance_end, the audit service shall always sa
             "{:>8} {:>12} {:>9}",
             period,
             match report.outcome {
-                veridevops::temporal::MonitorOutcome::ViolationDetected(t) => t.to_string(),
+                MonitorOutcome::ViolationDetected(t) => t.to_string(),
                 _ => "-".to_string(),
             },
             latency

@@ -38,22 +38,29 @@ fn d27_annex_fidelity() {
         );
         assert!(e.spec().description().contains("audit trail"));
     }
-    // The temporal package exposes the six catalogue classes + loop:
-    use veridevops::core::CheckStatus;
-    use veridevops::temporal::{
-        AfterUntilUniversality, Eventually, GlobalResponseTimed, GlobalResponseUntil,
-        GlobalUniversality, GlobalUniversalityTimed, MonitoringLoop, TemporalPattern,
+    // The temporal package's nine classes are catalogue entries, each
+    // with its query rendering and an observer-compiled monitor that the
+    // loop runs:
+    use veridevops::specpat::pattern::rqcode_temporal;
+    use veridevops::specpat::ObserverAutomaton;
+    use veridevops::temporal::MonitoringLoop;
+    let classes = rqcode_temporal(5);
+    assert_eq!(classes.len(), 9);
+    let tctl = |name: &str| {
+        let (_, entry) = classes.iter().find(|(n, _)| *n == name).expect(name);
+        entry.to_uppaal().unwrap_or_default()
     };
-    let p = |s: &bool| CheckStatus::from(*s);
-    let q = |s: &bool| CheckStatus::from(!*s);
-    assert_eq!(GlobalUniversality::new(p).tctl(), "A[] p");
-    assert_eq!(Eventually::new(p).tctl(), "A<> p");
-    assert!(GlobalResponseTimed::new(p, q, 5).tctl().contains("<=5"));
-    assert!(GlobalResponseUntil::new(p, q, p).tctl().contains("or"));
-    assert!(GlobalUniversalityTimed::new(p, 5).tctl().contains("t <= 5"));
-    assert!(AfterUntilUniversality::new(q, p, q)
-        .tctl()
-        .contains("imply"));
+    assert_eq!(tctl("GlobalUniversality"), "A[] p");
+    assert_eq!(tctl("Eventually"), "A<> p");
+    assert!(tctl("GlobalResponseTimed").contains("x <= 5"));
+    assert!(tctl("GlobalResponseUntil").contains("q || r"));
+    assert!(tctl("GlobalUniversalityTimed").contains("x <= 5 imply p"));
+    for (name, entry) in &classes {
+        assert!(
+            ObserverAutomaton::for_pattern(entry).is_some(),
+            "{name} has no monitor"
+        );
+    }
     let _loop = MonitoringLoop::new(1).expect("nonzero period");
     // And the PROPAS matrix is complete.
     assert_eq!(veridevops::specpat::pattern::full_matrix().len(), 30);

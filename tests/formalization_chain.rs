@@ -1,53 +1,43 @@
 //! Integration: the WP2 formalisation chain across crates.
 //!
-//! One security property expressed three ways — as a `vdo-specpat`
-//! pattern (→ LTL, observer automaton), as a `vdo-temporal` pattern
-//! class (→ incremental monitor), and as a CTL property over a Kripke
-//! model — must agree with itself on concrete behaviours.
+//! One security property, a `vdo-specpat` catalogue entry, is checked two
+//! ways — through its observer automaton's incremental monitor, and as
+//! its LTL formula under the `vdo-temporal` evaluator — and must agree
+//! with itself on concrete behaviours; a CTL rendering is checked over a
+//! Kripke model.
 
 use std::collections::BTreeSet;
 
-use veridevops::core::CheckStatus;
+use veridevops::core::{CheckStatus, Checkable};
 use veridevops::specpat::{
     CtlFormula, Kripke, ModelChecker, ObserverAutomaton, PatternKind, Scope, SpecPattern,
 };
-use veridevops::temporal::{
-    GlobalResponseTimed, Interpretation, Semantics, TemporalPattern, Trace,
-};
+use veridevops::temporal::{Interpretation, PatternMonitor, Semantics, Trace};
 
 type St = (bool, bool); // (intrusion, alert)
 
-fn obs_trace(states: &[St]) -> Vec<BTreeSet<String>> {
-    states
-        .iter()
-        .map(|&(p, s)| {
-            let mut set = BTreeSet::new();
-            if p {
-                set.insert("p".to_string());
-            }
-            if s {
-                set.insert("s".to_string());
-            }
-            set
-        })
-        .collect()
-}
-
-fn all_three_verdicts(states: &[St], bound: u64) -> (CheckStatus, CheckStatus, CheckStatus) {
-    // 1. vdo-temporal pattern class.
-    let temporal = GlobalResponseTimed::new(
-        |s: &St| CheckStatus::from(s.0),
-        |s: &St| CheckStatus::from(s.1),
-        bound,
-    );
-    let trace = Trace::from_states(states.iter().copied());
-    let v1 = temporal.evaluate(&trace, Semantics::Complete);
-
-    // 2. vdo-specpat formula evaluated by the vdo-temporal LTL engine.
+/// The Complete verdicts of the bounded-response entry on `states`:
+/// through its monitor, then through its LTL formula.
+fn monitor_and_ltl_verdicts(states: &[St], bound: u64) -> (CheckStatus, CheckStatus) {
     let pattern = SpecPattern::new(
         Scope::Globally,
         PatternKind::bounded_response("p", "s", bound),
     );
+    let trace = Trace::from_states(states.iter().copied());
+
+    // 1. The observer automaton's monitor.
+    let observer = ObserverAutomaton::for_pattern(&pattern).expect("bounded response observer");
+    let (p, s) = (
+        |st: &St| CheckStatus::from(st.0),
+        |st: &St| CheckStatus::from(st.1),
+    );
+    let binding: [(&str, &dyn Checkable<St>); 2] = [("p", &p), ("s", &s)];
+    let v1 = observer
+        .monitor(&binding)
+        .expect("bound")
+        .evaluate(&trace, Semantics::Complete);
+
+    // 2. The formula evaluated by the vdo-temporal LTL engine.
     let interp = Interpretation::new(|name: &str, st: &St| match name {
         "p" => CheckStatus::from(st.0),
         "s" => CheckStatus::from(st.1),
@@ -55,45 +45,39 @@ fn all_three_verdicts(states: &[St], bound: u64) -> (CheckStatus, CheckStatus, C
     });
     let v2 = interp.evaluate(&pattern.to_ltl(), &trace, 0, Semantics::Complete);
 
-    // 3. The observer automaton.
-    let observer = ObserverAutomaton::for_pattern(&pattern).expect("bounded response observer");
-    let v3 = observer.run(&obs_trace(states)).complete;
-
-    (v1, v2, v3)
+    (v1, v2)
 }
 
 #[test]
-fn three_formalisms_agree_on_satisfied_behaviour() {
+fn monitor_and_ltl_agree_on_satisfied_behaviour() {
     let states = [
         (true, false),
         (false, false),
         (false, true), // answered within 2
         (false, false),
     ];
-    let (a, b, c) = all_three_verdicts(&states, 2);
+    let (a, b) = monitor_and_ltl_verdicts(&states, 2);
     assert_eq!(a, CheckStatus::Pass);
     assert_eq!(b, CheckStatus::Pass);
-    assert_eq!(c, CheckStatus::Pass);
 }
 
 #[test]
-fn three_formalisms_agree_on_violating_behaviour() {
+fn monitor_and_ltl_agree_on_violating_behaviour() {
     let states = [
         (true, false),
         (false, false),
         (false, false),
         (false, true), // one tick late
     ];
-    let (a, b, c) = all_three_verdicts(&states, 2);
+    let (a, b) = monitor_and_ltl_verdicts(&states, 2);
     assert_eq!(a, CheckStatus::Fail);
     assert_eq!(b, CheckStatus::Fail);
-    assert_eq!(c, CheckStatus::Fail);
 }
 
 #[test]
-fn three_formalisms_agree_exhaustively_on_short_traces() {
+fn monitor_and_ltl_agree_exhaustively_on_short_traces() {
     // All (p, s) traces of length ≤ 6 against bounds 0..3 — a brute-force
-    // equivalence check of the three implementations.
+    // equivalence check of the monitor and the formula.
     for bound in 0..3u64 {
         for len in 0..=6usize {
             for mask in 0..(1u32 << (2 * len)) {
@@ -103,9 +87,8 @@ fn three_formalisms_agree_exhaustively_on_short_traces() {
                         (bits & 1 != 0, bits & 2 != 0)
                     })
                     .collect();
-                let (a, b, c) = all_three_verdicts(&states, bound);
-                assert_eq!(a, b, "temporal vs LTL on {states:?} bound {bound}");
-                assert_eq!(b, c, "LTL vs observer on {states:?} bound {bound}");
+                let (a, b) = monitor_and_ltl_verdicts(&states, bound);
+                assert_eq!(a, b, "monitor vs LTL on {states:?} bound {bound}");
             }
         }
     }
