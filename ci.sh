@@ -34,6 +34,9 @@ PROPTEST_CASES=4096 cargo test --release -q -p vdo-specpat --test monitor_vs_ltl
 echo "==> journal equivalence, 4096 cases per property (batch emit vs one at a time; segment-parallel vs sequential scans)"
 PROPTEST_CASES=4096 cargo test --release -q -p vdo-trace --test properties equivalence::
 
+echo "==> TEARS host monitor vs full-trace monitor, 4096 cases per property (the quiet-tick skip's exactness rests on it)"
+PROPTEST_CASES=4096 cargo test --release -q -p vdo-soc --test tears_equivalence
+
 echo "==> pool goldens pinned to one CPU (the worker pool's barrier passes with no parallelism)"
 if command -v taskset > /dev/null; then
   # The pool's own tests: a worker cannot run until the caller, which

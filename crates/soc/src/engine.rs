@@ -101,7 +101,9 @@ use vdo_trace::{BurnRateRule, Event, Journal, LiveSloEngine, Severity, SloAlert,
 
 use crate::event::{shard_of, HostId, SecEvent};
 use crate::metrics::{MetricsSnapshot, SocMetrics};
-use crate::monitors::{Detection, DetectionKind, HostMonitors};
+use crate::monitors::{
+    Detection, DetectionKind, HostMonitors, SlotAssertion, TearsHostMonitor, TELEMETRY,
+};
 use crate::remediation::{DeadLetter, Dispatcher, RemediationConfig, RemediationTask, SocIncident};
 use crate::runtime::with_pool;
 
@@ -760,10 +762,24 @@ impl<'h, E: SocHost> Shard<'h, E> {
                         .field("lockout", lockout);
                     self.signal_log.push((host, event));
                 }
+                // A quiet sample is sequenced and observed like any
+                // other, but builds no event: with room left, every
+                // earlier sample of this host has been observed, so the
+                // monitor's held values are this host's last sample.
+                let quiet = self.room > 0
+                    && self.monitors[slot]
+                        .tears
+                        .as_mut()
+                        .is_some_and(|m| m.skip_quiet(&[Some(failed_logins), Some(lockout)]));
+                if quiet {
+                    self.sequence();
+                    self.observed += 1;
+                    continue;
+                }
                 let event = SecEvent::SignalTick {
                     host,
                     tick,
-                    signals: [("failed_logins", failed_logins), ("lockout", lockout)],
+                    signals: [(TELEMETRY[0], failed_logins), (TELEMETRY[1], lockout)],
                 };
                 self.publish(run, tick, event);
             }
@@ -868,15 +884,11 @@ impl<'h, E: SocHost> Shard<'h, E> {
     /// telemetry sample is fed to its host's TEARS monitor here; any
     /// other event waits in the queue for the catalogue.
     fn publish(&mut self, run: &RunCtx<'_, E>, now: u64, event: SecEvent) {
-        if self.room == 0 {
+        let Some(seq) = self.sequence() else {
             self.deferrals += 1;
             self.deferred.push_back(event);
             return;
-        }
-        self.room -= 1;
-        self.published += 1;
-        let seq = self.seq;
-        self.seq += 1;
+        };
         let SecEvent::SignalTick { host, signals, .. } = event else {
             if matches!(event, SecEvent::DriftApplied { .. })
                 && run.detection != DetectionMode::Continuous
@@ -891,7 +903,7 @@ impl<'h, E: SocHost> Shard<'h, E> {
         let Some(tears) = &mut self.monitors[run.slots[host]].tears else {
             return;
         };
-        for activation in tears.observe(&signals) {
+        for activation in tears.observe(&signals.map(|(_, v)| Some(v))) {
             self.detections.push(Detection {
                 shard: self.shard,
                 seq,
@@ -906,6 +918,16 @@ impl<'h, E: SocHost> Shard<'h, E> {
                 }),
             });
         }
+    }
+
+    /// Takes one unit of the queue's room and the shard's next seq for
+    /// an accepted event; `None` when the queue is full.
+    fn sequence(&mut self) -> Option<u64> {
+        self.room = self.room.checked_sub(1)?;
+        self.published += 1;
+        let seq = self.seq;
+        self.seq += 1;
+        Some(seq)
     }
 
     /// Runs the shard's due remediation tasks at `tick`, in dispatcher
@@ -977,8 +999,9 @@ fn lock_all<'s, 'h, E>(shards: &'s [Mutex<Shard<'h, E>>]) -> Vec<MutexGuard<'s, 
 pub struct SocEngine<'a, E> {
     catalog: &'a Catalog<E>,
     config: SocConfig,
-    /// Parsed once; every host's TEARS monitor shares it.
-    assertion: Option<Arc<GuardedAssertion>>,
+    /// Parsed and resolved against [`TELEMETRY`] once; every host's
+    /// TEARS monitor shares it.
+    assertion: Option<Arc<SlotAssertion>>,
 }
 
 impl<E> std::fmt::Debug for SocEngine<'_, E> {
@@ -1001,9 +1024,9 @@ impl<'a, E: SocHost> SocEngine<'a, E> {
         config.validate()?;
         let assertion = match &config.tears_assertion {
             Some(src) => {
-                Some(Arc::new(GuardedAssertion::parse(src).map_err(|e| {
-                    SocConfigError::InvalidAssertion(e.to_string())
-                })?))
+                let ga = GuardedAssertion::parse(src)
+                    .map_err(|e| SocConfigError::InvalidAssertion(e.to_string()))?;
+                Some(TearsHostMonitor::resolve(&ga, TELEMETRY))
             }
             None => None,
         };

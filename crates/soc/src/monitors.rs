@@ -17,12 +17,40 @@
 //! * **TEARS guarded assertions** — [`TearsHostMonitor`] holds the
 //!   newest value of each signal in a host's `SignalTick` telemetry and
 //!   streams it through [`vdo_tears::OwnedGaMonitor`]. The engine parses
-//!   the assertion once and every host's monitor shares it through an
-//!   `Arc`, so a large fleet keeps one copy of its expression trees
-//!   rather than one per host.
+//!   the assertion once, resolves its signal names to slots of the
+//!   fixed [`TELEMETRY`] schema, and every host's monitor shares it
+//!   through an `Arc`, so a large fleet keeps one copy of its expression
+//!   trees rather than one per host.
 //!
 //! All three report [`Detection`]s, which the remediation dispatcher
 //! turns into incidents.
+//!
+//! # Sample-and-hold slots and quiet ticks
+//!
+//! A TEARS monitor keeps one inline slot per schema signal: the
+//! signal's newest sample, held until the next one (`None` before the
+//! first). Comparisons read slots by index, so a tick costs no string
+//! compare and the monitor owns no heap memory for its samples.
+//!
+//! Almost every telemetry tick is *quiet*: its samples equal the held
+//! values bit for bit, the guard did not hold at the host's last tick,
+//! and no activation window is open.
+//! [`skip_quiet`](TearsHostMonitor::skip_quiet) advances such a tick's
+//! clock without evaluating either condition, and the engine tests for
+//! it before it builds the tick's `SignalTick` event. The skip is exact:
+//!
+//! * the guard and the assertion read only the held values, so with the
+//!   values unchanged each evaluates as it did at the last tick (before
+//!   the first tick every signal is unknown, and so is every condition);
+//! * the guard did not hold then, so it does not hold now, and the tick
+//!   activates nothing;
+//! * no window is open, so whatever the assertion reads, there is no
+//!   activation to answer and no deadline to pass.
+//!
+//! What is left of a full evaluation is the clock. The engine skips a
+//! tick only while its shard's queue has room: a deferred sample is
+//! observed later, so until it is, the held values are not the host's
+//! last sample.
 
 use std::sync::Arc;
 
@@ -138,47 +166,84 @@ impl PatternMonitor<bool> for ComplianceUniversality {
     }
 }
 
-/// Streams one host's telemetry through a TEARS guarded assertion.
+/// A guarded assertion whose signals are slots of a fixed telemetry
+/// schema: each comparison reads the index of its signal there, or
+/// `None` for a signal the stream never carries (always unknown).
+pub type SlotAssertion = GuardedAssertion<Option<usize>>;
+
+/// Streams one host's telemetry, `N` signals in a fixed order, through
+/// a TEARS guarded assertion.
 ///
 /// The G/A expression language reads only the newest tick, so the
-/// monitor keeps one sample-and-hold slot per signal name instead of the
-/// host's whole signal history, and feeds it to an [`OwnedGaMonitor`];
-/// each `SignalTick` event updates the slots it names and advances the
-/// monitor by one tick. Verdicts equal a [`vdo_tears::GaMonitor`] run
-/// over the full [`vdo_tears::SignalTrace`] (property-tested).
+/// monitor keeps one sample-and-hold slot per schema signal instead of
+/// the host's whole signal history, inline, and feeds them to an
+/// [`OwnedGaMonitor`] over the assertion
+/// [`resolve`](TearsHostMonitor::resolve)d to those slots; each tick
+/// updates the slots it samples and advances the monitor by one tick.
+/// Verdicts equal a [`vdo_tears::GaMonitor`] run over the full
+/// [`vdo_tears::SignalTrace`] (property-tested).
 #[derive(Debug, Clone)]
-pub struct TearsHostMonitor {
-    latest: Vec<(&'static str, f64)>,
+pub struct TearsHostMonitor<const N: usize> {
+    /// Each schema signal's newest value; `None` before its first
+    /// sample.
+    latest: [Option<f64>; N],
     ticks: u64,
-    monitor: OwnedGaMonitor,
+    monitor: OwnedGaMonitor<Option<usize>>,
 }
 
-impl TearsHostMonitor {
-    /// Starts monitoring `ga` (owned, or shared with other hosts'
-    /// monitors) with no samples seen.
+impl<const N: usize> TearsHostMonitor<N> {
+    /// Resolves `ga`'s signal names against the stream's `schema` once,
+    /// for every host's monitor to share.
     #[must_use]
-    pub fn new(ga: impl Into<Arc<GuardedAssertion>>) -> Self {
+    pub fn resolve(ga: &GuardedAssertion, schema: [&str; N]) -> Arc<SlotAssertion> {
+        Arc::new(ga.resolve(&|name: &String| schema.iter().position(|s| s == name)))
+    }
+
+    /// Starts monitoring `ga`, resolved against this stream's schema,
+    /// with no samples seen.
+    #[must_use]
+    pub fn new(ga: Arc<SlotAssertion>) -> Self {
         TearsHostMonitor {
-            latest: Vec::new(),
+            latest: [None; N],
             ticks: 0,
             monitor: OwnedGaMonitor::new(ga),
         }
     }
 
-    /// Feeds one tick of named signal samples (signals not named hold
-    /// their last value); returns the activation ticks of any violations
-    /// confirmed this tick.
-    pub fn observe(&mut self, signals: &[(&'static str, f64)]) -> Vec<u64> {
-        for &(name, value) in signals {
-            match self.latest.iter_mut().find(|(n, _)| *n == name) {
-                Some(slot) => slot.1 = value,
-                None => self.latest.push((name, value)),
+    /// Feeds one tick: `samples[i]` is schema signal `i`'s sample, `None`
+    /// when the tick does not carry it (the signal holds its last value).
+    /// Returns the activation ticks of any violations confirmed this
+    /// tick. A quiet tick takes [`skip_quiet`](Self::skip_quiet).
+    pub fn observe(&mut self, samples: &[Option<f64>; N]) -> Vec<u64> {
+        if self.skip_quiet(samples) {
+            return Vec::new();
+        }
+        for (held, sample) in self.latest.iter_mut().zip(samples) {
+            if sample.is_some() {
+                *held = *sample;
             }
         }
         self.ticks += 1;
         let latest = &self.latest;
         self.monitor
-            .observe_values(&|name: &str| latest.iter().find(|(n, _)| *n == name).map(|&(_, v)| v))
+            .observe_values(&|slot: &Option<usize>| slot.and_then(|i| latest[i]))
+    }
+
+    /// Advances one tick without evaluating the assertion if the tick is
+    /// quiet: it changes no held value, bit for bit, and
+    /// [`OwnedGaMonitor::advance_unchanged`] takes it (the guard did not
+    /// hold at the last tick and no activation window is open), so it
+    /// cannot activate, answer or close anything. Returns whether it
+    /// advanced; on `false` nothing changed.
+    pub fn skip_quiet(&mut self, samples: &[Option<f64>; N]) -> bool {
+        let unchanged = self.latest.iter().zip(samples).all(|(held, sample)| {
+            sample.is_none_or(|v| held.is_some_and(|h| h.to_bits() == v.to_bits()))
+        });
+        if !unchanged || !self.monitor.advance_unchanged() {
+            return false;
+        }
+        self.ticks += 1;
+        true
     }
 
     /// The monitored assertion's name.
@@ -205,15 +270,22 @@ impl TearsHostMonitor {
 pub struct HostMonitors {
     /// `A[] compliant` over the host's check results.
     pub compliance: ComplianceUniversality,
-    /// Optional guarded-assertion monitor over the host's telemetry.
-    pub tears: Option<TearsHostMonitor>,
+    /// Optional guarded-assertion monitor over the host's telemetry
+    /// ([`TELEMETRY`]).
+    pub tears: Option<TearsHostMonitor<{ TELEMETRY.len() }>>,
 }
 
+/// The signals each host's telemetry samples every tick, in the order a
+/// [`SignalTick`](crate::SecEvent::SignalTick) carries them: the schema
+/// the engine resolves its TEARS assertion against.
+pub const TELEMETRY: [&str; 2] = ["failed_logins", "lockout"];
+
 impl HostMonitors {
-    /// Monitors for a host, with TEARS attached when `ga` is given; the
-    /// assertion is shared, not copied.
+    /// Monitors for a host, with TEARS attached when `ga` (resolved
+    /// against [`TELEMETRY`]) is given; the assertion is shared, not
+    /// copied.
     #[must_use]
-    pub fn new(ga: Option<Arc<GuardedAssertion>>) -> Self {
+    pub fn new(ga: Option<Arc<SlotAssertion>>) -> Self {
         HostMonitors {
             compliance: ComplianceUniversality::new(),
             tears: ga.map(TearsHostMonitor::new),
@@ -282,11 +354,11 @@ mod tests {
             r#"ga "lockout": when failed_logins >= 3 then lockout == 1 within 2"#,
         )
         .unwrap();
-        let mut m = TearsHostMonitor::new(ga);
+        let mut m = TearsHostMonitor::new(TearsHostMonitor::resolve(&ga, TELEMETRY));
         // Burst at tick 1, never answered: the window (ticks 1..=3)
         // closes at tick 3.
-        let quiet: &[(&str, f64)] = &[("failed_logins", 0.0), ("lockout", 0.0)];
-        let burst: &[(&str, f64)] = &[("failed_logins", 4.0), ("lockout", 0.0)];
+        let quiet = &[Some(0.0), Some(0.0)];
+        let burst = &[Some(4.0), Some(0.0)];
         assert!(m.observe(quiet).is_empty());
         assert!(m.observe(burst).is_empty());
         assert!(m.observe(quiet).is_empty());
@@ -305,9 +377,9 @@ mod tests {
             r#"ga "lockout": when failed_logins >= 3 then lockout == 1 within 2"#,
         )
         .unwrap();
-        let mut m = TearsHostMonitor::new(ga);
-        let burst: &[(&str, f64)] = &[("failed_logins", 4.0), ("lockout", 0.0)];
-        let locked: &[(&str, f64)] = &[("failed_logins", 0.0), ("lockout", 1.0)];
+        let mut m = TearsHostMonitor::new(TearsHostMonitor::resolve(&ga, TELEMETRY));
+        let burst = &[Some(4.0), Some(0.0)];
+        let locked = &[Some(0.0), Some(1.0)];
         assert!(m.observe(burst).is_empty());
         assert!(m.observe(locked).is_empty());
         assert!(m.observe(locked).is_empty());

@@ -11,11 +11,13 @@ use crate::signal::SignalTrace;
 /// One independent guarded assertion:
 /// *whenever `guard` holds, `assertion` must hold within `within` ticks*
 /// (the window is inclusive; `within = 0` means "at the same tick").
+/// `S` refers to a signal, as in [`Expr`]: by name as parsed, or as
+/// [`resolve`](GuardedAssertion::resolve)d once.
 #[derive(Debug, Clone, PartialEq)]
-pub struct GuardedAssertion {
+pub struct GuardedAssertion<S = String> {
     name: String,
-    guard: Expr,
-    assertion: Expr,
+    guard: Expr<S>,
+    assertion: Expr<S>,
     within: u64,
 }
 
@@ -62,10 +64,10 @@ pub struct GaReport {
     pub verdict: CheckStatus,
 }
 
-impl GuardedAssertion {
+impl<S> GuardedAssertion<S> {
     /// Creates a G/A from parts.
     #[must_use]
-    pub fn new(name: impl Into<String>, guard: Expr, assertion: Expr, within: u64) -> Self {
+    pub fn new(name: impl Into<String>, guard: Expr<S>, assertion: Expr<S>, within: u64) -> Self {
         GuardedAssertion {
             name: name.into(),
             guard,
@@ -74,6 +76,44 @@ impl GuardedAssertion {
         }
     }
 
+    /// The G/A name.
+    #[must_use]
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The guard condition.
+    #[must_use]
+    pub fn guard(&self) -> &Expr<S> {
+        &self.guard
+    }
+
+    /// The asserted condition.
+    #[must_use]
+    pub fn assertion(&self) -> &Expr<S> {
+        &self.assertion
+    }
+
+    /// The response window in ticks (inclusive).
+    #[must_use]
+    pub fn within(&self) -> u64 {
+        self.within
+    }
+
+    /// The same G/A with both conditions' signals mapped through
+    /// `resolve` (see [`Expr::resolve`]).
+    #[must_use]
+    pub fn resolve<T>(&self, resolve: &impl Fn(&S) -> T) -> GuardedAssertion<T> {
+        GuardedAssertion {
+            name: self.name.clone(),
+            guard: self.guard.resolve(resolve),
+            assertion: self.assertion.resolve(resolve),
+            within: self.within,
+        }
+    }
+}
+
+impl GuardedAssertion {
     /// Parses the TEARS-style concrete syntax:
     ///
     /// ```text
@@ -121,30 +161,6 @@ impl GuardedAssertion {
             assertion: Expr::parse(assert_text)?,
             within,
         })
-    }
-
-    /// The G/A name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The guard condition.
-    #[must_use]
-    pub fn guard(&self) -> &Expr {
-        &self.guard
-    }
-
-    /// The asserted condition.
-    #[must_use]
-    pub fn assertion(&self) -> &Expr {
-        &self.assertion
-    }
-
-    /// The response window in ticks (inclusive).
-    #[must_use]
-    pub fn within(&self) -> u64 {
-        self.within
     }
 
     /// Evaluates the G/A over the whole trace.
@@ -225,19 +241,23 @@ struct MonitorCore {
     pending: std::collections::VecDeque<u64>,
     activations: u64,
     violations: Vec<u64>,
+    /// Whether the guard held at the last tick (`false` before the
+    /// first).
+    guard_held: bool,
 }
 
 impl MonitorCore {
     /// Advances one tick; `value` reads each signal's value at that
     /// tick.
-    fn observe<F>(&mut self, ga: &GuardedAssertion, value: &F) -> Vec<u64>
+    fn observe<S, F>(&mut self, ga: &GuardedAssertion<S>, value: &F) -> Vec<u64>
     where
-        F: Fn(&str) -> Option<f64> + ?Sized,
+        F: Fn(&S) -> Option<f64> + ?Sized,
     {
         let t = self.now;
         self.now += 1;
         let mut new_violations = Vec::new();
-        if ga.guard.eval_with(value) == Some(true) {
+        self.guard_held = ga.guard.eval_with(value) == Some(true);
+        if self.guard_held {
             self.activations += 1;
             self.pending.push_back(t);
         }
@@ -260,7 +280,18 @@ impl MonitorCore {
         new_violations
     }
 
-    fn report(&self, ga: &GuardedAssertion) -> GaReport {
+    /// Advances one tick whose signal values equal the last tick's, if
+    /// that tick can change nothing but the clock; see
+    /// [`OwnedGaMonitor::advance_unchanged`].
+    fn advance_unchanged(&mut self) -> bool {
+        if self.guard_held || !self.pending.is_empty() {
+            return false;
+        }
+        self.now += 1;
+        true
+    }
+
+    fn report<S>(&self, ga: &GuardedAssertion<S>) -> GaReport {
         let verdict = if !self.violations.is_empty() {
             CheckStatus::Fail
         } else if !self.pending.is_empty() {
@@ -293,7 +324,8 @@ impl<'a> GaMonitor<'a> {
     /// the newest tick). Returns violations newly confirmed this tick.
     pub fn observe(&mut self, trace: &SignalTrace) -> Vec<u64> {
         let t = self.core.now;
-        self.core.observe(self.ga, &|name| trace.value(name, t))
+        self.core
+            .observe(self.ga, &|name: &String| trace.value(name, t))
     }
 
     /// Current report: confirmed violations so far, pending activations
@@ -314,18 +346,19 @@ impl<'a> GaMonitor<'a> {
 /// The assertion is held behind an [`Arc`], so a registry monitoring
 /// one assertion on many streams (one monitor per host) parses it once
 /// and shares it instead of deep-copying its expression trees per
-/// monitor.
+/// monitor. It may be [`resolve`](GuardedAssertion::resolve)d first, so
+/// [`observe_values`](Self::observe_values) reads signals by slot.
 #[derive(Debug, Clone, PartialEq)]
-pub struct OwnedGaMonitor {
-    ga: Arc<GuardedAssertion>,
+pub struct OwnedGaMonitor<S = String> {
+    ga: Arc<GuardedAssertion<S>>,
     core: MonitorCore,
 }
 
-impl OwnedGaMonitor {
+impl<S> OwnedGaMonitor<S> {
     /// Starts monitoring the given assertion: an owned
     /// [`GuardedAssertion`] or a shared `Arc<GuardedAssertion>`.
     #[must_use]
-    pub fn new(ga: impl Into<Arc<GuardedAssertion>>) -> Self {
+    pub fn new(ga: impl Into<Arc<GuardedAssertion<S>>>) -> Self {
         OwnedGaMonitor {
             ga: ga.into(),
             core: MonitorCore::default(),
@@ -334,31 +367,53 @@ impl OwnedGaMonitor {
 
     /// The monitored assertion.
     #[must_use]
-    pub fn assertion(&self) -> &GuardedAssertion {
+    pub fn assertion(&self) -> &GuardedAssertion<S> {
         &self.ga
-    }
-
-    /// See [`GaMonitor::observe`].
-    pub fn observe(&mut self, trace: &SignalTrace) -> Vec<u64> {
-        let t = self.core.now;
-        self.core.observe(&self.ga, &|name| trace.value(name, t))
     }
 
     /// Like [`observe`](Self::observe), for callers that keep only each
     /// signal's newest value instead of a whole [`SignalTrace`]: `value`
-    /// maps a signal name to its value at the next tick (sample-and-hold,
+    /// maps a signal to its value at the next tick (sample-and-hold,
     /// `None` before the signal's first sample).
     pub fn observe_values<F>(&mut self, value: &F) -> Vec<u64>
     where
-        F: Fn(&str) -> Option<f64> + ?Sized,
+        F: Fn(&S) -> Option<f64> + ?Sized,
     {
         self.core.observe(&self.ga, value)
+    }
+
+    /// Advances one tick whose signal values all equal the last tick's
+    /// (before the first tick: every signal still unknown), when that
+    /// tick can change nothing but the clock, without evaluating either
+    /// condition. Returns whether it advanced; on `false` nothing
+    /// changed, and the caller feeds the tick to
+    /// [`observe_values`](Self::observe_values).
+    ///
+    /// The step is exact. The conditions are pure functions of the
+    /// values, so with the values unchanged the guard holds now iff it
+    /// held at the last tick (before the first tick every comparison,
+    /// and so every condition, is unknown). The step requires that it
+    /// did not, so the tick activates nothing. It also requires that no
+    /// activation window is open, so whatever the assertion reads there
+    /// is nothing to answer and no deadline to pass. What is left of
+    /// [`observe_values`](Self::observe_values) is the clock.
+    pub fn advance_unchanged(&mut self) -> bool {
+        self.core.advance_unchanged()
     }
 
     /// See [`GaMonitor::report`].
     #[must_use]
     pub fn report(&self) -> GaReport {
         self.core.report(&self.ga)
+    }
+}
+
+impl OwnedGaMonitor {
+    /// See [`GaMonitor::observe`].
+    pub fn observe(&mut self, trace: &SignalTrace) -> Vec<u64> {
+        let t = self.core.now;
+        self.core
+            .observe(&self.ga, &|name: &String| trace.value(name, t))
     }
 }
 

@@ -59,17 +59,20 @@ impl fmt::Display for CmpOp {
     }
 }
 
-/// A Boolean condition over signals.
+/// A Boolean condition over signals. `S` refers to a comparison's
+/// signal: its name as parsed, or what a caller resolved the names to
+/// once (see [`resolve`](Expr::resolve)), such as a slot in a fixed
+/// telemetry schema.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Expr {
+pub enum Expr<S = String> {
     /// `signal op constant`.
-    Cmp(String, CmpOp, f64),
+    Cmp(S, CmpOp, f64),
     /// Negation.
-    Not(Box<Expr>),
+    Not(Box<Expr<S>>),
     /// Conjunction.
-    And(Box<Expr>, Box<Expr>),
+    And(Box<Expr<S>>, Box<Expr<S>>),
     /// Disjunction.
-    Or(Box<Expr>, Box<Expr>),
+    Or(Box<Expr<S>>, Box<Expr<S>>),
 }
 
 /// Parse error with byte position context.
@@ -118,36 +121,7 @@ impl Expr {
     /// signal has no value there (undecidable).
     #[must_use]
     pub fn eval(&self, trace: &SignalTrace, tick: u64) -> Option<bool> {
-        self.eval_with(&move |name| trace.value(name, tick))
-    }
-
-    /// Evaluates the condition against `value`, which maps a signal name
-    /// to its current value (`None` when the signal has none). This is
-    /// the one evaluator: [`eval`](Self::eval) reads a [`SignalTrace`]
-    /// tick through it, and streaming monitors that keep only each
-    /// signal's newest value call it directly. Connectives follow
-    /// Kleene's three-valued logic, so an unknown operand only decides
-    /// the result when the other one cannot.
-    #[must_use]
-    #[inline]
-    pub fn eval_with<F>(&self, value: &F) -> Option<bool>
-    where
-        F: Fn(&str) -> Option<f64> + ?Sized,
-    {
-        match self {
-            Expr::Cmp(name, op, k) => value(name).map(|v| op.eval(v, *k)),
-            Expr::Not(e) => e.eval_with(value).map(|b| !b),
-            Expr::And(a, b) => match (a.eval_with(value), b.eval_with(value)) {
-                (Some(false), _) | (_, Some(false)) => Some(false),
-                (Some(true), Some(true)) => Some(true),
-                _ => None,
-            },
-            Expr::Or(a, b) => match (a.eval_with(value), b.eval_with(value)) {
-                (Some(true), _) | (_, Some(true)) => Some(true),
-                (Some(false), Some(false)) => Some(false),
-                _ => None,
-            },
-        }
+        self.eval_with(&move |name: &String| trace.value(name, tick))
     }
 
     /// All signal names referenced, in first-occurrence order without
@@ -171,6 +145,53 @@ impl Expr {
                 a.collect(out);
                 b.collect(out);
             }
+        }
+    }
+}
+
+impl<S> Expr<S> {
+    /// Evaluates the condition against `value`, which maps a
+    /// comparison's signal to its current value (`None` when the signal
+    /// has none). This is the one evaluator: [`eval`](Expr::eval) reads
+    /// a [`SignalTrace`] tick through it, and streaming monitors that
+    /// keep only each signal's newest value call it directly, by name or
+    /// by resolved slot. Connectives follow Kleene's three-valued logic,
+    /// so an unknown operand only decides the result when the other one
+    /// cannot.
+    #[must_use]
+    #[inline]
+    pub fn eval_with<F>(&self, value: &F) -> Option<bool>
+    where
+        F: Fn(&S) -> Option<f64> + ?Sized,
+    {
+        match self {
+            Expr::Cmp(signal, op, k) => value(signal).map(|v| op.eval(v, *k)),
+            Expr::Not(e) => e.eval_with(value).map(|b| !b),
+            Expr::And(a, b) => match (a.eval_with(value), b.eval_with(value)) {
+                (Some(false), _) | (_, Some(false)) => Some(false),
+                (Some(true), Some(true)) => Some(true),
+                _ => None,
+            },
+            Expr::Or(a, b) => match (a.eval_with(value), b.eval_with(value)) {
+                (Some(true), _) | (_, Some(true)) => Some(true),
+                (Some(false), Some(false)) => Some(false),
+                _ => None,
+            },
+        }
+    }
+
+    /// The same condition with each comparison's signal mapped through
+    /// `resolve`: names resolved once to what a hot loop reads without
+    /// comparing strings.
+    #[must_use]
+    pub fn resolve<T>(&self, resolve: &impl Fn(&S) -> T) -> Expr<T> {
+        match self {
+            Expr::Cmp(signal, op, k) => Expr::Cmp(resolve(signal), *op, *k),
+            Expr::Not(e) => Expr::Not(Box::new(e.resolve(resolve))),
+            Expr::And(a, b) => {
+                Expr::And(Box::new(a.resolve(resolve)), Box::new(b.resolve(resolve)))
+            }
+            Expr::Or(a, b) => Expr::Or(Box::new(a.resolve(resolve)), Box::new(b.resolve(resolve))),
         }
     }
 }

@@ -280,11 +280,10 @@ impl LiveSloEngine {
             self.started = Some(tick);
             return alerts;
         }
-        for i in 0..self.rules.len() {
-            let rule = self.rules[i].clone();
+        for rule in &self.rules {
             let objective = rule.objective.max(1e-9);
-            let long_burn = self.bad_fraction(&rule, tick, rule.long_window) / objective;
-            let short_burn = self.bad_fraction(&rule, tick, rule.short_window) / objective;
+            let long_burn = self.bad_fraction(rule, tick, rule.long_window) / objective;
+            let short_burn = self.bad_fraction(rule, tick, rule.short_window) / objective;
             if let Some(trend) = self.burn_trend.get_mut(&rule.name) {
                 trend.observe(long_burn);
             }
