@@ -12,17 +12,14 @@
 //! Three shapes cover the burn-rate rules downstream:
 //!
 //! * [`WindowCounter`] — windowed sums and rates over an event count;
-//! * [`WindowHistogram`] — windowed bucket counts frozen into an
-//!   ordinary [`HistogramSnapshot`], so window quantiles and
-//!   fraction-above come from the same estimators the cumulative
-//!   histograms use;
+//! * [`WindowHistogram`] — per-tick bucket counts, answering the
+//!   fraction of a window's observations above a threshold in place,
+//!   with the interpolation the cumulative histograms' quantiles use;
 //! * [`Ewma`] — exponentially weighted smoothing for trend readouts.
 //!
 //! Sliding windows are the primary API (`sum`, `rate`,
-//! `window_snapshot` over the trailing `window` ticks); tumbling
+//! `fraction_above` over the trailing `window` ticks); tumbling
 //! windows fall out of the same rings via [`WindowCounter::tumbling`].
-
-use crate::metrics::HistogramSnapshot;
 
 /// Sentinel tick marking a ring cell as never written.
 const EMPTY: u64 = u64::MAX;
@@ -112,14 +109,12 @@ struct TickCell {
     tick: u64,
     counts: Vec<u64>,
     count: u64,
-    sum: u64,
     max: u64,
 }
 
 /// A fixed-bucket histogram whose observations are bucketed *per
-/// tick*, so any trailing window freezes into an ordinary
-/// [`HistogramSnapshot`] — window quantiles and fraction-above reuse
-/// the cumulative estimators unchanged.
+/// tick*, so any trailing window's fraction above a threshold is read
+/// off the ring directly.
 #[derive(Debug, Clone)]
 pub struct WindowHistogram {
     bounds: &'static [u64],
@@ -142,7 +137,6 @@ impl WindowHistogram {
                     tick: EMPTY,
                     counts: vec![0; bounds.len() + 1],
                     count: 0,
-                    sum: 0,
                     max: 0,
                 };
                 horizon
@@ -169,45 +163,52 @@ impl WindowHistogram {
             cell.tick = tick;
             cell.counts.iter_mut().for_each(|c| *c = 0);
             cell.count = 0;
-            cell.sum = 0;
             cell.max = 0;
         }
         cell.counts[idx] += 1;
         cell.count += 1;
-        cell.sum += value;
         cell.max = cell.max.max(value);
     }
 
-    /// The trailing window `(now - window, now]` frozen as a snapshot.
-    /// `max` is the true window maximum (the ring keeps per-tick
-    /// maxima).
-    /// `window` is clamped to the horizon.
+    /// Fraction of the observations in the trailing window
+    /// `(now - window, now]` above `threshold`, interpolating linearly
+    /// inside the boundary bucket (the CDF complement of
+    /// [`HistogramSnapshot::quantile`](crate::HistogramSnapshot::quantile));
+    /// `0.0` for an empty window. Everything in the overflow bucket
+    /// counts as above unless `threshold` clears the window maximum (the
+    /// ring keeps per-tick maxima). `window` is clamped to the horizon.
+    /// Reads the ring in place: no window state is materialised.
     #[must_use]
-    pub fn window_snapshot(&self, now: u64, window: u64) -> HistogramSnapshot {
+    pub fn fraction_above(&self, now: u64, window: u64, threshold: u64) -> f64 {
         let window = window.min(self.slots.len() as u64).max(1);
-        let mut counts = vec![0u64; self.bounds.len() + 1];
-        let mut count = 0;
-        let mut sum = 0;
-        let mut max = 0;
-        for cell in &self.slots {
-            if cell.tick == EMPTY || cell.tick > now || now - cell.tick >= window {
-                continue;
-            }
-            for (acc, c) in counts.iter_mut().zip(&cell.counts) {
-                *acc += c;
-            }
-            count += cell.count;
-            sum += cell.sum;
-            max = max.max(cell.max);
+        let cells = || {
+            self.slots
+                .iter()
+                .filter(move |c| c.tick != EMPTY && c.tick <= now && now - c.tick < window)
+        };
+        let count: u64 = cells().map(|c| c.count).sum();
+        if count == 0 {
+            return 0.0;
         }
-        HistogramSnapshot {
-            bounds: self.bounds.to_vec(),
-            counts,
-            count,
-            sum,
-            max,
-            exemplars: Vec::new(),
+        let mut good = 0.0_f64;
+        let mut lower = 0u64;
+        for (i, &bound) in self.bounds.iter().enumerate() {
+            let n = cells().map(|c| c.counts[i]).sum::<u64>() as f64;
+            if threshold >= bound {
+                good += n;
+            } else {
+                if threshold > lower {
+                    let width = (bound - lower) as f64;
+                    good += n * (threshold - lower) as f64 / width;
+                }
+                return (1.0 - good / count as f64).clamp(0.0, 1.0);
+            }
+            lower = bound;
         }
+        if threshold >= cells().map(|c| c.max).max().unwrap_or(0) {
+            good = count as f64;
+        }
+        (1.0 - good / count as f64).clamp(0.0, 1.0)
     }
 }
 
@@ -297,24 +298,43 @@ mod tests {
     }
 
     #[test]
-    fn window_histogram_freezes_true_window_state() {
+    fn window_histogram_reads_true_window_state() {
         let mut h = WindowHistogram::new(&TICK_BOUNDS, 10);
         h.record(0, 1_000); // an old spike
         for t in 5..10 {
             h.record(t, 2);
         }
-        let recent = h.window_snapshot(9, 5);
-        assert_eq!(recent.count, 5);
-        assert_eq!(recent.max, 2, "window max excludes the old spike");
-        let p50 = recent.quantile(0.5).unwrap();
-        assert!(
-            p50 > 1.0 && p50 <= 2.0,
-            "median interpolates inside the (1,2] bucket: {p50}"
-        );
-        let all = h.window_snapshot(9, 10);
-        assert_eq!(all.count, 6);
-        assert_eq!(all.max, 1_000, "full horizon sees the spike");
-        assert_eq!(*all.counts.last().unwrap(), 1, "spike overflowed");
+        // (5, 9]: four observations of 2, none above 2.
+        assert_eq!(h.fraction_above(9, 4, 2), 0.0);
+        // Inside the (1, 2] bucket nothing interpolates below 1.
+        assert_eq!(h.fraction_above(9, 4, 1), 1.0);
+        // The window max excludes the old spike, so a threshold past
+        // the last bound clears the overflow bucket...
+        assert_eq!(h.fraction_above(9, 5, 300), 0.0);
+        // ...until the full horizon sees it overflow.
+        assert!((h.fraction_above(9, 10, 300) - 1.0 / 6.0).abs() < 1e-12);
+        assert_eq!(h.fraction_above(9, 100, 300), h.fraction_above(9, 10, 300));
+        assert_eq!(h.fraction_above(30, 5, 0), 0.0, "empty window");
+    }
+
+    #[test]
+    fn fraction_above_interpolates_inside_the_boundary_bucket() {
+        let mut h = WindowHistogram::new(&[1, 2, 4, 8], 1);
+        for (value, n) in [(1, 50), (2, 30), (4, 10), (8, 8), (20, 2)] {
+            (0..n).for_each(|_| h.record(0, value));
+        }
+        // 10% of observations are above 4.
+        assert!((h.fraction_above(0, 1, 4) - 0.10).abs() < 1e-9);
+        // Threshold at or above the max: nothing is above, even in the
+        // overflow bucket.
+        assert_eq!(h.fraction_above(0, 1, 20), 0.0);
+        // Threshold past the last bound but under the max: the overflow
+        // bucket counts.
+        assert!((h.fraction_above(0, 1, 10) - 0.02).abs() < 1e-9);
+        // Threshold 0: only bucket-0 interpolation, nearly everything.
+        assert!(h.fraction_above(0, 1, 0) > 0.9);
+        // Half of the (2, 4] bucket is above 3.
+        assert!((h.fraction_above(0, 1, 3) - 0.15).abs() < 1e-9);
     }
 
     #[test]
@@ -324,10 +344,13 @@ mod tests {
             for t in 0..50 {
                 h.record(t, t % 7);
             }
-            h.window_snapshot(49, 4)
+            (0..8)
+                .map(|k| h.fraction_above(49, 4, k))
+                .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
-        assert_eq!(run().count, 4);
+        // (45, 49]: values 4, 5, 6, 0; two of four lie above 4.
+        assert_eq!(run()[4], 0.5);
     }
 
     #[test]

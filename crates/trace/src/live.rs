@@ -57,7 +57,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use vdo_obs::{Ewma, HistogramSnapshot, WindowCounter, WindowHistogram, TICK_BOUNDS};
+use vdo_obs::{Ewma, WindowCounter, WindowHistogram, TICK_BOUNDS};
 
 use crate::context::TraceContext;
 use crate::journal::Event;
@@ -116,36 +116,6 @@ pub struct SloAlert {
     /// Causal context of the alert (root derived from the engine seed
     /// and rule name).
     pub trace: TraceContext,
-}
-
-/// Bad-event fraction in `h` above `threshold`, with linear
-/// interpolation inside the boundary bucket (the CDF complement of
-/// [`HistogramSnapshot::quantile`]).
-fn fraction_above(h: &HistogramSnapshot, threshold: u64) -> f64 {
-    if h.count == 0 {
-        return 0.0;
-    }
-    let mut good = 0.0_f64;
-    let mut lower = 0u64;
-    for (i, &bound) in h.bounds.iter().enumerate() {
-        let n = h.counts[i] as f64;
-        if threshold >= bound {
-            good += n;
-        } else {
-            if threshold > lower {
-                let width = (bound - lower) as f64;
-                good += n * (threshold - lower) as f64 / width;
-            }
-            return (1.0 - good / h.count as f64).clamp(0.0, 1.0);
-        }
-        lower = bound;
-    }
-    // Overflow bucket: everything above the last bound counts bad
-    // unless the threshold clears the observed maximum.
-    if threshold >= h.max {
-        good = h.count as f64;
-    }
-    (1.0 - good / h.count as f64).clamp(0.0, 1.0)
 }
 
 /// Smoothing factor of the per-rule burn-trend EWMA.
@@ -262,9 +232,10 @@ impl LiveSloEngine {
             SloSignal::HistogramAbove {
                 histogram,
                 threshold,
-            } => self.histograms.get(histogram).map_or(0.0, |h| {
-                fraction_above(&h.window_snapshot(now, window), *threshold)
-            }),
+            } => self
+                .histograms
+                .get(histogram)
+                .map_or(0.0, |h| h.fraction_above(now, window, *threshold)),
         }
     }
 
@@ -358,27 +329,15 @@ mod tests {
 
     #[test]
     fn latency_slo_is_a_histogram_above_rule() {
-        let h = HistogramSnapshot {
-            bounds: vec![1, 2, 4, 8],
-            counts: vec![50, 30, 10, 8, 2],
-            count: 100,
-            sum: 300,
-            max: 20,
-            exemplars: Vec::new(),
-        };
-        // 10% of observations are above 4 ticks.
-        assert!((fraction_above(&h, 4) - 0.10).abs() < 1e-9);
-        // Threshold at or above the max: nothing is bad, even in the
-        // overflow bucket.
-        assert_eq!(fraction_above(&h, 20), 0.0);
-        // Threshold past the last bound but under the max: the
-        // overflow bucket counts bad.
-        assert!((fraction_above(&h, 10) - 0.02).abs() < 1e-9);
-        // Threshold 0: only bucket-0 interpolation, everything bad.
-        assert!(fraction_above(&h, 0) > 0.9);
-        // Interpolation inside the (2, 4] bucket: half the bucket.
-        let f3 = fraction_above(&h, 3);
-        assert!(f3 > 0.10 && f3 < 0.25, "{f3}");
+        let rule = latency_rule();
+        let mut live = LiveSloEngine::new(0, vec![rule.clone()]);
+        // 90 fast detections and 10 past the 8-tick threshold.
+        for i in 0..100 {
+            live.observe_value("latency", 3, if i < 90 { 2 } else { 20 });
+        }
+        assert!((live.bad_fraction(&rule, 3, rule.long_window) - 0.10).abs() < 1e-9);
+        // A window that ends before them sees none.
+        assert_eq!(live.bad_fraction(&rule, 2, rule.short_window), 0.0);
     }
 
     #[test]
