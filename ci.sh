@@ -37,6 +37,9 @@ PROPTEST_CASES=4096 cargo test --release -q -p vdo-trace --test properties equiv
 echo "==> TEARS host monitor vs full-trace monitor, 4096 cases per property (the quiet-tick skip's exactness rests on it)"
 PROPTEST_CASES=4096 cargo test --release -q -p vdo-soc --test tears_equivalence
 
+echo "==> propositional guard properties, 4096 cases per property (normal form, DNF satisfiability and atom maps under every valuation)"
+PROPTEST_CASES=4096 cargo test --release -q -p vdo-core --test guard_properties
+
 echo "==> pool goldens pinned to one CPU (the worker pool's barrier passes with no parallelism)"
 if command -v taskset > /dev/null; then
   # The pool's own tests: a worker cannot run until the caller, which

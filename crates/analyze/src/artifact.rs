@@ -2,163 +2,15 @@
 //!
 //! The runtime [`vdo_core::Catalog`] holds opaque boxed capabilities —
 //! executable, but not inspectable. Static analysis needs *structure*,
-//! so callers describe their catalogue entries with [`ReqExpr`], a
-//! small symbolic mirror of the `vdo-core` composite combinators
-//! (`all_of` / `any_of` / `not` over named atomic checks), and bundle
-//! every analysable artifact of one revision into an [`ArtifactSet`].
+//! so callers describe what each catalogue entry checks as a
+//! [`Guard`] over named atomic checks (the workspace's one
+//! propositional guard type, which TEARS conditions and observer edges
+//! also use), and bundle every analysable artifact of one revision into
+//! an [`ArtifactSet`].
 
 use std::collections::BTreeSet;
 
-use vdo_core::{RequirementSpec, WaiverSet};
-
-/// A symbolic requirement expression: what a catalogue entry *checks*,
-/// as a boolean combination of named atomic checks.
-///
-/// Mirrors the `vdo-core` composite combinators one-for-one, but keeps
-/// the structure inspectable instead of boxing it behind
-/// `dyn Checkable`.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum ReqExpr {
-    /// A named atomic check (e.g. `"sshd.permit_root_login=no"`).
-    Atom(String),
-    /// Negation.
-    Not(Box<ReqExpr>),
-    /// Conjunction: every operand must pass.
-    AllOf(Vec<ReqExpr>),
-    /// Disjunction: at least one operand must pass.
-    AnyOf(Vec<ReqExpr>),
-}
-
-impl ReqExpr {
-    /// A named atomic check.
-    #[must_use]
-    pub fn atom(name: impl Into<String>) -> ReqExpr {
-        ReqExpr::Atom(name.into())
-    }
-
-    /// Negation.
-    #[must_use]
-    // Mirrors the builder-style constructors of `vdo_core` composites;
-    // an `ops::Not` impl would move the operand.
-    #[allow(clippy::should_implement_trait)]
-    pub fn not(e: ReqExpr) -> ReqExpr {
-        ReqExpr::Not(Box::new(e))
-    }
-
-    /// Conjunction.
-    #[must_use]
-    pub fn all_of(es: impl IntoIterator<Item = ReqExpr>) -> ReqExpr {
-        ReqExpr::AllOf(es.into_iter().collect())
-    }
-
-    /// Disjunction.
-    #[must_use]
-    pub fn any_of(es: impl IntoIterator<Item = ReqExpr>) -> ReqExpr {
-        ReqExpr::AnyOf(es.into_iter().collect())
-    }
-
-    /// Canonical form: negation normal form (negations pushed to the
-    /// atoms, double negations elided), nested conjunctions/disjunctions
-    /// flattened, operands sorted and deduplicated. Two entries check
-    /// the same thing iff their normal forms are equal.
-    #[must_use]
-    pub fn normalize(&self) -> ReqExpr {
-        self.nnf(false)
-    }
-
-    fn nnf(&self, negated: bool) -> ReqExpr {
-        match self {
-            ReqExpr::Atom(a) => {
-                let atom = ReqExpr::Atom(a.clone());
-                if negated {
-                    ReqExpr::Not(Box::new(atom))
-                } else {
-                    atom
-                }
-            }
-            ReqExpr::Not(e) => e.nnf(!negated),
-            ReqExpr::AllOf(es) if !negated => Self::flatten(es, false, true),
-            ReqExpr::AllOf(es) => Self::flatten(es, true, false),
-            ReqExpr::AnyOf(es) if !negated => Self::flatten(es, false, false),
-            ReqExpr::AnyOf(es) => Self::flatten(es, true, true),
-        }
-    }
-
-    /// Normalises the operands (each negated iff `negate`), flattens
-    /// same-shaped children, sorts, dedupes, and unwraps singletons.
-    fn flatten(es: &[ReqExpr], negate: bool, conjunction: bool) -> ReqExpr {
-        let mut out: Vec<ReqExpr> = Vec::new();
-        for e in es {
-            let n = e.nnf(negate);
-            match n {
-                ReqExpr::AllOf(inner) if conjunction => out.extend(inner),
-                ReqExpr::AnyOf(inner) if !conjunction => out.extend(inner),
-                other => out.push(other),
-            }
-        }
-        out.sort();
-        out.dedup();
-        if out.len() == 1 {
-            return out.into_iter().next().expect("len checked");
-        }
-        if conjunction {
-            ReqExpr::AllOf(out)
-        } else {
-            ReqExpr::AnyOf(out)
-        }
-    }
-
-    /// If the normalised expression is a pure conjunction of literals
-    /// (atoms or negated atoms), the literal set as `(atom, polarity)`
-    /// pairs; `None` otherwise. The subsumption lint compares these.
-    #[must_use]
-    pub fn conjunctive_literals(&self) -> Option<BTreeSet<(String, bool)>> {
-        fn literal(e: &ReqExpr) -> Option<(String, bool)> {
-            match e {
-                ReqExpr::Atom(a) => Some((a.clone(), true)),
-                ReqExpr::Not(inner) => match inner.as_ref() {
-                    ReqExpr::Atom(a) => Some((a.clone(), false)),
-                    _ => None,
-                },
-                _ => None,
-            }
-        }
-        let n = self.normalize();
-        match &n {
-            ReqExpr::AllOf(es) => es.iter().map(literal).collect(),
-            other => literal(other).map(|l| [l].into_iter().collect()),
-        }
-    }
-}
-
-impl std::fmt::Display for ReqExpr {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReqExpr::Atom(a) => f.write_str(a),
-            ReqExpr::Not(e) => write!(f, "not({e})"),
-            ReqExpr::AllOf(es) => {
-                f.write_str("all_of(")?;
-                for (i, e) in es.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(", ")?;
-                    }
-                    write!(f, "{e}")?;
-                }
-                f.write_str(")")
-            }
-            ReqExpr::AnyOf(es) => {
-                f.write_str("any_of(")?;
-                for (i, e) in es.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(", ")?;
-                    }
-                    write!(f, "{e}")?;
-                }
-                f.write_str(")")
-            }
-        }
-    }
-}
+use vdo_core::{Guard, RequirementSpec, WaiverSet};
 
 /// One catalogue entry as the analyzer sees it: identity plus an
 /// optional symbolic expression of what it checks.
@@ -172,10 +24,11 @@ pub struct EntryArtifact {
     pub title: String,
     /// STIG severity of the underlying requirement.
     pub severity: vdo_core::Severity,
-    /// Symbolic check expression, when the caller can describe it.
+    /// Symbolic check expression over named atomic checks (e.g.
+    /// `"sshd.permit_root_login=no"`), when the caller can describe it.
     /// Entries without one still participate in the identity,
     /// waiver, and traceability lints.
-    pub expr: Option<ReqExpr>,
+    pub expr: Option<Guard<String>>,
 }
 
 impl EntryArtifact {
@@ -227,7 +80,7 @@ impl EntryArtifact {
 
     /// Sets the symbolic check expression.
     #[must_use]
-    pub fn expr(mut self, expr: ReqExpr) -> Self {
+    pub fn expr(mut self, expr: Guard<String>) -> Self {
         self.expr = Some(expr);
         self
     }
@@ -380,61 +233,6 @@ impl ArtifactSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn normalize_flattens_and_sorts() {
-        let e = ReqExpr::all_of([
-            ReqExpr::atom("b"),
-            ReqExpr::all_of([ReqExpr::atom("a"), ReqExpr::atom("b")]),
-        ]);
-        assert_eq!(
-            e.normalize(),
-            ReqExpr::AllOf(vec![ReqExpr::atom("a"), ReqExpr::atom("b")])
-        );
-    }
-
-    #[test]
-    fn normalize_pushes_negation_down() {
-        // ¬(a ∧ ¬b) = ¬a ∨ b
-        let e = ReqExpr::not(ReqExpr::all_of([
-            ReqExpr::atom("a"),
-            ReqExpr::not(ReqExpr::atom("b")),
-        ]));
-        assert_eq!(
-            e.normalize(),
-            ReqExpr::AnyOf(vec![ReqExpr::atom("b"), ReqExpr::not(ReqExpr::atom("a")),])
-        );
-        // Double negation cancels.
-        assert_eq!(
-            ReqExpr::not(ReqExpr::not(ReqExpr::atom("x"))).normalize(),
-            ReqExpr::atom("x")
-        );
-    }
-
-    #[test]
-    fn singleton_composites_unwrap() {
-        assert_eq!(
-            ReqExpr::all_of([ReqExpr::atom("only")]).normalize(),
-            ReqExpr::atom("only")
-        );
-    }
-
-    #[test]
-    fn conjunctive_literals_extraction() {
-        let e = ReqExpr::all_of([ReqExpr::atom("a"), ReqExpr::not(ReqExpr::atom("b"))]);
-        let lits = e.conjunctive_literals().unwrap();
-        assert!(lits.contains(&("a".to_string(), true)));
-        assert!(lits.contains(&("b".to_string(), false)));
-        // Disjunctions are not conjunctive.
-        let d = ReqExpr::any_of([ReqExpr::atom("a"), ReqExpr::atom("b")]);
-        assert_eq!(d.conjunctive_literals(), None);
-    }
-
-    #[test]
-    fn display_round_trip_shape() {
-        let e = ReqExpr::all_of([ReqExpr::atom("a"), ReqExpr::not(ReqExpr::atom("b"))]);
-        assert_eq!(e.to_string(), "all_of(a, not(b))");
-    }
 
     #[test]
     fn artifact_set_builders_accumulate() {

@@ -8,8 +8,8 @@
 //! set equals the original's (property-tested in
 //! `tests/fingerprints.rs`).
 //!
-//! Scope notes: TEARS expressions ride their canonical `Display` form
-//! (which `Expr::parse` accepts), behavioural models ride the
+//! Scope notes: TEARS conditions ride their canonical `Display` form
+//! (which `vdo_tears::parse_guard` accepts), behavioural models ride the
 //! `vdo-gwt` text format via `render_model`/`parse_model`, and GWT
 //! scenario annotations are not carried — no lint reads them and they
 //! are outside the analysis fingerprint.
@@ -17,11 +17,12 @@
 use std::fmt;
 
 use serde::json::Value;
+use vdo_core::Guard;
 use vdo_gwt::GraphModel;
-use vdo_tears::{Expr, GuardedAssertion};
+use vdo_tears::GuardedAssertion;
 use vdo_temporal::Formula;
 
-use crate::artifact::{ArtifactSet, EntryArtifact, ReqExpr};
+use crate::artifact::{ArtifactSet, EntryArtifact};
 
 /// A malformed document: what was expected, and where.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,29 +94,31 @@ fn as_array<'a>(v: &'a Value, path: &str) -> Result<&'a [Value], DecodeError> {
 }
 
 // ---------------------------------------------------------------------
-// ReqExpr
+// Entry expressions
 // ---------------------------------------------------------------------
 
-/// Encodes a requirement expression as a tagged object.
+/// Encodes an entry's check expression as a tagged object. `True`
+/// travels as the empty `all_of`, which decodes to an equivalent guard.
 #[must_use]
-pub fn encode_expr(e: &ReqExpr) -> Value {
+pub fn encode_expr(e: &Guard<String>) -> Value {
     match e {
-        ReqExpr::Atom(a) => serde::json::object([("atom", Value::String(a.clone()))]),
-        ReqExpr::Not(inner) => serde::json::object([("not", encode_expr(inner))]),
-        ReqExpr::AllOf(es) => {
+        Guard::True => serde::json::object([("all_of", Value::Array(Vec::new()))]),
+        Guard::Atom(a) => serde::json::object([("atom", Value::String(a.clone()))]),
+        Guard::Not(inner) => serde::json::object([("not", encode_expr(inner))]),
+        Guard::And(es) => {
             serde::json::object([("all_of", Value::Array(es.iter().map(encode_expr).collect()))])
         }
-        ReqExpr::AnyOf(es) => {
+        Guard::Or(es) => {
             serde::json::object([("any_of", Value::Array(es.iter().map(encode_expr).collect()))])
         }
     }
 }
 
-/// Decodes a requirement expression.
+/// Decodes an entry's check expression.
 ///
 /// # Errors
 /// If the value is not a recognised tagged form.
-pub fn decode_expr(v: &Value, path: &str) -> Result<ReqExpr, DecodeError> {
+pub fn decode_expr(v: &Value, path: &str) -> Result<Guard<String>, DecodeError> {
     let Value::Object(fields) = v else {
         return Err(DecodeError::new(path, "expected expression object"));
     };
@@ -123,8 +126,8 @@ pub fn decode_expr(v: &Value, path: &str) -> Result<ReqExpr, DecodeError> {
         return Err(DecodeError::new(path, "expected exactly one tag field"));
     };
     match tag.as_str() {
-        "atom" => Ok(ReqExpr::Atom(as_str(body, path)?.to_string())),
-        "not" => Ok(ReqExpr::not(decode_expr(body, &format!("{path}.not"))?)),
+        "atom" => Ok(Guard::atom(as_str(body, path)?)),
+        "not" => Ok(Guard::not(decode_expr(body, &format!("{path}.not"))?)),
         "all_of" | "any_of" => {
             let items = as_array(body, path)?
                 .iter()
@@ -132,9 +135,9 @@ pub fn decode_expr(v: &Value, path: &str) -> Result<ReqExpr, DecodeError> {
                 .map(|(i, item)| decode_expr(item, &format!("{path}.{tag}[{i}]")))
                 .collect::<Result<Vec<_>, _>>()?;
             Ok(if tag == "all_of" {
-                ReqExpr::AllOf(items)
+                Guard::And(items)
             } else {
-                ReqExpr::AnyOf(items)
+                Guard::Or(items)
             })
         }
         other => Err(DecodeError::new(path, format!("unknown tag `{other}`"))),
@@ -421,16 +424,6 @@ pub fn decode_set(v: &Value) -> Result<ArtifactSet, DecodeError> {
     Ok(set)
 }
 
-/// Re-parses a TEARS expression from its canonical display form (used
-/// by tests asserting the `Display` ↔ `parse` round trip the codec
-/// relies on).
-///
-/// # Errors
-/// If the text is not a valid expression.
-pub fn reparse_expr(text: &str) -> Result<Expr, DecodeError> {
-    Expr::parse(text).map_err(|e| DecodeError::new("$", format!("unparsable expr: {e:?}")))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -450,9 +443,9 @@ mod tests {
                     .package("os.ssh")
                     .title("no root login")
                     .severity(vdo_core::Severity::High)
-                    .expr(ReqExpr::all_of([
-                        ReqExpr::atom("permit_root=no"),
-                        ReqExpr::not(ReqExpr::atom("protocol=1")),
+                    .expr(Guard::all_of([
+                        Guard::atom("permit_root=no"),
+                        Guard::not(Guard::atom("protocol=1")),
                     ])),
             )
             .with_waiver(vdo_core::Waiver {

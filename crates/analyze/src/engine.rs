@@ -239,7 +239,8 @@ impl Serialize for AnalysisReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::artifact::{EntryArtifact, ReqExpr};
+    use crate::artifact::EntryArtifact;
+    use vdo_core::Guard;
     use vdo_core::Waiver;
     use vdo_temporal::Formula;
 
@@ -252,12 +253,12 @@ mod tests {
         m.add_edge(a, b, "go");
         m.set_start(a);
         ArtifactSet::new()
-            .with_entry(EntryArtifact::new("V-CONTRA").expr(ReqExpr::all_of([
-                ReqExpr::atom("x"),
-                ReqExpr::not(ReqExpr::atom("x")),
+            .with_entry(EntryArtifact::new("V-CONTRA").expr(Guard::all_of([
+                Guard::atom("x"),
+                Guard::not(Guard::atom("x")),
             ])))
-            .with_entry(EntryArtifact::new("V-A").expr(ReqExpr::atom("a")))
-            .with_entry(EntryArtifact::new("V-A2").expr(ReqExpr::atom("a")))
+            .with_entry(EntryArtifact::new("V-A").expr(Guard::atom("a")))
+            .with_entry(EntryArtifact::new("V-A2").expr(Guard::atom("a")))
             .with_waiver(Waiver {
                 finding_id: "V-GHOST".into(),
                 reason: "gone".into(),
@@ -328,7 +329,7 @@ mod tests {
     fn clean_set_stays_clean() {
         let analyzer = Analyzer::new(AnalysisConfig::default());
         let set = ArtifactSet::new()
-            .with_entry(EntryArtifact::new("V-1").expr(ReqExpr::atom("cfg_1")))
+            .with_entry(EntryArtifact::new("V-1").expr(Guard::atom("cfg_1")))
             .with_formula(
                 "response",
                 Formula::globally(Formula::implies(

@@ -19,12 +19,13 @@
 //! under artifact iteration order without the duplicate-cancellation
 //! hazard of XOR folding.
 
+use vdo_core::Guard;
 use vdo_gwt::GraphModel;
 use vdo_obs::hash::{fnv1a, FNV_OFFSET};
 use vdo_tears::GuardedAssertion;
 use vdo_temporal::Formula;
 
-use crate::artifact::{ArtifactSet, EntryArtifact, NamedFormula, ReqExpr};
+use crate::artifact::{ArtifactSet, EntryArtifact, NamedFormula};
 
 /// A 64-bit content fingerprint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -109,39 +110,33 @@ impl Hasher {
     }
 }
 
-/// Fingerprint of a symbolic requirement expression (raw structure,
-/// not the normal form — the analyzer's messages embed the raw shape).
+/// Fingerprint of an entry's check expression (raw structure, not the
+/// normal form — the analyzer's messages embed the raw shape).
 #[must_use]
-pub fn fingerprint_expr(e: &ReqExpr) -> Fingerprint {
+pub fn fingerprint_expr(e: &Guard<String>) -> Fingerprint {
     let mut h = Hasher::new();
     hash_expr(&mut h, e);
     h.finish()
 }
 
-fn hash_expr(h: &mut Hasher, e: &ReqExpr) {
+fn hash_expr(h: &mut Hasher, e: &Guard<String>) {
     match e {
-        ReqExpr::Atom(a) => {
+        Guard::Atom(a) => {
             h.write_tag(1);
             h.write_str(a);
         }
-        ReqExpr::Not(inner) => {
+        Guard::Not(inner) => {
             h.write_tag(2);
             hash_expr(h, inner);
         }
-        ReqExpr::AllOf(es) => {
-            h.write_tag(3);
+        Guard::And(es) | Guard::Or(es) => {
+            h.write_tag(if matches!(e, Guard::And(_)) { 3 } else { 4 });
             h.write_u64(es.len() as u64);
             for e in es {
                 hash_expr(h, e);
             }
         }
-        ReqExpr::AnyOf(es) => {
-            h.write_tag(4);
-            h.write_u64(es.len() as u64);
-            for e in es {
-                hash_expr(h, e);
-            }
-        }
+        Guard::True => h.write_tag(5),
     }
 }
 
@@ -292,7 +287,7 @@ pub fn fingerprint_model(m: &GraphModel) -> Fingerprint {
 
 /// Fingerprint of a TEARS guarded assertion. The guard and assertion
 /// expressions hash through their canonical `Display` form, which
-/// `Expr::parse` round-trips.
+/// `vdo_tears::parse_guard` round-trips.
 #[must_use]
 pub fn fingerprint_assertion(ga: &GuardedAssertion) -> Fingerprint {
     let mut h = Hasher::new();
@@ -368,7 +363,7 @@ mod tests {
         let base = EntryArtifact::new("V-1")
             .package("os.ssh")
             .title("t")
-            .expr(ReqExpr::atom("a"));
+            .expr(Guard::atom("a"));
         let f0 = fingerprint_entry(&base);
         assert_ne!(
             f0,
@@ -376,7 +371,7 @@ mod tests {
                 &EntryArtifact::new("V-2")
                     .package("os.ssh")
                     .title("t")
-                    .expr(ReqExpr::atom("a"))
+                    .expr(Guard::atom("a"))
             )
         );
         assert_ne!(f0, fingerprint_entry(&base.clone().package("os.audit")));
@@ -385,16 +380,13 @@ mod tests {
             f0,
             fingerprint_entry(&base.clone().severity(vdo_core::Severity::High))
         );
-        assert_ne!(
-            f0,
-            fingerprint_entry(&base.clone().expr(ReqExpr::atom("b")))
-        );
+        assert_ne!(f0, fingerprint_entry(&base.clone().expr(Guard::atom("b"))));
     }
 
     #[test]
     fn set_fingerprint_is_order_invariant() {
-        let a = EntryArtifact::new("V-1").expr(ReqExpr::atom("a"));
-        let b = EntryArtifact::new("V-2").expr(ReqExpr::atom("b"));
+        let a = EntryArtifact::new("V-1").expr(Guard::atom("a"));
+        let b = EntryArtifact::new("V-2").expr(Guard::atom("b"));
         let s1 = ArtifactSet::new()
             .with_entry(a.clone())
             .with_entry(b.clone());

@@ -1065,8 +1065,8 @@ impl std::fmt::Debug for IncrementalAnalyzer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::artifact::ReqExpr;
     use crate::engine::Analyzer;
+    use vdo_core::Guard;
 
     fn full_report(inc: &IncrementalAnalyzer) -> AnalysisReport {
         Analyzer::new(inc.config().clone()).analyze_all(&inc.artifacts(), 1)
@@ -1085,7 +1085,7 @@ mod tests {
         let mut inc = IncrementalAnalyzer::new(AnalysisConfig::default());
         // Add an uncovered entry → VDA011.
         let r = inc.apply(
-            &ArtifactDelta::new().with_entry(EntryArtifact::new("V-1").expr(ReqExpr::atom("a"))),
+            &ArtifactDelta::new().with_entry(EntryArtifact::new("V-1").expr(Guard::atom("a"))),
             1,
         );
         assert_eq!(r, full_report(&inc));
@@ -1108,16 +1108,16 @@ mod tests {
     fn memo_hits_on_revert() {
         let mut inc = IncrementalAnalyzer::new(AnalysisConfig::default());
         let seed = ArtifactDelta::new()
-            .with_entry(EntryArtifact::new("V-1").expr(ReqExpr::all_of([
-                ReqExpr::atom("x"),
-                ReqExpr::not(ReqExpr::atom("x")),
+            .with_entry(EntryArtifact::new("V-1").expr(Guard::all_of([
+                Guard::atom("x"),
+                Guard::not(Guard::atom("x")),
             ])))
             .cover_dev("V-1");
         let first = inc.apply(&seed, 1);
         let miss0 = inc.stats().misses;
         // Mutate, then undo; the revert should be all memo hits.
         let (mutated, undo) = inc.apply_with_undo(
-            &ArtifactDelta::new().with_entry(EntryArtifact::new("V-1").expr(ReqExpr::atom("fine"))),
+            &ArtifactDelta::new().with_entry(EntryArtifact::new("V-1").expr(Guard::atom("fine"))),
             1,
         );
         assert_ne!(first, mutated);
@@ -1164,8 +1164,8 @@ mod tests {
     #[test]
     fn from_set_seed_matches_batch() {
         let set = ArtifactSet::new()
-            .with_entry(EntryArtifact::new("V-A").expr(ReqExpr::atom("a")))
-            .with_entry(EntryArtifact::new("V-B").expr(ReqExpr::atom("a")))
+            .with_entry(EntryArtifact::new("V-A").expr(Guard::atom("a")))
+            .with_entry(EntryArtifact::new("V-B").expr(Guard::atom("a")))
             .with_formula(
                 "taut",
                 Formula::Or(
@@ -1192,7 +1192,7 @@ mod tests {
         for i in 0..50 {
             seed = seed
                 .with_entry(
-                    EntryArtifact::new(format!("V-{i:03}")).expr(ReqExpr::atom(format!("cfg_{i}"))),
+                    EntryArtifact::new(format!("V-{i:03}")).expr(Guard::atom(format!("cfg_{i}"))),
                 )
                 .cover_dev(format!("V-{i:03}"));
         }
@@ -1202,7 +1202,7 @@ mod tests {
         // buckets it leaves and enters may be re-examined.
         inc.apply(
             &ArtifactDelta::new()
-                .with_entry(EntryArtifact::new("V-007").expr(ReqExpr::atom("cfg_new"))),
+                .with_entry(EntryArtifact::new("V-007").expr(Guard::atom("cfg_new"))),
             2,
         );
         let dirty = inc.stats().dirty_units - dirty_before;

@@ -16,7 +16,8 @@
 //! * The [`Lint`] trait and [`LintRegistry`] hold the passes; nine
 //!   built-in lints span every artifact kind, including bounded
 //!   tautology/contradiction search with the finite-trace evaluator
-//!   and vacuity detection via the CTL model checker.
+//!   and vacuity detection over every valuation of a pattern's
+//!   propositional part, as a [`vdo_core::Guard`].
 //! * [`Analyzer`] runs the registry over an [`ArtifactSet`] and yields
 //!   a deterministic [`AnalysisReport`]; parallel analysis is
 //!   bit-identical to sequential at any thread count.
@@ -32,12 +33,13 @@
 //! artifacts are themselves verified.
 //!
 //! ```
-//! use vdo_analyze::{AnalysisConfig, Analyzer, ArtifactSet, EntryArtifact, LintCode, ReqExpr};
+//! use vdo_analyze::{AnalysisConfig, Analyzer, ArtifactSet, EntryArtifact, LintCode};
+//! use vdo_core::Guard;
 //!
 //! let artifacts = ArtifactSet::new()
-//!     .with_entry(EntryArtifact::new("V-1").expr(ReqExpr::all_of([
-//!         ReqExpr::atom("sshd_disabled"),
-//!         ReqExpr::not(ReqExpr::atom("sshd_disabled")),
+//!     .with_entry(EntryArtifact::new("V-1").expr(Guard::all_of([
+//!         Guard::atom("sshd_disabled"),
+//!         Guard::not(Guard::atom("sshd_disabled")),
 //!     ])))
 //!     .covered_dev_all();
 //! let report = Analyzer::new(AnalysisConfig::default()).analyze(&artifacts);
@@ -54,7 +56,7 @@ pub mod graph;
 pub mod incremental;
 pub mod lints;
 
-pub use artifact::{ArtifactSet, EntryArtifact, NamedFormula, ReqExpr};
+pub use artifact::{ArtifactSet, EntryArtifact, NamedFormula};
 pub use config::{
     AnalysisConfig, AnalysisConfigBuilder, ConfigError, MAX_WITNESS_ATOMS, MAX_WITNESS_TRACE_LEN,
 };

@@ -5,19 +5,18 @@
 //! run them on worker threads without changing the result. The
 //! temporal lints lean on the existing checkers instead of reinventing
 //! them: the tautology/contradiction search enumerates bounded witness
-//! traces through [`vdo_temporal::Interpretation`], and the vacuity
-//! lint decides propositional satisfiability with the `vdo-specpat`
-//! CTL model checker over a universal Kripke structure.
+//! traces through [`vdo_temporal::Interpretation`]. Every propositional
+//! question (a catalogue entry's expression, a pattern's antecedent or
+//! consequent, a TEARS guard) is asked of one [`Guard`]: its normal
+//! form, its DNF, or its evaluation under each valuation.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use vdo_core::CheckStatus;
-use vdo_specpat::{CtlFormula, Kripke, ModelChecker};
-use vdo_tears::expr::CmpOp;
-use vdo_tears::Expr;
+use vdo_core::{CheckStatus, Guard};
+use vdo_tears::{Cmp, CmpOp};
 use vdo_temporal::{Formula, Interpretation, Semantics, Trace};
 
-use crate::artifact::{ArtifactSet, EntryArtifact, ReqExpr};
+use crate::artifact::{ArtifactSet, EntryArtifact};
 use crate::config::AnalysisConfig;
 use crate::diag::{Diagnostic, LintCode};
 use crate::graph::DependencyGraph;
@@ -229,24 +228,18 @@ impl Lint for CompositeLint {
 
 /// Searches a normalised expression for an `all_of` whose direct
 /// operands contain a literal and its negation; returns the atom.
-fn first_conflicting_atom(expr: &ReqExpr) -> Option<String> {
+fn first_conflicting_atom(expr: &Guard<String>) -> Option<String> {
     match expr {
-        ReqExpr::Atom(_) => None,
-        ReqExpr::Not(e) => first_conflicting_atom(e),
-        ReqExpr::AllOf(es) => {
+        Guard::True | Guard::Atom(_) => None,
+        Guard::Not(e) => first_conflicting_atom(e),
+        Guard::And(es) => {
             let mut pos = BTreeSet::new();
             let mut neg = BTreeSet::new();
-            for e in es {
-                match e {
-                    ReqExpr::Atom(a) => {
-                        pos.insert(a.clone());
-                    }
-                    ReqExpr::Not(inner) => {
-                        if let ReqExpr::Atom(a) = inner.as_ref() {
-                            neg.insert(a.clone());
-                        }
-                    }
-                    _ => {}
+            for (a, positive) in es.iter().filter_map(literal) {
+                if positive {
+                    pos.insert(a);
+                } else {
+                    neg.insert(a);
                 }
             }
             if let Some(a) = pos.intersection(&neg).next() {
@@ -254,7 +247,29 @@ fn first_conflicting_atom(expr: &ReqExpr) -> Option<String> {
             }
             es.iter().find_map(first_conflicting_atom)
         }
-        ReqExpr::AnyOf(es) => es.iter().find_map(first_conflicting_atom),
+        Guard::Or(es) => es.iter().find_map(first_conflicting_atom),
+    }
+}
+
+/// An atom or a negated atom, as `(atom, polarity)`.
+fn literal(e: &Guard<String>) -> Option<(String, bool)> {
+    match e {
+        Guard::Atom(a) => Some((a.clone(), true)),
+        Guard::Not(inner) => match inner.as_ref() {
+            Guard::Atom(a) => Some((a.clone(), false)),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// If the normalised expression is a pure conjunction of literals
+/// (atoms or negated atoms), the literal set; `None` otherwise. The
+/// subsumption check compares these.
+fn conjunctive_literals(e: &Guard<String>) -> Option<BTreeSet<(String, bool)>> {
+    match e.normalize() {
+        Guard::And(es) => es.iter().map(literal).collect(),
+        other => literal(&other).map(|l| BTreeSet::from([l])),
     }
 }
 
@@ -301,7 +316,7 @@ fn duplicate_id_diags(entries: &[EntryArtifact]) -> Vec<Diagnostic> {
 /// ids: every group member after the first is flagged against it.
 fn duplicate_expr_diags(entries: &[EntryArtifact]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let mut by_expr: BTreeMap<ReqExpr, Vec<usize>> = BTreeMap::new();
+    let mut by_expr: BTreeMap<Guard<String>, Vec<usize>> = BTreeMap::new();
     for (i, e) in entries.iter().enumerate() {
         if let Some(expr) = &e.expr {
             by_expr.entry(expr.normalize()).or_default().push(i);
@@ -335,7 +350,7 @@ fn subsumption_diags(entries: &[EntryArtifact], owner: Option<&(String, bool)>) 
     let mut out = Vec::new();
     let literal_sets: Vec<Option<BTreeSet<(String, bool)>>> = entries
         .iter()
-        .map(|e| e.expr.as_ref().and_then(ReqExpr::conjunctive_literals))
+        .map(|e| e.expr.as_ref().and_then(conjunctive_literals))
         .collect();
     let mut by_literal: BTreeMap<&(String, bool), Vec<usize>> = BTreeMap::new();
     for (i, lits) in literal_sets.iter().enumerate() {
@@ -399,7 +414,7 @@ impl Lint for CatalogueIdentityLint {
             "x:{:016x}",
             crate::fingerprint::fingerprint_expr(&expr.normalize()).0
         )];
-        if let Some(lits) = expr.conjunctive_literals() {
+        if let Some(lits) = conjunctive_literals(expr) {
             for (atom, positive) in &lits {
                 keys.push(format!("s:{}{atom}", if *positive { '+' } else { '-' }));
             }
@@ -685,10 +700,8 @@ fn witness_search(f: &Formula, max_atoms: usize, max_len: usize) -> Option<(bool
 /// unsatisfiable (the obligation never triggers) or whose propositional
 /// consequent is a tautology (the obligation is trivially met).
 ///
-/// Satisfiability is decided by the `vdo-specpat` CTL model checker:
-/// the antecedent is checked over a *universal* Kripke structure with
-/// one state per valuation of its atoms, where a propositional formula
-/// is satisfiable iff its satisfying-state set is non-empty.
+/// Satisfiability is decided by evaluating the formula, as a [`Guard`],
+/// under every valuation of its atoms.
 pub struct VacuityLint;
 
 impl Lint for VacuityLint {
@@ -744,56 +757,36 @@ impl Lint for VacuityLint {
     }
 }
 
-/// Decides satisfiability of a *propositional* formula via the CTL
-/// checker on a universal Kripke structure. `None` when the formula is
+/// Decides satisfiability of a *propositional* formula by evaluating
+/// it under every valuation of its atoms. `None` when the formula is
 /// temporal or exceeds the atom budget.
 fn prop_satisfiable(f: &Formula, max_atoms: usize) -> Option<bool> {
-    let ctl = prop_to_ctl(f)?;
-    let atoms: Vec<String> = f.atoms().into_iter().map(str::to_string).collect();
+    let guard = prop_guard(f)?;
+    let atoms = guard.atoms();
     if atoms.len() > max_atoms {
         return None;
     }
-    let kripke = universal_kripke(&atoms);
-    let checker = ModelChecker::new(&kripke);
-    Some(!checker.satisfying_states(&ctl).is_empty())
+    let index = |a: &str| atoms.iter().position(|&&b| b == a).expect("own atom");
+    Some((0u64..1 << atoms.len()).any(|v| {
+        guard
+            .eval(&|&a: &&str| CheckStatus::from((v >> index(a)) & 1 == 1))
+            .is_pass()
+    }))
 }
 
-/// Translates a propositional [`Formula`] into [`CtlFormula`]; `None`
-/// on any temporal operator.
-fn prop_to_ctl(f: &Formula) -> Option<CtlFormula> {
-    match f {
-        Formula::True => Some(CtlFormula::True),
-        Formula::False => Some(CtlFormula::not(CtlFormula::True)),
-        Formula::Atom(a) => Some(CtlFormula::atom(a.clone())),
-        Formula::Not(x) => prop_to_ctl(x).map(CtlFormula::not),
-        Formula::And(a, b) => Some(CtlFormula::and(prop_to_ctl(a)?, prop_to_ctl(b)?)),
-        Formula::Or(a, b) => Some(CtlFormula::or(prop_to_ctl(a)?, prop_to_ctl(b)?)),
-        Formula::Implies(a, b) => Some(CtlFormula::implies(prop_to_ctl(a)?, prop_to_ctl(b)?)),
-        _ => None,
-    }
-}
-
-/// One state per valuation of `atoms`, complete transition relation,
-/// every state initial.
-fn universal_kripke(atoms: &[String]) -> Kripke {
-    let n = 1usize << atoms.len();
-    let mut k = Kripke::new();
-    for s in 0..n {
-        let labels: Vec<&str> = atoms
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| (s >> i) & 1 == 1)
-            .map(|(_, a)| a.as_str())
-            .collect();
-        k.add_state(labels);
-    }
-    for a in 0..n {
-        for b in 0..n {
-            k.add_transition(a, b);
-        }
-        k.set_initial(a);
-    }
-    k
+/// The propositional [`Formula`] `f` as a [`Guard`] over its atom
+/// names; `None` on any temporal operator.
+fn prop_guard(f: &Formula) -> Option<Guard<&str>> {
+    Some(match f {
+        Formula::True => Guard::True,
+        Formula::False => Guard::not(Guard::True),
+        Formula::Atom(a) => Guard::Atom(a.as_str()),
+        Formula::Not(x) => Guard::not(prop_guard(x)?),
+        Formula::And(a, b) => Guard::all_of([prop_guard(a)?, prop_guard(b)?]),
+        Formula::Or(a, b) => Guard::any_of([prop_guard(a)?, prop_guard(b)?]),
+        Formula::Implies(a, b) => Guard::any_of([Guard::not(prop_guard(a)?), prop_guard(b)?]),
+        _ => return None,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -927,69 +920,16 @@ impl Lint for GuardLint {
 /// exclusions); the guard is satisfiable iff some conjunct leaves every
 /// signal a non-empty set. `None` when the DNF explodes past the cap
 /// (skip rather than guess).
-fn guard_satisfiable(e: &Expr) -> Option<bool> {
+fn guard_satisfiable(e: &Guard<Cmp>) -> Option<bool> {
     const DNF_CAP: usize = 128;
-    let conjuncts = dnf(&nnf(e, false), DNF_CAP)?;
+    let conjuncts = e.dnf(DNF_CAP)?;
     Some(conjuncts.iter().any(|c| conjunct_satisfiable(c)))
 }
 
-/// Pushes negations down to the comparisons (`¬(x > k) ⇒ x ≤ k`).
-fn nnf(e: &Expr, negated: bool) -> Expr {
-    match e {
-        Expr::Cmp(s, op, k) => {
-            let op = if negated { negate_op(*op) } else { *op };
-            Expr::Cmp(s.clone(), op, *k)
-        }
-        Expr::Not(inner) => nnf(inner, !negated),
-        Expr::And(a, b) if !negated => Expr::And(Box::new(nnf(a, false)), Box::new(nnf(b, false))),
-        Expr::And(a, b) => Expr::Or(Box::new(nnf(a, true)), Box::new(nnf(b, true))),
-        Expr::Or(a, b) if !negated => Expr::Or(Box::new(nnf(a, false)), Box::new(nnf(b, false))),
-        Expr::Or(a, b) => Expr::And(Box::new(nnf(a, true)), Box::new(nnf(b, true))),
-    }
-}
-
-fn negate_op(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Gt => CmpOp::Le,
-        CmpOp::Le => CmpOp::Gt,
-        CmpOp::Ge => CmpOp::Lt,
-        CmpOp::Lt => CmpOp::Ge,
-        CmpOp::Eq => CmpOp::Ne,
-        CmpOp::Ne => CmpOp::Eq,
-    }
-}
-
-type Comparison = (String, CmpOp, f64);
-
-/// Disjunctive normal form of a negation-free expression, capped at
-/// `cap` conjuncts.
-fn dnf(e: &Expr, cap: usize) -> Option<Vec<Vec<Comparison>>> {
-    match e {
-        Expr::Cmp(s, op, k) => Some(vec![vec![(s.clone(), *op, *k)]]),
-        Expr::Not(_) => None, // nnf() removed these; be safe
-        Expr::Or(a, b) => {
-            let mut out = dnf(a, cap)?;
-            out.extend(dnf(b, cap)?);
-            (out.len() <= cap).then_some(out)
-        }
-        Expr::And(a, b) => {
-            let left = dnf(a, cap)?;
-            let right = dnf(b, cap)?;
-            let mut out = Vec::with_capacity(left.len() * right.len());
-            for l in &left {
-                for r in &right {
-                    let mut c = l.clone();
-                    c.extend(r.iter().cloned());
-                    out.push(c);
-                }
-            }
-            (out.len() <= cap).then_some(out)
-        }
-    }
-}
-
-/// Whether one conjunction of comparisons has a satisfying valuation.
-fn conjunct_satisfiable(comparisons: &[Comparison]) -> bool {
+/// Whether one conjunction of comparison literals has a satisfying
+/// valuation; a negated literal holds where its comparison fails, so it
+/// constrains the signal as the opposite operator does.
+fn conjunct_satisfiable(literals: &[(&Cmp, bool)]) -> bool {
     #[derive(Clone)]
     struct Range {
         lo: f64,
@@ -1034,18 +974,19 @@ fn conjunct_satisfiable(comparisons: &[Comparison]) -> bool {
     }
 
     let mut ranges: BTreeMap<&str, Range> = BTreeMap::new();
-    for (signal, op, k) in comparisons {
-        let r = ranges.entry(signal.as_str()).or_insert_with(Range::new);
-        match op {
-            CmpOp::Gt => r.tighten_lo(*k, true),
-            CmpOp::Ge => r.tighten_lo(*k, false),
-            CmpOp::Lt => r.tighten_hi(*k, true),
-            CmpOp::Le => r.tighten_hi(*k, false),
-            CmpOp::Eq => {
-                r.tighten_lo(*k, false);
-                r.tighten_hi(*k, false);
+    for &(c, positive) in literals {
+        let r = ranges.entry(c.signal.as_str()).or_insert_with(Range::new);
+        let k = c.constant;
+        match (c.op, positive) {
+            (CmpOp::Gt, true) | (CmpOp::Le, false) => r.tighten_lo(k, true),
+            (CmpOp::Ge, true) | (CmpOp::Lt, false) => r.tighten_lo(k, false),
+            (CmpOp::Lt, true) | (CmpOp::Ge, false) => r.tighten_hi(k, true),
+            (CmpOp::Le, true) | (CmpOp::Gt, false) => r.tighten_hi(k, false),
+            (CmpOp::Eq, true) | (CmpOp::Ne, false) => {
+                r.tighten_lo(k, false);
+                r.tighten_hi(k, false);
             }
-            CmpOp::Ne => r.excluded.push(*k),
+            (CmpOp::Ne, true) | (CmpOp::Eq, false) => r.excluded.push(k),
         }
     }
     ranges.values().all(Range::non_empty)
@@ -1156,9 +1097,9 @@ mod tests {
 
     #[test]
     fn composite_flags_direct_contradiction() {
-        let set = ArtifactSet::new().with_entry(EntryArtifact::new("V-1").expr(ReqExpr::all_of([
-            ReqExpr::atom("x"),
-            ReqExpr::not(ReqExpr::atom("x")),
+        let set = ArtifactSet::new().with_entry(EntryArtifact::new("V-1").expr(Guard::all_of([
+            Guard::atom("x"),
+            Guard::not(Guard::atom("x")),
         ])));
         let d = run_lint(&CompositeLint, &set);
         assert_eq!(d.len(), 1);
@@ -1169,19 +1110,19 @@ mod tests {
     #[test]
     fn composite_sees_through_nesting() {
         // all_of(x, all_of(y, not(x))) flattens to a conflict.
-        let set = ArtifactSet::new().with_entry(EntryArtifact::new("V-2").expr(ReqExpr::all_of([
-            ReqExpr::atom("x"),
-            ReqExpr::all_of([ReqExpr::atom("y"), ReqExpr::not(ReqExpr::atom("x"))]),
+        let set = ArtifactSet::new().with_entry(EntryArtifact::new("V-2").expr(Guard::all_of([
+            Guard::atom("x"),
+            Guard::all_of([Guard::atom("y"), Guard::not(Guard::atom("x"))]),
         ])));
         assert_eq!(run_lint(&CompositeLint, &set).len(), 1);
     }
 
     #[test]
     fn composite_clean_on_consistent_entries() {
-        let set = ArtifactSet::new().with_entry(EntryArtifact::new("V-3").expr(ReqExpr::all_of([
-            ReqExpr::atom("x"),
-            ReqExpr::not(ReqExpr::atom("y")),
-            ReqExpr::any_of([ReqExpr::atom("y"), ReqExpr::atom("z")]),
+        let set = ArtifactSet::new().with_entry(EntryArtifact::new("V-3").expr(Guard::all_of([
+            Guard::atom("x"),
+            Guard::not(Guard::atom("y")),
+            Guard::any_of([Guard::atom("y"), Guard::atom("z")]),
         ])));
         assert!(run_lint(&CompositeLint, &set).is_empty());
     }
@@ -1201,9 +1142,9 @@ mod tests {
 
     #[test]
     fn duplicate_expression_flags_later_entry() {
-        let e = ReqExpr::all_of([ReqExpr::atom("a"), ReqExpr::atom("b")]);
+        let e = Guard::all_of([Guard::atom("a"), Guard::atom("b")]);
         // Same normal form despite different operand order.
-        let e2 = ReqExpr::all_of([ReqExpr::atom("b"), ReqExpr::atom("a")]);
+        let e2 = Guard::all_of([Guard::atom("b"), Guard::atom("a")]);
         let set = ArtifactSet::new()
             .with_entry(EntryArtifact::new("V-1").expr(e))
             .with_entry(EntryArtifact::new("V-2").expr(e2));
@@ -1216,10 +1157,10 @@ mod tests {
     #[test]
     fn subsumed_entry_flagged_with_stronger_related() {
         let set = ArtifactSet::new()
-            .with_entry(EntryArtifact::new("V-WEAK").expr(ReqExpr::atom("a")))
+            .with_entry(EntryArtifact::new("V-WEAK").expr(Guard::atom("a")))
             .with_entry(
                 EntryArtifact::new("V-STRONG")
-                    .expr(ReqExpr::all_of([ReqExpr::atom("a"), ReqExpr::atom("b")])),
+                    .expr(Guard::all_of([Guard::atom("a"), Guard::atom("b")])),
             );
         let d = run_lint(&CatalogueIdentityLint, &set);
         assert_eq!(d.len(), 1);
@@ -1231,8 +1172,8 @@ mod tests {
     #[test]
     fn identity_clean_on_distinct_entries() {
         let set = ArtifactSet::new()
-            .with_entry(EntryArtifact::new("V-1").expr(ReqExpr::atom("a")))
-            .with_entry(EntryArtifact::new("V-2").expr(ReqExpr::atom("b")));
+            .with_entry(EntryArtifact::new("V-1").expr(Guard::atom("a")))
+            .with_entry(EntryArtifact::new("V-2").expr(Guard::atom("b")));
         assert!(run_lint(&CatalogueIdentityLint, &set).is_empty());
     }
 
@@ -1342,7 +1283,7 @@ mod tests {
     // -- VDA008 -------------------------------------------------------
 
     #[test]
-    fn vacuous_antecedent_detected_via_kripke() {
+    fn vacuous_antecedent_detected() {
         let f = Formula::globally(Formula::implies(
             Formula::and(Formula::atom("p"), Formula::not(Formula::atom("p"))),
             Formula::finally(Formula::atom("alert")),
@@ -1436,16 +1377,16 @@ mod tests {
     #[test]
     fn boundary_guards_judged_exactly() {
         // x >= 1 and x <= 1 has exactly one solution: satisfiable.
-        let ok = Expr::parse("x >= 1 and x <= 1").unwrap();
+        let ok = vdo_tears::parse_guard("x >= 1 and x <= 1").unwrap();
         assert_eq!(guard_satisfiable(&ok), Some(true));
         // Adding x != 1 removes it.
-        let dead = Expr::parse("x >= 1 and x <= 1 and x != 1").unwrap();
+        let dead = vdo_tears::parse_guard("x >= 1 and x <= 1 and x != 1").unwrap();
         assert_eq!(guard_satisfiable(&dead), Some(false));
         // Strict bounds meeting at a point are empty.
-        let strict = Expr::parse("x > 1 and x < 1").unwrap();
+        let strict = vdo_tears::parse_guard("x > 1 and x < 1").unwrap();
         assert_eq!(guard_satisfiable(&strict), Some(false));
         // not() distributes: not (x > 0 or x < 0) == x == 0.
-        let zero = Expr::parse("not (x > 0 or x < 0)").unwrap();
+        let zero = vdo_tears::parse_guard("not (x > 0 or x < 0)").unwrap();
         assert_eq!(guard_satisfiable(&zero), Some(true));
     }
 

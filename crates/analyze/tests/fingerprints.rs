@@ -12,9 +12,9 @@ use vdo_analyze::fingerprint::{
     fingerprint_assertion, fingerprint_entry, fingerprint_model, fingerprint_named_formula,
     fingerprint_waiver,
 };
-use vdo_analyze::{fingerprint_set, ArtifactSet, EntryArtifact, NamedFormula, ReqExpr};
-use vdo_core::{Severity, Waiver};
-use vdo_tears::{Expr, GuardedAssertion};
+use vdo_analyze::{fingerprint_set, ArtifactSet, EntryArtifact, NamedFormula};
+use vdo_core::{Guard, Severity, Waiver};
+use vdo_tears::{parse_guard, GuardedAssertion};
 use vdo_temporal::Formula;
 
 /// A deterministic mixed artifact set built in the order `perm` visits
@@ -36,9 +36,9 @@ fn build_set(seed: u64, shuffle_with: Option<u64>) -> ArtifactSet {
                     1 => Severity::Medium,
                     _ => Severity::High,
                 })
-                .expr(ReqExpr::all_of([
-                    ReqExpr::atom(format!("a{i}")),
-                    ReqExpr::not(ReqExpr::atom(format!("b{i}"))),
+                .expr(Guard::all_of([
+                    Guard::atom(format!("a{i}")),
+                    Guard::not(Guard::atom(format!("b{i}"))),
                 ])),
         );
     }
@@ -65,8 +65,8 @@ fn build_set(seed: u64, shuffle_with: Option<u64>) -> ArtifactSet {
     for i in 0..rng.gen_range(1usize..3) {
         assertions.push(GuardedAssertion::new(
             format!("ga-{i}"),
-            Expr::parse("load > 90").expect("parses"),
-            Expr::parse("ok == 1").expect("parses"),
+            parse_guard("load > 90").expect("parses"),
+            parse_guard("ok == 1").expect("parses"),
             3 + i as u64,
         ));
     }
@@ -133,19 +133,19 @@ fn single_field_mutations_change_fingerprints() {
         .package("pkg")
         .title("t")
         .severity(Severity::Medium)
-        .expr(ReqExpr::atom("a"));
+        .expr(Guard::atom("a"));
     let fp = fingerprint_entry(&base);
     let mutations = [
         EntryArtifact::new("R-2")
             .package("pkg")
             .title("t")
             .severity(Severity::Medium)
-            .expr(ReqExpr::atom("a")),
+            .expr(Guard::atom("a")),
         base.clone().package("other"),
         base.clone().title("other"),
         base.clone().severity(Severity::High),
-        base.clone().expr(ReqExpr::atom("b")),
-        base.clone().expr(ReqExpr::not(ReqExpr::atom("a"))),
+        base.clone().expr(Guard::atom("b")),
+        base.clone().expr(Guard::not(Guard::atom("a"))),
     ];
     for (i, m) in mutations.iter().enumerate() {
         assert_ne!(fp, fingerprint_entry(m), "entry mutation {i} invisible");
@@ -202,34 +202,34 @@ fn single_field_mutations_change_fingerprints() {
 
     let ga = GuardedAssertion::new(
         "ga",
-        Expr::parse("load > 90").expect("parses"),
-        Expr::parse("ok == 1").expect("parses"),
+        parse_guard("load > 90").expect("parses"),
+        parse_guard("ok == 1").expect("parses"),
         5,
     );
     let gfp = fingerprint_assertion(&ga);
     for (i, m) in [
         GuardedAssertion::new(
             "gb",
-            Expr::parse("load > 90").expect("parses"),
-            Expr::parse("ok == 1").expect("parses"),
+            parse_guard("load > 90").expect("parses"),
+            parse_guard("ok == 1").expect("parses"),
             5,
         ),
         GuardedAssertion::new(
             "ga",
-            Expr::parse("load > 91").expect("parses"),
-            Expr::parse("ok == 1").expect("parses"),
+            parse_guard("load > 91").expect("parses"),
+            parse_guard("ok == 1").expect("parses"),
             5,
         ),
         GuardedAssertion::new(
             "ga",
-            Expr::parse("load > 90").expect("parses"),
-            Expr::parse("ok == 0").expect("parses"),
+            parse_guard("load > 90").expect("parses"),
+            parse_guard("ok == 0").expect("parses"),
             5,
         ),
         GuardedAssertion::new(
             "ga",
-            Expr::parse("load > 90").expect("parses"),
-            Expr::parse("ok == 1").expect("parses"),
+            parse_guard("load > 90").expect("parses"),
+            parse_guard("ok == 1").expect("parses"),
             6,
         ),
     ]

@@ -10,10 +10,10 @@ use rand::{Rng, SeedableRng};
 
 use vdo_analyze::{
     AnalysisConfig, Analyzer, ArtifactDelta, EntryArtifact, IncrementalAnalyzer, LintCode,
-    LintLevel, ReqExpr,
+    LintLevel,
 };
-use vdo_core::Waiver;
-use vdo_tears::{Expr, GuardedAssertion};
+use vdo_core::{Guard, Waiver};
+use vdo_tears::{parse_guard, GuardedAssertion};
 use vdo_temporal::Formula;
 
 /// Small id pools so deltas collide: upserts overwrite, removals hit,
@@ -29,20 +29,17 @@ fn formula_name(rng: &mut StdRng) -> String {
 fn random_entry(rng: &mut StdRng, id: &str) -> EntryArtifact {
     let n = rng.gen_range(0u32..100);
     let expr = match rng.gen_range(0u32..5) {
-        0 => ReqExpr::all_of([
-            ReqExpr::atom(format!("a_{n}")),
-            ReqExpr::not(ReqExpr::atom(format!("b_{n}"))),
+        0 => Guard::all_of([
+            Guard::atom(format!("a_{n}")),
+            Guard::not(Guard::atom(format!("b_{n}"))),
         ]),
-        1 => ReqExpr::all_of([
-            ReqExpr::atom(format!("c_{n}")),
-            ReqExpr::not(ReqExpr::atom(format!("c_{n}"))),
+        1 => Guard::all_of([
+            Guard::atom(format!("c_{n}")),
+            Guard::not(Guard::atom(format!("c_{n}"))),
         ]),
-        2 => ReqExpr::atom("shared"),
-        3 => ReqExpr::all_of([ReqExpr::atom("shared"), ReqExpr::atom(format!("x_{n}"))]),
-        _ => ReqExpr::any_of([
-            ReqExpr::atom(format!("d_{n}")),
-            ReqExpr::atom(format!("e_{n}")),
-        ]),
+        2 => Guard::atom("shared"),
+        3 => Guard::all_of([Guard::atom("shared"), Guard::atom(format!("x_{n}"))]),
+        _ => Guard::any_of([Guard::atom(format!("d_{n}")), Guard::atom(format!("e_{n}"))]),
     };
     EntryArtifact::new(id).title(format!("req {n}")).expr(expr)
 }
@@ -85,8 +82,8 @@ fn random_assertion(rng: &mut StdRng, name: &str) -> GuardedAssertion {
     };
     GuardedAssertion::new(
         name,
-        Expr::parse(guard).expect("guard parses"),
-        Expr::parse("ok == 1").expect("assertion parses"),
+        parse_guard(guard).expect("guard parses"),
+        parse_guard("ok == 1").expect("assertion parses"),
         5,
     )
 }
@@ -235,9 +232,9 @@ fn large_catalogue_commits_stay_small() {
     for i in 0..500 {
         let id = format!("REQ-{i:04}");
         seed = seed
-            .with_entry(EntryArtifact::new(&id).expr(ReqExpr::all_of([
-                ReqExpr::atom(format!("cfg_{i}")),
-                ReqExpr::not(ReqExpr::atom(format!("weak_{i}"))),
+            .with_entry(EntryArtifact::new(&id).expr(Guard::all_of([
+                Guard::atom(format!("cfg_{i}")),
+                Guard::not(Guard::atom(format!("weak_{i}"))),
             ])))
             .cover_dev(&id);
     }

@@ -7,10 +7,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use vdo_analyze::{
-    AnalysisConfig, Analyzer, ArtifactSet, EntryArtifact, LintCode, LintLevel, ReqExpr,
-};
-use vdo_tears::{Expr, GuardedAssertion};
+use vdo_analyze::{AnalysisConfig, Analyzer, ArtifactSet, EntryArtifact, LintCode, LintLevel};
+use vdo_core::Guard;
+use vdo_tears::{parse_guard, GuardedAssertion};
 use vdo_temporal::Formula;
 
 /// A randomly shaped artifact set mixing clean and defective artifacts
@@ -23,22 +22,19 @@ fn random_artifacts(seed: u64) -> ArtifactSet {
         let id = format!("R-{i}");
         let expr = match rng.gen_range(0u32..5) {
             // Clean conjunction over entry-local atoms.
-            0 => ReqExpr::all_of([
-                ReqExpr::atom(format!("a_{i}")),
-                ReqExpr::not(ReqExpr::atom(format!("b_{i}"))),
+            0 => Guard::all_of([
+                Guard::atom(format!("a_{i}")),
+                Guard::not(Guard::atom(format!("b_{i}"))),
             ]),
             // Contradiction.
-            1 => ReqExpr::all_of([
-                ReqExpr::atom(format!("c_{i}")),
-                ReqExpr::not(ReqExpr::atom(format!("c_{i}"))),
+            1 => Guard::all_of([
+                Guard::atom(format!("c_{i}")),
+                Guard::not(Guard::atom(format!("c_{i}"))),
             ]),
             // Shared atoms: may duplicate or subsume a sibling entry.
-            2 => ReqExpr::atom("shared"),
-            3 => ReqExpr::all_of([ReqExpr::atom("shared"), ReqExpr::atom(format!("extra_{i}"))]),
-            _ => ReqExpr::any_of([
-                ReqExpr::atom(format!("d_{i}")),
-                ReqExpr::atom(format!("e_{i}")),
-            ]),
+            2 => Guard::atom("shared"),
+            3 => Guard::all_of([Guard::atom("shared"), Guard::atom(format!("extra_{i}"))]),
+            _ => Guard::any_of([Guard::atom(format!("d_{i}")), Guard::atom(format!("e_{i}"))]),
         };
         set = set.with_entry(EntryArtifact::new(&id).expr(expr));
         if rng.gen_bool(0.7) {
@@ -97,8 +93,8 @@ fn random_artifacts(seed: u64) -> ArtifactSet {
         };
         set = set.with_assertion(GuardedAssertion::new(
             format!("ga-{i}"),
-            Expr::parse(guard).expect("guard parses"),
-            Expr::parse("ok == 1").expect("assertion parses"),
+            parse_guard(guard).expect("guard parses"),
+            parse_guard("ok == 1").expect("assertion parses"),
             5,
         ));
     }

@@ -22,9 +22,8 @@
 use std::time::Instant;
 
 use serde::json::Value;
-use vdo_analyze::{
-    AnalysisConfig, Analyzer, ArtifactDelta, EntryArtifact, IncrementalAnalyzer, ReqExpr,
-};
+use vdo_analyze::{AnalysisConfig, Analyzer, ArtifactDelta, EntryArtifact, IncrementalAnalyzer};
+use vdo_core::Guard;
 use vdo_temporal::Formula;
 
 use crate::budget::{verdict, Budget};
@@ -96,9 +95,9 @@ fn clean_entry(i: usize, rev: usize) -> EntryArtifact {
     EntryArtifact::new(format!("REQ-{i:05}"))
         .package(format!("pkg{}", i % 7))
         .title(format!("requirement {i} rev {rev}"))
-        .expr(ReqExpr::all_of([
-            ReqExpr::atom(format!("cfg_{i}_{rev}")),
-            ReqExpr::not(ReqExpr::atom(format!("weak_{i}_{rev}"))),
+        .expr(Guard::all_of([
+            Guard::atom(format!("cfg_{i}_{rev}")),
+            Guard::not(Guard::atom(format!("weak_{i}_{rev}"))),
         ]))
 }
 
@@ -134,8 +133,8 @@ pub fn catalogue(entries: usize) -> ArtifactDelta {
         if i.is_multiple_of(173) {
             delta = delta.with_assertion(vdo_tears::GuardedAssertion::new(
                 format!("ga-{i}"),
-                vdo_tears::Expr::parse("load > 90").expect("guard parses"),
-                vdo_tears::Expr::parse("throttled == 1").expect("assertion parses"),
+                vdo_tears::parse_guard("load > 90").expect("guard parses"),
+                vdo_tears::parse_guard("throttled == 1").expect("assertion parses"),
                 5,
             ));
         }

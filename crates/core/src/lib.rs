@@ -39,6 +39,7 @@
 
 pub mod catalog;
 pub mod composite;
+pub mod guard;
 pub mod planner;
 pub mod report;
 pub mod requirement;
@@ -47,6 +48,7 @@ pub mod waiver;
 
 pub use catalog::{Catalog, CatalogEntry, PackagePath, RuleSet};
 pub use composite::{AllOf, AnyOf, Named, Not};
+pub use guard::Guard;
 pub use planner::{PlannerConfig, PlannerOutcome, RemediationPlanner};
 pub use report::{ComplianceReport, ReportSummary, RequirementResult};
 pub use requirement::{Requirement, RequirementSpec, RequirementSpecBuilder, Severity};

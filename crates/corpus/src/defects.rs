@@ -19,10 +19,10 @@ use std::collections::BTreeSet;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vdo_analyze::{AnalysisReport, ArtifactSet, EntryArtifact, LintCode, ReqExpr};
-use vdo_core::Waiver;
+use vdo_analyze::{AnalysisReport, ArtifactSet, EntryArtifact, LintCode};
+use vdo_core::{Guard, Waiver};
 use vdo_gwt::GraphModel;
-use vdo_tears::{Expr, GuardedAssertion};
+use vdo_tears::{parse_guard, GuardedAssertion};
 use vdo_temporal::Formula;
 
 /// The corpus is generated at this tick; expired-waiver plants expire
@@ -209,9 +209,9 @@ pub fn generate(config: &DefectConfig) -> DefectCorpus {
         entries.push((
             EntryArtifact::new(&id)
                 .title(format!("baseline hardening requirement {i}"))
-                .expr(ReqExpr::all_of([
-                    ReqExpr::atom(format!("cfg_{i}")),
-                    ReqExpr::not(ReqExpr::atom(format!("weak_{i}"))),
+                .expr(Guard::all_of([
+                    Guard::atom(format!("cfg_{i}")),
+                    Guard::not(Guard::atom(format!("weak_{i}"))),
                 ])),
             true,
         ));
@@ -239,8 +239,8 @@ pub fn generate(config: &DefectConfig) -> DefectCorpus {
         if i % 10 == 7 {
             assertions.push(GuardedAssertion::new(
                 format!("assert-{id}"),
-                Expr::parse("load > 90").expect("clean guard parses"),
-                Expr::parse("throttled == 1").expect("clean assertion parses"),
+                parse_guard("load > 90").expect("clean guard parses"),
+                parse_guard("throttled == 1").expect("clean assertion parses"),
                 5,
             ));
         }
@@ -250,9 +250,9 @@ pub fn generate(config: &DefectConfig) -> DefectCorpus {
         // VDA001 — a composite requiring an atom and its negation.
         let id = format!("DEF-VDA001-{i}");
         entries.push((
-            EntryArtifact::new(&id).expr(ReqExpr::all_of([
-                ReqExpr::atom(format!("k1_{i}")),
-                ReqExpr::not(ReqExpr::atom(format!("k1_{i}"))),
+            EntryArtifact::new(&id).expr(Guard::all_of([
+                Guard::atom(format!("k1_{i}")),
+                Guard::not(Guard::atom(format!("k1_{i}"))),
             ])),
             true,
         ));
@@ -261,11 +261,11 @@ pub fn generate(config: &DefectConfig) -> DefectCorpus {
         // VDA002, flavour one — the same finding id declared twice.
         let id = format!("DEF-VDA002-ID-{i}");
         entries.push((
-            EntryArtifact::new(&id).expr(ReqExpr::atom(format!("k2a_{i}"))),
+            EntryArtifact::new(&id).expr(Guard::atom(format!("k2a_{i}"))),
             true,
         ));
         entries.push((
-            EntryArtifact::new(&id).expr(ReqExpr::atom(format!("k2b_{i}"))),
+            EntryArtifact::new(&id).expr(Guard::atom(format!("k2b_{i}"))),
             true,
         ));
         expected.insert((id, LintCode::DuplicateEntry));
@@ -273,9 +273,9 @@ pub fn generate(config: &DefectConfig) -> DefectCorpus {
         // VDA002, flavour two — distinct ids, identical expression.
         // The later entry in insertion order is flagged, so the
         // expected pair is resolved after the shuffle below.
-        let twin = ReqExpr::all_of([
-            ReqExpr::atom(format!("k2c_{i}")),
-            ReqExpr::atom(format!("k2d_{i}")),
+        let twin = Guard::all_of([
+            Guard::atom(format!("k2c_{i}")),
+            Guard::atom(format!("k2d_{i}")),
         ]);
         let a = format!("DEF-VDA002-EQ-{i}-a");
         let b = format!("DEF-VDA002-EQ-{i}-b");
@@ -286,13 +286,13 @@ pub fn generate(config: &DefectConfig) -> DefectCorpus {
         // VDA003 — a weak entry implied by a stronger one.
         let weak = format!("DEF-VDA003-{i}-weak");
         entries.push((
-            EntryArtifact::new(&weak).expr(ReqExpr::atom(format!("k3_{i}"))),
+            EntryArtifact::new(&weak).expr(Guard::atom(format!("k3_{i}"))),
             true,
         ));
         entries.push((
-            EntryArtifact::new(format!("DEF-VDA003-{i}-strong")).expr(ReqExpr::all_of([
-                ReqExpr::atom(format!("k3_{i}")),
-                ReqExpr::atom(format!("k3x_{i}")),
+            EntryArtifact::new(format!("DEF-VDA003-{i}-strong")).expr(Guard::all_of([
+                Guard::atom(format!("k3_{i}")),
+                Guard::atom(format!("k3x_{i}")),
             ])),
             true,
         ));
@@ -310,7 +310,7 @@ pub fn generate(config: &DefectConfig) -> DefectCorpus {
         // VDA005 — a waiver that lapsed before the current tick.
         let id = format!("DEF-VDA005-{i}");
         entries.push((
-            EntryArtifact::new(&id).expr(ReqExpr::atom(format!("k5_{i}"))),
+            EntryArtifact::new(&id).expr(Guard::atom(format!("k5_{i}"))),
             true,
         ));
         waivers.push(Waiver {
@@ -381,8 +381,8 @@ pub fn generate(config: &DefectConfig) -> DefectCorpus {
         let name = format!("dead-guard-{i}");
         assertions.push(GuardedAssertion::new(
             &name,
-            Expr::parse("load > 1 and load < 0").expect("dead guard parses"),
-            Expr::parse("throttled == 1").expect("assertion parses"),
+            parse_guard("load > 1 and load < 0").expect("dead guard parses"),
+            parse_guard("throttled == 1").expect("assertion parses"),
             5,
         ));
         expected.insert((name, LintCode::UnsatisfiableGuard));
@@ -390,7 +390,7 @@ pub fn generate(config: &DefectConfig) -> DefectCorpus {
         // VDA011 — an entry neither gated, monitored, nor waived.
         let id = format!("DEF-VDA011-{i}");
         entries.push((
-            EntryArtifact::new(&id).expr(ReqExpr::atom(format!("k11_{i}"))),
+            EntryArtifact::new(&id).expr(Guard::atom(format!("k11_{i}"))),
             false,
         ));
         expected.insert((id, LintCode::UntracedRequirement));

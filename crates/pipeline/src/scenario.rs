@@ -18,7 +18,7 @@ use vdo_core::{RemediationPlanner, Severity};
 use vdo_host::UnixHost;
 use vdo_nalabs::RequirementDoc;
 use vdo_soc::{DetectionMode, SocConfig};
-use vdo_tears::{Expr, GuardedAssertion};
+use vdo_tears::{parse_guard, GuardedAssertion};
 use vdo_temporal::Formula;
 use vdo_trace::{Event, Telemetry, TraceContext};
 
@@ -445,8 +445,8 @@ fn synth_commit(index: usize, config: &PipelineConfig, rng: &mut StdRng) -> Comm
             ),
             _ => commit.with_assertion(GuardedAssertion::new(
                 format!("assert_{index}"),
-                Expr::parse("load > 1 and load < 0").expect("guard parses"),
-                Expr::parse("throttled == 1").expect("assertion parses"),
+                parse_guard("load > 1 and load < 0").expect("guard parses"),
+                parse_guard("throttled == 1").expect("assertion parses"),
                 5,
             )),
         };

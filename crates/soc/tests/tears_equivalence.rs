@@ -12,16 +12,16 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
+use vdo_core::Guard;
 use vdo_soc::TearsHostMonitor;
-use vdo_tears::expr::CmpOp;
-use vdo_tears::{Expr, GaMonitor, GuardedAssertion, SignalTrace};
+use vdo_tears::{Cmp, CmpOp, GaMonitor, GuardedAssertion, SignalTrace};
 
 /// Signals a stream may carry, the monitor's schema; `late` only
 /// appears from a generated tick on. `ghost` is referenced by
 /// expressions but never sent.
 const SENT: [&str; 3] = ["a", "b", "late"];
 
-fn arb_expr() -> impl Strategy<Value = Expr> {
+fn arb_expr() -> impl Strategy<Value = Guard<Cmp>> {
     let leaf = (
         prop::sample::select(vec!["a", "b", "late", "ghost"]),
         prop::sample::select(vec![
@@ -34,12 +34,12 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
         ]),
         0u8..4,
     )
-        .prop_map(|(n, op, k)| Expr::Cmp(n.to_string(), op, f64::from(k)));
+        .prop_map(|(n, op, k)| Guard::Atom(Cmp::new(n.to_string(), op, f64::from(k))));
     leaf.prop_recursive(3, 16, 2, |inner| {
         prop_oneof![
-            inner.clone().prop_map(|e| Expr::Not(Box::new(e))),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::And(Box::new(a), Box::new(b))),
-            (inner.clone(), inner).prop_map(|(a, b)| Expr::Or(Box::new(a), Box::new(b))),
+            inner.clone().prop_map(Guard::not),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Guard::And(vec![a, b])),
+            (inner.clone(), inner).prop_map(|(a, b)| Guard::Or(vec![a, b])),
         ]
     })
 }
@@ -141,8 +141,8 @@ proptest! {
         check(&case)?;
     }
 
-    /// `Expr::eval` over a trace tick equals the lookup evaluator over
-    /// the newest value of each signal at that tick.
+    /// A condition evaluated over a trace tick equals the condition
+    /// evaluated over the newest value of each signal at that tick.
     #[test]
     fn trace_eval_matches_the_lookup_evaluator(
         expr in arb_expr(),
@@ -156,8 +156,8 @@ proptest! {
             trace.push_sample(named(tick));
             latest.extend(named(tick));
             prop_assert_eq!(
-                expr.eval(&trace, t as u64),
-                expr.eval_with(&|name: &String| latest.get(name.as_str()).copied()),
+                trace.eval(&expr, t as u64),
+                expr.eval(&|c: &Cmp| c.eval(latest.get(c.signal.as_str()).copied())),
                 "tick {}", t
             );
         }

@@ -42,6 +42,6 @@ pub mod resa;
 
 pub use ctl::{CtlFormula, ModelChecker};
 pub use kripke::Kripke;
-pub use observer::{BoolExpr, ObserverAutomaton, ObserverMonitor, ObserverOutcome, UnboundAtom};
+pub use observer::{ObserverAutomaton, ObserverMonitor, ObserverOutcome, UnboundAtom};
 pub use pattern::{PatternKind, Scope, SpecPattern};
 pub use resa::ResaRequirement;

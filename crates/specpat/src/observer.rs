@@ -28,87 +28,10 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use vdo_core::{CheckStatus, Checkable};
+use vdo_core::{CheckStatus, Checkable, Guard};
 use vdo_temporal::PatternMonitor;
 
 use crate::pattern::{PatternKind, Scope, SpecPattern};
-
-/// A Boolean guard over atomic propositions.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BoolExpr {
-    /// Always true.
-    True,
-    /// The named atom holds in the current observation.
-    Atom(String),
-    /// Negation.
-    Not(Box<BoolExpr>),
-    /// Conjunction.
-    And(Box<BoolExpr>, Box<BoolExpr>),
-    /// Disjunction.
-    Or(Box<BoolExpr>, Box<BoolExpr>),
-}
-
-impl BoolExpr {
-    /// Atom guard.
-    #[must_use]
-    pub fn atom(name: impl Into<String>) -> BoolExpr {
-        BoolExpr::Atom(name.into())
-    }
-    /// Negation.
-    #[must_use]
-    // An `ops::Not` impl would move the operand; the builder-style
-    // associated function is the intended API.
-    #[allow(clippy::should_implement_trait)]
-    pub fn not(e: BoolExpr) -> BoolExpr {
-        BoolExpr::Not(Box::new(e))
-    }
-    /// Conjunction.
-    #[must_use]
-    pub fn and(a: BoolExpr, b: BoolExpr) -> BoolExpr {
-        BoolExpr::And(Box::new(a), Box::new(b))
-    }
-    /// Disjunction.
-    #[must_use]
-    pub fn or(a: BoolExpr, b: BoolExpr) -> BoolExpr {
-        BoolExpr::Or(Box::new(a), Box::new(b))
-    }
-
-    /// Evaluates the guard in three-valued (Kleene) logic, `value`
-    /// giving each atom's verdict in the current observation.
-    #[must_use]
-    pub fn eval(&self, value: &impl Fn(&str) -> CheckStatus) -> CheckStatus {
-        match self {
-            BoolExpr::True => CheckStatus::Pass,
-            BoolExpr::Atom(a) => value(a),
-            BoolExpr::Not(e) => e.eval(value).negate(),
-            // Kleene connectives, short-circuiting on a deciding operand.
-            BoolExpr::And(a, b) => match a.eval(value) {
-                CheckStatus::Fail => CheckStatus::Fail,
-                v => v.and(b.eval(value)),
-            },
-            BoolExpr::Or(a, b) => match a.eval(value) {
-                CheckStatus::Pass => CheckStatus::Pass,
-                v => v.or(b.eval(value)),
-            },
-        }
-    }
-
-    fn collect_atoms(&self, out: &mut Vec<String>) {
-        match self {
-            BoolExpr::True => {}
-            BoolExpr::Atom(a) => {
-                if !out.contains(a) {
-                    out.push(a.clone());
-                }
-            }
-            BoolExpr::Not(e) => e.collect_atoms(out),
-            BoolExpr::And(a, b) | BoolExpr::Or(a, b) => {
-                a.collect_atoms(out);
-                b.collect_atoms(out);
-            }
-        }
-    }
-}
 
 /// Clock constraint on an edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,7 +85,7 @@ impl LocationKind {
 pub struct Edge {
     from: usize,
     to: usize,
-    guard: BoolExpr,
+    guard: Guard<String>,
     clock_guard: Option<ClockGuard>,
     reset_clock: bool,
 }
@@ -243,9 +166,9 @@ impl ObserverAutomaton {
     #[must_use]
     pub fn for_pattern(pattern: &SpecPattern) -> Option<ObserverAutomaton> {
         use PatternKind::*;
-        let atom = BoolExpr::atom;
-        let not = BoolExpr::not;
-        let and = BoolExpr::and;
+        let atom = Guard::<String>::atom;
+        let not = Guard::not;
+        let and = |a, b| Guard::all_of([a, b]);
         match (pattern.scope(), pattern.kind()) {
             (Scope::Globally, Universality(p)) => Some(
                 Self::builder("obs_universality")
@@ -281,7 +204,7 @@ impl ObserverAutomaton {
                     .build(),
             ),
             (Scope::Globally, ResponseUntil(p, q, r)) => {
-                let discharged = || BoolExpr::or(atom(q), atom(r));
+                let discharged = || Guard::any_of([atom(q), atom(r)]);
                 Some(
                     Self::builder("obs_response_until")
                         .location("OK", LocationKind::Safe)
@@ -309,7 +232,7 @@ impl ObserverAutomaton {
                     .location("DONE", LocationKind::Accepting)
                     .location("BAD", LocationKind::Bad)
                     .edge("WAIT", "BAD", not(atom(p)))
-                    .edge_clocked("WAIT", "DONE", BoolExpr::True, ClockGuard::AtLeast(*t))
+                    .edge_clocked("WAIT", "DONE", Guard::True, ClockGuard::AtLeast(*t))
                     .initial("WAIT")
                     .build(),
             ),
@@ -391,7 +314,7 @@ impl ObserverAutomaton {
         }
         out.push_str(&format!("  __start -> n{};\n", self.initial));
         for e in &self.edges {
-            let mut label = format!("{:?}", e.guard);
+            let mut label = e.guard.to_string();
             if let Some(c) = e.clock_guard {
                 label.push_str(&format!(" / {c:?}"));
             }
@@ -452,7 +375,7 @@ impl ObserverAutomaton {
                 if !e.clock_guard.is_none_or(|g| g.eval(clock)) {
                     continue;
                 }
-                let guard = e.guard.eval(value);
+                let guard = e.guard.eval(&|a: &String| value(a));
                 if guard.is_fail() {
                     continue;
                 }
@@ -610,7 +533,9 @@ impl fmt::Debug for ObserverAutomaton {
 pub struct ObserverBuilder {
     name: String,
     locations: Vec<(String, LocationKind)>,
-    edges: Vec<(String, String, BoolExpr, Option<ClockGuard>, bool)>,
+    /// Each edge with its endpoints by name; its own `from` and `to`
+    /// are set when the automaton is built.
+    edges: Vec<(String, String, Edge)>,
 }
 
 impl ObserverBuilder {
@@ -623,31 +548,44 @@ impl ObserverBuilder {
 
     /// Adds an edge with a propositional guard.
     #[must_use]
-    pub fn edge(mut self, from: &str, to: &str, guard: BoolExpr) -> Self {
-        self.edges
-            .push((from.to_string(), to.to_string(), guard, None, false));
-        self
+    pub fn edge(self, from: &str, to: &str, guard: Guard<String>) -> Self {
+        self.push(from, to, guard, None, false)
     }
 
     /// Adds an edge that also resets the clock.
     #[must_use]
-    pub fn edge_reset(mut self, from: &str, to: &str, guard: BoolExpr) -> Self {
-        self.edges
-            .push((from.to_string(), to.to_string(), guard, None, true));
-        self
+    pub fn edge_reset(self, from: &str, to: &str, guard: Guard<String>) -> Self {
+        self.push(from, to, guard, None, true)
     }
 
     /// Adds an edge with both a propositional and a clock guard.
     #[must_use]
     pub fn edge_clocked(
+        self,
+        from: &str,
+        to: &str,
+        guard: Guard<String>,
+        clock: ClockGuard,
+    ) -> Self {
+        self.push(from, to, guard, Some(clock), false)
+    }
+
+    fn push(
         mut self,
         from: &str,
         to: &str,
-        guard: BoolExpr,
-        clock: ClockGuard,
+        guard: Guard<String>,
+        clock_guard: Option<ClockGuard>,
+        reset_clock: bool,
     ) -> Self {
-        self.edges
-            .push((from.to_string(), to.to_string(), guard, Some(clock), false));
+        let edge = Edge {
+            from: 0,
+            to: 0,
+            guard,
+            clock_guard,
+            reset_clock,
+        };
+        self.edges.push((from.to_string(), to.to_string(), edge));
         self
     }
 
@@ -688,22 +626,21 @@ impl FinishedObserverBuilder {
                 .unwrap_or_else(|| panic!("unknown location '{n}'"))
         };
         let initial = find(&self.initial);
-        let edges = self
+        let edges: Vec<Edge> = self
             .inner
             .edges
             .iter()
-            .map(|(f, t, g, c, r)| Edge {
+            .map(|(f, t, e)| Edge {
                 from: find(f),
                 to: find(t),
-                guard: g.clone(),
-                clock_guard: *c,
-                reset_clock: *r,
+                ..e.clone()
             })
             .collect();
-        let mut atoms = Vec::new();
-        for (_, _, guard, _, _) in &self.inner.edges {
-            guard.collect_atoms(&mut atoms);
-        }
+        let atoms = Guard::And(edges.iter().map(|e| e.guard.clone()).collect())
+            .atoms()
+            .into_iter()
+            .cloned()
+            .collect();
         ObserverAutomaton {
             name: self.inner.name,
             locations: self.inner.locations,
@@ -875,7 +812,7 @@ mod tests {
     fn builder_panics_on_dangling_location() {
         let b = ObserverAutomaton::builder("x")
             .location("A", LocationKind::Safe)
-            .edge("A", "NOPE", BoolExpr::True)
+            .edge("A", "NOPE", Guard::True)
             .initial("A");
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.build()));
         assert!(r.is_err());

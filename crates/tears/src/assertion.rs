@@ -3,21 +3,22 @@
 use std::fmt;
 use std::sync::Arc;
 
-use vdo_core::CheckStatus;
+use vdo_core::{CheckStatus, Guard};
 
-use crate::expr::{Expr, ParseExprError};
+use crate::expr::{parse_guard, Cmp, ParseExprError};
 use crate::signal::SignalTrace;
 
 /// One independent guarded assertion:
 /// *whenever `guard` holds, `assertion` must hold within `within` ticks*
 /// (the window is inclusive; `within = 0` means "at the same tick").
-/// `S` refers to a signal, as in [`Expr`]: by name as parsed, or as
+/// Both conditions are [`Guard`]s over [`Cmp`] comparisons, whose `S`
+/// refers to a signal: by name as parsed, or as
 /// [`resolve`](GuardedAssertion::resolve)d once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GuardedAssertion<S = String> {
     name: String,
-    guard: Expr<S>,
-    assertion: Expr<S>,
+    guard: Guard<Cmp<S>>,
+    assertion: Guard<Cmp<S>>,
     within: u64,
 }
 
@@ -67,7 +68,12 @@ pub struct GaReport {
 impl<S> GuardedAssertion<S> {
     /// Creates a G/A from parts.
     #[must_use]
-    pub fn new(name: impl Into<String>, guard: Expr<S>, assertion: Expr<S>, within: u64) -> Self {
+    pub fn new(
+        name: impl Into<String>,
+        guard: Guard<Cmp<S>>,
+        assertion: Guard<Cmp<S>>,
+        within: u64,
+    ) -> Self {
         GuardedAssertion {
             name: name.into(),
             guard,
@@ -84,13 +90,13 @@ impl<S> GuardedAssertion<S> {
 
     /// The guard condition.
     #[must_use]
-    pub fn guard(&self) -> &Expr<S> {
+    pub fn guard(&self) -> &Guard<Cmp<S>> {
         &self.guard
     }
 
     /// The asserted condition.
     #[must_use]
-    pub fn assertion(&self) -> &Expr<S> {
+    pub fn assertion(&self) -> &Guard<Cmp<S>> {
         &self.assertion
     }
 
@@ -101,13 +107,15 @@ impl<S> GuardedAssertion<S> {
     }
 
     /// The same G/A with both conditions' signals mapped through
-    /// `resolve` (see [`Expr::resolve`]).
+    /// `resolve` (through [`Guard::map`]): names resolved once to what a
+    /// hot loop reads without comparing strings.
     #[must_use]
     pub fn resolve<T>(&self, resolve: &impl Fn(&S) -> T) -> GuardedAssertion<T> {
+        let cmp = |c: &Cmp<S>| Cmp::new(resolve(&c.signal), c.op, c.constant);
         GuardedAssertion {
             name: self.name.clone(),
-            guard: self.guard.resolve(resolve),
-            assertion: self.assertion.resolve(resolve),
+            guard: self.guard.map(&cmp),
+            assertion: self.assertion.map(&cmp),
             within: self.within,
         }
     }
@@ -157,8 +165,8 @@ impl GuardedAssertion {
         };
         Ok(GuardedAssertion {
             name: name.to_string(),
-            guard: Expr::parse(guard_text)?,
-            assertion: Expr::parse(assert_text)?,
+            guard: parse_guard(guard_text)?,
+            assertion: parse_guard(assert_text)?,
             within,
         })
     }
@@ -171,14 +179,14 @@ impl GuardedAssertion {
         let mut violations = Vec::new();
         let mut pending = Vec::new();
         for t in 0..n {
-            if self.guard.eval(trace, t) != Some(true) {
+            if !trace.eval(&self.guard, t).is_pass() {
                 continue;
             }
             activations += 1;
             let deadline = t.saturating_add(self.within);
             let mut satisfied = false;
             for u in t..=deadline.min(n.saturating_sub(1)) {
-                if self.assertion.eval(trace, u) == Some(true) {
+                if trace.eval(&self.assertion, u).is_pass() {
                     satisfied = true;
                     break;
                 }
@@ -256,12 +264,13 @@ impl MonitorCore {
         let t = self.now;
         self.now += 1;
         let mut new_violations = Vec::new();
-        self.guard_held = ga.guard.eval_with(value) == Some(true);
+        let holds = |g: &Guard<Cmp<S>>| g.eval(&|c: &Cmp<S>| c.eval(value(&c.signal))).is_pass();
+        self.guard_held = holds(&ga.guard);
         if self.guard_held {
             self.activations += 1;
             self.pending.push_back(t);
         }
-        if ga.assertion.eval_with(value) == Some(true) {
+        if holds(&ga.assertion) {
             // Satisfies every pending activation whose window reaches t —
             // all of them, since expired ones were already flushed.
             self.pending.clear();
@@ -445,7 +454,7 @@ mod tests {
             GuardedAssertion::parse(r#"ga "resp": when g > 0.5 then a == 1 within 3"#).unwrap();
         assert_eq!(ga.name(), "resp");
         assert_eq!(ga.within(), 3);
-        assert_eq!(ga.guard().signals(), vec!["g"]);
+        assert_eq!(ga.guard().to_string(), "g > 0.5");
     }
 
     #[test]
@@ -563,8 +572,8 @@ mod tests {
             ) {
                 let ga = GuardedAssertion::new(
                     "eq",
-                    Expr::parse("g > 0.5").unwrap(),
-                    Expr::parse("a > 0.5").unwrap(),
+                    parse_guard("g > 0.5").unwrap(),
+                    parse_guard("a > 0.5").unwrap(),
                     within,
                 );
                 // Batch over the full trace.
@@ -593,8 +602,8 @@ mod tests {
             ) {
                 let ga = GuardedAssertion::new(
                     "inv",
-                    Expr::parse("g > 0.5").unwrap(),
-                    Expr::parse("a > 0.5").unwrap(),
+                    parse_guard("g > 0.5").unwrap(),
+                    parse_guard("a > 0.5").unwrap(),
                     within,
                 );
                 let t = trace(&rows);

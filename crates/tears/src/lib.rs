@@ -14,7 +14,9 @@
 //! window.
 //!
 //! * [`SignalTrace`] — named, per-tick sampled numeric signals;
-//! * [`expr`] — comparison/Boolean expression language with a parser;
+//! * [`expr`] — the condition language: a [`vdo_core::Guard`] over
+//!   [`Cmp`] comparisons (`signal op constant`), parsed by
+//!   [`parse_guard`];
 //! * [`GuardedAssertion`] — the G/A itself, parsed from text, evaluated
 //!   to a [`GaReport`] (activations, violations, verdict);
 //! * [`Session`] — a set of G/As plus a trace, producing the analysis
@@ -40,6 +42,6 @@ pub mod session;
 pub mod signal;
 
 pub use assertion::{GaMonitor, GaReport, GuardedAssertion, OwnedGaMonitor};
-pub use expr::Expr;
+pub use expr::{parse_guard, Cmp, CmpOp};
 pub use session::{Session, SessionOverview};
 pub use signal::SignalTrace;

@@ -2,6 +2,10 @@
 
 use std::collections::BTreeMap;
 
+use vdo_core::{CheckStatus, Guard};
+
+use crate::expr::Cmp;
+
 /// A set of named numeric signals sampled once per tick.
 ///
 /// Signals are dense: every [`push_sample`](SignalTrace::push_sample)
@@ -74,6 +78,13 @@ impl SignalTrace {
             // Held beyond the last explicit sample.
             None => values.last().copied(),
         }
+    }
+
+    /// Evaluates a condition at `tick`: each comparison reads its
+    /// signal's value there, and is `Incomplete` when it has none.
+    #[must_use]
+    pub fn eval(&self, condition: &Guard<Cmp>, tick: u64) -> CheckStatus {
+        condition.eval(&|c: &Cmp| c.eval(self.value(&c.signal, tick)))
     }
 
     /// Names of all signals seen, in sorted order.

@@ -8,11 +8,11 @@
 //! Run with: `cargo run --example static_analysis`
 
 use veridevops::analyze::{
-    AnalysisConfig, Analyzer, ArtifactSet, EntryArtifact, LintCode, LintLevel, ReqExpr,
+    AnalysisConfig, Analyzer, ArtifactSet, EntryArtifact, LintCode, LintLevel,
 };
-use veridevops::core::Waiver;
+use veridevops::core::{Guard, Waiver};
 use veridevops::gwt::GraphModel;
-use veridevops::tears::{Expr, GuardedAssertion};
+use veridevops::tears::{parse_guard, GuardedAssertion};
 use veridevops::temporal::Formula;
 
 fn main() {
@@ -33,43 +33,43 @@ fn main() {
         .with_entry(
             EntryArtifact::new("V-9001")
                 .title("contradictory")
-                .expr(ReqExpr::all_of([
-                    ReqExpr::atom("sshd.enabled"),
-                    ReqExpr::not(ReqExpr::atom("sshd.enabled")),
+                .expr(Guard::all_of([
+                    Guard::atom("sshd.enabled"),
+                    Guard::not(Guard::atom("sshd.enabled")),
                 ])),
         )
         // VDA002: the same check registered twice under two ids.
         .with_entry(
             EntryArtifact::new("V-9002")
                 .title("original")
-                .expr(ReqExpr::atom("audit.enabled")),
+                .expr(Guard::atom("audit.enabled")),
         )
         .with_entry(
             EntryArtifact::new("V-9003")
                 .title("accidental copy")
-                .expr(ReqExpr::atom("audit.enabled")),
+                .expr(Guard::atom("audit.enabled")),
         )
         // VDA003: a weak entry a stronger sibling already implies.
         .with_entry(
             EntryArtifact::new("V-9004")
                 .title("weak")
-                .expr(ReqExpr::atom("tls.enabled")),
+                .expr(Guard::atom("tls.enabled")),
         )
         .with_entry(
             EntryArtifact::new("V-9005")
                 .title("strong")
-                .expr(ReqExpr::all_of([
-                    ReqExpr::atom("tls.enabled"),
-                    ReqExpr::atom("tls.v13_only"),
+                .expr(Guard::all_of([
+                    Guard::atom("tls.enabled"),
+                    Guard::atom("tls.v13_only"),
                 ])),
         )
         // A clean entry for contrast.
         .with_entry(
             EntryArtifact::new("V-9006")
                 .title("fine")
-                .expr(ReqExpr::all_of([
-                    ReqExpr::atom("fips.enabled"),
-                    ReqExpr::not(ReqExpr::atom("telnet.installed")),
+                .expr(Guard::all_of([
+                    Guard::atom("fips.enabled"),
+                    Guard::not(Guard::atom("telnet.installed")),
                 ])),
         )
         // VDA004: a waiver for a finding nobody catalogues.
@@ -116,15 +116,15 @@ fn main() {
         // VDA010: a guard no telemetry can satisfy.
         .with_assertion(GuardedAssertion::new(
             "throttle-on-impossible-load",
-            Expr::parse("load > 1 and load < 0").expect("guard parses"),
-            Expr::parse("throttled == 1").expect("assertion parses"),
+            parse_guard("load > 1 and load < 0").expect("guard parses"),
+            parse_guard("throttled == 1").expect("assertion parses"),
             5,
         ))
         // VDA011: V-9007 is checked by no gate and watched by no monitor.
         .with_entry(
             EntryArtifact::new("V-9007")
                 .title("untraced")
-                .expr(ReqExpr::atom("grub.password_set")),
+                .expr(Guard::atom("grub.password_set")),
         )
         .covered_dev("V-9001")
         .covered_dev("V-9002")
